@@ -61,15 +61,15 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.output).write_text(text)
         return 0
 
-    # run
+    # run; a bad config value can also surface while the experiment is built
     try:
         cfg = parse_config_file(args.config)
         cfg = cfg.override(seed=args.seed, replicas=args.replicas,
                            threads=args.threads, output=args.output)
+        table = run(cfg)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    table = run(cfg)
     out_path = cfg.output_dir / f"{cfg.name}.csv"
     print(f"{cfg.name}: {len(table.rows)} rows -> {out_path}")
     if table.all_pass:

@@ -175,10 +175,6 @@ class LatticeField:
             raise ValueError(f"values shape {self.values.shape} != grid shape {self.grid.shape}")
 
     @classmethod
-    def from_values(cls, grid: Grid, values: np.ndarray) -> "LatticeField":
-        return cls(grid, values)
-
-    @classmethod
     def from_spectrum(cls, grid: Grid, spectrum: np.ndarray) -> "LatticeField":
         values = grid.inverse(spectrum)
         out = cls(grid, values)
@@ -220,11 +216,6 @@ def l2_norm(f: LatticeField | np.ndarray, grid: Grid | None = None) -> float:
             raise ValueError("grid required when passing a bare array")
         arr = np.asarray(f)
     return float(np.sqrt(grid.cell_volume * np.sum(np.abs(arr) ** 2)))
-
-
-def spectral_l2_norm_sq(spectrum: np.ndarray, grid: Grid) -> float:
-    """||f||_{L2}**2 evaluated from the spectrum (exact discrete Plancherel)."""
-    return float(np.sum(np.abs(spectrum) ** 2) / grid.box_length**grid.dimension)
 
 
 def h_neg_k_norm(f: LatticeField, k: int) -> float:

@@ -12,6 +12,9 @@ only on u(t_i) with i < j, a single causal forward sweep solves the
 discrete fixed-point equation exactly; Picard iteration reaches the
 same fixed point (after at most one iteration per time step) and is
 kept both as the constructive existence scheme and as a cross-check.
+Both run on one time-stepping loop, :func:`_march`, which advances the
+lattice Green pair by an exact rotation (:class:`Propagator`) instead of
+re-summing the forcing history at every step.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SpectralMeasure, admissibility_integral
-from .greens import GreenMultiplier, cosine_multiplier, j_functional, spectral_energy_field
+from .greens import GreenMultiplier, cosine_multiplier, j_functional, sine_multiplier
+from .greens import spectral_energy_field
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
 from .noise import NoisePath
 
@@ -32,6 +36,7 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "MomentSummary",
+    "Propagator",
     "deterministic_part",
     "deterministic_velocity",
     "energy_trajectory",
@@ -170,7 +175,6 @@ class SolveReport:
     times: np.ndarray
     moments: np.ndarray  # ||u(t_j)||**2 along the path
     m_table: list[np.ndarray]  # per-iteration squared Picard distances over t
-    sup_distances: list[float]
     iterations: int
     converged: bool
     snapshots: dict[int, LatticeField]
@@ -186,41 +190,82 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _u0_spectrum(cfg: SolveConfig, t: float) -> np.ndarray:
+def deterministic_part(cfg: SolveConfig, t: float) -> LatticeField:
+    """u0(t) = (d/dt) G(t) * v0 + G(t) * v0_dot, in closed form at any t."""
     grid = cfg.grid
     mag = np.sqrt(grid.freq_norm_sq)
     spec = cosine_multiplier(t, mag, cfg.k) * cfg.v0.spectrum
     if cfg.v0_dot is not None:
         spec = spec + cfg.green.lattice_spectrum(grid, t) * cfg.v0_dot.spectrum
-    return spec
+    return LatticeField.from_spectrum(grid, spec)
 
 
-def _u0_dt_spectrum(cfg: SolveConfig, t: float) -> np.ndarray:
+def deterministic_velocity(cfg: SolveConfig, t: float) -> LatticeField:
+    """Time derivative of the deterministic part, in closed form."""
     grid = cfg.grid
     mag = np.sqrt(grid.freq_norm_sq)
     spec = -(mag**cfg.k) * np.sin(t * mag**cfg.k) * cfg.v0.spectrum
     if cfg.v0_dot is not None:
         spec = spec + cfg.green.lattice_dt_spectrum(grid, t) * cfg.v0_dot.spectrum
-    return spec
-
-
-def deterministic_part(cfg: SolveConfig, t: float) -> LatticeField:
-    """u0(t) = (d/dt) G(t) * v0 + G(t) * v0_dot."""
-    return LatticeField.from_spectrum(cfg.grid, _u0_spectrum(cfg, t))
-
-
-def deterministic_velocity(cfg: SolveConfig, t: float) -> LatticeField:
-    """Time derivative of the deterministic part."""
-    return LatticeField.from_spectrum(cfg.grid, _u0_dt_spectrum(cfg, t))
+    return LatticeField.from_spectrum(grid, spec)
 
 
 def energy_trajectory(cfg: SolveConfig) -> np.ndarray:
     """Spectral energy of the noise-free evolution at every step time."""
-    out = np.empty(cfg.steps + 1)
+    return np.array([spectral_energy_field(cfg.grid, u_spec, v_spec, cfg.k)
+                     for _, u_spec, v_spec in _march(cfg)])
+
+
+# ---------------------------------------------------------------------------
+# time stepping
+# ---------------------------------------------------------------------------
+
+
+class Propagator:
+    """Exact one-step rotation of the lattice Green pair over dt.
+
+    Per frequency, with w = |eta|**k, the free state (F[u], F[u_t]) advances
+    by [[cos(w dt), sin(w dt)/w], [-w sin(w dt), cos(w dt)]], which preserves
+    the spectral energy |F[u_t]|**2 + w**2 |F[u]|**2.  Forcing enters F[u_t]
+    times ``scale`` = lattice dG/dt at 0: 1, except for the exact d = 1, k = 1
+    kernel, which is eta (h/2) cot(eta h/2) (0 at Nyquist) times the sampled one.
+    """
+
+    def __init__(self, grid: Grid, k: int, dt: float) -> None:
+        mag = np.sqrt(grid.freq_norm_sq)
+        self.cos = cosine_multiplier(dt, mag, k)
+        self.sin = sine_multiplier(dt, mag, k)  # sin(w dt)/w, series branch near w = 0
+        self.neg_w_sin = -(grid.freq_norm_sq**k) * self.sin
+        self.scale = GreenMultiplier(k, dt).lattice_dt_spectrum(grid, 0.0)
+
+    def step(self, u_spec: np.ndarray, v_spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (self.cos * u_spec + self.sin * v_spec,
+                self.neg_w_sin * u_spec + self.cos * v_spec)
+
+
+def _march(cfg: SolveConfig, w_fields: list[np.ndarray] | None = None,
+           inputs: list[np.ndarray] | None = None):
+    """The solver's one time-stepping loop.
+
+    Yields ``(u_j, F[u(t_j)], F[u_t(t_j)])`` for j = 0..n.  Step j injects
+    the forcing F[alpha(z_j) W_j] into the velocity, left-endpoint, with
+    z_j = ``inputs[j]`` (a Picard update) or z_j = u_j (the causal sweep)
+    when ``inputs`` is None.  Without ``w_fields`` the evolution is
+    noise-free and reproduces the deterministic part.
+    """
+    grid, alpha = cfg.grid, cfg.nonlinearity
+    prop = Propagator(grid, cfg.k, cfg.dt)
+    u_spec = cfg.v0.spectrum
+    v_spec = np.zeros_like(u_spec) if cfg.v0_dot is None else prop.scale * cfg.v0_dot.spectrum
     for j in range(cfg.steps + 1):
-        t = j * cfg.dt
-        out[j] = spectral_energy_field(cfg.grid, _u0_spectrum(cfg, t), _u0_dt_spectrum(cfg, t), cfg.k)
-    return out
+        values = grid.inverse(u_spec)
+        yield values, u_spec, v_spec
+        if j == cfg.steps:
+            break
+        if w_fields is not None:
+            z = values if inputs is None else inputs[j]
+            v_spec = v_spec + prop.scale * grid.forward(alpha(z) * w_fields[j])
+        u_spec, v_spec = prop.step(u_spec, v_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +280,8 @@ def _norm_factory(cfg: SolveConfig, theta: np.ndarray | None):
     return lambda values: float(cell * np.sum(values**2 * theta))
 
 
-def _prepare(cfg: SolveConfig, path: NoisePath):
+def _noise_fields(cfg: SolveConfig, path: NoisePath) -> list[np.ndarray]:
+    """The path's first n slices, masked, after checking the path fits cfg."""
     if path.grid != cfg.grid:
         raise ValueError("noise path grid does not match the configuration")
     if abs(path.dt - cfg.dt) > 1e-12 * cfg.dt:
@@ -243,50 +289,17 @@ def _prepare(cfg: SolveConfig, path: NoisePath):
     n = cfg.steps
     if len(path) < n:
         raise ValueError(f"path provides {len(path)} slices, {n} needed")
-    grid = cfg.grid
-    mults = [None] + [cfg.green.lattice_spectrum(grid, j * cfg.dt) for j in range(1, n + 1)]
-    u0_specs = [_u0_spectrum(cfg, j * cfg.dt) for j in range(n + 1)]
     mask = None if cfg.noise_mask is None else np.asarray(cfg.noise_mask, dtype=float)
-    w_fields = []
-    for i in range(n):
-        w = path.slices[i].field
-        w_fields.append(w if mask is None else w * mask)
-    return n, mults, u0_specs, w_fields
+    return [s.field if mask is None else s.field * mask for s in path.slices[:n]]
 
 
-def _trajectory_from(cfg: SolveConfig, prev_values: list[np.ndarray], mults, u0_specs,
-                     w_fields) -> list[np.ndarray]:
-    """One Picard update: feed the previous trajectory through the integral."""
-    grid, alpha = cfg.grid, cfg.nonlinearity
-    n = len(w_fields)
-    forc = [grid.forward(alpha(prev_values[i]) * w_fields[i]) for i in range(n)]
-    out = [grid.inverse(u0_specs[0])]
-    for j in range(1, n + 1):
-        acc = u0_specs[j].astype(complex).copy()
-        for i in range(j):
-            acc += mults[j - i] * forc[i]
-        out.append(grid.inverse(acc))
-    return out
-
-
-def _sweep_values(cfg: SolveConfig, mults, u0_specs, w_fields) -> list[np.ndarray]:
-    """Causal forward pass: the discrete fixed point in one sweep."""
-    grid, alpha = cfg.grid, cfg.nonlinearity
-    n = len(w_fields)
-    values = [grid.inverse(u0_specs[0])]
-    forc: list[np.ndarray] = []
-    for j in range(1, n + 1):
-        forc.append(grid.forward(alpha(values[j - 1]) * w_fields[j - 1]))
-        acc = u0_specs[j].astype(complex).copy()
-        for i in range(j):
-            acc += mults[j - i] * forc[i]
-        values.append(grid.inverse(acc))
-    return values
+def _trajectory(cfg: SolveConfig, w_fields=None, inputs=None) -> list[np.ndarray]:
+    return [values for values, _, _ in _march(cfg, w_fields, inputs)]
 
 
 def _report_from_trajectory(cfg: SolveConfig, values: list[np.ndarray], m_table,
-                            sup_distances, iterations, converged, started,
-                            theta: np.ndarray | None = None, space: str = "L2") -> SolveReport:
+                            iterations, converged, started,
+                            theta: np.ndarray | None) -> SolveReport:
     grid = cfg.grid
     norm_sq = _norm_factory(cfg, theta)
     moments = np.array([norm_sq(v) for v in values])
@@ -297,69 +310,64 @@ def _report_from_trajectory(cfg: SolveConfig, values: list[np.ndarray], m_table,
         times=cfg.dt * np.arange(len(values)),
         moments=moments,
         m_table=m_table,
-        sup_distances=sup_distances,
         iterations=iterations,
         converged=converged,
         snapshots=snapshots,
         wall_clock=time.perf_counter() - started,
-        space=space,
+        space="L2" if theta is None else "L2theta",
     )
 
 
-def explicit_sweep(cfg: SolveConfig, path: NoisePath, _theta: np.ndarray | None = None,
-                   _space: str = "L2", _skip_validate: bool = False) -> SolveReport:
-    """Solve the discrete mild equation in a single causal pass."""
-    if not _skip_validate:
-        cfg.validate()
+def explicit_sweep(cfg: SolveConfig, path: NoisePath,
+                   theta: np.ndarray | None = None) -> SolveReport:
+    """Solve the discrete mild equation in a single causal pass.
+
+    With a norm weight ``theta`` the moments are weighted (space
+    ``L2theta``) and nonlinearities with alpha(0) != 0 are accepted.
+    """
+    cfg.validate(weighted=theta is not None)
     started = time.perf_counter()
-    n, mults, u0_specs, w_fields = _prepare(cfg, path)
-    values = _sweep_values(cfg, mults, u0_specs, w_fields)
-    return _report_from_trajectory(cfg, values, [], [], 1, True, started,
-                                   theta=_theta, space=_space)
+    values = _trajectory(cfg, _noise_fields(cfg, path))
+    return _report_from_trajectory(cfg, values, [], 1, True, started, theta)
 
 
 def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0",
-                   _theta: np.ndarray | None = None, _space: str = "L2",
-                   _skip_validate: bool = False) -> SolveReport:
+                   theta: np.ndarray | None = None) -> SolveReport:
     """Iterate the mild-solution map on one fixed noise path.
 
     Stops when the sup-over-t L2 distance between successive iterates
-    falls below ``cfg.picard_tol`` (or the weighted norm for the
-    weighted solver).  Non-convergence within the iteration budget is
-    reported, not fatal; the squared-distance table carries the tail.
+    falls below ``cfg.picard_tol`` (or the ``theta``-weighted norm, as
+    in :func:`explicit_sweep`).  Non-convergence within the iteration
+    budget is reported, not fatal; the squared-distance table carries
+    the tail.
     """
-    if not _skip_validate:
-        cfg.validate()
+    cfg.validate(weighted=theta is not None)
     started = time.perf_counter()
-    n, mults, u0_specs, w_fields = _prepare(cfg, path)
-    grid = cfg.grid
-    norm_sq = _norm_factory(cfg, _theta)
+    w_fields = _noise_fields(cfg, path)
+    n = cfg.steps
+    norm_sq = _norm_factory(cfg, theta)
     max_iter = cfg.picard_max_iter if cfg.picard_max_iter is not None else n + 2
 
     if initial == "u0":
-        prev = [grid.inverse(s) for s in u0_specs]
+        prev = _trajectory(cfg)
     elif initial == "zero":
-        prev = [np.zeros(grid.shape) for _ in range(n + 1)]
+        prev = [np.zeros(cfg.grid.shape) for _ in range(n + 1)]
     else:
         raise ValueError(f"unknown initial guess {initial!r}")
 
     m_table: list[np.ndarray] = []
-    sup_distances: list[float] = []
     converged = False
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        new = _trajectory_from(cfg, prev, mults, u0_specs, w_fields)
+        new = _trajectory(cfg, w_fields, prev)
         dist_sq = np.array([norm_sq(new[j] - prev[j]) for j in range(n + 1)])
         m_table.append(dist_sq)
-        sup = float(math.sqrt(np.max(dist_sq)))
-        sup_distances.append(sup)
         prev = new
-        if sup < cfg.picard_tol:
+        if math.sqrt(np.max(dist_sq)) < cfg.picard_tol:
             converged = True
             break
-    return _report_from_trajectory(cfg, prev, m_table, sup_distances, iterations,
-                                   converged, started, theta=_theta, space=_space)
+    return _report_from_trajectory(cfg, prev, m_table, iterations, converged, started, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ __all__ = [
     "mollify_green",
     "ladder_distance",
     "truncation_distance",
+    "convolution_norms_mc",
     "convolution_moment_mc",
 ]
 
@@ -202,7 +203,11 @@ def _steps_before(t: float, dt: float, available: int) -> int:
 
 def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoisePath,
                            t: float) -> LatticeField:
-    """Left-endpoint lattice integral of G(t-s) against Z(s) M(ds, dy)."""
+    """Left-endpoint lattice integral of G(t-s) against Z(s) M(ds, dy).
+
+    The test oracle: a direct history sum, which the solver reaches by
+    the exact rotation of ``solver.Propagator`` instead.
+    """
     if not Z.adapted:
         raise ValueError("integrand process is not adapted")
     if Z.grid != path.grid:
@@ -332,10 +337,31 @@ def truncation_distance(g: GreenMultiplier, Z: IntegrandProcess,
 # ---------------------------------------------------------------------------
 
 
-def _chunk_rng(rng, lo: int, hi: int):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return rng[lo:hi]
+def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, replicas: int,
+                         rng, norm_sq, t: float | None = None, chunk: int = 256) -> np.ndarray:
+    """Squared norms of v(t) over independent replicas, batched in chunks.
+
+    ``rng`` is either one generator or a sequence of per-replica
+    generators (replica r then consumes exactly its own stream, slice by
+    slice, which makes runs at different replica offsets poolable).
+    Each chunk samples fresh slices for every time step and accumulates
+    the spectra F[v(t)]; ``norm_sq`` maps that (c, *grid.shape) batch to
+    its c squared norms before the next chunk is allocated.
+    """
+    grid, dt = Z.grid, Z.dt
+    m, times = _green_times(Z, t)
+    mults = [g.lattice_spectrum(grid, times[i]) for i in range(m)]
+    sq_norms = np.empty(replicas)
+    for lo in range(0, replicas, chunk):
+        c = min(chunk, replicas - lo)
+        gens = rng if isinstance(rng, np.random.Generator) else rng[lo:lo + c]
+        acc = np.zeros((c,) + grid.shape, dtype=complex)
+        for i in range(m):
+            specs = sample_slice_batch(grid, measure, dt, gens, c)
+            fields = grid.inverse(specs)
+            acc += mults[i] * grid.forward(Z.fields[i].values * fields)
+        sq_norms[lo:lo + c] = norm_sq(acc)
+    return sq_norms
 
 
 def convolution_moment_mc(g, Z: IntegrandProcess, measure: SpectralMeasure,
@@ -343,29 +369,15 @@ def convolution_moment_mc(g, Z: IntegrandProcess, measure: SpectralMeasure,
                           chunk: int = 256) -> tuple[float, float]:
     """Estimate E||v(t)||**2 over independent replicas.
 
-    Returns (mean, standard error).  ``rng`` is either one generator or
-    a sequence of per-replica generators (replica r then consumes
-    exactly its own stream, slice by slice, which makes runs at
-    different replica offsets poolable).  Replicas are batched; each
-    chunk samples fresh slices for every time step, accumulates the
-    spectral convolution, and evaluates the squared norm by Plancherel.
+    Returns (mean, standard error) over :func:`convolution_norms_mc`
+    replicas, whose squared norm is evaluated by Plancherel.
     """
-    grid, dt = Z.grid, Z.dt
-    m, times = _green_times(Z, t)
-    mults = [g.lattice_spectrum(grid, times[i]) for i in range(m)]
-    vol = grid.box_length**grid.dimension
-    sq_norms = np.empty(replicas)
-    done = 0
-    while done < replicas:
-        c = min(chunk, replicas - done)
-        gens = _chunk_rng(rng, done, done + c)
-        acc = np.zeros((c,) + grid.shape, dtype=complex)
-        for i in range(m):
-            specs = sample_slice_batch(grid, measure, dt, gens, c)
-            fields = grid.inverse(specs)
-            acc += mults[i] * grid.forward(Z.fields[i].values * fields)
-        sq_norms[done:done + c] = np.sum(np.abs(acc.reshape(c, -1)) ** 2, axis=1) / vol
-        done += c
+    vol = Z.grid.box_length**Z.grid.dimension
+
+    def plancherel(acc: np.ndarray) -> np.ndarray:
+        return np.sum(np.abs(acc.reshape(len(acc), -1)) ** 2, axis=1) / vol
+
+    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, plancherel, t, chunk)
     mean = float(np.mean(sq_norms))
     se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return mean, se

@@ -30,11 +30,11 @@ import numpy as np
 from .covariance import SpectralMeasure, admissibility_integral
 from .greens import GreenMultiplier, j_field
 from .lattice import Grid, LatticeField
-from .noise import NoisePath, sample_slice_batch
+from .noise import NoisePath
 from .solver import MomentSummary, SolveConfig, SolveReport, deterministic_part
 from .solver import explicit_sweep as _sweep
 from .solver import gronwall_constant, picard_iterate as _picard
-from .stochint import IntegrandProcess, _chunk_rng, _green_times
+from .stochint import IntegrandProcess, _green_times, convolution_norms_mc
 
 __all__ = [
     "Weight",
@@ -184,26 +184,16 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
     theta = w.theta_on(grid)
 
     bound = 0.0
-    mults = []
     for i in range(m):
         jmax = float(np.max(j_field(g, measure, times[i], grid)))
         znorm_sq = grid.cell_volume * float(np.sum(Z.fields[i].values ** 2 * theta))
         bound += dt * znorm_sq * jmax
-        mults.append(g.lattice_spectrum(grid, times[i]))
 
-    sq_norms = np.empty(replicas)
-    done = 0
-    while done < replicas:
-        c = min(chunk, replicas - done)
-        gens = _chunk_rng(rng, done, done + c)
-        acc = np.zeros((c,) + grid.shape, dtype=complex)
-        for i in range(m):
-            specs = sample_slice_batch(grid, measure, dt, gens, c)
-            fields = grid.inverse(specs)
-            acc += mults[i] * grid.forward(Z.fields[i].values * fields)
+    def theta_norm_sq(acc: np.ndarray) -> np.ndarray:
         v = grid.inverse(acc)
-        sq_norms[done:done + c] = grid.cell_volume * np.sum(v**2 * theta, axis=tuple(range(1, v.ndim)))
-        done += c
+        return grid.cell_volume * np.sum(v**2 * theta, axis=tuple(range(1, v.ndim)))
+
+    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, theta_norm_sq, t, chunk)
     mc = float(np.mean(sq_norms))
     se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return WeightedBoundResult(bound, mc, se, locality_constant(grid, w, times.max() if m else 0.0),
@@ -227,13 +217,11 @@ def weighted_wave_solve(cfg: SolveConfig, path: NoisePath, w: Weight,
     if cfg.k != 1:
         raise ValueError("weighted solver requires k = 1 (compact support)")
     w.check_dimension(cfg.grid.dimension)
-    cfg.validate(weighted=True)
     theta = w.theta_on(cfg.grid)
     if method == "sweep":
-        return _sweep(cfg, path, _theta=theta, _space="L2theta", _skip_validate=True)
+        return _sweep(cfg, path, theta=theta)
     if method == "picard":
-        return _picard(cfg, path, initial=initial, _theta=theta, _space="L2theta",
-                       _skip_validate=True)
+        return _picard(cfg, path, initial=initial, theta=theta)
     raise ValueError(f"unknown method {method!r}")
 
 

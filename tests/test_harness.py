@@ -200,3 +200,16 @@ def test_cli_bad_config_exit_code(tmp_path):
     bad.write_text("[experiment]\nname = nosuch\n")
     assert cli.main(["run", str(bad)]) == 2
     assert cli.main(["run", str(tmp_path / "missing.ini")]) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[experiment]\nname = picard\n[solver]\nnonlinearity = bogus\n", "unknown nonlinearity"),
+    ("[experiment]\nname = energy\n[grid]\nn = 100\n", "power of two"),
+])
+def test_cli_run_time_config_error_exit_code(tmp_path, capsys, text, message):
+    # values the parser accepts but the experiment rejects while it is built
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    assert cli.main(["run", str(bad), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochwave.covariance import SpectralMeasure
 from stochwave.lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
@@ -7,6 +9,7 @@ from stochwave.noise import coarsen_path, sample_path
 from stochwave.solver import (
     Nonlinearity,
     SolveConfig,
+    _march,
     deterministic_part,
     deterministic_velocity,
     energy_trajectory,
@@ -14,6 +17,7 @@ from stochwave.solver import (
     moment_track,
     picard_iterate,
 )
+from stochwave.stochint import IntegrandProcess, stochastic_convolution
 
 
 def _basic_config(n=64, length=16.0, k=1, dt=1.0 / 64.0, alpha=None, **kw):
@@ -219,6 +223,69 @@ def test_finite_speed_with_masked_noise():
         outside = np.abs(x) > 1.0 + j * cfg.dt + 2.0 * h
         if np.any(outside):
             assert np.max(np.abs(fld.values[outside])) <= 1e-10
+
+
+# -- propagator against the direct history sum --------------------------------
+
+
+def _oracle_config(steps, **kw):
+    grid = Grid(1, 64, 16.0)
+    x = grid.axis_coords
+    return SolveConfig(grid, SpectralMeasure.white(1), 1, 1.0, 1.0 / steps, Nonlinearity.sine(),
+                       LatticeField(grid, np.exp(-(x**2))),
+                       LatticeField(grid, 0.3 * np.exp(-((x - 1.0) ** 2) / 2.0)),
+                       noise_mask=(np.abs(x) <= 4.0).astype(float), snapshot_stride=1, **kw)
+
+
+def _mild_map_gap(cfg, path, inputs, output, j):
+    """Relative gap between output and u0(t_j) + sum_{i<j} G(t_j - t_i) * (alpha(inputs_i) W_i)."""
+    mask = 1.0 if cfg.noise_mask is None else cfg.noise_mask
+    fields = [LatticeField(cfg.grid, cfg.nonlinearity(u) * mask) for u in inputs[:-1]]
+    Z = IntegrandProcess(cfg.grid, cfg.dt, fields)
+    t = j * cfg.dt
+    expected = (deterministic_part(cfg, t).values
+                + stochastic_convolution(cfg.green, Z, path, t).values)
+    return np.max(np.abs(output - expected)) / np.max(np.abs(expected))
+
+
+def test_sweep_is_the_fixed_point_of_the_direct_sum():
+    cfg = _oracle_config(4096)
+    n = cfg.steps
+    path = sample_path(cfg.grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(13))
+    report = explicit_sweep(cfg, path)
+    u = [report.snapshot_at(j).values for j in range(n + 1)]
+    for j in (1, n // 2, n):
+        assert _mild_map_gap(cfg, path, u, u[j], j) <= 1e-12
+
+
+def test_picard_update_matches_the_direct_sum():
+    cfg = _oracle_config(256, picard_tol=0.0, picard_max_iter=1)
+    n = cfg.steps
+    path = sample_path(cfg.grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(14))
+    report = picard_iterate(cfg, path)
+    guess = [deterministic_part(cfg, j * cfg.dt).values for j in range(n + 1)]
+    for j in (1, n // 2, n):
+        assert _mild_map_gap(cfg, path, guess, report.snapshot_at(j).values, j) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2]), k=st.sampled_from([1, 2]), n_pts=st.sampled_from([8, 16]),
+       steps=st.integers(1, 12), dt=st.floats(1e-3, 0.3), seed=st.integers(0, 2**32 - 1))
+def test_march_matches_closed_form_and_direct_sum(d, k, n_pts, steps, dt, seed):
+    grid = Grid(d, n_pts, 8.0)
+    rng = np.random.default_rng(seed)
+    cfg = SolveConfig(grid, SpectralMeasure.white(d), k, steps * dt, dt, Nonlinearity.sine(),
+                      LatticeField(grid, rng.standard_normal(grid.shape)),
+                      LatticeField(grid, rng.standard_normal(grid.shape)))
+    for j, (u, _, v_spec) in enumerate(_march(cfg)):
+        t = j * dt
+        u_ref = deterministic_part(cfg, t).values
+        v_ref = deterministic_velocity(cfg, t).values
+        assert np.max(np.abs(u - u_ref)) <= 1e-11 * np.max(np.abs(u_ref))
+        assert np.max(np.abs(grid.inverse(v_spec) - v_ref)) <= 1e-11 * np.max(np.abs(v_ref))
+    path = sample_path(grid, cfg.measure, cfg.horizon, dt, rng)
+    u = [values for values, _, _ in _march(cfg, [s.field for s in path.slices])]
+    assert _mild_map_gap(cfg, path, u, u[-1], steps) <= 1e-11
 
 
 # -- validation ---------------------------------------------------------------
