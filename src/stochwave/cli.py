@@ -28,7 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the INI experiment config")
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
     p_run.add_argument("--replicas", type=int, default=None, help="override the replica count")
-    p_run.add_argument("--threads", type=int, default=None, help="worker pool width")
     p_run.add_argument("--output", default=None, help="output directory")
 
     p_agg = sub.add_parser("aggregate", help="merge result CSVs (replica-weighted)")
@@ -64,8 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     # run; a bad config value can also surface while the experiment is built
     try:
         cfg = parse_config_file(args.config)
-        cfg = cfg.override(seed=args.seed, replicas=args.replicas,
-                           threads=args.threads, output=args.output)
+        cfg = cfg.override(seed=args.seed, replicas=args.replicas, output=args.output)
         table = run(cfg)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

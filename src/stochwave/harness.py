@@ -25,7 +25,6 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,13 +35,16 @@ from .greens import GreenMultiplier
 from .lattice import Grid, LatticeField, l2_norm, write_field
 from .noise import sample_path
 from .solver import (
+    MomentSummary,
     Nonlinearity,
     SolveConfig,
+    check_envelope,
     deterministic_part,
     energy_trajectory,
     explicit_sweep,
     moment_track,
     picard_iterate,
+    sweep_replicas,
 )
 from .stochint import (
     IntegrandProcess,
@@ -59,7 +61,6 @@ from .weighted import (
     equivalence_constants,
     weighted_isometry_bound,
     weighted_moment_track,
-    weighted_wave_solve,
 )
 
 __all__ = [
@@ -168,10 +169,6 @@ class ExperimentConfig:
         return self.get_int("experiment", "replica_offset", 0)
 
     @property
-    def threads(self) -> int:
-        return self.get_int("experiment", "threads", 1)
-
-    @property
     def output_dir(self) -> Path:
         v = self.get("experiment", "output")
         if v is None:
@@ -197,7 +194,7 @@ def parse_config(text: str) -> ExperimentConfig:
     Schema (INI sections; unknown keys are preserved but unused):
 
     [experiment]  name (required, one of the registered experiments),
-                  seed, replicas, replica_offset, threads, output,
+                  seed, replicas, replica_offset, output,
                   snapshots (bool)
     [grid]        d, n, length
     [measure]     kind = white | riesz | radial-table, alpha, scale,
@@ -225,7 +222,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValueError(f"unknown experiment {cfg.name!r}; see list-experiments")
     if cfg.replicas is not None and cfg.replicas < 1:
         raise ValueError("[experiment] replicas: must be >= 1")
-    _ = (cfg.threads, cfg.seed, cfg.replica_offset)  # force early type errors
+    _ = (cfg.seed, cfg.replica_offset)  # force early type errors
     return cfg
 
 
@@ -369,32 +366,24 @@ def aggregate(tables: list[ResultTable]) -> ResultTable:
     return ResultTable(merged)
 
 
-def _map_indexed(fn, count: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+def solve_report_csv(summary: MomentSummary, m_table=()) -> str:
+    """Trajectory CSV: t, iteration, m_n, moment, band, space.
 
-
-def solve_report_csv(report, summary=None) -> str:
-    """Trajectory CSV for one solve: t, iteration, m_n, moment, band, space.
-
-    Iteration 0 rows carry the moment trajectory (the Monte Carlo band
-    3 s.e. when a pooled summary is given, empty otherwise); iteration
-    n >= 1 rows carry the squared update distances of the n-th Picard
-    sweep at each step time.
+    Iteration 0 rows carry the pooled moment trajectory and its Monte
+    Carlo band (3 s.e.); iteration n >= 1 rows carry ``m_table[n - 1]``,
+    the squared update distances of one solve's n-th Picard sweep at
+    each step time.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["t", "iteration", "m_n", "moment", "band", "space"])
-    moments = summary.mean if summary is not None else report.moments
-    bands = 3.0 * summary.std_error if summary is not None else None
-    for j, t in enumerate(report.times):
-        writer.writerow([repr(float(t)), 0, "", repr(float(moments[j])),
-                         "" if bands is None else repr(float(bands[j])), report.space])
-    for n, dist_sq in enumerate(report.m_table, start=1):
-        for j, t in enumerate(report.times):
-            writer.writerow([repr(float(t)), n, repr(float(dist_sq[j])), "", "", report.space])
+    times, space = summary.times, summary.space
+    for j, t in enumerate(times):
+        writer.writerow([repr(float(t)), 0, "", repr(float(summary.mean[j])),
+                         repr(float(3.0 * summary.std_error[j])), space])
+    for n, dist_sq in enumerate(m_table, start=1):
+        for j, t in enumerate(times):
+            writer.writerow([repr(float(t)), n, repr(float(dist_sq[j])), "", "", space])
     return out.getvalue()
 
 
@@ -602,6 +591,7 @@ def _picard_config(cfg: ExperimentConfig) -> SolveConfig:
 
 def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     solve_cfg = _picard_config(cfg)
+    check_envelope(solve_cfg.nonlinearity)
     grid, measure = solve_cfg.grid, solve_cfg.measure
     rows = []
 
@@ -629,7 +619,7 @@ def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
         rep = picard_iterate(ratio_cfg, p)
         return np.array([m[-1] for m in rep.m_table])
 
-    tables = _map_indexed(_table, ratio_replicas, cfg.threads)
+    tables = [_table(r) for r in range(ratio_replicas)]
     mbar = np.mean(np.stack(tables), axis=0)
     floor = 1e-20 * mbar[0]
     usable = [i for i in range(len(mbar)) if mbar[i] > floor]
@@ -642,22 +632,15 @@ def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
 
     # moment envelope
     replicas = cfg.replicas or 100
-    moment_cfg = replace(solve_cfg, snapshot_stride=10**9)
-
-    def _moments(r: int):
-        p = sample_path(grid, measure, solve_cfg.horizon, solve_cfg.dt,
-                        replica_generator(cfg.seed, "picard", 2, cfg.replica_offset + r))
-        return explicit_sweep(moment_cfg, p)
-
-    reports = _map_indexed(_moments, replicas, cfg.threads)
-    summary = moment_track(reports, moment_cfg)
+    moments, _ = sweep_replicas(solve_cfg, _replica_generators(cfg, 2, replicas))
+    summary = moment_track(moments, solve_cfg)
     t_index = len(summary.times) - 1
     rows.append(Row("picard", "moment", "moment_at_T", summary.mean[t_index],
                     summary.std_error[t_index], replicas, summary.within_envelope))
     excess = np.max(summary.mean - summary.envelope - 3.0 * summary.std_error)
     rows.append(Row("picard", "moment", "envelope_excess", float(excess), None, 0,
                     summary.within_envelope))
-    (out_dir / "picard_trajectory.csv").write_text(solve_report_csv(pic, summary))
+    (out_dir / "picard_trajectory.csv").write_text(solve_report_csv(summary, pic.m_table))
     return rows
 
 
@@ -770,23 +753,17 @@ def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
         grid=grid, measure=measure, k=1, horizon=1.0,
         dt=cfg.get_float("solver", "dt", 1.0 / 64.0),
         nonlinearity=_build_nonlinearity(cfg, "affine"), v0=v0,
-        snapshot_stride=10**9,
     )
-
-    def _solve(r: int):
-        p = sample_path(grid, measure, solve_cfg.horizon, solve_cfg.dt,
-                        replica_generator(cfg.seed, "weighted", 2, cfg.replica_offset + r))
-        return weighted_wave_solve(solve_cfg, p, w)
-
-    reports = _map_indexed(_solve, solver_replicas, cfg.threads)
-    summary = weighted_moment_track(reports, solve_cfg, w)
+    moments, _ = sweep_replicas(solve_cfg, _replica_generators(cfg, 2, solver_replicas),
+                                theta=theta)
+    summary = weighted_moment_track(moments, solve_cfg, w)
     t_index = len(summary.times) - 1
     rows.append(Row("weighted", "linear-growth", "moment_at_T", summary.mean[t_index],
                     summary.std_error[t_index], solver_replicas, summary.within_envelope))
     excess = float(np.max(summary.mean - summary.envelope - 3.0 * summary.std_error))
     rows.append(Row("weighted", "linear-growth", "envelope_excess", excess, None, 0,
                     summary.within_envelope))
-    (out_dir / "weighted_trajectory.csv").write_text(solve_report_csv(reports[0], summary))
+    (out_dir / "weighted_trajectory.csv").write_text(solve_report_csv(summary))
     return rows
 
 
@@ -803,18 +780,12 @@ def _exp_refinement(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
         horizon = t0 + dt
         solve_cfg = SolveConfig(
             grid=grid, measure=measure, k=1, horizon=horizon, dt=dt,
-            nonlinearity=_build_nonlinearity(cfg, "sine"), v0=v0, snapshot_stride=1,
+            nonlinearity=_build_nonlinearity(cfg, "sine"), v0=v0,
         )
         j0 = int(round(t0 / dt))
-
-        def _increment(r: int) -> float:
-            p = sample_path(grid, measure, horizon, dt,
-                            replica_generator(cfg.seed, "refinement", level,
-                                              cfg.replica_offset + r))
-            rep = explicit_sweep(solve_cfg, p)
-            return l2_norm(rep.snapshot_at(j0 + 1) - rep.snapshot_at(j0)) ** 2
-
-        vals = np.array(_map_indexed(_increment, replicas, cfg.threads))
+        _, kept = sweep_replicas(solve_cfg, _replica_generators(cfg, level, replicas),
+                                 keep=(j0, j0 + 1))
+        vals = np.array([l2_norm(after - before, grid) ** 2 for before, after in kept])
         mean = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(replicas))
         means.append(mean)

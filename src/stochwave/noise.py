@@ -105,15 +105,20 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float,
 
 def sample_path(grid: Grid, measure: SpectralMeasure, horizon: float, dt: float,
                 rng: np.random.Generator) -> NoisePath:
-    """Sample ceil(T/dt) independent slices; requires T/dt integral."""
+    """Sample ceil(T/dt) independent slices; requires T/dt integral.
+
+    One batch draw from ``rng`` yields the same slices, in the same
+    order, as ``steps`` successive :func:`sample_slice` calls, with the
+    spectral scale evaluated once.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     steps_float = horizon / dt
     steps = int(round(steps_float))
     if abs(steps_float - steps) > 1e-9:
         raise ValueError(f"horizon/dt = {steps_float} is not an integer step count")
-    slices = [sample_slice(grid, measure, dt, rng) for _ in range(steps)]
-    return NoisePath(grid, dt, slices)
+    specs = sample_slice_batch(grid, measure, dt, rng, steps)
+    return NoisePath(grid, dt, [NoiseSlice(grid, dt, s) for s in specs])
 
 
 def coarsen_path(path: NoisePath, factor: int) -> NoisePath:

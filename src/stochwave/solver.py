@@ -14,13 +14,16 @@ same fixed point (after at most one iteration per time step) and is
 kept both as the constructive existence scheme and as a cross-check.
 Both run on one time-stepping loop, :func:`_march`, which advances the
 lattice Green pair by an exact rotation (:class:`Propagator`) instead of
-re-summing the forcing history at every step.
+re-summing the forcing history at every step.  The same loop carries a
+leading replica axis: :func:`sweep_replicas` solves a Monte Carlo
+ensemble in batches, streaming each replica's own noise.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +32,7 @@ from .covariance import SpectralMeasure, admissibility_integral
 from .greens import GreenMultiplier, cosine_multiplier, j_functional, sine_multiplier
 from .greens import spectral_energy_field
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
-from .noise import NoisePath
+from .noise import NoisePath, sample_slice_batch
 
 __all__ = [
     "Nonlinearity",
@@ -41,7 +44,9 @@ __all__ = [
     "deterministic_velocity",
     "energy_trajectory",
     "explicit_sweep",
+    "sweep_replicas",
     "picard_iterate",
+    "check_envelope",
     "moment_track",
 ]
 
@@ -243,18 +248,22 @@ class Propagator:
                 self.neg_w_sin * u_spec + self.cos * v_spec)
 
 
-def _march(cfg: SolveConfig, w_fields: list[np.ndarray] | None = None,
+def _march(cfg: SolveConfig, w_fields: Iterable[np.ndarray] | None = None,
            inputs: list[np.ndarray] | None = None):
     """The solver's one time-stepping loop.
 
     Yields ``(u_j, F[u(t_j)], F[u_t(t_j)])`` for j = 0..n.  Step j injects
     the forcing F[alpha(z_j) W_j] into the velocity, left-endpoint, with
-    z_j = ``inputs[j]`` (a Picard update) or z_j = u_j (the causal sweep)
-    when ``inputs`` is None.  Without ``w_fields`` the evolution is
-    noise-free and reproduces the deterministic part.
+    W_j the j-th item of the iterable ``w_fields`` and z_j = ``inputs[j]``
+    (a Picard update) or z_j = u_j (the causal sweep) when ``inputs`` is
+    None.  Without ``w_fields`` the evolution is noise-free and reproduces
+    the deterministic part.  Noise fields with a leading replica axis
+    make every step after the first one batched: the shared initial
+    state broadcasts against them.
     """
     grid, alpha = cfg.grid, cfg.nonlinearity
     prop = Propagator(grid, cfg.k, cfg.dt)
+    noise = None if w_fields is None else iter(w_fields)
     u_spec = cfg.v0.spectrum
     v_spec = np.zeros_like(u_spec) if cfg.v0_dot is None else prop.scale * cfg.v0_dot.spectrum
     for j in range(cfg.steps + 1):
@@ -262,9 +271,9 @@ def _march(cfg: SolveConfig, w_fields: list[np.ndarray] | None = None,
         yield values, u_spec, v_spec
         if j == cfg.steps:
             break
-        if w_fields is not None:
+        if noise is not None:
             z = values if inputs is None else inputs[j]
-            v_spec = v_spec + prop.scale * grid.forward(alpha(z) * w_fields[j])
+            v_spec = v_spec + prop.scale * grid.forward(alpha(z) * next(noise))
         u_spec, v_spec = prop.step(u_spec, v_spec)
 
 
@@ -274,10 +283,16 @@ def _march(cfg: SolveConfig, w_fields: list[np.ndarray] | None = None,
 
 
 def _norm_factory(cfg: SolveConfig, theta: np.ndarray | None):
-    cell = cfg.grid.cell_volume
+    """Squared (theta-weighted) L2 norm over the last d axes, per replica."""
+    cell, axes = cfg.grid.cell_volume, tuple(range(-cfg.grid.dimension, 0))
     if theta is None:
-        return lambda values: float(cell * np.sum(values**2))
-    return lambda values: float(cell * np.sum(values**2 * theta))
+        return lambda values: cell * np.sum(values**2, axis=axes)
+    return lambda values: cell * np.sum(values**2 * theta, axis=axes)
+
+
+def _mask(cfg: SolveConfig):
+    """The noise mask as a float array, or None for unmasked noise."""
+    return None if cfg.noise_mask is None else np.asarray(cfg.noise_mask, dtype=float)
 
 
 def _noise_fields(cfg: SolveConfig, path: NoisePath) -> list[np.ndarray]:
@@ -289,7 +304,7 @@ def _noise_fields(cfg: SolveConfig, path: NoisePath) -> list[np.ndarray]:
     n = cfg.steps
     if len(path) < n:
         raise ValueError(f"path provides {len(path)} slices, {n} needed")
-    mask = None if cfg.noise_mask is None else np.asarray(cfg.noise_mask, dtype=float)
+    mask = _mask(cfg)
     return [s.field if mask is None else s.field * mask for s in path.slices[:n]]
 
 
@@ -329,6 +344,43 @@ def explicit_sweep(cfg: SolveConfig, path: NoisePath,
     started = time.perf_counter()
     values = _trajectory(cfg, _noise_fields(cfg, path))
     return _report_from_trajectory(cfg, values, [], 1, True, started, theta)
+
+
+def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
+                   keep=(), chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """Causal sweep of independent replicas, batched along a leading axis.
+
+    Replica r draws its noise from its own generator ``rngs[r]``, slice
+    by slice in time order, exactly as ``sample_path`` does.  Chunks of
+    at most ``chunk`` replicas stream one noise batch per step through
+    :func:`_march`, so each replica's results are bit-identical to
+    :func:`explicit_sweep` on its own path and do not depend on
+    ``chunk``.  Returns the squared norms, shape (replicas, n + 1),
+    theta-weighted when ``theta`` is given (as in :func:`explicit_sweep`),
+    and the values at the steps ``keep``, shape
+    (replicas, len(keep), *grid.shape).
+    """
+    cfg.validate(weighted=theta is not None)
+    grid, n = cfg.grid, cfg.steps
+    slot = {j: i for i, j in enumerate(keep)}
+    if len(slot) != len(keep) or any(not 0 <= j <= n for j in slot):
+        raise ValueError(f"kept steps must be distinct and lie in 0..{n}")
+    norm_sq = _norm_factory(cfg, theta)
+    mask = _mask(cfg)
+    moments = np.empty((len(rngs), n + 1))
+    kept = np.empty((len(rngs), len(keep)) + grid.shape)
+    for lo in range(0, len(rngs), chunk):
+        gens = rngs[lo:lo + chunk]
+        hi = lo + len(gens)
+        noise = (grid.inverse(sample_slice_batch(grid, cfg.measure, cfg.dt, gens, len(gens)))
+                 for _ in range(n))
+        if mask is not None:
+            noise = (w * mask for w in noise)
+        for j, (values, _, _) in enumerate(_march(cfg, noise)):
+            moments[lo:hi, j] = norm_sq(values)
+            if j in slot:
+                kept[lo:hi, slot[j]] = values
+    return moments, kept
 
 
 def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0",
@@ -383,6 +435,7 @@ class MomentSummary:
     envelope: np.ndarray
     replicas: int
     within_envelope: bool
+    space: str = "L2"
 
 
 def gronwall_constant(cfg: SolveConfig) -> float:
@@ -394,24 +447,36 @@ def gronwall_constant(cfg: SolveConfig) -> float:
     return best
 
 
-def moment_track(reports: list[SolveReport], cfg: SolveConfig,
+def check_envelope(alpha: Nonlinearity) -> None:
+    """Reject nonlinearities the envelope of :func:`moment_track` does not cover."""
+    if alpha.lipschitz > 1.0:
+        raise ValueError(
+            f"moment envelope needs a Lipschitz constant <= 1; nonlinearity "
+            f"{alpha.name!r} declares {alpha.lipschitz:g}"
+        )
+
+
+def moment_track(moments: np.ndarray, cfg: SolveConfig,
                  rate_constant: float | None = None) -> MomentSummary:
     """Pool replica moment trajectories and test the exponential envelope.
 
-    The envelope is 2 ||u0(t)||**2 exp(2 K C t) with C = max_s J(s); the
-    squared-norm Lipschitz amplification is K**2, so the envelope as
-    written is valid for K <= 1 (all shipped experiments use K = 1).
+    ``moments`` holds one squared-norm trajectory per replica, shape
+    (replicas, n + 1).  The envelope is 2 ||u0(t)||**2 exp(2 K C t) with
+    C = max_s J(s); the squared-norm Lipschitz amplification is K**2, so
+    the envelope as written is valid for K <= 1 only, and larger
+    declared constants are rejected.
     """
-    if len(reports) < 30:
+    if len(moments) < 30:
         raise ValueError("moment tracking needs at least 30 replicas")
+    check_envelope(cfg.nonlinearity)
     n = cfg.steps
-    data = np.stack([r.moments for r in reports])
+    data = np.asarray(moments)
     mean = data.mean(axis=0)
-    se = data.std(axis=0, ddof=1) / math.sqrt(len(reports))
+    se = data.std(axis=0, ddof=1) / math.sqrt(len(data))
     c = gronwall_constant(cfg) if rate_constant is None else rate_constant
     k_lip = cfg.nonlinearity.lipschitz
     times = cfg.dt * np.arange(n + 1)
     u0_sq = np.array([l2_norm(deterministic_part(cfg, t)) ** 2 for t in times])
     envelope = 2.0 * u0_sq * np.exp(2.0 * k_lip * c * times)
     ok = bool(np.all(mean <= envelope + 3.0 * se + 1e-12))
-    return MomentSummary(times, mean, se, envelope, len(reports), ok)
+    return MomentSummary(times, mean, se, envelope, len(data), ok)

@@ -225,10 +225,11 @@ def weighted_wave_solve(cfg: SolveConfig, path: NoisePath, w: Weight,
     raise ValueError(f"unknown method {method!r}")
 
 
-def weighted_moment_track(reports: list[SolveReport], cfg: SolveConfig, w: Weight) -> MomentSummary:
+def weighted_moment_track(moments: np.ndarray, cfg: SolveConfig, w: Weight) -> MomentSummary:
     """Affine-recursion envelope for linear-growth nonlinearities.
 
-    From |alpha(u)|**2 <= 2 K**2 (1 + u**2) with the growth constant
+    ``moments`` holds one theta-weighted squared-norm trajectory per
+    replica, shape (replicas, n + 1).  From |alpha(u)|**2 <= 2 K**2 (1 + u**2) with the growth constant
     K = max(Lipschitz, |alpha(0)|) and the weighted moment bound, the
     pooled moments must stay below the explicit iteration
 
@@ -236,14 +237,14 @@ def weighted_moment_track(reports: list[SolveReport], cfg: SolveConfig, w: Weigh
 
     with Theta = integral theta and J* = max_s J(s).
     """
-    if len(reports) < 30:
+    if len(moments) < 30:
         raise ValueError("moment tracking needs at least 30 replicas")
     grid = cfg.grid
     theta = w.theta_on(grid)
     n = cfg.steps
-    data = np.stack([r.moments for r in reports])
+    data = np.asarray(moments)
     mean = data.mean(axis=0)
-    se = data.std(axis=0, ddof=1) / math.sqrt(len(reports))
+    se = data.std(axis=0, ddof=1) / math.sqrt(len(data))
     times = cfg.dt * np.arange(n + 1)
 
     theta_mass = grid.cell_volume * float(np.sum(theta))
@@ -263,4 +264,4 @@ def weighted_moment_track(reports: list[SolveReport], cfg: SolveConfig, w: Weigh
         envelope[j] = 2.0 * u0_sq[j] + rate * running
         running += cfg.dt * (theta_mass + envelope[j])
     ok = bool(np.all(mean <= envelope + 3.0 * se + 1e-12))
-    return MomentSummary(times, mean, se, envelope, len(reports), ok)
+    return MomentSummary(times, mean, se, envelope, len(data), ok, space="L2theta")

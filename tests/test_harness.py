@@ -150,6 +150,35 @@ replicas = 15
         assert row.std_error == pytest.approx(ref.std_error, rel=1e-9)
 
 
+def test_weighted_replica_offset_runs_pool_to_single_run(tmp_path):
+    # the linear-growth solve: 30 + 30 replicas at offsets 0 and 30 pool
+    # into exactly the 60-replica run
+    base = """
+[experiment]
+name = weighted
+seed = 11
+replicas = 30
+equivalence_fields = 2
+envelope_replicas = 30
+[grid]
+n = 64
+"""
+
+    def moment_row(text, out):
+        table = run(parse_config(text), out_dir=tmp_path / out)
+        return ResultTable([r for r in table.rows
+                            if (r.case, r.quantity) == ("linear-growth", "moment_at_T")])
+
+    t_a = moment_row(base, "a")
+    t_b = moment_row(base.replace("[grid]", "replica_offset = 30\n[grid]"), "b")
+    (ref,) = moment_row(base.replace("envelope_replicas = 30", "envelope_replicas = 60"),
+                        "full").rows
+    (row,) = aggregate([t_a, t_b]).rows
+    assert row.replicas == ref.replicas == 60
+    assert row.value == pytest.approx(ref.value, rel=1e-12)
+    assert row.std_error == pytest.approx(ref.std_error, rel=1e-9)
+
+
 def test_admissibility_experiment_matches_thresholds(tmp_path):
     table = run(_config("[experiment]\nname = admissibility\n"), out_dir=tmp_path)
     assert table.all_pass
@@ -205,6 +234,7 @@ def test_cli_bad_config_exit_code(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("[experiment]\nname = picard\n[solver]\nnonlinearity = bogus\n", "unknown nonlinearity"),
     ("[experiment]\nname = energy\n[grid]\nn = 100\n", "power of two"),
+    ("[experiment]\nname = picard\n[solver]\nnonlinearity = one-minus-exp\n", "Lipschitz"),
 ])
 def test_cli_run_time_config_error_exit_code(tmp_path, capsys, text, message):
     # values the parser accepts but the experiment rejects while it is built

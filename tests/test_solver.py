@@ -16,6 +16,7 @@ from stochwave.solver import (
     explicit_sweep,
     moment_track,
     picard_iterate,
+    sweep_replicas,
 )
 from stochwave.stochint import IntegrandProcess, stochastic_convolution
 
@@ -288,6 +289,62 @@ def test_march_matches_closed_form_and_direct_sum(d, k, n_pts, steps, dt, seed):
     assert _mild_map_gap(cfg, path, u, u[-1], steps) <= 1e-11
 
 
+# -- replica-batched sweep ----------------------------------------------------
+
+
+def _replica_config(d=1, k=1, mask=False, v0_dot=False, weighted=False):
+    grid = Grid(d, 32 if d == 1 else 16, 8.0)
+    r_sq = grid.coord_norm_sq
+    return SolveConfig(
+        grid=grid, measure=SpectralMeasure.white(d), k=k, horizon=0.5, dt=1.0 / 32.0,
+        nonlinearity=Nonlinearity.affine(0.5, 1.0) if weighted else Nonlinearity.sine(),
+        v0=LatticeField(grid, np.exp(-r_sq)),
+        v0_dot=LatticeField(grid, 0.3 * np.exp(-2.0 * r_sq)) if v0_dot else None,
+        noise_mask=(r_sq <= 2.0).astype(float) if mask else None,
+    )
+
+
+@pytest.mark.parametrize("d, k, mask, v0_dot, weighted", [
+    (1, 1, False, False, False),
+    (1, 1, True, False, False),
+    (1, 1, False, True, False),
+    (1, 1, False, False, True),
+    (1, 1, True, True, True),
+    (2, 2, True, True, False),
+])
+def test_sweep_replicas_matches_per_replica_sweeps(d, k, mask, v0_dot, weighted):
+    # bit-identical to explicit_sweep on each replica's own sample_path
+    cfg = _replica_config(d, k, mask, v0_dot, weighted)
+    n = cfg.steps
+    theta = (1.0 + cfg.grid.coord_norm_sq) ** -1.0 if weighted else None
+    keep = (0, 1, n // 2, n)
+    moments, kept = sweep_replicas(cfg, [np.random.default_rng(300 + r) for r in range(9)],
+                                   theta=theta, keep=keep, chunk=4)
+    assert moments.shape == (9, n + 1) and kept.shape == (9, len(keep)) + cfg.grid.shape
+    cfg.snapshot_stride = 1
+    for r in range(9):
+        path = sample_path(cfg.grid, cfg.measure, cfg.horizon, cfg.dt,
+                           np.random.default_rng(300 + r))
+        ref = explicit_sweep(cfg, path, theta=theta)
+        assert np.array_equal(moments[r], ref.moments)
+        for i, j in enumerate(keep):
+            assert np.array_equal(kept[r, i], ref.snapshot_at(j).values)
+
+
+def test_sweep_replicas_is_independent_of_chunk_size():
+    cfg = _replica_config(mask=True, v0_dot=True)
+    n = cfg.steps
+    results = [sweep_replicas(cfg, [np.random.default_rng(400 + r) for r in range(20)],
+                              keep=(n - 1, n), chunk=chunk)
+               for chunk in (1, 7, 256)]
+    for moments, kept in results[1:]:
+        assert np.array_equal(moments, results[0][0])
+        assert np.array_equal(kept, results[0][1])
+    for keep in ((n + 1,), (n, n)):
+        with pytest.raises(ValueError, match="kept steps"):
+            sweep_replicas(cfg, [np.random.default_rng(0)], keep=keep)
+
+
 # -- validation ---------------------------------------------------------------
 
 
@@ -328,7 +385,7 @@ def test_moment_track_zero_alpha_exact():
     for r in range(30):
         path = sample_path(cfg.grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(100 + r))
         reports.append(explicit_sweep(cfg, path))
-    summary = moment_track(reports, cfg)
+    summary = moment_track(np.stack([r.moments for r in reports]), cfg)
     u0_sq = np.array([l2_norm(deterministic_part(cfg, t)) ** 2 for t in summary.times])
     assert np.allclose(summary.mean, u0_sq, rtol=1e-12)
     # replicas are identical; only mean-rounding noise remains
@@ -342,11 +399,18 @@ def test_moment_track_needs_replicas():
         moment_track([], cfg)
 
 
+def test_moment_track_rejects_lipschitz_above_one():
+    # the envelope 2||u0||**2 exp(2KCt) is only valid for K <= 1
+    cfg = _basic_config(alpha=Nonlinearity.affine(2.0, 0.0))
+    with pytest.raises(ValueError, match="Lipschitz"):
+        moment_track(np.ones((30, cfg.steps + 1)), cfg)
+
+
 def test_moment_envelope_linear_alpha():
     cfg = _basic_config(alpha=Nonlinearity.identity(), dt=1.0 / 32.0, n=64)
     reports = []
     for r in range(60):
         path = sample_path(cfg.grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(200 + r))
         reports.append(explicit_sweep(cfg, path))
-    summary = moment_track(reports, cfg)
+    summary = moment_track(np.stack([r.moments for r in reports]), cfg)
     assert summary.within_envelope

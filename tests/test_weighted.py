@@ -204,7 +204,7 @@ def test_weighted_solver_constant_alpha_envelope(grid, weight):
     for r in range(30):
         path = sample_path(grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(500 + r))
         reports.append(weighted_wave_solve(cfg, path, weight))
-    summary = weighted_moment_track(reports, cfg, weight)
+    summary = weighted_moment_track(np.stack([r.moments for r in reports]), cfg, weight)
     assert summary.within_envelope
 
 
