@@ -80,10 +80,6 @@ class AdmissibilityReport:
     def finite(self) -> bool:
         return math.isfinite(self.value)
 
-    @property
-    def verdict(self) -> bool:
-        return self.finite
-
 
 class SpectralMeasure:
     """Radial spectral measure; immutable after construction.
@@ -108,6 +104,7 @@ class SpectralMeasure:
         self._radii = None
         self._log_radii = None
         self._table = None
+        self._weights = {}  # Grid -> read-only lattice_weights array
         if kind == "riesz":
             if alpha is None or not 0.0 < alpha < dimension:
                 raise ValueError(f"riesz exponent must satisfy 0 < alpha < d, got alpha={alpha}, d={dimension}")
@@ -206,7 +203,12 @@ class SpectralMeasure:
         riesz kind the singular eta = 0 cell is replaced by the cell
         average over the ball of equal volume, preserving the mass of
         the integrable singularity.
+
+        Memoized per grid: every caller shares one read-only array.
         """
+        cached = self._weights.get(grid)
+        if cached is not None:
+            return cached
         if grid.dimension != self.dimension:
             raise ValueError("grid dimension does not match measure dimension")
         q = grid.dual_cell_volume
@@ -220,7 +222,10 @@ class SpectralMeasure:
                 * rho ** (self.alpha - self.dimension)
         else:
             dens = self.radial_density(r)
-        return q * dens
+        out = q * dens
+        out.flags.writeable = False
+        self._weights[grid] = out
+        return out
 
 
 def spectral_density(measure: SpectralMeasure, eta) -> float:

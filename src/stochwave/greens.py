@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SpectralMeasure, admissibility_integral
-from .lattice import Grid
+from .lattice import Grid, circular_convolve
 
 __all__ = [
     "GreenMultiplier",
@@ -141,11 +141,6 @@ def spectral_energy_field(grid: Grid, u_spec: np.ndarray, udot_spec: np.ndarray,
     return float(total / grid.box_length**grid.dimension)
 
 
-def _circular_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Index-space circular convolution (sum_n a_n b_{m-n mod N})."""
-    return np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b)).real
-
-
 def j_field(g: GreenMultiplier, measure: SpectralMeasure, s: float, grid: Grid) -> np.ndarray:
     """Spectral energy of G(s) against the measure, as a function of the shift.
 
@@ -157,7 +152,7 @@ def j_field(g: GreenMultiplier, measure: SpectralMeasure, s: float, grid: Grid) 
     """
     weights = measure.lattice_weights(grid)
     mult_sq = g.lattice_spectrum(grid, s) ** 2
-    out = _circular_convolve(weights, mult_sq)
+    out = circular_convolve(weights, mult_sq)
     # the convolution of nonnegative data is nonnegative up to roundoff
     return np.maximum(out, 0.0)
 

@@ -16,6 +16,18 @@ order).  Under this convention the discrete Plancherel identity
     ||f||_{L2}**2 = L**(-d) * sum_j |F[f](eta_j)|**2
 
 is exact, which every isometry check in the package relies on.
+
+N is even, so the half-period roll that moves x_0 = -L/2 to index 0 is
+the checkerboard (-1)**(m_1 + ... + m_d) on either side of the
+transform, and the pair is
+
+    forward(f) = (h**d * sign) * fftn(f),
+    inverse(F) = ifftn((sign / h**d) * F),
+
+with no shifted copy of the data.  This module is the package's one FFT
+site: the transforms run on ``scipy.fft``, over the trailing ``d`` axes,
+so a leading batch axis rides along and a batched transform equals the
+row-by-row one exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from fractions import Fraction
 from typing import BinaryIO
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "Grid",
@@ -33,6 +46,7 @@ __all__ = [
     "l2_norm",
     "h_neg_k_norm",
     "multiplier_apply",
+    "circular_convolve",
     "write_field",
     "read_field",
 ]
@@ -79,6 +93,7 @@ class Grid:
         self.axis_freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
         self._freq_sq = None
         self._coord_sq = None
+        self._scales = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -119,6 +134,16 @@ class Grid:
             self._coord_sq = acc
         return self._coord_sq
 
+    def _signed_scales(self) -> tuple[np.ndarray, np.ndarray]:
+        """(h**d * sign, sign / h**d) with the (-1)**(m_1+...+m_d) checkerboard."""
+        if self._scales is None:
+            parity = np.zeros(self.shape, dtype=int)
+            for ax in range(self.dimension):
+                parity = parity + self._axis_array(np.arange(self.points_per_axis), ax)
+            sign = 1.0 - 2.0 * (parity % 2)
+            self._scales = (self.cell_volume * sign, sign / self.cell_volume)
+        return self._scales
+
     def coords(self) -> list[np.ndarray]:
         """Meshgrid coordinate arrays (one per axis, ij indexing)."""
         return list(np.meshgrid(*([self.axis_coords] * self.dimension), indexing="ij"))
@@ -133,7 +158,7 @@ class Grid:
         if arr.shape[-self.dimension:] != self.shape:
             raise ValueError(f"field shape {arr.shape} does not match grid {self.shape}")
         axes = tuple(range(arr.ndim - self.dimension, arr.ndim))
-        return self.cell_volume * np.fft.fftn(np.fft.ifftshift(arr, axes=axes), axes=axes)
+        return self._signed_scales()[0] * scipy.fft.fftn(arr, axes=axes)
 
     def inverse(self, spectrum: np.ndarray, require_real: bool = True) -> np.ndarray:
         """Inverse transform; checks and discards the imaginary residue.
@@ -143,7 +168,7 @@ class Grid:
         """
         arr = np.asarray(spectrum)
         axes = tuple(range(arr.ndim - self.dimension, arr.ndim))
-        out = np.fft.fftshift(np.fft.ifftn(arr, axes=axes), axes=axes) / self.cell_volume
+        out = scipy.fft.ifftn(self._signed_scales()[1] * arr, axes=axes, overwrite_x=True)
         if not require_real:
             return out
         scale = np.max(np.abs(out))
@@ -245,6 +270,11 @@ def multiplier_apply(f: LatticeField, multiplier: np.ndarray) -> LatticeField:
         raise ValueError("reality violated: multiplier is not even in eta")
     out_spec = m * f.spectrum
     return LatticeField.from_spectrum(grid, out_spec)
+
+
+def circular_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Index-space circular convolution of real arrays, sum_n a_n b_{m-n mod N}."""
+    return scipy.fft.ifftn(scipy.fft.fftn(a) * scipy.fft.fftn(b)).real
 
 
 # ---------------------------------------------------------------------------

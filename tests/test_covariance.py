@@ -122,13 +122,13 @@ def test_pairing_identity_smoothed_indicator(kind):
 
 def test_admissibility_white_d1_k1_value():
     report = admissibility_integral(SpectralMeasure.white(1), 1)
-    assert report.finite and report.verdict
+    assert report.finite
     assert report.value == pytest.approx(0.5, rel=1e-10)
 
 
 def test_admissibility_white_d2_k1_divergent():
     report = admissibility_integral(SpectralMeasure.white(2), 1)
-    assert not report.finite and not report.verdict
+    assert not report.finite
     assert math.isinf(report.value)
 
 
@@ -172,6 +172,21 @@ def test_radial_table_validation():
         SpectralMeasure.radial_table(1, [1.0, 0.5], [1.0, 1.0])  # not increasing
     with pytest.raises(ValueError):
         SpectralMeasure.radial_table(1, [0.5, 1.0], [1.0, -1.0])  # negative density
+
+
+def test_lattice_weights_memoized_and_read_only():
+    m = SpectralMeasure.riesz(2, 1.0)
+    w = m.lattice_weights(Grid(2, 16, 8.0))
+    assert m.lattice_weights(Grid(2, 16, 8.0)) is w
+    with pytest.raises(ValueError, match="read-only"):
+        w[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        w *= 2.0
+    finer = m.lattice_weights(Grid(2, 32, 8.0))
+    assert finer.shape == (32, 32) and not finer.flags.writeable
+    assert m.lattice_weights(Grid(2, 16, 8.0)) is w
+    with pytest.raises(ValueError, match="dimension"):
+        m.lattice_weights(Grid(1, 16, 8.0))
 
 
 def test_lattice_weights_white_and_riesz_zero_cell():

@@ -1,7 +1,11 @@
+import ast
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochwave.lattice import (
     Grid,
@@ -59,6 +63,116 @@ def test_round_trip():
         vals = rng.standard_normal(g.shape)
         back = g.inverse(g.forward(vals))
         assert np.max(np.abs(back - vals)) < 1e-12 * max(1.0, np.max(np.abs(vals)))
+
+
+def _shifted_forward(grid, arr):
+    # the transform pair as first written: roll x_0 = -L/2 to index 0
+    axes = tuple(range(arr.ndim - grid.dimension, arr.ndim))
+    return grid.cell_volume * np.fft.fftn(np.fft.ifftshift(arr, axes=axes), axes=axes)
+
+
+def _shifted_inverse(grid, spec):
+    axes = tuple(range(spec.ndim - grid.dimension, spec.ndim))
+    return np.fft.fftshift(np.fft.ifftn(spec, axes=axes), axes=axes) / grid.cell_volume
+
+
+_TRANSFORM_GRIDS = [(1, 64, 7.5), (2, 16, 3.0), (3, 8, 12.0)]
+
+
+@pytest.mark.parametrize("d, n, length", _TRANSFORM_GRIDS)
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_checkerboard_pair_matches_shifted_definitions(d, n, length, batch):
+    g = Grid(d, n, length)
+    rng = np.random.default_rng(10 + d)
+    vals = rng.standard_normal(batch + g.shape)
+    spec = _shifted_forward(g, vals)
+    fwd = g.forward(vals)
+    assert np.max(np.abs(fwd - spec)) <= 1e-13 * np.max(np.abs(spec))
+    back = g.inverse(spec)
+    assert np.max(np.abs(back - vals)) <= 1e-13 * np.max(np.abs(vals))
+    # complex data: a modulated integrand and a spectrum that is not Hermitian
+    zvals = vals + 1j * rng.standard_normal(vals.shape)
+    zspec = _shifted_forward(g, zvals)
+    assert np.max(np.abs(g.forward(zvals) - zspec)) <= 1e-13 * np.max(np.abs(zspec))
+    old = _shifted_inverse(g, zvals)
+    new = g.inverse(zvals, require_real=False)
+    assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("d, n, length", _TRANSFORM_GRIDS)
+def test_batched_transforms_equal_row_by_row(d, n, length):
+    # replica-batch independence rests on this being exact, not close
+    g = Grid(d, n, length)
+    rng = np.random.default_rng(20 + d)
+    vals = rng.standard_normal((7,) + g.shape)
+    zvals = vals + 1j * rng.standard_normal(vals.shape)
+    for data in (vals, zvals):
+        whole = g.forward(data)
+        sub = g.forward(data[2:5])
+        back = g.inverse(whole, require_real=False)
+        for r in range(len(data)):
+            assert np.array_equal(whole[r], g.forward(data[r]))
+            assert np.array_equal(back[r], g.inverse(whole[r], require_real=False))
+        assert np.array_equal(sub, whole[2:5])
+    real_back = g.inverse(g.forward(vals))
+    assert np.array_equal(real_back[3], g.inverse(g.forward(vals)[3]))
+
+
+_GRID_CHOICES = st.sampled_from([(1, 8), (1, 32), (1, 128), (2, 8), (2, 16), (3, 8)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(dn=_GRID_CHOICES, length=st.floats(0.5, 50.0), seed=st.integers(0, 2**32 - 1),
+       batch=st.integers(0, 3))
+def test_plancherel_and_round_trip_property(dn, length, seed, batch):
+    g = Grid(dn[0], dn[1], length)
+    rng = np.random.default_rng(seed)
+    shape = ((batch,) if batch else ()) + g.shape
+    vals = rng.standard_normal(shape) * np.exp(rng.uniform(-3.0, 3.0))
+    spec = g.forward(vals)
+    axes = tuple(range(vals.ndim - g.dimension, vals.ndim))
+    lhs = g.cell_volume * np.sum(vals**2, axis=axes)
+    rhs = np.sum(np.abs(spec) ** 2, axis=axes) / g.box_length**g.dimension
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * lhs)
+    back = g.inverse(spec)
+    assert np.max(np.abs(back - vals)) <= 1e-12 * np.max(np.abs(vals))
+
+
+_FFT_FREQUENCY_HELPERS = {"fftfreq", "rfftfreq"}
+
+
+def _fft_calls(source: str) -> list[str]:
+    """FFT routines a module reaches through an ``fft`` namespace or import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr not in _FFT_FREQUENCY_HELPERS:
+            base = node.value
+            name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+            if name in ("fft", "fftpack"):
+                found.append(f"line {node.lineno}: .fft.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = {a.name for a in node.names}
+            if node.module.split(".")[-1] in ("fft", "fftpack") and names - _FFT_FREQUENCY_HELPERS:
+                found.append(f"line {node.lineno}: from {node.module} import")
+    return found
+
+
+def test_lattice_is_the_only_fft_site():
+    import stochwave
+
+    package = Path(stochwave.__file__).parent
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        calls = _fft_calls(path.read_text())
+        if path.name != "lattice.py" and calls:
+            offenders[path.name] = calls
+    assert offenders == {}
+    # the scan itself sees the forms it is meant to catch
+    assert _fft_calls("import numpy as np\nnp.fft.fftn(a)\n")
+    assert _fft_calls("import scipy.fft\nscipy.fft.ifftn(a)\n")
+    assert _fft_calls("from numpy.fft import rfft\n")
+    assert not _fft_calls("import numpy as np\nnp.fft.fftfreq(8)\n")
+    assert _fft_calls((package / "lattice.py").read_text())
 
 
 def test_l2_norm_trivials():

@@ -156,6 +156,42 @@ def test_isometry_alternative_agreement_time_varying():
     assert isometry_alternative(g, z0, measure) == 0.0
 
 
+def _zero_core_table(d):
+    # zero density for |eta| <= 2.5, so isometry_alternative skips those
+    # dual frequencies and its last block is partial
+    return SpectralMeasure.radial_table(d, [1.5, 2.5, 4.0], [0.0, 0.0, 1.0], tail_exponent=-3.0)
+
+
+@pytest.mark.parametrize("d, n, k, measure", [
+    (2, 16, 1, SpectralMeasure.riesz(2, 1.0)),
+    (2, 16, 2, _zero_core_table(2)),
+    (3, 8, 2, SpectralMeasure.riesz(3, 1.5)),
+    (3, 8, 1, _zero_core_table(3)),
+])
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.parametrize("t", [None, 0.5])
+def test_isometry_alternative_agrees_in_higher_dimensions(d, n, k, measure, constant, t):
+    from stochwave.stochint import _MODULATION_BLOCK
+
+    grid = Grid(d, n, 6.0)
+    g = GreenMultiplier(k, 1.0)
+    steps, dt = 4, 0.25
+    rng = np.random.default_rng(9 + d)
+    if constant:
+        z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq / 2.0), steps, dt)
+    else:
+        z = IntegrandProcess(grid, dt, [LatticeField(grid, rng.standard_normal(grid.shape))
+                                        for _ in range(steps)])
+    active = np.count_nonzero(measure.lattice_weights(grid))
+    assert active > _MODULATION_BLOCK
+    if measure.kind == "radial-table":
+        assert active < grid.points_per_axis**d and active % _MODULATION_BLOCK != 0
+    a = isometry_functional(g, z, measure, t=t)
+    b = isometry_alternative(g, z, measure, t=t)
+    assert a > 0.0
+    assert b == pytest.approx(a, rel=1e-8)
+
+
 def test_bound_chain(setup):
     grid, measure, g, z, dt = setup
     ival = isometry_functional(g, z, measure)
