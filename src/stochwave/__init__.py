@@ -4,7 +4,7 @@ PDEs driven by spatially homogeneous Gaussian noise."""
 from .covariance import AdmissibilityReport, SpectralMeasure, admissibility_integral, spectral_density
 from .greens import GreenMultiplier, j_field, j_functional
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm, multiplier_apply, read_field, write_field
-from .noise import NoisePath, NoiseSlice, coarsen_path, sample_path, sample_slice
+from .noise import NoisePath, coarsen_path, sample_path, sample_slice
 from .solver import (
     MomentSummary,
     Nonlinearity,
@@ -56,7 +56,6 @@ __all__ = [
     "read_field",
     "write_field",
     "NoisePath",
-    "NoiseSlice",
     "coarsen_path",
     "sample_path",
     "sample_slice",

@@ -39,7 +39,6 @@ from .solver import (
     Nonlinearity,
     SolveConfig,
     check_envelope,
-    deterministic_part,
     energy_trajectory,
     explicit_sweep,
     moment_track,
@@ -195,14 +194,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
     [experiment]  name (required, one of the registered experiments),
                   seed, replicas, replica_offset, output,
-                  snapshots (bool)
+                  snapshots (bool), ratio_replicas (picard),
+                  envelope_replicas, equivalence_fields (weighted),
+                  base_time (refinement)
     [grid]        d, n, length
     [measure]     kind = white | riesz | radial-table, alpha, scale,
                   table_path, tail_exponent
     [green]       k, horizon
-    [solver]      dt, nonlinearity = identity | sine | one-minus-exp |
-                  affine, lipschitz, affine_a, affine_b, picard_tol,
-                  picard_max_iter, snapshot_stride,
+    [solver]      dt, steps (energy), nonlinearity = identity | sine |
+                  one-minus-exp | affine, affine_a, affine_b, picard_tol,
                   v0_kind = zero | gaussian | bump | wavepacket,
                   v0_amplitude, v0_width, v0_center, v0_mode,
                   v0_dot_kind, v0_dot_amplitude, v0_dot_width,

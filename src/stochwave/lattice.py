@@ -160,18 +160,12 @@ class Grid:
         axes = tuple(range(arr.ndim - self.dimension, arr.ndim))
         return self._signed_scales()[0] * scipy.fft.fftn(arr, axes=axes)
 
-    def inverse(self, spectrum: np.ndarray, require_real: bool = True) -> np.ndarray:
-        """Inverse transform; checks and discards the imaginary residue.
-
-        With ``require_real=False`` the complex field is returned as is
-        (used for modulated integrands).
-        """
+    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        """Inverse transform; checks and discards the imaginary residue."""
         arr = np.asarray(spectrum)
         axes = tuple(range(arr.ndim - self.dimension, arr.ndim))
         out = scipy.fft.ifftn(self._signed_scales()[1] * arr, axes=axes, overwrite_x=True)
-        if not require_real:
-            return out
-        scale = np.max(np.abs(out))
+        scale = np.max(np.abs(out)) if out.size else 0.0
         if scale > 0 and np.max(np.abs(out.imag)) > _IMAG_TOL * scale:
             raise ValueError("inverse transform produced a non-real field; multiplier not even?")
         return np.ascontiguousarray(out.real)

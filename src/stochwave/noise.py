@@ -15,57 +15,47 @@ Riemann sum of the continuum spectral pairing,
     E <W, phi> <W, psi> = dt * sum_j D_j F[phi](eta_j) conj(F[psi](eta_j)),
 
 and reduces, for white noise, to i.i.d. cell values of variance dt/h**d.
-Slices are independent across time steps and reproducible from the
-generator handed in: slice s of a path is the s-th draw of its stream.
+Every consumer multiplies an increment pointwise in space, so the
+sampler inverts the filtered spectrum and hands out real fields; only
+this module sees the spectrum.  Slices are independent across time
+steps and reproducible from the generator handed in: slice s of a path
+is the s-th draw of its stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import SpectralMeasure
 from .lattice import Grid
 
-__all__ = ["NoiseSlice", "NoisePath", "sample_slice", "sample_path", "coarsen_path"]
-
-
-@dataclass
-class NoiseSlice:
-    """One Hermitian-symmetric frequency-domain noise increment."""
-
-    grid: Grid
-    dt: float
-    spectrum: np.ndarray
-    _field: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def field(self) -> np.ndarray:
-        """Real-space increment field (cached)."""
-        if self._field is None:
-            self._field = self.grid.inverse(self.spectrum)
-        return self._field
+__all__ = ["NoisePath", "sample_slice", "sample_slice_batch", "sample_path", "coarsen_path"]
 
 
 @dataclass
 class NoisePath:
-    """Time-ordered independent noise slices covering [0, T]."""
+    """Time-ordered independent increments covering [0, T].
+
+    ``fields[i]`` is the real-space increment W_i of step i; the array
+    has shape (steps, *grid.shape).
+    """
 
     grid: Grid
     dt: float
-    slices: list[NoiseSlice]
+    fields: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.slices)
+        return len(self.fields)
 
     @property
     def horizon(self) -> float:
-        return self.dt * len(self.slices)
+        return self.dt * len(self.fields)
 
     def times(self) -> np.ndarray:
         """Left endpoints s_i of the slices."""
-        return self.dt * np.arange(len(self.slices))
+        return self.dt * np.arange(len(self.fields))
 
 
 def _spectral_scale(grid: Grid, measure: SpectralMeasure, dt: float) -> np.ndarray:
@@ -73,19 +63,9 @@ def _spectral_scale(grid: Grid, measure: SpectralMeasure, dt: float) -> np.ndarr
     return np.sqrt(dt * grid.points_per_axis**grid.dimension * weights)
 
 
-def sample_slice(grid: Grid, measure: SpectralMeasure, dt: float,
-                 rng: np.random.Generator) -> NoiseSlice:
-    """Draw one noise increment of width dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    white = rng.standard_normal(grid.shape)
-    spectrum = _spectral_scale(grid, measure, dt) * grid.forward(white)
-    return NoiseSlice(grid, dt, spectrum)
-
-
 def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float,
                        rng, count: int) -> np.ndarray:
-    """Spectra of ``count`` independent slices, stacked on a leading axis.
+    """Real increments of ``count`` independent slices on a leading axis.
 
     ``rng`` may be a single generator (one stream for the whole batch)
     or a sequence of ``count`` generators, one stream per batch entry;
@@ -100,7 +80,13 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float,
         if len(rng) != count:
             raise ValueError(f"need {count} generators, got {len(rng)}")
         white = np.stack([r.standard_normal(grid.shape) for r in rng])
-    return _spectral_scale(grid, measure, dt) * grid.forward(white)
+    return grid.inverse(_spectral_scale(grid, measure, dt) * grid.forward(white))
+
+
+def sample_slice(grid: Grid, measure: SpectralMeasure, dt: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Draw one real-space noise increment of width dt."""
+    return sample_slice_batch(grid, measure, dt, rng, 1)[0]
 
 
 def sample_path(grid: Grid, measure: SpectralMeasure, horizon: float, dt: float,
@@ -117,23 +103,17 @@ def sample_path(grid: Grid, measure: SpectralMeasure, horizon: float, dt: float,
     steps = int(round(steps_float))
     if abs(steps_float - steps) > 1e-9:
         raise ValueError(f"horizon/dt = {steps_float} is not an integer step count")
-    specs = sample_slice_batch(grid, measure, dt, rng, steps)
-    return NoisePath(grid, dt, [NoiseSlice(grid, dt, s) for s in specs])
+    return NoisePath(grid, dt, sample_slice_batch(grid, measure, dt, rng, steps))
 
 
 def coarsen_path(path: NoisePath, factor: int) -> NoisePath:
     """Merge consecutive slices in blocks of ``factor``.
 
-    Summing spectra of independent increments reproduces, exactly in
-    law, a path at step factor*dt; used by refinement studies to couple
-    solutions across time resolutions.
+    Summing independent increments reproduces, exactly in law, a path
+    at step factor*dt; used by refinement studies to couple solutions
+    across time resolutions.
     """
     if factor < 1 or len(path) % factor != 0:
         raise ValueError("factor must divide the slice count")
-    merged = []
-    for start in range(0, len(path), factor):
-        spec = path.slices[start].spectrum.copy()
-        for off in range(1, factor):
-            spec = spec + path.slices[start + off].spectrum
-        merged.append(NoiseSlice(path.grid, path.dt * factor, spec))
-    return NoisePath(path.grid, path.dt * factor, merged)
+    blocks = path.fields.reshape((len(path) // factor, factor) + path.grid.shape)
+    return NoisePath(path.grid, path.dt * factor, blocks.sum(axis=1))

@@ -61,8 +61,8 @@ class Nonlinearity:
     vanishes_at_zero: bool
 
     def __post_init__(self) -> None:
-        if self.lipschitz <= 0:
-            raise ValueError("Lipschitz constant must be positive")
+        if self.lipschitz < 0:
+            raise ValueError("Lipschitz constant must be non-negative")
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.func(u)
@@ -89,9 +89,7 @@ class Nonlinearity:
 
     @classmethod
     def affine(cls, a: float, b: float) -> "Nonlinearity":
-        if a == 0.0 and b == 0.0:
-            return cls("affine", lambda u: np.zeros_like(u), 1e-12, True)
-        return cls("affine", lambda u: a * u + b, max(abs(a), 1e-12), b == 0.0)
+        return cls("affine", lambda u: a * u + b, abs(a), b == 0.0)
 
     @classmethod
     def from_table(cls, points, values, lipschitz: float | None = None) -> "Nonlinearity":
@@ -295,7 +293,7 @@ def _mask(cfg: SolveConfig):
     return None if cfg.noise_mask is None else np.asarray(cfg.noise_mask, dtype=float)
 
 
-def _noise_fields(cfg: SolveConfig, path: NoisePath) -> list[np.ndarray]:
+def _noise_fields(cfg: SolveConfig, path: NoisePath) -> np.ndarray:
     """The path's first n slices, masked, after checking the path fits cfg."""
     if path.grid != cfg.grid:
         raise ValueError("noise path grid does not match the configuration")
@@ -305,7 +303,7 @@ def _noise_fields(cfg: SolveConfig, path: NoisePath) -> list[np.ndarray]:
     if len(path) < n:
         raise ValueError(f"path provides {len(path)} slices, {n} needed")
     mask = _mask(cfg)
-    return [s.field if mask is None else s.field * mask for s in path.slices[:n]]
+    return path.fields[:n] if mask is None else path.fields[:n] * mask
 
 
 def _trajectory(cfg: SolveConfig, w_fields=None, inputs=None) -> list[np.ndarray]:
@@ -372,7 +370,7 @@ def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
     for lo in range(0, len(rngs), chunk):
         gens = rngs[lo:lo + chunk]
         hi = lo + len(gens)
-        noise = (grid.inverse(sample_slice_batch(grid, cfg.measure, cfg.dt, gens, len(gens)))
+        noise = (sample_slice_batch(grid, cfg.measure, cfg.dt, gens, len(gens))
                  for _ in range(n))
         if mask is not None:
             noise = (w * mask for w in noise)

@@ -23,7 +23,7 @@ discretization error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,7 +224,7 @@ def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoiseP
     m = _steps_before(t, dt, min(len(Z), len(path)))
     acc = np.zeros(grid.shape, dtype=complex)
     for i in range(m):
-        prod = Z.fields[i].values * path.slices[i].field
+        prod = Z.fields[i].values * path.fields[i]
         acc += g.lattice_spectrum(grid, t - i * dt) * grid.forward(prod)
     return LatticeField.from_spectrum(grid, acc)
 
@@ -364,8 +364,7 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
         gens = rng if isinstance(rng, np.random.Generator) else rng[lo:lo + c]
         acc = np.zeros((c,) + grid.shape, dtype=complex)
         for i in range(m):
-            specs = sample_slice_batch(grid, measure, dt, gens, c)
-            fields = grid.inverse(specs)
+            fields = sample_slice_batch(grid, measure, dt, gens, c)
             acc += mults[i] * grid.forward(Z.fields[i].values * fields)
         sq_norms[lo:lo + c] = norm_sq(acc)
     return sq_norms

@@ -38,16 +38,16 @@ def test_path_deterministic_in_seed(grid):
     m = SpectralMeasure.riesz(1, 0.5)
     p1 = sample_path(grid, m, 1.0, 0.25, np.random.default_rng(42))
     p2 = sample_path(grid, m, 1.0, 0.25, np.random.default_rng(42))
-    for s1, s2 in zip(p1.slices, p2.slices):
-        assert np.array_equal(s1.spectrum, s2.spectrum)
+    assert np.array_equal(p1.fields, p2.fields)
 
 
 def test_slice_field_is_real_and_hermitian(grid):
     m = SpectralMeasure.riesz(1, 0.5)
     s = sample_slice(grid, m, 0.1, np.random.default_rng(3))
-    mirrored = grid.negate_freq_index(s.spectrum)
-    assert np.allclose(s.spectrum, np.conj(mirrored), atol=1e-10 * np.abs(s.spectrum).max())
-    assert s.field.dtype == np.float64
+    spectrum = grid.forward(s)
+    mirrored = grid.negate_freq_index(spectrum)
+    assert np.allclose(spectrum, np.conj(mirrored), atol=1e-10 * np.abs(spectrum).max())
+    assert s.dtype == np.float64 and s.shape == grid.shape
 
 
 def test_white_noise_cells_iid():
@@ -55,7 +55,7 @@ def test_white_noise_cells_iid():
     grid = Grid(1, 16, 4.0)
     m = SpectralMeasure.white(1)
     dt, reps = 0.2, 10_000
-    fields = grid.inverse(sample_slice_batch(grid, m, dt, np.random.default_rng(4), reps))
+    fields = sample_slice_batch(grid, m, dt, np.random.default_rng(4), reps)
     target = dt / grid.spacing
     var = fields.var(axis=0)
     assert np.all(np.abs(var - target) < 3.0 * target * np.sqrt(2.0 / reps) + 0.02 * target)
@@ -70,9 +70,8 @@ def test_variance_scales_linearly_in_dt():
     m = SpectralMeasure.riesz(1, 0.5)
     reps = 10_000
     rng = np.random.default_rng(5)
-    full = grid.inverse(sample_slice_batch(grid, m, 0.2, rng, reps))
-    half = grid.inverse(sample_slice_batch(grid, m, 0.1, rng, reps)) \
-        + grid.inverse(sample_slice_batch(grid, m, 0.1, rng, reps))
+    full = sample_slice_batch(grid, m, 0.2, rng, reps)
+    half = sample_slice_batch(grid, m, 0.1, rng, reps) + sample_slice_batch(grid, m, 0.1, rng, reps)
     v1, v2 = full.var(axis=0), half.var(axis=0)
     se = v1 * np.sqrt(2.0 / reps)
     assert np.all(np.abs(v1 - v2) < 4.0 * se + 3.0 * v2 * np.sqrt(2.0 / reps))
@@ -86,8 +85,8 @@ def test_slices_independent_across_time(grid):
     pairs = np.empty((reps, 2))
     for r in range(reps):
         path = sample_path(grid, m, 0.5, 0.25, rng)
-        pairs[r, 0] = grid.cell_volume * np.sum(probe * path.slices[0].field)
-        pairs[r, 1] = grid.cell_volume * np.sum(probe * path.slices[1].field)
+        pairs[r, 0] = grid.cell_volume * np.sum(probe * path.fields[0])
+        pairs[r, 1] = grid.cell_volume * np.sum(probe * path.fields[1])
     corr = np.corrcoef(pairs.T)[0, 1]
     assert abs(corr) < 3.0 / np.sqrt(reps)
 
@@ -101,7 +100,7 @@ def test_homogeneity_and_covariance_against_spectrum():
     m = SpectralMeasure.riesz(1, alpha)
     weights = m.lattice_weights(grid)
     eta = grid.axis_freqs
-    fields = grid.inverse(sample_slice_batch(grid, m, dt, np.random.default_rng(7), reps))
+    fields = sample_slice_batch(grid, m, dt, np.random.default_rng(7), reps)
     for lag in (1.0, 2.0, 3.0, 4.0, 6.0):
         shift = int(round(lag / grid.spacing))
         per_rep = np.mean(fields * np.roll(fields, shift, axis=1), axis=1)
@@ -117,8 +116,8 @@ def test_coarsen_path(grid):
     fine = sample_path(grid, m, 1.0, 0.125, np.random.default_rng(8))
     coarse = coarsen_path(fine, 2)
     assert len(coarse) == 4 and coarse.dt == 0.25
-    merged = fine.slices[0].spectrum + fine.slices[1].spectrum
-    assert np.array_equal(coarse.slices[0].spectrum, merged)
+    merged = fine.fields[0] + fine.fields[1]
+    assert np.array_equal(coarse.fields[0], merged)
     with pytest.raises(ValueError):
         coarsen_path(fine, 3)
 
@@ -128,8 +127,7 @@ def test_slice_batch_with_per_replica_generators(grid):
     m = SpectralMeasure.white(1)
     gens = [np.random.default_rng(100 + r) for r in range(5)]
     batch = sample_slice_batch(grid, m, 0.1, gens, 5)
-    singles = [sample_slice(grid, m, 0.1, np.random.default_rng(100 + r)).spectrum
-               for r in range(5)]
+    singles = [sample_slice(grid, m, 0.1, np.random.default_rng(100 + r)) for r in range(5)]
     assert np.allclose(batch, np.stack(singles), atol=0)
     with pytest.raises(ValueError):
         sample_slice_batch(grid, m, 0.1, gens, 4)

@@ -71,6 +71,27 @@ def test_growth_constant():
     assert Nonlinearity.sine().growth == pytest.approx(1.0)
 
 
+def test_zero_lipschitz_constant_is_declared_as_zero():
+    zero = Nonlinearity.affine(0.0, 0.0)
+    assert zero.lipschitz == 0.0 and zero.vanishes_at_zero and zero.growth == 0.0
+    assert np.array_equal(zero(np.array([-2.0, 0.0, 3.0])), np.zeros(3))
+    zero.validate(np.random.default_rng(3))
+    constant = Nonlinearity.affine(0.0, 2.5)
+    assert constant.lipschitz == 0.0 and not constant.vanishes_at_zero
+    assert constant.growth == 2.5
+    constant.validate(np.random.default_rng(4))
+    flat = Nonlinearity.from_table([-1.0, 0.0, 1.0], [0.7, 0.7, 0.7])
+    assert flat.lipschitz == 0.0 and flat.growth == pytest.approx(0.7)
+    flat.validate(np.random.default_rng(5))
+
+
+def test_negative_lipschitz_constant_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        Nonlinearity("bad", np.sin, -1.0, True)
+    with pytest.raises(ValueError, match="non-negative"):
+        Nonlinearity.from_table([-1.0, 1.0], [0.0, 1.0], lipschitz=-0.5)
+
+
 # -- deterministic part -------------------------------------------------------
 
 
@@ -285,7 +306,7 @@ def test_march_matches_closed_form_and_direct_sum(d, k, n_pts, steps, dt, seed):
         assert np.max(np.abs(u - u_ref)) <= 1e-11 * np.max(np.abs(u_ref))
         assert np.max(np.abs(grid.inverse(v_spec) - v_ref)) <= 1e-11 * np.max(np.abs(v_ref))
     path = sample_path(grid, cfg.measure, cfg.horizon, dt, rng)
-    u = [values for values, _, _ in _march(cfg, [s.field for s in path.slices])]
+    u = [values for values, _, _ in _march(cfg, path.fields)]
     assert _mild_map_gap(cfg, path, u, u[-1], steps) <= 1e-11
 
 

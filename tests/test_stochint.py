@@ -3,12 +3,13 @@ import pytest
 
 from stochwave.covariance import SpectralMeasure
 from stochwave.greens import GreenMultiplier
-from stochwave.lattice import Grid, LatticeField
+from stochwave.lattice import Grid, LatticeField, l2_norm
 from stochwave.noise import NoisePath, sample_path
 from stochwave.stochint import (
     IntegrandProcess,
     Mollifier,
     convolution_moment_mc,
+    convolution_norms_mc,
     isometry_alternative,
     isometry_bound,
     isometry_functional,
@@ -51,7 +52,7 @@ def test_convolution_identity_kernel_reduces_to_plain_sum(setup):
     grid, measure, _, z, dt = setup
     path = sample_path(grid, measure, 1.0, dt, np.random.default_rng(1))
     out = stochastic_convolution(_IdentityKernel(), z, path, 1.0)
-    direct = sum(z.fields[i].values * path.slices[i].field for i in range(4))
+    direct = sum(z.fields[i].values * path.fields[i] for i in range(4))
     assert np.max(np.abs(out.values - direct)) < 1e-10 * np.max(np.abs(direct))
 
 
@@ -76,8 +77,7 @@ def test_future_slices_do_not_affect_past_values(setup):
     grid, measure, g, z, dt = setup
     path = sample_path(grid, measure, 1.0, dt, np.random.default_rng(4))
     before = stochastic_convolution(g, z, path, 0.5).values
-    permuted = NoisePath(grid, dt, [path.slices[0], path.slices[1],
-                                    path.slices[3], path.slices[2]])
+    permuted = NoisePath(grid, dt, path.fields[[0, 1, 3, 2]])
     after = stochastic_convolution(g, z, permuted, 0.5).values
     assert np.array_equal(before, after)
 
@@ -139,6 +139,48 @@ def test_isometry_mc_agreement_small(kind, alpha, k):
     ival = isometry_functional(g, z, measure)
     mc, se = convolution_moment_mc(g, z, measure, 2000, np.random.default_rng(7))
     assert abs(mc - ival) <= 3.0 * se
+
+
+def _varying_integrand(grid, steps, dt):
+    r_sq = grid.coord_norm_sq
+    fields = [LatticeField(grid, np.exp(-r_sq / (1.0 + i)) * (1.0 + 0.3 * i)) for i in range(steps)]
+    return IntegrandProcess(grid, dt, fields)
+
+
+def _plancherel(grid):
+    vol = grid.box_length**grid.dimension
+    return lambda acc: np.sum(np.abs(acc.reshape(len(acc), -1)) ** 2, axis=1) / vol
+
+
+def test_convolution_norms_mc_is_independent_of_chunk_size():
+    grid = Grid(2, 16, 6.0)
+    measure = SpectralMeasure.riesz(2, 0.5)
+    z = _varying_integrand(grid, 5, 0.2)
+    runs = [convolution_norms_mc(GreenMultiplier(1, 1.0), z, measure, 20,
+                                 [np.random.default_rng(300 + r) for r in range(20)],
+                                 _plancherel(grid), chunk=chunk)
+            for chunk in (1, 7, 256)]
+    assert np.all(runs[0] > 0)
+    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("t", [1.0, 0.6])
+def test_convolution_norms_mc_replica_equals_its_own_path(d, n, t):
+    # replica r consumes its own stream slice by slice, so its norm is
+    # the direct history sum over sample_path drawn from the same stream
+    grid = Grid(d, n, 6.0)
+    measure = SpectralMeasure.riesz(d, 0.5)
+    g = GreenMultiplier(1, 1.0)
+    dt, reps = 0.2, 6
+    z = _varying_integrand(grid, 5, dt)
+    norms = convolution_norms_mc(g, z, measure, reps,
+                                 [np.random.default_rng(400 + r) for r in range(reps)],
+                                 _plancherel(grid), t=t, chunk=4)
+    for r in range(reps):
+        path = sample_path(grid, measure, t, dt, np.random.default_rng(400 + r))
+        direct = l2_norm(stochastic_convolution(g, z, path, t)) ** 2
+        assert abs(norms[r] - direct) <= 1e-12 * direct
 
 
 def test_isometry_alternative_agreement_time_varying():
@@ -279,7 +321,7 @@ def test_martingale_diagnostic():
         path = sample_path(grid, measure, 1.0, dt, rng)
         for j in range(steps):
             mult = g.lattice_spectrum(grid, (j + 1) * dt)
-            inc = grid.inverse(mult * grid.forward(zfield * path.slices[j].field))
+            inc = grid.inverse(mult * grid.forward(zfield * path.fields[j]))
             increments[r, j] = grid.cell_volume * float(np.sum(probe * inc))
     for j in range(steps - 1):
         corr = np.corrcoef(increments[:, j], increments[:, j + 1])[0, 1]
