@@ -43,6 +43,7 @@ from .solver import (
     explicit_sweep,
     moment_track,
     picard_iterate,
+    picard_replicas,
     sweep_replicas,
 )
 from .stochint import (
@@ -592,6 +593,12 @@ def _picard_config(cfg: ExperimentConfig) -> SolveConfig:
 def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     solve_cfg = _picard_config(cfg)
     check_envelope(solve_cfg.nonlinearity)
+    ratio_replicas = cfg.get_int("experiment", "ratio_replicas", 20)
+    if ratio_replicas < 1:
+        raise ValueError("[experiment] ratio_replicas: must be >= 1")
+    replicas = cfg.replicas or 100
+    if replicas < 30:
+        raise ValueError("[experiment] replicas: moment tracking needs at least 30")
     grid, measure = solve_cfg.grid, solve_cfg.measure
     rows = []
 
@@ -608,19 +615,9 @@ def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     rows.append(Row("picard", "fixed-point", "picard_iterations", float(pic.iterations),
                     None, 0, pic.converged))
 
-    # contraction-ratio decay of the replica-averaged squared distances
-    ratio_replicas = cfg.get_int("experiment", "ratio_replicas", 20)
-    fixed_iters = 10
-    ratio_cfg = replace(solve_cfg, picard_tol=0.0, picard_max_iter=fixed_iters)
-
-    def _table(r: int) -> np.ndarray:
-        p = sample_path(grid, measure, solve_cfg.horizon, solve_cfg.dt,
-                        replica_generator(cfg.seed, "picard", 1, cfg.replica_offset + r))
-        rep = picard_iterate(ratio_cfg, p)
-        return np.array([m[-1] for m in rep.m_table])
-
-    tables = [_table(r) for r in range(ratio_replicas)]
-    mbar = np.mean(np.stack(tables), axis=0)
+    # contraction-ratio decay of the replica-averaged squared distances at T
+    m = picard_replicas(solve_cfg, _replica_generators(cfg, 1, ratio_replicas), 10)
+    mbar = np.mean(m[:, :, -1], axis=0)
     floor = 1e-20 * mbar[0]
     usable = [i for i in range(len(mbar)) if mbar[i] > floor]
     ratios = [mbar[i] / mbar[i - 1] for i in usable[1:]]
@@ -631,7 +628,6 @@ def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
                     1.0 if monotone else 0.0, None, 0, monotone))
 
     # moment envelope
-    replicas = cfg.replicas or 100
     moments, _ = sweep_replicas(solve_cfg, _replica_generators(cfg, 2, replicas))
     summary = moment_track(moments, solve_cfg)
     t_index = len(summary.times) - 1

@@ -144,10 +144,6 @@ class Grid:
             self._scales = (self.cell_volume * sign, sign / self.cell_volume)
         return self._scales
 
-    def coords(self) -> list[np.ndarray]:
-        """Meshgrid coordinate arrays (one per axis, ij indexing)."""
-        return list(np.meshgrid(*([self.axis_coords] * self.dimension), indexing="ij"))
-
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Forward transform with the h**d Riemann-sum scaling.
 

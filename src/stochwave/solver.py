@@ -12,17 +12,28 @@ only on u(t_i) with i < j, a single causal forward sweep solves the
 discrete fixed-point equation exactly; Picard iteration reaches the
 same fixed point (after at most one iteration per time step) and is
 kept both as the constructive existence scheme and as a cross-check.
-Both run on one time-stepping loop, :func:`_march`, which advances the
-lattice Green pair by an exact rotation (:class:`Propagator`) instead of
-re-summing the forcing history at every step.  The same loop carries a
-leading replica axis: :func:`sweep_replicas` solves a Monte Carlo
-ensemble in batches, streaming each replica's own noise.
+
+Time advances in one loop, :func:`_march`, which rotates the lattice
+Green pair exactly (:class:`Propagator`) in spectral space alone and
+takes each step's forcing spectrum from its caller.  Three callers
+step it:
+
+- the causal sweep (:func:`_causal_sweep`), whose forcing alpha(u(t_j)) W_j
+  depends on the current state, so each step costs one transform pair;
+- the Picard update (:func:`_picard_update`), whose inputs are all known
+  before it starts, so one iteration costs one batched forward transform
+  of every step's forcing and one batched inverse of the new trajectory;
+- the free evolution (:func:`energy_trajectory`, the u0 initial guess),
+  which injects no forcing.
+
+Trajectories put time on the leading axis and may carry a replica axis
+after it: :func:`sweep_replicas` and :func:`picard_replicas` solve
+Monte Carlo ensembles in batches.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -32,7 +43,7 @@ from .covariance import SpectralMeasure, admissibility_integral
 from .greens import GreenMultiplier, cosine_multiplier, j_functional, sine_multiplier
 from .greens import spectral_energy_field
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
-from .noise import NoisePath, sample_slice_batch
+from .noise import NoisePath, sample_path, sample_slice_batch
 
 __all__ = [
     "Nonlinearity",
@@ -46,6 +57,7 @@ __all__ = [
     "explicit_sweep",
     "sweep_replicas",
     "picard_iterate",
+    "picard_replicas",
     "check_envelope",
     "moment_track",
 ]
@@ -143,9 +155,6 @@ class SolveConfig:
     def green(self) -> GreenMultiplier:
         return GreenMultiplier(self.k, self.horizon)
 
-    def initial_velocity(self) -> LatticeField:
-        return self.v0_dot if self.v0_dot is not None else LatticeField.zeros(self.grid)
-
     def validate(self, weighted: bool = False) -> None:
         steps_float = self.horizon / self.dt
         if abs(steps_float - round(steps_float)) > 1e-9:
@@ -180,8 +189,7 @@ class SolveReport:
     m_table: list[np.ndarray]  # per-iteration squared Picard distances over t
     iterations: int
     converged: bool
-    snapshots: dict[int, LatticeField]
-    wall_clock: float
+    snapshots: dict[int, LatticeField]  # views of one (n + 1, *grid.shape) trajectory
     space: str = "L2"
 
     def snapshot_at(self, step: int) -> LatticeField:
@@ -216,11 +224,11 @@ def deterministic_velocity(cfg: SolveConfig, t: float) -> LatticeField:
 def energy_trajectory(cfg: SolveConfig) -> np.ndarray:
     """Spectral energy of the noise-free evolution at every step time."""
     return np.array([spectral_energy_field(cfg.grid, u_spec, v_spec, cfg.k)
-                     for _, u_spec, v_spec in _march(cfg)])
+                     for u_spec, v_spec in _march(cfg)])
 
 
 # ---------------------------------------------------------------------------
-# time stepping
+# time stepping: one spectral core and its three callers
 # ---------------------------------------------------------------------------
 
 
@@ -246,33 +254,65 @@ class Propagator:
                 self.neg_w_sin * u_spec + self.cos * v_spec)
 
 
-def _march(cfg: SolveConfig, w_fields: Iterable[np.ndarray] | None = None,
-           inputs: list[np.ndarray] | None = None):
-    """The solver's one time-stepping loop.
+def _march(cfg: SolveConfig, prop: Propagator | None = None):
+    """The solver's one time-stepping loop, in spectral space alone.
 
-    Yields ``(u_j, F[u(t_j)], F[u_t(t_j)])`` for j = 0..n.  Step j injects
-    the forcing F[alpha(z_j) W_j] into the velocity, left-endpoint, with
-    W_j the j-th item of the iterable ``w_fields`` and z_j = ``inputs[j]``
-    (a Picard update) or z_j = u_j (the causal sweep) when ``inputs`` is
-    None.  Without ``w_fields`` the evolution is noise-free and reproduces
-    the deterministic part.  Noise fields with a leading replica axis
-    make every step after the first one batched: the shared initial
-    state broadcasts against them.
+    Yields ``(F[u(t_j)], F[u_t(t_j)])`` for j = 0..n.  After receiving
+    state j < n the caller may ``send`` the forcing spectrum
+    F[alpha(z_j) W_j], which enters the velocity, left-endpoint, before
+    the rotation to t_{j+1}; plain iteration sends None, and the
+    noise-free evolution reproduces the deterministic part.  Forcing with
+    a leading replica axis makes every later state batched: the shared
+    initial state broadcasts against it.  Its callers are the causal
+    sweep (:func:`_causal_sweep`), the Picard update (:func:`_picard_update`)
+    and the free evolution (:func:`energy_trajectory`, the u0 guess).
     """
-    grid, alpha = cfg.grid, cfg.nonlinearity
-    prop = Propagator(grid, cfg.k, cfg.dt)
-    noise = None if w_fields is None else iter(w_fields)
+    prop = Propagator(cfg.grid, cfg.k, cfg.dt) if prop is None else prop
     u_spec = cfg.v0.spectrum
     v_spec = np.zeros_like(u_spec) if cfg.v0_dot is None else prop.scale * cfg.v0_dot.spectrum
-    for j in range(cfg.steps + 1):
-        values = grid.inverse(u_spec)
-        yield values, u_spec, v_spec
-        if j == cfg.steps:
-            break
-        if noise is not None:
-            z = values if inputs is None else inputs[j]
-            v_spec = v_spec + prop.scale * grid.forward(alpha(z) * next(noise))
+    for _ in range(cfg.steps):
+        forcing = yield u_spec, v_spec
+        if forcing is not None:
+            v_spec = v_spec + prop.scale * forcing
         u_spec, v_spec = prop.step(u_spec, v_spec)
+    yield u_spec, v_spec
+
+
+def _causal_sweep(cfg: SolveConfig, w_fields: Iterable[np.ndarray]):
+    """The causal sweep over :func:`_march`: yields u(t_j) for j = 0..n.
+
+    Step j's forcing is alpha(u(t_j)) W_j, with W_j the j-th of the n
+    items of ``w_fields``.  It depends on the current state, so every
+    step costs one inverse and one forward transform.
+    """
+    grid, alpha = cfg.grid, cfg.nonlinearity
+    march = _march(cfg)
+    u_spec, _ = next(march)
+    for w in w_fields:
+        values = grid.inverse(u_spec)
+        yield values
+        u_spec, _ = march.send(grid.forward(alpha(values) * w))
+    yield grid.inverse(u_spec)
+
+
+def _picard_update(cfg: SolveConfig, prop: Propagator, w_fields: np.ndarray,
+                   prev: np.ndarray) -> np.ndarray:
+    """One Picard update: the discrete mild map applied to a whole trajectory.
+
+    ``prev`` holds u_n(t_j), j = 0..n, and ``w_fields`` the n increments,
+    time on the leading axis of both and an optional replica axis after
+    it.  Every input is known in advance, so one batched forward transform
+    gives all n forcing spectra, the recurrence runs without transforms,
+    and one batched inverse returns u_{n+1}.
+    """
+    n = cfg.steps
+    forcing = cfg.grid.forward(cfg.nonlinearity(prev[:n]) * w_fields)
+    spectra = np.empty((n + 1,) + forcing.shape[1:], dtype=complex)
+    march = _march(cfg, prop)
+    spectra[0] = next(march)[0]
+    for j in range(n):
+        spectra[j + 1] = march.send(forcing[j])[0]
+    return cfg.grid.inverse(spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -306,27 +346,28 @@ def _noise_fields(cfg: SolveConfig, path: NoisePath) -> np.ndarray:
     return path.fields[:n] if mask is None else path.fields[:n] * mask
 
 
-def _trajectory(cfg: SolveConfig, w_fields=None, inputs=None) -> list[np.ndarray]:
-    return [values for values, _, _ in _march(cfg, w_fields, inputs)]
+def _initial_guess(cfg: SolveConfig, prop: Propagator, initial: str) -> np.ndarray:
+    """The Picard starting trajectory, shape (n + 1, *grid.shape)."""
+    if initial == "u0":
+        return cfg.grid.inverse(np.stack([u_spec for u_spec, _ in _march(cfg, prop)]))
+    if initial == "zero":
+        return np.zeros((cfg.steps + 1,) + cfg.grid.shape)
+    raise ValueError(f"unknown initial guess {initial!r}")
 
 
-def _report_from_trajectory(cfg: SolveConfig, values: list[np.ndarray], m_table,
-                            iterations, converged, started,
-                            theta: np.ndarray | None) -> SolveReport:
-    grid = cfg.grid
-    norm_sq = _norm_factory(cfg, theta)
-    moments = np.array([norm_sq(v) for v in values])
+def _report(cfg: SolveConfig, values: np.ndarray, m_table, iterations: int,
+            converged: bool, theta: np.ndarray | None) -> SolveReport:
+    """Report on the trajectory ``values`` (time on the leading axis); snapshots are views."""
+    n = len(values) - 1
     stride = max(1, cfg.snapshot_stride)
-    snapshots = {j: LatticeField(grid, values[j].copy())
-                 for j in range(len(values)) if j % stride == 0 or j == len(values) - 1}
     return SolveReport(
-        times=cfg.dt * np.arange(len(values)),
-        moments=moments,
+        times=cfg.dt * np.arange(n + 1),
+        moments=_norm_factory(cfg, theta)(values),
         m_table=m_table,
         iterations=iterations,
         converged=converged,
-        snapshots=snapshots,
-        wall_clock=time.perf_counter() - started,
+        snapshots={j: LatticeField(cfg.grid, values[j])
+                   for j in range(n + 1) if j % stride == 0 or j == n},
         space="L2" if theta is None else "L2theta",
     )
 
@@ -339,9 +380,8 @@ def explicit_sweep(cfg: SolveConfig, path: NoisePath,
     ``L2theta``) and nonlinearities with alpha(0) != 0 are accepted.
     """
     cfg.validate(weighted=theta is not None)
-    started = time.perf_counter()
-    values = _trajectory(cfg, _noise_fields(cfg, path))
-    return _report_from_trajectory(cfg, values, [], 1, True, started, theta)
+    values = np.stack(list(_causal_sweep(cfg, _noise_fields(cfg, path))))
+    return _report(cfg, values, [], 1, True, theta)
 
 
 def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
@@ -351,7 +391,7 @@ def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
     Replica r draws its noise from its own generator ``rngs[r]``, slice
     by slice in time order, exactly as ``sample_path`` does.  Chunks of
     at most ``chunk`` replicas stream one noise batch per step through
-    :func:`_march`, so each replica's results are bit-identical to
+    the causal sweep, so each replica's results are bit-identical to
     :func:`explicit_sweep` on its own path and do not depend on
     ``chunk``.  Returns the squared norms, shape (replicas, n + 1),
     theta-weighted when ``theta`` is given (as in :func:`explicit_sweep`),
@@ -374,7 +414,7 @@ def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
                  for _ in range(n))
         if mask is not None:
             noise = (w * mask for w in noise)
-        for j, (values, _, _) in enumerate(_march(cfg, noise)):
+        for j, values in enumerate(_causal_sweep(cfg, noise)):
             moments[lo:hi, j] = norm_sq(values)
             if j in slot:
                 kept[lo:hi, slot[j]] = values
@@ -389,35 +429,55 @@ def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0",
     falls below ``cfg.picard_tol`` (or the ``theta``-weighted norm, as
     in :func:`explicit_sweep`).  Non-convergence within the iteration
     budget is reported, not fatal; the squared-distance table carries
-    the tail.
+    the tail.  Each iteration is one whole-trajectory update, so it
+    costs one batched transform pair whatever n is.
     """
     cfg.validate(weighted=theta is not None)
-    started = time.perf_counter()
     w_fields = _noise_fields(cfg, path)
-    n = cfg.steps
+    prop = Propagator(cfg.grid, cfg.k, cfg.dt)
     norm_sq = _norm_factory(cfg, theta)
-    max_iter = cfg.picard_max_iter if cfg.picard_max_iter is not None else n + 2
-
-    if initial == "u0":
-        prev = _trajectory(cfg)
-    elif initial == "zero":
-        prev = [np.zeros(cfg.grid.shape) for _ in range(n + 1)]
-    else:
-        raise ValueError(f"unknown initial guess {initial!r}")
-
+    max_iter = cfg.picard_max_iter if cfg.picard_max_iter is not None else cfg.steps + 2
+    prev = _initial_guess(cfg, prop, initial)
     m_table: list[np.ndarray] = []
     converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        new = _trajectory(cfg, w_fields, prev)
-        dist_sq = np.array([norm_sq(new[j] - prev[j]) for j in range(n + 1)])
-        m_table.append(dist_sq)
+    while len(m_table) < max_iter:
+        new = _picard_update(cfg, prop, w_fields, prev)
+        m_table.append(norm_sq(new - prev))
         prev = new
-        if math.sqrt(np.max(dist_sq)) < cfg.picard_tol:
+        if math.sqrt(np.max(m_table[-1])) < cfg.picard_tol:
             converged = True
             break
-    return _report_from_trajectory(cfg, prev, m_table, iterations, converged, started, theta)
+    return _report(cfg, prev, m_table, len(m_table), converged, theta)
+
+
+def picard_replicas(cfg: SolveConfig, rngs, iterations: int,
+                    theta: np.ndarray | None = None, chunk: int = 256) -> np.ndarray:
+    """A fixed number of Picard iterations on independent replicas, batched.
+
+    Replica r iterates on ``sample_path(..., rngs[r])``.  Chunks of at
+    most ``chunk`` replicas run as one batch, the replica axis after the
+    time axis, so each replica's rows are bit-identical to
+    :func:`picard_iterate` on its own path (initial guess u0) with a zero
+    tolerance and ``iterations`` as the budget, and do not depend on
+    ``chunk``.  Returns the squared (``theta``-weighted) update
+    distances, shape (replicas, iterations, n + 1): row [r, i] is
+    replica r's ``m_table[i]``.
+    """
+    cfg.validate(weighted=theta is not None)
+    prop = Propagator(cfg.grid, cfg.k, cfg.dt)
+    norm_sq = _norm_factory(cfg, theta)
+    guess = _initial_guess(cfg, prop, "u0")[:, None]
+    m = np.empty((len(rngs), iterations, cfg.steps + 1))
+    for lo in range(0, len(rngs), chunk):
+        paths = [sample_path(cfg.grid, cfg.measure, cfg.horizon, cfg.dt, gen)
+                 for gen in rngs[lo:lo + chunk]]
+        w_fields = np.stack([_noise_fields(cfg, p) for p in paths], axis=1)
+        prev = np.broadcast_to(guess, (len(guess),) + w_fields.shape[1:])
+        for i in range(iterations):
+            new = _picard_update(cfg, prop, w_fields, prev)
+            m[lo:lo + len(paths), i] = norm_sq(new - prev).T
+            prev = new
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,16 @@ def test_run_is_byte_deterministic(tmp_path):
     assert (tmp_path / "a" / "energy.csv").read_bytes() == (tmp_path / "b" / "energy.csv").read_bytes()
 
 
+def test_picard_run_is_byte_deterministic(tmp_path):
+    # covers the replica-batched contraction phase and the trajectory CSV
+    cfg = _config("[experiment]\nname = picard\nseed = 5\nreplicas = 30\n"
+                  "ratio_replicas = 6\n[grid]\nn = 64\n")
+    run(cfg, out_dir=tmp_path / "a")
+    run(cfg, out_dir=tmp_path / "b")
+    for name in ("picard.csv", "picard_trajectory.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_run_writes_only_inside_output_dir(tmp_path):
     before = set((tmp_path).rglob("*"))
     run(_config(ENERGY_CFG), out_dir=tmp_path / "only")
@@ -235,6 +245,8 @@ def test_cli_bad_config_exit_code(tmp_path):
     ("[experiment]\nname = picard\n[solver]\nnonlinearity = bogus\n", "unknown nonlinearity"),
     ("[experiment]\nname = energy\n[grid]\nn = 100\n", "power of two"),
     ("[experiment]\nname = picard\n[solver]\nnonlinearity = one-minus-exp\n", "Lipschitz"),
+    ("[experiment]\nname = picard\nratio_replicas = 0\n", "[experiment] ratio_replicas"),
+    ("[experiment]\nname = picard\nreplicas = 10\n", "[experiment] replicas"),
 ])
 def test_cli_run_time_config_error_exit_code(tmp_path, capsys, text, message):
     # values the parser accepts but the experiment rejects while it is built

@@ -8,17 +8,22 @@ from stochwave.lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
 from stochwave.noise import coarsen_path, sample_path
 from stochwave.solver import (
     Nonlinearity,
+    Propagator,
     SolveConfig,
+    _causal_sweep,
     _march,
+    _picard_update,
     deterministic_part,
     deterministic_velocity,
     energy_trajectory,
     explicit_sweep,
     moment_track,
     picard_iterate,
+    picard_replicas,
     sweep_replicas,
 )
 from stochwave.stochint import IntegrandProcess, stochastic_convolution
+from stochwave.weighted import Weight, weighted_wave_solve
 
 
 def _basic_config(n=64, length=16.0, k=1, dt=1.0 / 64.0, alpha=None, **kw):
@@ -299,14 +304,15 @@ def test_march_matches_closed_form_and_direct_sum(d, k, n_pts, steps, dt, seed):
     cfg = SolveConfig(grid, SpectralMeasure.white(d), k, steps * dt, dt, Nonlinearity.sine(),
                       LatticeField(grid, rng.standard_normal(grid.shape)),
                       LatticeField(grid, rng.standard_normal(grid.shape)))
-    for j, (u, _, v_spec) in enumerate(_march(cfg)):
+    for j, (u_spec, v_spec) in enumerate(_march(cfg)):
         t = j * dt
         u_ref = deterministic_part(cfg, t).values
         v_ref = deterministic_velocity(cfg, t).values
-        assert np.max(np.abs(u - u_ref)) <= 1e-11 * np.max(np.abs(u_ref))
+        assert np.max(np.abs(grid.inverse(u_spec) - u_ref)) <= 1e-11 * np.max(np.abs(u_ref))
         assert np.max(np.abs(grid.inverse(v_spec) - v_ref)) <= 1e-11 * np.max(np.abs(v_ref))
     path = sample_path(grid, cfg.measure, cfg.horizon, dt, rng)
-    u = [values for values, _, _ in _march(cfg, path.fields)]
+    u = list(_causal_sweep(cfg, path.fields))
+    assert len(u) == steps + 1
     assert _mild_map_gap(cfg, path, u, u[-1], steps) <= 1e-11
 
 
@@ -364,6 +370,80 @@ def test_sweep_replicas_is_independent_of_chunk_size():
     for keep in ((n + 1,), (n, n)):
         with pytest.raises(ValueError, match="kept steps"):
             sweep_replicas(cfg, [np.random.default_rng(0)], keep=keep)
+
+
+# -- replica-batched Picard ---------------------------------------------------
+
+
+# every combination; the weighted solver (theta) requires k = 1
+@pytest.mark.parametrize("d, k, mask, v0_dot, weighted", [
+    (d, k, mask, v0_dot, weighted)
+    for d, k in ((1, 1), (2, 2)) for mask in (False, True) for v0_dot in (False, True)
+    for weighted in (False, True) if k == 1 or not weighted
+])
+def test_picard_replicas_match_per_path_solves(d, k, mask, v0_dot, weighted):
+    # row [r, i] is bit-identical to m_table[i] of picard_iterate on replica r's own path
+    cfg = _replica_config(d, k, mask, v0_dot, weighted)
+    iterations = 4
+    weight = Weight(d + 1.0)
+    theta = weight.theta_on(cfg.grid) if weighted else None
+    m = picard_replicas(cfg, [np.random.default_rng(600 + r) for r in range(5)], iterations,
+                        theta=theta, chunk=3)
+    assert m.shape == (5, iterations, cfg.steps + 1)
+    cfg.picard_tol, cfg.picard_max_iter = 0.0, iterations
+    for r in range(5):
+        path = sample_path(cfg.grid, cfg.measure, cfg.horizon, cfg.dt,
+                           np.random.default_rng(600 + r))
+        if weighted:
+            ref = weighted_wave_solve(cfg, path, weight, method="picard")
+        else:
+            ref = picard_iterate(cfg, path)
+        assert ref.iterations == iterations
+        assert np.array_equal(m[r], np.array(ref.m_table))
+
+
+def test_picard_replicas_is_independent_of_chunk_size():
+    cfg = _replica_config(mask=True, v0_dot=True)
+    results = [picard_replicas(cfg, [np.random.default_rng(700 + r) for r in range(20)], 3,
+                               chunk=chunk)
+               for chunk in (1, 7, 256)]
+    for m in results[1:]:
+        assert np.array_equal(m, results[0])
+
+
+@pytest.mark.parametrize("steps", [4, 32])
+def test_picard_iteration_is_one_batched_transform_pair(monkeypatch, steps):
+    cfg = _replica_config(mask=True, v0_dot=True)
+    cfg.dt, cfg.picard_tol = cfg.horizon / steps, 0.0
+    path = sample_path(cfg.grid, cfg.measure, cfg.horizon, cfg.dt, np.random.default_rng(800))
+    calls = {"forward": 0, "inverse": 0}
+
+    def counted(name):
+        original = getattr(Grid, name)
+
+        def wrapper(self, arr):
+            calls[name] += 1
+            return original(self, arr)
+        return wrapper
+
+    monkeypatch.setattr(Grid, "forward", counted("forward"))
+    monkeypatch.setattr(Grid, "inverse", counted("inverse"))
+    def counted_solve(iterations):
+        cfg.picard_max_iter = iterations
+        before = dict(calls)
+        picard_iterate(cfg, path)
+        return {k: calls[k] - before[k] for k in calls}
+
+    counted_solve(1)  # fills the cached spectra of v0 and v0_dot
+    one, three = counted_solve(1), counted_solve(3)
+    assert {k: three[k] - one[k] for k in calls} == {"forward": 2, "inverse": 2}
+    # the update itself, with a replica axis after time
+    prev = np.random.default_rng(801).standard_normal((steps + 1, 3) + cfg.grid.shape)
+    w_fields = np.random.default_rng(802).standard_normal((steps, 3) + cfg.grid.shape)
+    before = dict(calls)
+    new = _picard_update(cfg, Propagator(cfg.grid, cfg.k, cfg.dt), w_fields, prev)
+    assert {k: calls[k] - before[k] for k in calls} == {"forward": 1, "inverse": 1}
+    assert new.shape == prev.shape
 
 
 # -- validation ---------------------------------------------------------------
