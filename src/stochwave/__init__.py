@@ -1,9 +1,9 @@
 """Spectral simulation and verification of second-order-in-time stochastic
 PDEs driven by spatially homogeneous Gaussian noise."""
 
-from .covariance import AdmissibilityReport, SpectralMeasure, admissibility_integral, spectral_density
+from .covariance import AdmissibilityReport, SpectralMeasure, admissibility_integral
 from .greens import GreenMultiplier, j_field, j_functional
-from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm, multiplier_apply, read_field, write_field
+from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm, read_field, write_field
 from .noise import NoisePath, coarsen_path, sample_path, sample_slice
 from .solver import (
     MomentSummary,
@@ -25,7 +25,6 @@ from .stochint import (
     isometry_bound,
     isometry_functional,
     ladder_distance,
-    mollify_green,
     stochastic_convolution,
     truncation_distance,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "AdmissibilityReport",
     "SpectralMeasure",
     "admissibility_integral",
-    "spectral_density",
     "GreenMultiplier",
     "j_field",
     "j_functional",
@@ -52,7 +50,6 @@ __all__ = [
     "LatticeField",
     "h_neg_k_norm",
     "l2_norm",
-    "multiplier_apply",
     "read_field",
     "write_field",
     "NoisePath",
@@ -76,7 +73,6 @@ __all__ = [
     "isometry_bound",
     "isometry_functional",
     "ladder_distance",
-    "mollify_green",
     "stochastic_convolution",
     "truncation_distance",
     "Weight",

@@ -34,7 +34,6 @@ from scipy import integrate
 __all__ = [
     "SpectralMeasure",
     "AdmissibilityReport",
-    "spectral_density",
     "admissibility_integral",
     "sphere_surface_area",
     "ball_volume",
@@ -226,11 +225,6 @@ class SpectralMeasure:
         out.flags.writeable = False
         self._weights[grid] = out
         return out
-
-
-def spectral_density(measure: SpectralMeasure, eta) -> float:
-    """Density of the spectral measure at the point eta (module-level alias)."""
-    return measure.density_at(eta)
 
 
 def admissibility_integral(measure: SpectralMeasure, k: int) -> AdmissibilityReport:

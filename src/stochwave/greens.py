@@ -95,28 +95,6 @@ class GreenMultiplier:
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
 
-    def _check_time(self, t: float) -> None:
-        if not 0.0 <= t <= self.horizon + 1e-12:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-
-    def green_multiplier(self, t: float, xi) -> float:
-        """F[G(t)] at the frequency point xi."""
-        self._check_time(t)
-        mag = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
-        return float(sine_multiplier(t, mag, self.k))
-
-    def green_dt_multiplier(self, t: float, xi) -> float:
-        """F[(d/dt) G(t)] at the frequency point xi."""
-        self._check_time(t)
-        mag = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
-        return float(cosine_multiplier(t, mag, self.k))
-
-    def support_radius(self, s: float):
-        """Support radius of G(s): s for k = 1, None (non-compact) for k >= 2."""
-        return float(s) if self.k == 1 else None
-
-    # -- lattice spectra -----------------------------------------------------
-
     def lattice_spectrum(self, grid: Grid, t: float) -> np.ndarray:
         """Dual-grid displacement-multiplier samples (see module docstring)."""
         if self.k == 1 and grid.dimension == 1:
@@ -157,29 +135,14 @@ def j_field(g: GreenMultiplier, measure: SpectralMeasure, s: float, grid: Grid) 
     return np.maximum(out, 0.0)
 
 
-def j_functional(g: GreenMultiplier, measure: SpectralMeasure, s: float, grid: Grid,
-                 probes: np.ndarray | None = None, check_admissible: bool = True) -> float:
-    """Probe-grid approximation of the worst-case spectral energy of G(s).
+def j_functional(g: GreenMultiplier, measure: SpectralMeasure, s: float, grid: Grid) -> float:
+    """Worst-case spectral energy of G(s): the maximum of :func:`j_field`.
 
-    With the default probe set (the full dual grid) this is the maximum
-    of :func:`j_field`, a lower bound to the continuum supremum; the
-    integrand is continuous and peaks near xi = 0 for the radial
-    measures supported here, and the dual grid always contains 0.
-    Custom probe points (off-lattice) are evaluated by direct lattice
-    quadrature at true, unwrapped frequency differences with the
-    continuum multiplier.
+    The maximum over the dual grid is a lower bound to the continuum
+    supremum; the integrand is continuous and peaks near xi = 0 for the
+    radial measures supported here, and the dual grid always contains 0.
+    Raises when the measure fails the admissibility condition for g.k.
     """
-    if check_admissible and not admissibility_integral(measure, g.k).finite:
+    if not admissibility_integral(measure, g.k).finite:
         raise ValueError("J undefined: admissibility condition fails")
-    if probes is None:
-        return float(np.max(j_field(g, measure, s, grid)))
-    weights = measure.lattice_weights(grid)
-    mesh = np.meshgrid(*([grid.axis_freqs] * grid.dimension), indexing="ij")
-    best = -np.inf
-    for point in np.atleast_2d(np.asarray(probes, dtype=float)):
-        diff_sq = np.zeros(grid.shape)
-        for ax in range(grid.dimension):
-            diff_sq = diff_sq + (point[ax] - mesh[ax]) ** 2
-        mult = sine_multiplier(s, np.sqrt(diff_sq), g.k)
-        best = max(best, float(np.sum(weights * mult**2)))
-    return best
+    return float(np.max(j_field(g, measure, s, grid)))

@@ -180,12 +180,36 @@ class ExperimentConfig:
         return self.get_bool("experiment", "snapshots", False)
 
     def override(self, **updates) -> "ExperimentConfig":
+        """Copy with [experiment] keys replaced, checked as :func:`parse_config` checks."""
         raw = {s: dict(kv) for s, kv in self.raw.items()}
         raw.setdefault("experiment", {})
         for key, value in updates.items():
             if value is not None:
                 raw["experiment"][key] = str(value)
-        return ExperimentConfig(raw)
+        return _validate(ExperimentConfig(raw))
+
+
+# lower bounds of the integer [experiment] keys every experiment reads
+_INT_KEYS = (("seed", 0), ("replicas", 1), ("replica_offset", 0))
+
+
+def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The checks every config passes before an experiment reads it."""
+    if "name" not in cfg.raw.get("experiment", {}):
+        raise ValueError("malformed config: missing [experiment] name")
+    if cfg.name not in EXPERIMENT_INDEX:
+        raise ValueError(f"unknown experiment {cfg.name!r}; see list-experiments")
+    for key, low in _INT_KEYS:
+        v = cfg.get("experiment", key)
+        if v is None:
+            continue
+        try:
+            value = int(v)
+        except ValueError:
+            raise ValueError(f"[experiment] {key}: expected an integer, got {v!r}") from None
+        if value < low:
+            raise ValueError(f"[experiment] {key}: must be >= {low}")
+    return cfg
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -216,15 +240,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ValueError(f"malformed config: {exc}") from exc
     raw = {section: dict(parser.items(section)) for section in parser.sections()}
-    cfg = ExperimentConfig(raw)
-    if "experiment" not in raw or "name" not in raw["experiment"]:
-        raise ValueError("malformed config: missing [experiment] name")
-    if cfg.name not in EXPERIMENT_INDEX:
-        raise ValueError(f"unknown experiment {cfg.name!r}; see list-experiments")
-    if cfg.replicas is not None and cfg.replicas < 1:
-        raise ValueError("[experiment] replicas: must be >= 1")
-    _ = (cfg.seed, cfg.replica_offset)  # force early type errors
-    return cfg
+    return _validate(ExperimentConfig(raw))
 
 
 def parse_config_file(path) -> ExperimentConfig:

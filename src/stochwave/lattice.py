@@ -45,7 +45,6 @@ __all__ = [
     "LatticeField",
     "l2_norm",
     "h_neg_k_norm",
-    "multiplier_apply",
     "circular_convolve",
     "write_field",
     "read_field",
@@ -166,15 +165,6 @@ class Grid:
             raise ValueError("inverse transform produced a non-real field; multiplier not even?")
         return np.ascontiguousarray(out.real)
 
-    def negate_freq_index(self, arr: np.ndarray) -> np.ndarray:
-        """Return arr evaluated at -eta (index map j -> -j mod N per axis)."""
-        out = arr
-        n = self.points_per_axis
-        idx = (-np.arange(n)) % n
-        for ax in range(arr.ndim - self.dimension, arr.ndim):
-            out = np.take(out, idx, axis=ax)
-        return out
-
 
 @dataclass
 class LatticeField:
@@ -243,23 +233,6 @@ def h_neg_k_norm(f: LatticeField, k: int) -> float:
     weight = (1.0 + grid.freq_norm_sq) ** (-k)
     total = np.sum(weight * np.abs(f.spectrum) ** 2) / grid.box_length**grid.dimension
     return float(np.sqrt(total))
-
-
-def multiplier_apply(f: LatticeField, multiplier: np.ndarray) -> LatticeField:
-    """Apply a real, even Fourier multiplier to a real field.
-
-    Evenness (m(-eta) = m(eta)) is required so the output stays real; a
-    violation raises.  The imaginary residue of the inverse transform is
-    checked against 1e-10 and then discarded.
-    """
-    grid = f.grid
-    m = np.asarray(multiplier, dtype=float)
-    if m.shape != grid.shape:
-        raise ValueError(f"multiplier shape {m.shape} != grid shape {grid.shape}")
-    if not np.allclose(m, grid.negate_freq_index(m), rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(m)))):
-        raise ValueError("reality violated: multiplier is not even in eta")
-    out_spec = m * f.spectrum
-    return LatticeField.from_spectrum(grid, out_spec)
 
 
 def circular_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

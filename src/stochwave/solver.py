@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SpectralMeasure, admissibility_integral
-from .greens import GreenMultiplier, cosine_multiplier, j_functional, sine_multiplier
+from .greens import GreenMultiplier, cosine_multiplier, j_field, sine_multiplier
 from .greens import spectral_energy_field
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
 from .noise import NoisePath, sample_path, sample_slice_batch
@@ -497,12 +497,16 @@ class MomentSummary:
 
 
 def gronwall_constant(cfg: SolveConfig) -> float:
-    """C = max_s J(s) over the step times, the moment-bound rate."""
+    """C = max_s J(s) over the step times, the moment-bound rate.
+
+    Admissibility is checked once, as :func:`~stochwave.greens.j_functional`
+    checks it; each step time then costs one :func:`j_field`.
+    """
+    if not admissibility_integral(cfg.measure, cfg.k).finite:
+        raise ValueError("J undefined: admissibility condition fails")
     g = cfg.green
-    best = 0.0
-    for j in range(1, cfg.steps + 1):
-        best = max(best, j_functional(g, cfg.measure, j * cfg.dt, cfg.grid))
-    return best
+    return max((float(np.max(j_field(g, cfg.measure, j * cfg.dt, cfg.grid)))
+                for j in range(1, cfg.steps + 1)), default=0.0)
 
 
 def check_envelope(alpha: Nonlinearity) -> None:
@@ -514,8 +518,7 @@ def check_envelope(alpha: Nonlinearity) -> None:
         )
 
 
-def moment_track(moments: np.ndarray, cfg: SolveConfig,
-                 rate_constant: float | None = None) -> MomentSummary:
+def moment_track(moments: np.ndarray, cfg: SolveConfig) -> MomentSummary:
     """Pool replica moment trajectories and test the exponential envelope.
 
     ``moments`` holds one squared-norm trajectory per replica, shape
@@ -531,7 +534,7 @@ def moment_track(moments: np.ndarray, cfg: SolveConfig,
     data = np.asarray(moments)
     mean = data.mean(axis=0)
     se = data.std(axis=0, ddof=1) / math.sqrt(len(data))
-    c = gronwall_constant(cfg) if rate_constant is None else rate_constant
+    c = gronwall_constant(cfg)
     k_lip = cfg.nonlinearity.lipschitz
     times = cfg.dt * np.arange(n + 1)
     u0_sq = np.array([l2_norm(deterministic_part(cfg, t)) ** 2 for t in times])

@@ -18,6 +18,10 @@ exactly in the discrete model (frequency differences wrap around the
 dual lattice, matching the aliasing of lattice products), so Monte Carlo
 deviations beyond sampling error indicate bugs rather than
 discretization error.
+
+An integrand is one array Z of shape (steps, *grid.shape), time on the
+leading axis (:class:`IntegrandProcess`), so the spectra of all steps
+come from one batched transform.
 """
 
 from __future__ import annotations
@@ -35,12 +39,10 @@ from .noise import NoisePath, sample_slice_batch
 __all__ = [
     "IntegrandProcess",
     "Mollifier",
-    "MollifiedGreen",
     "stochastic_convolution",
     "isometry_functional",
     "isometry_bound",
     "isometry_alternative",
-    "mollify_green",
     "ladder_distance",
     "truncation_distance",
     "convolution_norms_mc",
@@ -56,7 +58,12 @@ _MODULATION_BLOCK = 64
 
 @dataclass
 class IntegrandProcess:
-    """Per-step integrand fields Z(s_i) on a common time grid.
+    """Integrand fields Z(s_i) on a common time grid, one array.
+
+    ``fields`` has shape (steps, *grid.shape); row i is Z(s_i).  A
+    constant integrand (:meth:`constant`) stores its one field as a
+    broadcast view, so its rows share memory and the time axis has zero
+    stride, which is what :attr:`is_constant` reads.
 
     ``adapted`` declares that Z(s_i) depends only on noise slices
     strictly before step i; the solver constructs its integrands that
@@ -66,8 +73,14 @@ class IntegrandProcess:
 
     grid: Grid
     dt: float
-    fields: list[LatticeField]
+    fields: np.ndarray
     adapted: bool = True
+
+    def __post_init__(self) -> None:
+        self.fields = np.asarray(self.fields, dtype=float)
+        if self.fields.shape[1:] != self.grid.shape:
+            raise ValueError(f"integrand shape {self.fields.shape} is not "
+                             f"(steps, *{self.grid.shape})")
 
     def __len__(self) -> int:
         return len(self.fields)
@@ -81,19 +94,21 @@ class IntegrandProcess:
 
     @classmethod
     def constant(cls, grid: Grid, values, steps: int, dt: float) -> "IntegrandProcess":
-        f = values if isinstance(values, LatticeField) else LatticeField(grid, values)
-        return cls(grid, dt, [f] * steps, adapted=True)
+        values = np.asarray(values, dtype=float)
+        if values.shape != grid.shape:
+            raise ValueError(f"field shape {values.shape} != grid shape {grid.shape}")
+        return cls(grid, dt, np.broadcast_to(values, (steps,) + grid.shape), adapted=True)
 
     @property
     def is_constant(self) -> bool:
-        return all(f is self.fields[0] for f in self.fields)
+        return self.fields.strides[0] == 0
 
-    def spectra_sq(self) -> list[np.ndarray]:
-        """E|F[Z_i]|**2 per step (exact for deterministic integrands)."""
-        if self.is_constant and self.fields:
-            s = np.abs(self.fields[0].spectrum) ** 2
-            return [s] * len(self.fields)
-        return [np.abs(f.spectrum) ** 2 for f in self.fields]
+    def spectra_sq(self) -> np.ndarray:
+        """E|F[Z_i]|**2 per step (exact for deterministic integrands), one transform."""
+        if self.is_constant:
+            one = np.abs(self.grid.forward(self.fields[:1])) ** 2
+            return np.broadcast_to(one, self.fields.shape)
+        return np.abs(self.grid.forward(self.fields)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -166,33 +181,6 @@ class Mollifier:
         return self.transform(np.sqrt(grid.freq_norm_sq))
 
 
-@dataclass(frozen=True)
-class MollifiedGreen:
-    """Green multiplier smoothed by convolution with a mollifier."""
-
-    base: GreenMultiplier
-    mollifier: Mollifier
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    @property
-    def horizon(self) -> float:
-        return self.base.horizon
-
-    def lattice_spectrum(self, grid: Grid, t: float) -> np.ndarray:
-        return self.base.lattice_spectrum(grid, t) * self.mollifier.transform_on_grid(grid)
-
-    def lattice_dt_spectrum(self, grid: Grid, t: float) -> np.ndarray:
-        return self.base.lattice_dt_spectrum(grid, t) * self.mollifier.transform_on_grid(grid)
-
-
-def mollify_green(g: GreenMultiplier, scale: int, dimension: int) -> MollifiedGreen:
-    """G_n = G * psi_n, acting through the product of the transforms."""
-    return MollifiedGreen(g, Mollifier(scale, dimension))
-
-
 # ---------------------------------------------------------------------------
 # stochastic convolution and isometry quadratures
 # ---------------------------------------------------------------------------
@@ -224,7 +212,7 @@ def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoiseP
     m = _steps_before(t, dt, min(len(Z), len(path)))
     acc = np.zeros(grid.shape, dtype=complex)
     for i in range(m):
-        prod = Z.fields[i].values * path.fields[i]
+        prod = Z.fields[i] * path.fields[i]
         acc += g.lattice_spectrum(grid, t - i * dt) * grid.forward(prod)
     return LatticeField.from_spectrum(grid, acc)
 
@@ -261,7 +249,7 @@ def isometry_bound(g, Z: IntegrandProcess, measure: SpectralMeasure,
     total = 0.0
     for i in range(m):
         jmax = float(np.max(j_field(g, measure, times[i], grid)))
-        total += dt * l2_norm(Z.fields[i]) ** 2 * jmax
+        total += dt * l2_norm(Z.fields[i], grid) ** 2 * jmax
     return float(total)
 
 
@@ -301,7 +289,7 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
             chi = chi * phase[j].reshape(shape)
         inner = np.zeros(block.size)
         for f, msq in zip(fields, mult_sq):
-            spec = grid.forward(chi * f.values).reshape(block.size, -1)
+            spec = grid.forward(chi * f).reshape(block.size, -1)
             inner += (spec.real**2 + spec.imag**2) @ msq
         total += weights[block] @ inner
     return float(dt * total / grid.box_length**grid.dimension)
@@ -334,8 +322,7 @@ def truncation_distance(g: GreenMultiplier, Z: IntegrandProcess,
     for ax in range(grid.dimension):
         coord = grid._axis_array(grid.axis_coords, ax)
         inside = inside & (np.abs(coord) <= half_width)
-    tail_fields = [LatticeField(grid, f.values * (~inside)) for f in Z.fields]
-    tail = IntegrandProcess(grid, Z.dt, tail_fields, adapted=Z.adapted)
+    tail = IntegrandProcess(grid, Z.dt, Z.fields * ~inside, adapted=Z.adapted)
     return float(math.sqrt(isometry_functional(g, tail, measure, t=t)))
 
 
@@ -365,7 +352,7 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
         acc = np.zeros((c,) + grid.shape, dtype=complex)
         for i in range(m):
             fields = sample_slice_batch(grid, measure, dt, gens, c)
-            acc += mults[i] * grid.forward(Z.fields[i].values * fields)
+            acc += mults[i] * grid.forward(Z.fields[i] * fields)
         sq_norms[lo:lo + c] = norm_sq(acc)
     return sq_norms
 

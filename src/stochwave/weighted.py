@@ -186,7 +186,7 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
     bound = 0.0
     for i in range(m):
         jmax = float(np.max(j_field(g, measure, times[i], grid)))
-        znorm_sq = grid.cell_volume * float(np.sum(Z.fields[i].values ** 2 * theta))
+        znorm_sq = grid.cell_volume * float(np.sum(Z.fields[i] ** 2 * theta))
         bound += dt * znorm_sq * jmax
 
     def theta_norm_sq(acc: np.ndarray) -> np.ndarray:

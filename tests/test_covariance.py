@@ -8,7 +8,6 @@ from stochwave.covariance import (
     SpectralMeasure,
     admissibility_integral,
     ball_volume,
-    spectral_density,
     sphere_surface_area,
 )
 from stochwave.lattice import Grid
@@ -17,13 +16,13 @@ from stochwave.stochint import Mollifier
 
 def test_white_density_value():
     m = SpectralMeasure.white(1)
-    assert spectral_density(m, 3.7) == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
+    assert m.density_at(3.7) == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
 
 
 def test_density_even():
     for m in (SpectralMeasure.white(2), SpectralMeasure.riesz(2, 1.0)):
         eta = np.array([0.7, -1.3])
-        assert spectral_density(m, eta) == pytest.approx(spectral_density(m, -eta), rel=1e-14)
+        assert m.density_at(eta) == pytest.approx(m.density_at(-eta), rel=1e-14)
 
 
 def test_riesz_construction_bounds():
@@ -38,7 +37,7 @@ def test_riesz_construction_bounds():
 def test_riesz_singular_at_origin():
     m = SpectralMeasure.riesz(2, 1.0)
     with pytest.raises(ValueError, match="singular"):
-        spectral_density(m, np.zeros(2))
+        m.density_at(np.zeros(2))
 
 
 def test_riesz_normalization_against_closed_form():
@@ -50,7 +49,7 @@ def test_riesz_normalization_against_closed_form():
         assert m.riesz_constant == pytest.approx(closed, rel=1e-9)
     # the d=2, alpha=1 case pins the density example at |eta| = 2
     m = SpectralMeasure.riesz(2, 1.0)
-    assert spectral_density(m, np.array([2.0, 0.0])) == pytest.approx(m.riesz_constant / 2.0, rel=1e-12)
+    assert m.density_at(np.array([2.0, 0.0])) == pytest.approx(m.riesz_constant / 2.0, rel=1e-12)
 
 
 def _gauss_transform_sq(d, sigma):

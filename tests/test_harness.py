@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochwave import cli
 from stochwave.harness import (
@@ -26,17 +30,21 @@ seed = 77
 """
 
 
-def test_parse_and_serialize_round_trip():
-    text = """
-[experiment]
-name = isometry
-seed = 123
-replicas = 40
+_KEY = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+_VALUE = st.text(alphabet="abcXYZ019 .,-_/+*=:[]%#;", max_size=12).map(str.strip)
 
-[grid]
-n = 32
-"""
-    cfg = parse_config(text)
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(EXPERIMENT_INDEX)), seed=st.integers(0, 2**63 - 1),
+       replicas=st.none() | st.integers(1, 10**6),
+       extra=st.dictionaries(_KEY.map("x_{}".format), _VALUE, max_size=4),
+       sections=st.dictionaries(_KEY.filter(lambda k: k != "experiment"),
+                                st.dictionaries(_KEY, _VALUE, max_size=4), max_size=3))
+def test_parse_and_serialize_round_trip(name, seed, replicas, extra, sections):
+    experiment = {"name": name, "seed": str(seed), **extra}
+    if replicas is not None:
+        experiment["replicas"] = str(replicas)
+    cfg = ExperimentConfig({"experiment": experiment, **sections})
     again = parse_config(serialize_config(cfg))
     assert again.raw == cfg.raw
     assert serialize_config(again) == serialize_config(cfg)
@@ -49,8 +57,10 @@ def test_parse_rejects_bad_configs():
         parse_config("[grid]\nn = 8\n")
     with pytest.raises(ValueError, match="unknown experiment"):
         parse_config("[experiment]\nname = nosuch\n")
-    with pytest.raises(ValueError, match="replicas"):
-        parse_config("[experiment]\nname = energy\nreplicas = 0\n")
+    for key, value in (("replicas", "0"), ("seed", "-1"), ("replica_offset", "-3"),
+                       ("seed", "1.5")):
+        with pytest.raises(ValueError, match=rf"\[experiment\] {key}"):
+            parse_config(f"[experiment]\nname = energy\n{key} = {value}\n")
 
 
 def test_replica_streams_are_deterministic_and_distinct():
@@ -114,19 +124,47 @@ def test_aggregate_identity_and_commutativity():
     assert ab.to_csv() == ba.to_csv()
 
 
-def test_aggregate_pools_exactly():
-    rng = np.random.default_rng(5)
-    samples = rng.standard_normal(1000)
-    halves = [samples[:500], samples[500:]]
-    tables = []
-    for half in halves:
-        tables.append(ResultTable([_mc_row(
-            float(half.mean()), float(half.std(ddof=1) / np.sqrt(half.size)), half.size)]))
-    merged = aggregate(tables).rows[0]
-    assert merged.replicas == 1000
-    assert merged.value == pytest.approx(float(samples.mean()), rel=1e-12, abs=1e-15)
-    assert merged.std_error == pytest.approx(
-        float(samples.std(ddof=1) / np.sqrt(1000)), rel=1e-12)
+def _sample_table(samples, verdict=True):
+    x = np.asarray(samples)
+    return ResultTable([_mc_row(float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size)), x.size),
+                        Row("isometry", "c", "det", 2.0, None, 0, verdict)])
+
+
+# normal samples whose spread is at least a tenth of their offset, so the
+# pooled variance is not a difference of nearly equal sums of squares
+_SAMPLES = st.builds(
+    lambda seed, n, loc, scale: np.random.default_rng(seed).normal(loc, scale, n),
+    st.integers(0, 2**32 - 1), st.integers(4, 200), st.floats(-1.0, 1.0), st.floats(0.1, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=_SAMPLES, cut=st.floats(0.0, 1.0))
+def test_aggregate_pools_exactly(samples, cut):
+    # two halves at any split pool into the statistics of the whole run
+    split = min(max(2, int(cut * samples.size)), samples.size - 2)
+    merged = aggregate([_sample_table(samples[:split]), _sample_table(samples[split:])])
+    (row,) = [r for r in merged.rows if r.std_error is not None]
+    (whole,) = [r for r in _sample_table(samples).rows if r.std_error is not None]
+    assert row.replicas == whole.replicas == samples.size
+    assert row.value == pytest.approx(whole.value, rel=1e-12, abs=1e-12 * np.max(np.abs(samples)))
+    assert row.std_error == pytest.approx(whole.std_error, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(st.tuples(_SAMPLES, st.booleans()), min_size=3, max_size=3))
+def test_aggregate_is_associative_and_commutative(parts):
+    a, b, c = (_sample_table(x, verdict) for x, verdict in parts)
+    flat = aggregate([a, b, c])
+    for order in itertools.permutations([a, b, c]):
+        assert aggregate(list(order)).to_csv() == flat.to_csv()
+    scale = max(np.max(np.abs(x)) for x, _ in parts)
+    for nested in (aggregate([aggregate([a, b]), c]), aggregate([a, aggregate([b, c])])):
+        assert [(r.case, r.quantity, r.replicas, r.verdict) for r in nested.rows] == \
+            [(r.case, r.quantity, r.replicas, r.verdict) for r in flat.rows]
+        for r, ref in zip(nested.rows, flat.rows):
+            assert r.value == pytest.approx(ref.value, rel=1e-12, abs=1e-12 * scale)
+            if ref.std_error is not None:
+                assert r.std_error == pytest.approx(ref.std_error, rel=1e-12)
 
 
 def test_aggregate_rejects_conflicting_deterministic_rows():
@@ -239,6 +277,21 @@ def test_cli_bad_config_exit_code(tmp_path):
     bad.write_text("[experiment]\nname = nosuch\n")
     assert cli.main(["run", str(bad)]) == 2
     assert cli.main(["run", str(tmp_path / "missing.ini")]) == 2
+
+
+@pytest.mark.parametrize("options, extra, message", [
+    (["--replicas", "0"], "", "[experiment] replicas"),
+    (["--seed", "-1"], "", "[experiment] seed"),
+    ([], "replica_offset = -3\n", "[experiment] replica_offset"),
+    ([], "seed = -1\n", "[experiment] seed"),
+])
+def test_cli_checks_overrides_like_the_config_file(tmp_path, capsys, options, extra, message):
+    cfg_path = tmp_path / "energy.ini"
+    cfg_path.write_text(ENERGY_CFG.replace("seed = 77\n", extra))
+    assert cli.main(["run", str(cfg_path), "--output", str(tmp_path / "out"), *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, message", [

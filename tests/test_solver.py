@@ -267,7 +267,7 @@ def _oracle_config(steps, **kw):
 def _mild_map_gap(cfg, path, inputs, output, j):
     """Relative gap between output and u0(t_j) + sum_{i<j} G(t_j - t_i) * (alpha(inputs_i) W_i)."""
     mask = 1.0 if cfg.noise_mask is None else cfg.noise_mask
-    fields = [LatticeField(cfg.grid, cfg.nonlinearity(u) * mask) for u in inputs[:-1]]
+    fields = np.stack([cfg.nonlinearity(u) * mask for u in inputs[:-1]])
     Z = IntegrandProcess(cfg.grid, cfg.dt, fields)
     t = j * cfg.dt
     expected = (deterministic_part(cfg, t).values
@@ -505,6 +505,23 @@ def test_moment_track_rejects_lipschitz_above_one():
     cfg = _basic_config(alpha=Nonlinearity.affine(2.0, 0.0))
     with pytest.raises(ValueError, match="Lipschitz"):
         moment_track(np.ones((30, cfg.steps + 1)), cfg)
+
+
+def test_gronwall_constant_checks_admissibility_once(monkeypatch):
+    from stochwave import greens, solver
+
+    cfg = _basic_config(dt=1.0 / 16.0)
+    expected = max(greens.j_functional(cfg.green, cfg.measure, j * cfg.dt, cfg.grid)
+                   for j in range(1, cfg.steps + 1))
+    calls = []
+    quadrature = solver.admissibility_integral
+    monkeypatch.setattr(solver, "admissibility_integral",
+                        lambda measure, k: calls.append(k) or quadrature(measure, k))
+    assert solver.gronwall_constant(cfg) == expected
+    assert calls == [cfg.k]
+    cfg.grid, cfg.measure = Grid(2, 8, 8.0), SpectralMeasure.white(2)  # d = 2 needs k >= 2
+    with pytest.raises(ValueError, match="admissibility"):
+        solver.gronwall_constant(cfg)
 
 
 def test_moment_envelope_linear_alpha():

@@ -3,7 +3,7 @@ import pytest
 
 from stochwave.covariance import SpectralMeasure
 from stochwave.greens import GreenMultiplier
-from stochwave.lattice import Grid, LatticeField, l2_norm
+from stochwave.lattice import Grid, l2_norm
 from stochwave.noise import NoisePath, sample_path
 from stochwave.stochint import (
     IntegrandProcess,
@@ -14,7 +14,6 @@ from stochwave.stochint import (
     isometry_bound,
     isometry_functional,
     ladder_distance,
-    mollify_green,
     stochastic_convolution,
     truncation_distance,
 )
@@ -28,6 +27,37 @@ def setup():
     steps, dt = 4, 0.25
     z = IntegrandProcess.constant(grid, np.exp(-grid.axis_coords**2), steps, dt)
     return grid, measure, g, z, dt
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 8), (16, 16, 1)])
+def test_integrand_rejects_fields_off_the_grid_shape(shape):
+    # a (16,) row would broadcast silently over the d = 2 grid
+    grid = Grid(2, 16, 6.0)
+    with pytest.raises(ValueError, match="grid shape"):
+        IntegrandProcess.constant(grid, np.ones(shape), 3, 0.25)
+    with pytest.raises(ValueError, match="steps"):
+        IntegrandProcess(grid, 0.25, np.ones((3,) + shape))
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_spectra_sq_is_one_batched_forward(monkeypatch, constant):
+    grid = Grid(2, 16, 6.0)
+    z = (IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), 5, 0.2) if constant
+         else _varying_integrand(grid, 5, 0.2))
+    calls = []
+    forward = Grid.forward
+
+    def counted(self, values):
+        calls.append(np.shape(values))
+        return forward(self, values)
+
+    monkeypatch.setattr(Grid, "forward", counted)
+    spectra = z.spectra_sq()
+    assert z.is_constant == constant
+    assert calls == [(1 if constant else 5,) + grid.shape]  # a constant Z transforms one field
+    assert spectra.shape == (5,) + grid.shape
+    for i in range(5):
+        assert np.array_equal(spectra[i], np.abs(forward(grid, z.fields[i])) ** 2)
 
 
 class _IdentityKernel:
@@ -52,7 +82,7 @@ def test_convolution_identity_kernel_reduces_to_plain_sum(setup):
     grid, measure, _, z, dt = setup
     path = sample_path(grid, measure, 1.0, dt, np.random.default_rng(1))
     out = stochastic_convolution(_IdentityKernel(), z, path, 1.0)
-    direct = sum(z.fields[i].values * path.fields[i] for i in range(4))
+    direct = sum(z.fields[i] * path.fields[i] for i in range(4))
     assert np.max(np.abs(out.values - direct)) < 1e-10 * np.max(np.abs(direct))
 
 
@@ -90,7 +120,7 @@ def test_isometry_explicit_summation_oracle():
     g = GreenMultiplier(1, 1.0)
     steps, dt = 2, 0.25
     rng = np.random.default_rng(5)
-    fields = [LatticeField(grid, rng.standard_normal(grid.shape)) for _ in range(steps)]
+    fields = rng.standard_normal((steps,) + grid.shape)
     z = IntegrandProcess(grid, dt, fields)
     fast = isometry_functional(g, z, measure, t=0.5)
 
@@ -99,7 +129,7 @@ def test_isometry_explicit_summation_oracle():
     total = 0.0
     for i in range(steps):
         mult = g.lattice_spectrum(grid, 0.5 - i * dt)
-        spec_sq = np.abs(fields[i].spectrum) ** 2
+        spec_sq = np.abs(grid.forward(fields[i])) ** 2
         for jx in range(n):
             inner = 0.0
             for je in range(n):
@@ -120,7 +150,7 @@ def test_single_step_closed_form_and_mc():
 
     mult = g.lattice_spectrum(grid, dt)
     weights = measure.lattice_weights(grid)
-    ones_spec_sq = np.abs(z.fields[0].spectrum) ** 2
+    ones_spec_sq = np.abs(grid.forward(z.fields[0])) ** 2
     closed = dt * float(np.sum(
         ones_spec_sq * np.fft.ifft(np.fft.fft(weights) * np.fft.fft(mult**2)).real
     )) / grid.box_length
@@ -143,7 +173,7 @@ def test_isometry_mc_agreement_small(kind, alpha, k):
 
 def _varying_integrand(grid, steps, dt):
     r_sq = grid.coord_norm_sq
-    fields = [LatticeField(grid, np.exp(-r_sq / (1.0 + i)) * (1.0 + 0.3 * i)) for i in range(steps)]
+    fields = np.stack([np.exp(-r_sq / (1.0 + i)) * (1.0 + 0.3 * i) for i in range(steps)])
     return IntegrandProcess(grid, dt, fields)
 
 
@@ -189,8 +219,7 @@ def test_isometry_alternative_agreement_time_varying():
     measure = SpectralMeasure.riesz(1, 0.5)
     g = GreenMultiplier(1, 1.0)
     rng = np.random.default_rng(8)
-    fields = [LatticeField(grid, rng.standard_normal(grid.shape)) for _ in range(3)]
-    z = IntegrandProcess(grid, 0.25, fields)
+    z = IntegrandProcess(grid, 0.25, rng.standard_normal((3,) + grid.shape))
     a = isometry_functional(g, z, measure, t=0.75)
     b = isometry_alternative(g, z, measure, t=0.75)
     assert b == pytest.approx(a, rel=1e-8)
@@ -222,8 +251,7 @@ def test_isometry_alternative_agrees_in_higher_dimensions(d, n, k, measure, cons
     if constant:
         z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq / 2.0), steps, dt)
     else:
-        z = IntegrandProcess(grid, dt, [LatticeField(grid, rng.standard_normal(grid.shape))
-                                        for _ in range(steps)])
+        z = IntegrandProcess(grid, dt, rng.standard_normal((steps,) + grid.shape))
     active = np.count_nonzero(measure.lattice_weights(grid))
     assert active > _MODULATION_BLOCK
     if measure.kind == "radial-table":
@@ -276,14 +304,6 @@ def test_mollifier_unit_mass_quadrature():
     assert mass == pytest.approx(1.0, rel=1e-8)
 
 
-def test_mollified_green_spectrum(setup):
-    grid, _, g, _, _ = setup
-    mg = mollify_green(g, 4, grid.dimension)
-    base = g.lattice_spectrum(grid, 0.5)
-    damp = Mollifier(4, 1).transform_on_grid(grid)
-    assert np.allclose(mg.lattice_spectrum(grid, 0.5), base * damp)
-
-
 def test_ladder_monotone_decreasing():
     grid = Grid(1, 256, 48.0)
     measure = SpectralMeasure.white(1)
@@ -302,6 +322,17 @@ def test_truncation_ladder():
     ladder = [truncation_distance(g, z, measure, float(n)) for n in (1, 2, 4, 8, 16)]
     assert all(a > b for a, b in zip(ladder, ladder[1:]))
     assert ladder[-1] < 0.05 * ladder[0]
+
+
+def test_truncation_of_constant_equals_materialized():
+    grid = Grid(1, 256, 48.0)
+    measure = SpectralMeasure.riesz(1, 0.5)
+    g = GreenMultiplier(1, 1.0)
+    z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq / 2.0), 4, 0.25)
+    stacked = IntegrandProcess(grid, 0.25, np.stack(list(z.fields)))
+    for half_width in (1.0, 4.0):
+        assert truncation_distance(g, z, measure, half_width) == \
+            truncation_distance(g, stacked, measure, half_width)
 
 
 def test_martingale_diagnostic():
