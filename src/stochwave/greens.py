@@ -111,15 +111,15 @@ class GreenMultiplier:
 def spectral_energy_field(grid: Grid, u_spec: np.ndarray, udot_spec: np.ndarray, k: int) -> float:
     """Conserved spectral energy ||u_t||**2 + || |xi|**k F[u] ||**2.
 
-    Both terms are evaluated on the spectral side with the package
+    Both terms are evaluated from half spectra with the package
     Plancherel normalization.
     """
-    weight = grid.freq_norm_sq**k
-    total = np.sum(np.abs(udot_spec) ** 2) + np.sum(weight * np.abs(u_spec) ** 2)
+    weight = grid.half(grid.freq_norm_sq**k)
+    total = grid.half_sum(np.abs(udot_spec) ** 2 + weight * np.abs(u_spec) ** 2)
     return float(total / grid.box_length**grid.dimension)
 
 
-def j_field(g: GreenMultiplier, measure: SpectralMeasure, s: float, grid: Grid) -> np.ndarray:
+def j_field(g: GreenMultiplier, measure: SpectralMeasure, s, grid: Grid) -> np.ndarray:
     """Spectral energy of G(s) against the measure, as a function of the shift.
 
     Returns the dual-grid array xi |-> sum_eta D_eta |F[G(s)](xi - eta)|**2
@@ -127,12 +127,18 @@ def j_field(g: GreenMultiplier, measure: SpectralMeasure, s: float, grid: Grid) 
     around the dual lattice, matching the aliasing of the discrete noise
     model exactly.  This is the quantity whose supremum over xi drives
     all moment bounds.
+
+    ``s`` is one time or an array of times; the result has shape
+    ``(*np.shape(s), *grid.shape)``.  All times go through one batched
+    circular convolution, which transforms the weights once.
     """
-    weights = measure.lattice_weights(grid)
-    mult_sq = g.lattice_spectrum(grid, s) ** 2
-    out = circular_convolve(weights, mult_sq)
+    times = np.asarray(s, dtype=float)
+    mult_sq = np.empty((times.size,) + grid.shape)
+    for i, t in enumerate(times.flat):
+        mult_sq[i] = g.lattice_spectrum(grid, t) ** 2
+    out = circular_convolve(measure.lattice_weights(grid), mult_sq)
     # the convolution of nonnegative data is nonnegative up to roundoff
-    return np.maximum(out, 0.0)
+    return np.maximum(out, 0.0).reshape(times.shape + grid.shape)
 
 
 def j_functional(g: GreenMultiplier, measure: SpectralMeasure, s: float, grid: Grid) -> float:

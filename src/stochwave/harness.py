@@ -133,13 +133,23 @@ class ExperimentConfig:
     def get(self, section: str, key: str, default=None) -> str | None:
         return self.raw.get(section, {}).get(key, default)
 
-    def get_int(self, section: str, key: str, default: int) -> int:
+    def get_int(self, section: str, key: str, default: int | None) -> int | None:
         v = self.get(section, key)
-        return default if v is None else int(v)
+        if v is None:
+            return default
+        try:
+            return int(v)
+        except ValueError:
+            raise ValueError(f"[{section}] {key}: expected an integer, got {v!r}") from None
 
-    def get_float(self, section: str, key: str, default: float) -> float:
+    def get_float(self, section: str, key: str, default: float | None) -> float | None:
         v = self.get(section, key)
-        return default if v is None else float(v)
+        if v is None:
+            return default
+        try:
+            return float(v)
+        except ValueError:
+            raise ValueError(f"[{section}] {key}: expected a number, got {v!r}") from None
 
     def get_bool(self, section: str, key: str, default: bool) -> bool:
         v = self.get(section, key)
@@ -161,8 +171,7 @@ class ExperimentConfig:
 
     @property
     def replicas(self) -> int | None:
-        v = self.get("experiment", "replicas")
-        return None if v is None else int(v)
+        return self.get_int("experiment", "replicas", None)
 
     @property
     def replica_offset(self) -> int:
@@ -200,14 +209,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.name not in EXPERIMENT_INDEX:
         raise ValueError(f"unknown experiment {cfg.name!r}; see list-experiments")
     for key, low in _INT_KEYS:
-        v = cfg.get("experiment", key)
-        if v is None:
-            continue
-        try:
-            value = int(v)
-        except ValueError:
-            raise ValueError(f"[experiment] {key}: expected an integer, got {v!r}") from None
-        if value < low:
+        value = cfg.get_int("experiment", key, None)
+        if value is not None and value < low:
             raise ValueError(f"[experiment] {key}: must be >= {low}")
     return cfg
 
@@ -429,10 +432,9 @@ def _build_measure(cfg: ExperimentConfig, d: int) -> SpectralMeasure:
         if path is None:
             raise ValueError("[measure] table_path required for radial-table")
         data = np.loadtxt(path, delimiter=",")
-        tail = cfg.get("measure", "tail_exponent")
         return SpectralMeasure.radial_table(
             d, data[:, 0], data[:, 1],
-            tail_exponent=None if tail is None else float(tail), scale=scale)
+            tail_exponent=cfg.get_float("measure", "tail_exponent", None), scale=scale)
     raise ValueError(f"unknown measure kind {kind!r}")
 
 

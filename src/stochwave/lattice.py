@@ -18,16 +18,36 @@ order).  Under this convention the discrete Plancherel identity
 is exact, which every isometry check in the package relies on.
 
 N is even, so the half-period roll that moves x_0 = -L/2 to index 0 is
-the checkerboard (-1)**(m_1 + ... + m_d) on either side of the
-transform, and the pair is
+the checkerboard sign (-1)**(m_1 + ... + m_d) on the frequency side.
 
-    forward(f) = (h**d * sign) * fftn(f),
-    inverse(F) = ifftn((sign / h**d) * F),
+Fields are real, so their spectra are Hermitian, F[f](-eta) =
+conj(F[f](eta)), and the half grid j_d in {0, ..., N/2} of the last
+axis (``Grid.half_shape``) carries all of a spectrum.  The package's
+transform pair works there:
 
-with no shifted copy of the data.  This module is the package's one FFT
-site: the transforms run on ``scipy.fft``, over the trailing ``d`` axes,
-so a leading batch axis rides along and a batched transform equals the
-row-by-row one exactly.
+    forward(f) = (h**d * sign)[..., :N/2+1] * rfftn(f),
+    inverse(F) = irfftn((sign / h**d)[..., :N/2+1] * F, s=shape),
+
+and the inverse is real by construction.  Multipliers are built on the
+full grid; an even one (m(eta_j) == m(eta_{-j}) exactly, index j
+against -j mod N on every axis) maps Hermitian spectra to Hermitian
+spectra, so :meth:`Grid.half` restricts it to the half grid after that
+exact equality check and refuses any other array.  A sum of an even
+quantity over the full dual grid is, on the half grid, a sum in which
+the interior last-axis columns 0 < j_d < N/2 count twice, for
+themselves and their mirror; :meth:`Grid.half_sum` applies those
+doubling weights, so the Plancherel identity reads
+
+    ||f||_{L2}**2 = L**(-d) * half_sum(|forward(f)|**2).
+
+:meth:`Grid.full_forward` is the complex transform on the full grid,
+(h**d * sign) * fftn(f).  It is for the independent oracles, which
+modulate integrands into complex fields or index frequency differences
+over the whole dual lattice.
+
+This module is the package's one FFT site: the transforms run on
+``scipy.fft``, over the trailing ``d`` axes, so a leading batch axis
+rides along and a batched transform equals the row-by-row one exactly.
 """
 
 from __future__ import annotations
@@ -49,11 +69,6 @@ __all__ = [
     "write_field",
     "read_field",
 ]
-
-# Maximum tolerated imaginary residue, relative to field scale, after an
-# inverse transform that should produce a real field.
-_IMAG_TOL = 1e-10
-
 
 class Grid:
     """Uniform periodic grid on the centered box [-L/2, L/2)**d.
@@ -85,6 +100,7 @@ class Grid:
         self.box_length = float(length)
         self.spacing = self.box_length / n
         self.shape = (n,) * dimension
+        self.half_shape = self.shape[:-1] + (n // 2 + 1,)
         self.cell_volume = self.spacing**dimension
         self.dual_cell_volume = (2.0 * np.pi / self.box_length) ** dimension
         # axis coordinates and FFT-ordered dual frequencies
@@ -93,6 +109,8 @@ class Grid:
         self._freq_sq = None
         self._coord_sq = None
         self._scales = None
+        self._doubling = np.full(n // 2 + 1, 2.0)
+        self._doubling[[0, -1]] = 1.0
 
     def __eq__(self, other) -> bool:
         return (
@@ -133,42 +151,82 @@ class Grid:
             self._coord_sq = acc
         return self._coord_sq
 
-    def _signed_scales(self) -> tuple[np.ndarray, np.ndarray]:
-        """(h**d * sign, sign / h**d) with the (-1)**(m_1+...+m_d) checkerboard."""
+    def _axes(self, arr: np.ndarray) -> tuple[int, ...]:
+        return tuple(range(arr.ndim - self.dimension, arr.ndim))
+
+    def _signed_scales(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """h**d * sign, and its and sign / h**d's half-grid restrictions."""
         if self._scales is None:
             parity = np.zeros(self.shape, dtype=int)
             for ax in range(self.dimension):
                 parity = parity + self._axis_array(np.arange(self.points_per_axis), ax)
             sign = 1.0 - 2.0 * (parity % 2)
-            self._scales = (self.cell_volume * sign, sign / self.cell_volume)
+            full = self.cell_volume * sign
+            self._scales = (full, self.half(full), self.half(sign / self.cell_volume))
         return self._scales
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform with the h**d Riemann-sum scaling.
+    def _check_shape(self, arr: np.ndarray, shape: tuple[int, ...], what: str) -> None:
+        if arr.shape[arr.ndim - self.dimension:] != shape:
+            raise ValueError(f"{what} shape {arr.shape} does not match {shape} of {self}")
 
-        Converges to the continuum transform as N grows for smooth
-        fields that decay inside the box.
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of real fields, with the h**d Riemann-sum scaling.
+
+        Returns the last axis cut to N/2 + 1 frequencies; converges to
+        the continuum transform as N grows for smooth fields that decay
+        inside the box.
         """
         arr = np.asarray(values)
-        if arr.shape[-self.dimension:] != self.shape:
-            raise ValueError(f"field shape {arr.shape} does not match grid {self.shape}")
-        axes = tuple(range(arr.ndim - self.dimension, arr.ndim))
-        return self._signed_scales()[0] * scipy.fft.fftn(arr, axes=axes)
+        self._check_shape(arr, self.shape, "field")
+        return self._signed_scales()[1] * scipy.fft.rfftn(arr, axes=self._axes(arr))
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        """Inverse transform; checks and discards the imaginary residue."""
+        """Real fields from half spectra; the inverse of :meth:`forward`."""
         arr = np.asarray(spectrum)
-        axes = tuple(range(arr.ndim - self.dimension, arr.ndim))
-        out = scipy.fft.ifftn(self._signed_scales()[1] * arr, axes=axes, overwrite_x=True)
-        scale = np.max(np.abs(out)) if out.size else 0.0
-        if scale > 0 and np.max(np.abs(out.imag)) > _IMAG_TOL * scale:
-            raise ValueError("inverse transform produced a non-real field; multiplier not even?")
-        return np.ascontiguousarray(out.real)
+        self._check_shape(arr, self.half_shape, "half spectrum")
+        return scipy.fft.irfftn(self._signed_scales()[2] * arr, s=self.shape,
+                                axes=self._axes(arr), overwrite_x=True)
+
+    def full_forward(self, values: np.ndarray) -> np.ndarray:
+        """Spectrum on the full dual grid, for real or complex fields.
+
+        The complex transform the oracles use: modulated integrands are
+        complex, and frequency differences range over the whole lattice.
+        """
+        arr = np.asarray(values)
+        self._check_shape(arr, self.shape, "field")
+        return self._signed_scales()[0] * scipy.fft.fftn(arr, axes=self._axes(arr))
+
+    def half(self, multiplier: np.ndarray) -> np.ndarray:
+        """Restrict an even full-grid multiplier to the half grid.
+
+        Checks m(eta_j) == m(eta_{-j}) exactly over the trailing d axes
+        (leading axes ride along) and returns m[..., :N/2 + 1]; raises
+        ``ValueError`` on any array that is not even, whose product with
+        a Hermitian spectrum would not be Hermitian.
+        """
+        m = np.asarray(multiplier)
+        self._check_shape(m, self.shape, "multiplier")
+        axes = self._axes(m)
+        mirrored = np.roll(np.flip(m, axis=axes), (1,) * len(axes), axis=axes)
+        if not np.array_equal(m, mirrored):
+            raise ValueError("multiplier is not even, so it has no half-spectrum restriction")
+        return np.ascontiguousarray(m[..., : self.half_shape[-1]])
+
+    def half_sum(self, values: np.ndarray) -> np.ndarray:
+        """Full-dual-grid sum of an even quantity held on the half grid.
+
+        Sums over the trailing d axes; interior last-axis columns stand
+        for themselves and their mirror, so they take weight 2.
+        """
+        arr = np.asarray(values)
+        self._check_shape(arr, self.half_shape, "half-grid array")
+        return np.sum(arr * self._doubling, axis=self._axes(arr))
 
 
 @dataclass
 class LatticeField:
-    """Real scalar field on a grid, with a lazily cached spectrum."""
+    """Real scalar field on a grid, with a lazily cached half spectrum."""
 
     grid: Grid
     values: np.ndarray
@@ -227,17 +285,26 @@ def h_neg_k_norm(f: LatticeField, k: int) -> float:
     """Negative-order Sobolev norm from the spectral side.
 
     ||f||**2 = (2*pi)**(-d) * sum_j q_j (1 + |eta_j|**2)**(-k) |F[f](eta_j)|**2,
-    so k = 0 reproduces the L2 norm under the package convention.
+    summed on the half grid, so k = 0 reproduces the L2 norm under the
+    package convention.
     """
     grid = f.grid
-    weight = (1.0 + grid.freq_norm_sq) ** (-k)
-    total = np.sum(weight * np.abs(f.spectrum) ** 2) / grid.box_length**grid.dimension
+    weight = grid.half((1.0 + grid.freq_norm_sq) ** (-k))
+    total = grid.half_sum(weight * np.abs(f.spectrum) ** 2) / grid.box_length**grid.dimension
     return float(np.sqrt(total))
 
 
 def circular_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Index-space circular convolution of real arrays, sum_n a_n b_{m-n mod N}."""
-    return scipy.fft.ifftn(scipy.fft.fftn(a) * scipy.fft.fftn(b)).real
+    """Index-space circular convolution of real arrays, sum_n a_n b_{m-n mod N}.
+
+    Runs over the axes of ``a``, the trailing axes of ``b``; leading axes
+    of ``b`` are a batch, convolved with ``a`` in one real transform
+    pair, so ``a`` is transformed once per call.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    axes = tuple(range(b.ndim - a.ndim, b.ndim))
+    spec = scipy.fft.rfftn(a) * scipy.fft.rfftn(b, axes=axes)
+    return scipy.fft.irfftn(spec, s=a.shape, axes=axes, overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,14 @@ Riemann sum of the continuum spectral pairing,
     E <W, phi> <W, psi> = dt * sum_j D_j F[phi](eta_j) conj(F[psi](eta_j)),
 
 and reduces, for white noise, to i.i.d. cell values of variance dt/h**d.
-Every consumer multiplies an increment pointwise in space, so the
-sampler inverts the filtered spectrum and hands out real fields; only
-this module sees the spectrum.  Slices are independent across time
-steps and reproducible from the generator handed in: slice s of a path
-is the s-th draw of its stream.
+The white noise and the filtered slice are real and the weights are
+even in eta, so the filter runs on half spectra: one real transform
+pair (``Grid.forward``/``Grid.inverse``) with the weights restricted by
+``Grid.half``.  Every consumer multiplies an increment pointwise in
+space, so the sampler hands out real fields; only this module sees the
+spectrum.  Slices are independent across time steps and reproducible
+from the generator handed in: slice s of a path is the s-th draw of its
+stream.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ class NoisePath:
 
 
 def _spectral_scale(grid: Grid, measure: SpectralMeasure, dt: float) -> np.ndarray:
-    weights = measure.lattice_weights(grid)
+    """The filter sqrt(dt N**d D_j) on the half grid."""
+    weights = grid.half(measure.lattice_weights(grid))
     return np.sqrt(dt * grid.points_per_axis**grid.dimension * weights)
 
 

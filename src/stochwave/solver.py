@@ -15,7 +15,10 @@ kept both as the constructive existence scheme and as a cross-check.
 
 Time advances in one loop, :func:`_march`, which rotates the lattice
 Green pair exactly (:class:`Propagator`) in spectral space alone and
-takes each step's forcing spectrum from its caller.  Three callers
+takes each step's forcing spectrum from its caller.  The solution and
+its forcing are real and the Green pair is even in frequency, so every
+spectrum here is a half spectrum (``Grid.forward``/``Grid.inverse``)
+and every multiplier is restricted by ``Grid.half``.  Three callers
 step it:
 
 - the causal sweep (:func:`_causal_sweep`), whose forcing alpha(u(t_j)) W_j
@@ -205,9 +208,9 @@ def deterministic_part(cfg: SolveConfig, t: float) -> LatticeField:
     """u0(t) = (d/dt) G(t) * v0 + G(t) * v0_dot, in closed form at any t."""
     grid = cfg.grid
     mag = np.sqrt(grid.freq_norm_sq)
-    spec = cosine_multiplier(t, mag, cfg.k) * cfg.v0.spectrum
+    spec = grid.half(cosine_multiplier(t, mag, cfg.k)) * cfg.v0.spectrum
     if cfg.v0_dot is not None:
-        spec = spec + cfg.green.lattice_spectrum(grid, t) * cfg.v0_dot.spectrum
+        spec = spec + grid.half(cfg.green.lattice_spectrum(grid, t)) * cfg.v0_dot.spectrum
     return LatticeField.from_spectrum(grid, spec)
 
 
@@ -215,9 +218,9 @@ def deterministic_velocity(cfg: SolveConfig, t: float) -> LatticeField:
     """Time derivative of the deterministic part, in closed form."""
     grid = cfg.grid
     mag = np.sqrt(grid.freq_norm_sq)
-    spec = -(mag**cfg.k) * np.sin(t * mag**cfg.k) * cfg.v0.spectrum
+    spec = grid.half(-(mag**cfg.k) * np.sin(t * mag**cfg.k)) * cfg.v0.spectrum
     if cfg.v0_dot is not None:
-        spec = spec + cfg.green.lattice_dt_spectrum(grid, t) * cfg.v0_dot.spectrum
+        spec = spec + grid.half(cfg.green.lattice_dt_spectrum(grid, t)) * cfg.v0_dot.spectrum
     return LatticeField.from_spectrum(grid, spec)
 
 
@@ -240,14 +243,16 @@ class Propagator:
     the spectral energy |F[u_t]|**2 + w**2 |F[u]|**2.  Forcing enters F[u_t]
     times ``scale`` = lattice dG/dt at 0: 1, except for the exact d = 1, k = 1
     kernel, which is eta (h/2) cot(eta h/2) (0 at Nyquist) times the sampled one.
+    All four multipliers act on half spectra.
     """
 
     def __init__(self, grid: Grid, k: int, dt: float) -> None:
         mag = np.sqrt(grid.freq_norm_sq)
-        self.cos = cosine_multiplier(dt, mag, k)
-        self.sin = sine_multiplier(dt, mag, k)  # sin(w dt)/w, series branch near w = 0
-        self.neg_w_sin = -(grid.freq_norm_sq**k) * self.sin
-        self.scale = GreenMultiplier(k, dt).lattice_dt_spectrum(grid, 0.0)
+        sin = sine_multiplier(dt, mag, k)  # sin(w dt)/w, series branch near w = 0
+        self.cos = grid.half(cosine_multiplier(dt, mag, k))
+        self.sin = grid.half(sin)
+        self.neg_w_sin = grid.half(-(grid.freq_norm_sq**k) * sin)
+        self.scale = grid.half(GreenMultiplier(k, dt).lattice_dt_spectrum(grid, 0.0))
 
     def step(self, u_spec: np.ndarray, v_spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (self.cos * u_spec + self.sin * v_spec,
@@ -257,7 +262,7 @@ class Propagator:
 def _march(cfg: SolveConfig, prop: Propagator | None = None):
     """The solver's one time-stepping loop, in spectral space alone.
 
-    Yields ``(F[u(t_j)], F[u_t(t_j)])`` for j = 0..n.  After receiving
+    Yields the half spectra ``(F[u(t_j)], F[u_t(t_j)])`` for j = 0..n.  After receiving
     state j < n the caller may ``send`` the forcing spectrum
     F[alpha(z_j) W_j], which enters the velocity, left-endpoint, before
     the rotation to t_{j+1}; plain iteration sends None, and the
@@ -500,13 +505,12 @@ def gronwall_constant(cfg: SolveConfig) -> float:
     """C = max_s J(s) over the step times, the moment-bound rate.
 
     Admissibility is checked once, as :func:`~stochwave.greens.j_functional`
-    checks it; each step time then costs one :func:`j_field`.
+    checks it; one batched :func:`j_field` then covers every step time.
     """
     if not admissibility_integral(cfg.measure, cfg.k).finite:
         raise ValueError("J undefined: admissibility condition fails")
-    g = cfg.green
-    return max((float(np.max(j_field(g, cfg.measure, j * cfg.dt, cfg.grid)))
-                for j in range(1, cfg.steps + 1)), default=0.0)
+    times = cfg.dt * np.arange(1, cfg.steps + 1)
+    return float(np.max(j_field(cfg.green, cfg.measure, times, cfg.grid), initial=0.0))
 
 
 def check_envelope(alpha: Nonlinearity) -> None:

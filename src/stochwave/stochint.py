@@ -22,6 +22,13 @@ discretization error.
 An integrand is one array Z of shape (steps, *grid.shape), time on the
 leading axis (:class:`IntegrandProcess`), so the spectra of all steps
 come from one batched transform.
+
+The Monte Carlo kernel (:func:`convolution_norms_mc`) works on half
+spectra: noise, integrand and solution are real and the Green
+multipliers even, so it runs on ``Grid.forward`` and ``Grid.half``.  The
+quadratures and the oracles index frequency differences over the whole
+dual lattice or modulate integrands into complex fields, so they take
+full spectra from ``Grid.full_forward``.
 """
 
 from __future__ import annotations
@@ -104,11 +111,11 @@ class IntegrandProcess:
         return self.fields.strides[0] == 0
 
     def spectra_sq(self) -> np.ndarray:
-        """E|F[Z_i]|**2 per step (exact for deterministic integrands), one transform."""
+        """E|F[Z_i]|**2 per step on the full grid (exact for deterministic Z), one transform."""
         if self.is_constant:
-            one = np.abs(self.grid.forward(self.fields[:1])) ** 2
+            one = np.abs(self.grid.full_forward(self.fields[:1])) ** 2
             return np.broadcast_to(one, self.fields.shape)
-        return np.abs(self.grid.forward(self.fields)) ** 2
+        return np.abs(self.grid.full_forward(self.fields)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +206,9 @@ def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoiseP
                            t: float) -> LatticeField:
     """Left-endpoint lattice integral of G(t-s) against Z(s) M(ds, dy).
 
-    The test oracle: a direct history sum, which the solver reaches by
-    the exact rotation of ``solver.Propagator`` instead.
+    The test oracle: a direct history sum on full spectra, which the
+    solver reaches by the exact rotation of ``solver.Propagator`` on half
+    spectra instead.
     """
     if not Z.adapted:
         raise ValueError("integrand process is not adapted")
@@ -213,8 +221,9 @@ def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoiseP
     acc = np.zeros(grid.shape, dtype=complex)
     for i in range(m):
         prod = Z.fields[i] * path.fields[i]
-        acc += g.lattice_spectrum(grid, t - i * dt) * grid.forward(prod)
-    return LatticeField.from_spectrum(grid, acc)
+        acc += g.lattice_spectrum(grid, t - i * dt) * grid.full_forward(prod)
+    # the half spectrum is the full one's first N/2 + 1 last-axis columns
+    return LatticeField.from_spectrum(grid, acc[..., : grid.half_shape[-1]])
 
 
 def _green_times(Z: IntegrandProcess, t: float | None) -> tuple[int, np.ndarray]:
@@ -228,13 +237,9 @@ def isometry_functional(g, Z: IntegrandProcess, measure: SpectralMeasure,
     """Exact second moment E||v(t)||**2 of the discrete convolution."""
     grid, dt = Z.grid, Z.dt
     m, times = _green_times(Z, t)
-    spectra = Z.spectra_sq()
-    vol = grid.box_length**grid.dimension
-    total = 0.0
-    for i in range(m):
-        jf = j_field(g, measure, times[i], grid)
-        total += dt * np.sum(spectra[i] * jf) / vol
-    return float(total)
+    jf = j_field(g, measure, times, grid)
+    total = np.sum(Z.spectra_sq()[:m] * jf)
+    return float(dt * total / grid.box_length**grid.dimension)
 
 
 def isometry_bound(g, Z: IntegrandProcess, measure: SpectralMeasure,
@@ -246,10 +251,10 @@ def isometry_bound(g, Z: IntegrandProcess, measure: SpectralMeasure,
     """
     grid, dt = Z.grid, Z.dt
     m, times = _green_times(Z, t)
+    jmax = np.max(j_field(g, measure, times, grid), axis=tuple(range(1, grid.dimension + 1)))
     total = 0.0
     for i in range(m):
-        jmax = float(np.max(j_field(g, measure, times[i], grid)))
-        total += dt * l2_norm(Z.fields[i], grid) ** 2 * jmax
+        total += dt * l2_norm(Z.fields[i], grid) ** 2 * jmax[i]
     return float(total)
 
 
@@ -289,7 +294,7 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
             chi = chi * phase[j].reshape(shape)
         inner = np.zeros(block.size)
         for f, msq in zip(fields, mult_sq):
-            spec = grid.forward(chi * f).reshape(block.size, -1)
+            spec = grid.full_forward(chi * f).reshape(block.size, -1)
             inner += (spec.real**2 + spec.imag**2) @ msq
         total += weights[block] @ inner
     return float(dt * total / grid.box_length**grid.dimension)
@@ -302,15 +307,12 @@ def ladder_distance(g: GreenMultiplier, scale: int, Z: IntegrandProcess,
     m, times = _green_times(Z, t)
     moll = Mollifier(scale, grid.dimension)
     damp_sq = (1.0 - moll.transform_on_grid(grid)) ** 2
-    weights = measure.lattice_weights(grid)
-    spectra = Z.spectra_sq()
-    vol = grid.box_length**grid.dimension
-    total = 0.0
+    mult_sq = np.empty((m,) + grid.shape)
     for i in range(m):
-        mult_sq = g.lattice_spectrum(grid, times[i]) ** 2 * damp_sq
-        jf = np.maximum(circular_convolve(weights, mult_sq), 0.0)
-        total += dt * np.sum(spectra[i] * jf) / vol
-    return float(math.sqrt(total))
+        mult_sq[i] = g.lattice_spectrum(grid, times[i]) ** 2 * damp_sq
+    jf = np.maximum(circular_convolve(measure.lattice_weights(grid), mult_sq), 0.0)
+    total = np.sum(Z.spectra_sq()[:m] * jf)
+    return float(math.sqrt(dt * total / grid.box_length**grid.dimension))
 
 
 def truncation_distance(g: GreenMultiplier, Z: IntegrandProcess,
@@ -339,17 +341,17 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
     generators (replica r then consumes exactly its own stream, slice by
     slice, which makes runs at different replica offsets poolable).
     Each chunk samples fresh slices for every time step and accumulates
-    the spectra F[v(t)]; ``norm_sq`` maps that (c, *grid.shape) batch to
-    its c squared norms before the next chunk is allocated.
+    the half spectra F[v(t)]; ``norm_sq`` maps that (c, *grid.half_shape)
+    batch to its c squared norms before the next chunk is allocated.
     """
     grid, dt = Z.grid, Z.dt
     m, times = _green_times(Z, t)
-    mults = [g.lattice_spectrum(grid, times[i]) for i in range(m)]
+    mults = [grid.half(g.lattice_spectrum(grid, times[i])) for i in range(m)]
     sq_norms = np.empty(replicas)
     for lo in range(0, replicas, chunk):
         c = min(chunk, replicas - lo)
         gens = rng if isinstance(rng, np.random.Generator) else rng[lo:lo + c]
-        acc = np.zeros((c,) + grid.shape, dtype=complex)
+        acc = np.zeros((c,) + grid.half_shape, dtype=complex)
         for i in range(m):
             fields = sample_slice_batch(grid, measure, dt, gens, c)
             acc += mults[i] * grid.forward(Z.fields[i] * fields)
@@ -363,12 +365,14 @@ def convolution_moment_mc(g, Z: IntegrandProcess, measure: SpectralMeasure,
     """Estimate E||v(t)||**2 over independent replicas.
 
     Returns (mean, standard error) over :func:`convolution_norms_mc`
-    replicas, whose squared norm is evaluated by Plancherel.
+    replicas, whose squared norm is evaluated by Plancherel on the half
+    grid.
     """
-    vol = Z.grid.box_length**Z.grid.dimension
+    grid = Z.grid
+    vol = grid.box_length**grid.dimension
 
     def plancherel(acc: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(acc.reshape(len(acc), -1)) ** 2, axis=1) / vol
+        return grid.half_sum(acc.real**2 + acc.imag**2) / vol
 
     sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, plancherel, t, chunk)
     mean = float(np.mean(sq_norms))

@@ -183,11 +183,11 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
     m, times = _green_times(Z, t)
     theta = w.theta_on(grid)
 
+    jmax = np.max(j_field(g, measure, times, grid), axis=tuple(range(1, grid.dimension + 1)))
     bound = 0.0
     for i in range(m):
-        jmax = float(np.max(j_field(g, measure, times[i], grid)))
         znorm_sq = grid.cell_volume * float(np.sum(Z.fields[i] ** 2 * theta))
-        bound += dt * znorm_sq * jmax
+        bound += dt * znorm_sq * jmax[i]
 
     def theta_norm_sq(acc: np.ndarray) -> np.ndarray:
         v = grid.inverse(acc)

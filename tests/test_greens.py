@@ -102,6 +102,20 @@ def test_j_field_white_is_constant():
         float(field.ravel()[0]), rel=1e-12)
 
 
+@pytest.mark.parametrize("d, n, k, alpha", [(1, 32, 1, 0.5), (2, 16, 2, None), (3, 8, 1, 1.0)])
+def test_batched_j_field_equals_one_time_at_a_time(d, n, k, alpha):
+    # one batched convolution must give each time's field bit for bit
+    grid = Grid(d, n, 6.0)
+    m = SpectralMeasure.white(d) if alpha is None else SpectralMeasure.riesz(d, alpha)
+    g = GreenMultiplier(k, 1.0)
+    times = np.array([[0.1, 0.35, 0.5], [0.6, 0.8, 1.0]])
+    batched = j_field(g, m, times, grid)
+    assert batched.shape == times.shape + grid.shape
+    for idx in np.ndindex(times.shape):
+        assert np.array_equal(batched[idx], j_field(g, m, times[idx], grid))
+    assert j_field(g, m, np.array([]), grid).shape == (0,) + grid.shape
+
+
 def test_j_functional_rejects_inadmissible():
     grid = Grid(2, 16, 8.0)
     g = GreenMultiplier(1, 1.0)  # white noise in d=2 needs k >= 2

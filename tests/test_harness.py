@@ -91,6 +91,17 @@ def test_picard_run_is_byte_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_isometry_run_is_byte_deterministic(tmp_path):
+    # covers the Monte Carlo kernel over two replica chunks (256 + 44)
+    cfg = _config("[experiment]\nname = isometry\nseed = 5\nreplicas = 300\n"
+                  "[grid]\nn = 16\n")
+    run(cfg, out_dir=tmp_path / "a")
+    run(cfg, out_dir=tmp_path / "b")
+    first = (tmp_path / "a" / "isometry.csv").read_bytes()
+    assert first == (tmp_path / "b" / "isometry.csv").read_bytes()
+    assert b"mc_moment" in first
+
+
 def test_run_writes_only_inside_output_dir(tmp_path):
     before = set((tmp_path).rglob("*"))
     run(_config(ENERGY_CFG), out_dir=tmp_path / "only")
@@ -300,6 +311,8 @@ def test_cli_checks_overrides_like_the_config_file(tmp_path, capsys, options, ex
     ("[experiment]\nname = picard\n[solver]\nnonlinearity = one-minus-exp\n", "Lipschitz"),
     ("[experiment]\nname = picard\nratio_replicas = 0\n", "[experiment] ratio_replicas"),
     ("[experiment]\nname = picard\nreplicas = 10\n", "[experiment] replicas"),
+    ("[experiment]\nname = energy\n[grid]\nn = abc\n", "[grid] n: expected an integer"),
+    ("[experiment]\nname = energy\n[grid]\nlength = 1.0.0\n", "[grid] length: expected a number"),
 ])
 def test_cli_run_time_config_error_exit_code(tmp_path, capsys, text, message):
     # values the parser accepts but the experiment rejects while it is built

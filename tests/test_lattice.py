@@ -42,15 +42,15 @@ def test_forward_transform_gaussian_matches_continuum(grid1d):
     # run the continuum transform of exp(-x^2/2) as the oracle
     x = grid1d.axis_coords
     f = LatticeField(grid1d, np.exp(-(x**2) / 2))
-    eta = grid1d.axis_freqs
+    eta = grid1d.axis_freqs[: grid1d.half_shape[-1]]
     oracle = np.sqrt(2 * np.pi) * np.exp(-(eta**2) / 2)
+    assert f.spectrum.shape == grid1d.half_shape
     assert np.max(np.abs(f.spectrum - oracle)) < 1e-8
 
 
 def test_real_field_spectrum_hermitian(grid1d):
     rng = np.random.default_rng(1)
-    f = LatticeField(grid1d, rng.standard_normal(grid1d.shape))
-    spec = f.spectrum
+    spec = grid1d.full_forward(rng.standard_normal(grid1d.shape))
     mirrored = np.roll(np.flip(spec), 1)  # at -eta: index j -> -j mod N
     assert np.allclose(spec, np.conj(mirrored), atol=1e-9)
 
@@ -85,16 +85,20 @@ def test_checkerboard_pair_matches_shifted_definitions(d, n, length, batch):
     rng = np.random.default_rng(10 + d)
     vals = rng.standard_normal(batch + g.shape)
     spec = _shifted_forward(g, vals)
+    assert np.max(np.abs(g.full_forward(vals) - spec)) <= 1e-13 * np.max(np.abs(spec))
+    # the half spectrum is the full one restricted to the first N/2 + 1 columns
+    half = spec[..., : n // 2 + 1]
     fwd = g.forward(vals)
-    assert np.max(np.abs(fwd - spec)) <= 1e-13 * np.max(np.abs(spec))
-    back = g.inverse(spec)
+    assert fwd.shape == batch + g.half_shape
+    assert np.max(np.abs(fwd - half)) <= 1e-13 * np.max(np.abs(spec))
+    back = g.inverse(half)
     assert np.max(np.abs(back - vals)) <= 1e-13 * np.max(np.abs(vals))
     old = _shifted_inverse(g, spec).real
     assert np.max(np.abs(back - old)) <= 1e-13 * np.max(np.abs(old))
     # complex data: a modulated integrand
     zvals = vals + 1j * rng.standard_normal(vals.shape)
     zspec = _shifted_forward(g, zvals)
-    assert np.max(np.abs(g.forward(zvals) - zspec)) <= 1e-13 * np.max(np.abs(zspec))
+    assert np.max(np.abs(g.full_forward(zvals) - zspec)) <= 1e-13 * np.max(np.abs(zspec))
 
 
 @pytest.mark.parametrize("d, n, length", _TRANSFORM_GRIDS)
@@ -104,11 +108,11 @@ def test_batched_transforms_equal_row_by_row(d, n, length):
     rng = np.random.default_rng(20 + d)
     vals = rng.standard_normal((7,) + g.shape)
     zvals = vals + 1j * rng.standard_normal(vals.shape)
-    for data in (vals, zvals):
-        whole = g.forward(data)
-        sub = g.forward(data[2:5])
+    for transform, data in ((g.forward, vals), (g.full_forward, vals), (g.full_forward, zvals)):
+        whole = transform(data)
+        sub = transform(data[2:5])
         for r in range(len(data)):
-            assert np.array_equal(whole[r], g.forward(data[r]))
+            assert np.array_equal(whole[r], transform(data[r]))
         assert np.array_equal(sub, whole[2:5])
     spec = g.forward(vals)
     back = g.inverse(spec)
@@ -116,7 +120,7 @@ def test_batched_transforms_equal_row_by_row(d, n, length):
         assert np.array_equal(back[r], g.inverse(spec[r]))
     # an empty batch passes through both directions
     empty = np.zeros((0,) + g.shape)
-    assert g.forward(empty).shape == empty.shape
+    assert g.forward(empty).shape == (0,) + g.half_shape
     assert g.inverse(g.forward(empty)).shape == empty.shape
 
 
@@ -134,8 +138,11 @@ def test_plancherel_and_round_trip_property(dn, length, seed, batch):
     spec = g.forward(vals)
     axes = tuple(range(vals.ndim - g.dimension, vals.ndim))
     lhs = g.cell_volume * np.sum(vals**2, axis=axes)
-    rhs = np.sum(np.abs(spec) ** 2, axis=axes) / g.box_length**g.dimension
+    rhs = g.half_sum(np.abs(spec) ** 2) / g.box_length**g.dimension
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * lhs)
+    # the doubling weights stand for the mirrored columns of the full grid
+    full = np.sum(np.abs(g.full_forward(vals)) ** 2, axis=axes) / g.box_length**g.dimension
+    assert np.all(np.abs(full - rhs) <= 1e-12 * lhs)
     back = g.inverse(spec)
     assert np.max(np.abs(back - vals)) <= 1e-12 * np.max(np.abs(vals))
 
@@ -193,7 +200,7 @@ def test_plancherel_random_fields(seed):
     for _ in range(25):
         f = LatticeField(g, rng.standard_normal(g.shape))
         lhs = l2_norm(f) ** 2
-        rhs = np.sum(np.abs(f.spectrum) ** 2) / g.box_length**g.dimension
+        rhs = g.half_sum(np.abs(f.spectrum) ** 2) / g.box_length**g.dimension
         assert abs(lhs - rhs) <= 1e-10 * lhs
 
 
@@ -208,13 +215,27 @@ def test_h_neg_k_norm():
 
 
 def test_multiplier_apply_rejects_odd_multiplier():
-    # an odd multiplier maps a real field to an imaginary one, which the
-    # inverse transform's residue check refuses
+    # an odd multiplier maps a real field to an imaginary one, so it has no
+    # half-spectrum restriction; the evenness check refuses it
     g = Grid(1, 64, 8.0)
+    with pytest.raises(ValueError, match="not even"):
+        g.half(np.sin(g.axis_freqs))
+    even = np.cos(g.axis_freqs)
+    assert np.array_equal(g.half(even), even[:33])
+    # odd along one axis of two, with leading batch axes riding along
+    g2 = Grid(2, 16, 8.0)
+    odd2 = np.sin(g2.axis_freqs)[:, None] * np.ones(g2.shape)
+    with pytest.raises(ValueError, match="not even"):
+        g2.half(np.stack([g2.freq_norm_sq, odd2]))
+    assert g2.half(np.stack([g2.freq_norm_sq] * 3)).shape == (3,) + g2.half_shape
+
+
+def test_inverse_refuses_a_full_spectrum():
+    # irfftn would crop a full spectrum to its first columns without a word
+    g = Grid(2, 16, 8.0)
     values = np.random.default_rng(5).standard_normal(g.shape)
-    odd = np.sin(g.axis_freqs)
-    with pytest.raises(ValueError, match="non-real"):
-        g.inverse(odd * g.forward(values))
+    with pytest.raises(ValueError, match="half spectrum"):
+        g.inverse(g.full_forward(values))
 
 
 def test_multiplier_apply_matches_direct_circular_convolution():
@@ -229,7 +250,7 @@ def test_multiplier_apply_matches_direct_circular_convolution():
     eta = np.abs(g.axis_freqs)
     m = np.where(eta > 0, np.sin(t * np.maximum(eta, 1e-300)) / np.maximum(eta, 1e-300), t)
 
-    fast = g.inverse(m * g.forward(values))
+    fast = g.inverse(g.half(m) * g.forward(values))
 
     kernel = np.fft.ifft(m)
     shifted = np.fft.ifftshift(values)

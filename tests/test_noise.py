@@ -44,7 +44,7 @@ def test_path_deterministic_in_seed(grid):
 def test_slice_field_is_real_and_hermitian(grid):
     m = SpectralMeasure.riesz(1, 0.5)
     s = sample_slice(grid, m, 0.1, np.random.default_rng(3))
-    spectrum = grid.forward(s)
+    spectrum = grid.full_forward(s)
     mirrored = np.roll(np.flip(spectrum), 1)  # at -eta: index j -> -j mod N
     assert np.allclose(spectrum, np.conj(mirrored), atol=1e-10 * np.abs(spectrum).max())
     assert s.dtype == np.float64 and s.shape == grid.shape

@@ -45,13 +45,13 @@ def test_spectra_sq_is_one_batched_forward(monkeypatch, constant):
     z = (IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), 5, 0.2) if constant
          else _varying_integrand(grid, 5, 0.2))
     calls = []
-    forward = Grid.forward
+    forward = Grid.full_forward
 
     def counted(self, values):
         calls.append(np.shape(values))
         return forward(self, values)
 
-    monkeypatch.setattr(Grid, "forward", counted)
+    monkeypatch.setattr(Grid, "full_forward", counted)
     spectra = z.spectra_sq()
     assert z.is_constant == constant
     assert calls == [(1 if constant else 5,) + grid.shape]  # a constant Z transforms one field
@@ -129,7 +129,7 @@ def test_isometry_explicit_summation_oracle():
     total = 0.0
     for i in range(steps):
         mult = g.lattice_spectrum(grid, 0.5 - i * dt)
-        spec_sq = np.abs(grid.forward(fields[i])) ** 2
+        spec_sq = np.abs(grid.full_forward(fields[i])) ** 2
         for jx in range(n):
             inner = 0.0
             for je in range(n):
@@ -150,7 +150,7 @@ def test_single_step_closed_form_and_mc():
 
     mult = g.lattice_spectrum(grid, dt)
     weights = measure.lattice_weights(grid)
-    ones_spec_sq = np.abs(grid.forward(z.fields[0])) ** 2
+    ones_spec_sq = np.abs(grid.full_forward(z.fields[0])) ** 2
     closed = dt * float(np.sum(
         ones_spec_sq * np.fft.ifft(np.fft.fft(weights) * np.fft.fft(mult**2)).real
     )) / grid.box_length
@@ -179,7 +179,7 @@ def _varying_integrand(grid, steps, dt):
 
 def _plancherel(grid):
     vol = grid.box_length**grid.dimension
-    return lambda acc: np.sum(np.abs(acc.reshape(len(acc), -1)) ** 2, axis=1) / vol
+    return lambda acc: grid.half_sum(np.abs(acc) ** 2) / vol
 
 
 def test_convolution_norms_mc_is_independent_of_chunk_size():
@@ -352,7 +352,7 @@ def test_martingale_diagnostic():
         path = sample_path(grid, measure, 1.0, dt, rng)
         for j in range(steps):
             mult = g.lattice_spectrum(grid, (j + 1) * dt)
-            inc = grid.inverse(mult * grid.forward(zfield * path.fields[j]))
+            inc = grid.inverse(grid.half(mult) * grid.forward(zfield * path.fields[j]))
             increments[r, j] = grid.cell_volume * float(np.sum(probe * inc))
     for j in range(steps - 1):
         corr = np.corrcoef(increments[:, j], increments[:, j + 1])[0, 1]
