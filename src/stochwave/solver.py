@@ -99,8 +99,17 @@ class Nonlinearity:
     @classmethod
     def one_minus_exp(cls, box: float = 3.0) -> "Nonlinearity":
         # alpha(u) = 1 - exp(-u) has slope exp(-u), unbounded as u -> -inf;
-        # the declared constant is only valid on |u| <= box.
-        return cls("one-minus-exp", lambda u: 1.0 - np.exp(-u), math.exp(box), True)
+        # the declared constant is only valid on |u| <= box, so evaluating
+        # it anywhere outside the box is an error.
+        def alpha(u: np.ndarray) -> np.ndarray:
+            peak = float(np.max(np.abs(u), initial=0.0))
+            if not peak <= box:
+                raise ValueError(f"nonlinearity 'one-minus-exp' evaluated at max|u| = {peak:.6g}, "
+                                 f"outside the box |u| <= {box:g} where its Lipschitz "
+                                 f"constant exp({box:g}) holds")
+            return 1.0 - np.exp(-u)
+
+        return cls("one-minus-exp", alpha, math.exp(box), True)
 
     @classmethod
     def affine(cls, a: float, b: float) -> "Nonlinearity":

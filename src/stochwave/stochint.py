@@ -28,7 +28,12 @@ spectra: noise, integrand and solution are real and the Green
 multipliers even, so it runs on ``Grid.forward`` and ``Grid.half``.  The
 quadratures and the oracles index frequency differences over the whole
 dual lattice or modulate integrands into complex fields, so they take
-full spectra from ``Grid.full_forward``.
+full spectra from ``Grid.full_forward``.  The modulation oracle
+(:func:`isometry_alternative`) sweeps its dual frequencies eta over the
+half dual grid with ``Grid.half_sum`` weights: Z is real, so modulating
+by -eta conjugates the field and mirrors its spectrum, and the even
+weights and |F[G]|**2 give eta and -eta the same term.  Each modulated
+integrand is still transformed on the full grid.
 """
 
 from __future__ import annotations
@@ -56,11 +61,12 @@ __all__ = [
     "convolution_moment_mc",
 ]
 
-# Dual frequencies per batched transform in isometry_alternative: at
-# N = 64, d = 2 one block of modulated integrands is 4 MB of complex data,
-# small beside a Monte Carlo chunk, while the per-call overhead is folded
-# away.
-_MODULATION_BLOCK = 64
+# Dual frequencies per batched transform in isometry_alternative.  At
+# N = 64, d = 2 a block of 8 modulated complex fields is 512 KB, so it
+# stays in cache; on the isometry experiment's three d = 2 cases (Intel
+# Xeon, one BLAS thread, min of 5) the oracle took 0.86 s at a block of
+# 4, 0.70 s at 8, 0.83 s at 16 and 1.26 s at 64.
+_MODULATION_BLOCK = 8
 
 
 @dataclass
@@ -264,19 +270,29 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
 
     The test oracle for :func:`isometry_functional`: chi_eta(x) =
     exp(i eta . x); for each dual frequency of nonzero weight the
-    integrand is modulated in real space, transformed, and weighted by
-    |F[G]|**2, so this path exercises transforms rather than the index
-    arithmetic of ``j_field``.  The frequencies go through in blocks of
-    ``_MODULATION_BLOCK``, one batched transform per block and step, with
-    chi the outer product of per-axis phase tables.  Agrees with
-    :func:`isometry_functional` to rounding error.
+    integrand is modulated in real space, transformed on the full grid,
+    and weighted by |F[G]|**2, so this path exercises transforms rather
+    than the index arithmetic of ``j_field``.
+
+    eta runs over the half dual grid only.  Z is real, so chi_{-eta} Z =
+    conj(chi_eta Z) and |F[chi_{-eta} Z](xi)|**2 = |F[chi_eta Z](-xi)|**2;
+    with |F[G]|**2 even, the inner sum over xi is the same for eta and
+    -eta, and so are the weights D_eta.  The weights and every |F[G]|**2
+    go through ``Grid.half``, whose exact evenness check guards that
+    pairing, and ``Grid.half_sum`` counts the interior last-axis columns
+    for themselves and their mirror.  The frequencies go through in
+    blocks of ``_MODULATION_BLOCK``, one batched transform per block and
+    step, with chi the outer product of per-axis phase tables.  Agrees
+    with :func:`isometry_functional` to rounding error.
     """
     grid, dt = Z.grid, Z.dt
     m, times = _green_times(Z, t)
     if m == 0:
         return 0.0
-    weights = measure.lattice_weights(grid).ravel()
-    mult_sq = np.stack([np.abs(g.lattice_spectrum(grid, times[i])).ravel() ** 2 for i in range(m)])
+    weights = grid.half(measure.lattice_weights(grid))
+    mult_sq = np.stack([np.abs(g.lattice_spectrum(grid, times[i])) ** 2 for i in range(m)])
+    grid.half(mult_sq)  # the pairing needs every |F[G(t_i)]|**2 even
+    mult_sq = mult_sq.reshape(m, -1)
     fields = Z.fields[:m]
     if Z.is_constant:
         # the spectrum of chi_eta Z is the same at every step
@@ -284,19 +300,18 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
     # phase[j, p] = exp(i eta_j x_p); every axis uses the same table
     phase = np.exp(1j * np.multiply.outer(grid.axis_freqs, grid.axis_coords))
     active = np.flatnonzero(weights)
-    total = 0.0
+    inner = np.zeros(weights.size)
     for lo in range(0, active.size, _MODULATION_BLOCK):
         block = active[lo:lo + _MODULATION_BLOCK]
         chi = np.ones((block.size,) + (1,) * grid.dimension)
-        for ax, j in enumerate(np.unravel_index(block, grid.shape)):
+        for ax, j in enumerate(np.unravel_index(block, grid.half_shape)):
             shape = [block.size] + [1] * grid.dimension
             shape[1 + ax] = grid.points_per_axis
             chi = chi * phase[j].reshape(shape)
-        inner = np.zeros(block.size)
         for f, msq in zip(fields, mult_sq):
             spec = grid.full_forward(chi * f).reshape(block.size, -1)
-            inner += (spec.real**2 + spec.imag**2) @ msq
-        total += weights[block] @ inner
+            inner[block] += (spec.real**2 + spec.imag**2) @ msq
+    total = grid.half_sum(weights * inner.reshape(grid.half_shape))
     return float(dt * total / grid.box_length**grid.dimension)
 
 

@@ -305,6 +305,21 @@ def test_cli_checks_overrides_like_the_config_file(tmp_path, capsys, options, ex
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("amplitude, code", [(0.5, 0), (50.0, 2)])
+def test_one_minus_exp_fails_outside_its_lipschitz_box(tmp_path, capsys, amplitude, code):
+    # exp(3) bounds the slope of 1 - exp(-u) only on |u| <= 3; the bump's
+    # peak is amplitude / e, so 50 leaves the box at the first step
+    cfg_path = tmp_path / "support.ini"
+    cfg_path.write_text("[experiment]\nname = support\nseed = 5\n[solver]\n"
+                        f"nonlinearity = one-minus-exp\nv0_amplitude = {amplitude}\n")
+    assert cli.main(["run", str(cfg_path), "--output", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and "max|u| = 18.394" in err and "|u| <= 3" in err
+    else:
+        assert (tmp_path / "out" / "support.csv").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("[experiment]\nname = picard\n[solver]\nnonlinearity = bogus\n", "unknown nonlinearity"),
     ("[experiment]\nname = energy\n[grid]\nn = 100\n", "power of two"),

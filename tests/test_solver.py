@@ -52,6 +52,15 @@ def test_nonlinearity_validation_passes_for_builtins():
         alpha.validate(rng)
 
 
+def test_one_minus_exp_refuses_values_outside_its_box():
+    alpha = Nonlinearity.one_minus_exp(box=3.0)
+    edge = np.array([-3.0, 0.0, 3.0])
+    assert np.array_equal(alpha(edge), 1.0 - np.exp(-edge))
+    for u in (np.array([0.0, -3.5]), np.array([[1.0], [4.0]]), np.array([np.nan])):
+        with pytest.raises(ValueError, match=r"max\|u\| = .* box \|u\| <= 3"):
+            alpha(u)
+
+
 def test_nonlinearity_validation_catches_bad_constant():
     cheat = Nonlinearity("cheat", lambda u: 3.0 * u, 1.0, True)
     with pytest.raises(ValueError, match="Lipschitz"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -252,14 +254,67 @@ def test_isometry_alternative_agrees_in_higher_dimensions(d, n, k, measure, cons
         z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq / 2.0), steps, dt)
     else:
         z = IntegrandProcess(grid, dt, rng.standard_normal((steps,) + grid.shape))
-    active = np.count_nonzero(measure.lattice_weights(grid))
+    # the oracle sweeps the half dual grid: 131 active eta at d = 2, N = 16
+    # and 281 at d = 3, N = 8 for the zero-core table
+    active = np.count_nonzero(grid.half(measure.lattice_weights(grid)))
     assert active > _MODULATION_BLOCK
     if measure.kind == "radial-table":
-        assert active < grid.points_per_axis**d and active % _MODULATION_BLOCK != 0
+        assert active < math.prod(grid.half_shape) and active % _MODULATION_BLOCK != 0
     a = isometry_functional(g, z, measure, t=t)
     b = isometry_alternative(g, z, measure, t=t)
     assert a > 0.0
     assert b == pytest.approx(a, rel=1e-8)
+
+
+@pytest.mark.parametrize("measure", [SpectralMeasure.riesz(2, 1.0), _zero_core_table(2)])
+@pytest.mark.parametrize("constant", [True, False])
+def test_isometry_alternative_transforms_each_half_grid_eta_once(monkeypatch, measure, constant):
+    from stochwave.stochint import _MODULATION_BLOCK
+
+    grid = Grid(2, 16, 6.0)
+    steps = 4
+    z = (IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), steps, 0.25) if constant
+         else _varying_integrand(grid, steps, 0.25))
+    active = np.count_nonzero(grid.half(measure.lattice_weights(grid)))
+    calls = []
+    forward = Grid.full_forward
+
+    def counted(self, values):
+        calls.append(np.shape(values))
+        return forward(self, values)
+
+    monkeypatch.setattr(Grid, "full_forward", counted)
+    isometry_alternative(GreenMultiplier(1, 1.0), z, measure)
+    blocks = -(-active // _MODULATION_BLOCK)
+    assert len(calls) == blocks * (1 if constant else steps)
+    assert all(1 <= c[0] <= _MODULATION_BLOCK and c[1:] == grid.shape for c in calls)
+    assert sum(c[0] for c in calls) == active * (1 if constant else steps)
+
+
+class _OddKernel:
+    """Green stand-in whose |multiplier|**2 is not even along the first axis."""
+
+    k = 1
+    horizon = 10.0
+
+    def lattice_spectrum(self, grid, t):
+        eta = grid._axis_array(grid.axis_freqs, 0)
+        return np.broadcast_to(2.0 + np.sin(eta), grid.shape)
+
+
+@pytest.mark.parametrize("odd", ["weights-interior", "weights-first-column", "kernel"])
+def test_isometry_alternative_refuses_odd_input(odd):
+    # the half-grid pairing of eta with -eta needs even weights and |F[G]|**2
+    grid = Grid(2, 16, 6.0)
+    measure = SpectralMeasure.riesz(2, 1.0)
+    g = _OddKernel() if odd == "kernel" else GreenMultiplier(1, 1.0)
+    z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), 4, 0.25)
+    if odd != "kernel":
+        weights = measure.lattice_weights(grid).copy()
+        weights[(1, 2) if odd == "weights-interior" else (3, 0)] *= 2.0
+        measure.lattice_weights = lambda grid: weights
+    with pytest.raises(ValueError, match="not even"):
+        isometry_alternative(g, z, measure)
 
 
 def test_bound_chain(setup):
