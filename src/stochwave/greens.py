@@ -44,22 +44,35 @@ __all__ = [
 _SERIES_THRESHOLD = 1e-4
 
 
-def sine_multiplier(t: float, xi_mag, k: int) -> np.ndarray:
-    """sin(t x**k)/x**k over magnitudes x = |xi|, with the series branch."""
+def _times_against(t, x: np.ndarray) -> np.ndarray:
+    """Times as an array broadcastable against ``x``: shape (*shape(t), 1, ..., 1)."""
+    times = np.asarray(t, dtype=float)
+    return times.reshape(times.shape + (1,) * x.ndim)
+
+
+def sine_multiplier(t, xi_mag, k: int) -> np.ndarray:
+    """sin(t x**k)/x**k over magnitudes x = |xi|, with the series branch.
+
+    ``t`` is one time or an array of times; the result has shape
+    ``(*np.shape(t), *np.shape(xi_mag))``, each row equal to the call at
+    that one time.
+    """
     x = np.asarray(xi_mag, dtype=float) ** k
-    arg = t * x
+    times = _times_against(t, x)
+    arg = times * x
     out = np.empty_like(arg)
     small = np.abs(arg) < _SERIES_THRESHOLD
-    out[small] = t * (1.0 - arg[small] ** 2 / 6.0)
-    out[~small] = np.sin(arg[~small]) / x[~small]
+    out[small] = np.broadcast_to(times, arg.shape)[small] * (1.0 - arg[small] ** 2 / 6.0)
+    out[~small] = np.sin(arg[~small]) / np.broadcast_to(x, arg.shape)[~small]
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def cosine_multiplier(t: float, xi_mag, k: int) -> np.ndarray:
-    """cos(t x**k) over magnitudes x = |xi|."""
-    return np.cos(t * np.asarray(xi_mag, dtype=float) ** k)
+def cosine_multiplier(t, xi_mag, k: int) -> np.ndarray:
+    """cos(t x**k) over magnitudes x = |xi|; ``t`` as in :func:`sine_multiplier`."""
+    x = np.asarray(xi_mag, dtype=float) ** k
+    return np.cos(_times_against(t, x) * x)
 
 
 def _exact_wave_spectrum(grid: Grid, t: float, derivative: bool) -> np.ndarray:
@@ -108,15 +121,18 @@ class GreenMultiplier:
         return cosine_multiplier(t, np.sqrt(grid.freq_norm_sq), self.k)
 
 
-def spectral_energy_field(grid: Grid, u_spec: np.ndarray, udot_spec: np.ndarray, k: int) -> float:
+def spectral_energy_field(grid: Grid, u_spec: np.ndarray, udot_spec: np.ndarray,
+                          k: int) -> float | np.ndarray:
     """Conserved spectral energy ||u_t||**2 + || |xi|**k F[u] ||**2.
 
     Both terms are evaluated from half spectra with the package
-    Plancherel normalization.
+    Plancherel normalization.  Leading axes of the spectra ride along:
+    one state gives a float, a batch an array of that batch's shape.
     """
     weight = grid.half(grid.freq_norm_sq**k)
     total = grid.half_sum(np.abs(udot_spec) ** 2 + weight * np.abs(u_spec) ** 2)
-    return float(total / grid.box_length**grid.dimension)
+    energy = total / grid.box_length**grid.dimension
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def j_field(g: GreenMultiplier, measure: SpectralMeasure, s, grid: Grid) -> np.ndarray:

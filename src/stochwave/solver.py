@@ -13,21 +13,40 @@ discrete fixed-point equation exactly; Picard iteration reaches the
 same fixed point (after at most one iteration per time step) and is
 kept both as the constructive existence scheme and as a cross-check.
 
-Time advances in one loop, :func:`_march`, which rotates the lattice
-Green pair exactly (:class:`Propagator`) in spectral space alone and
-takes each step's forcing spectrum from its caller.  The solution and
-its forcing are real and the Green pair is even in frequency, so every
-spectrum here is a half spectrum (``Grid.forward``/``Grid.inverse``)
-and every multiplier is restricted by ``Grid.half``.  Three callers
-step it:
+Time advances in a rotated frame (:class:`Propagator`).  Per frequency,
+with w = |eta|**k, the free flow of (F[u], F[u_t]) is the rotation
+
+    R(t) = [[cos(t w), sin(t w)/w], [-w sin(t w), cos(t w)]],
+
+and the addition formula sin((t - s) w)/w = [sin(t w) cos(s w) -
+cos(t w) sin(s w)]/w gives R(t_j - t_i) = R(t_j) R(-t_i).  The forcing
+g_i = scale F[alpha(u(t_i)) W_i] enters F[u_t] at t_i (left endpoint),
+and R(-t_i) (0, g_i) = (-sin(t_i w)/w g_i, cos(t_i w) g_i), so with the
+prefix sums P_j = sum_{i<j} sin(t_i w)/w g_i and
+Q_j = sum_{i<j} cos(t_i w) g_i the state at t_j is exactly
+
+    F[u(t_j)]   = cos(t_j w) a_j + sin(t_j w)/w b_j,
+    F[u_t(t_j)] = -w sin(t_j w) a_j + cos(t_j w) b_j,
+
+with the frame coordinates a_j = F[v0] - P_j and b_j = scale F[v0_dot]
++ Q_j.  The sweep and the Picard update carry a and b, and the state
+leaves the frame through one table of the Green pair at the step times:
+no state is rotated step by step and no history is re-summed.  The
+solution and its forcing are real and the Green pair is even in
+frequency, so every spectrum here is a half spectrum
+(``Grid.forward``/``Grid.inverse``) and the tables are computed on the
+half grid, from |eta| restricted by ``Grid.half``.  Three callers read
+the table:
 
 - the causal sweep (:func:`_causal_sweep`), whose forcing alpha(u(t_j)) W_j
-  depends on the current state, so each step costs one transform pair;
+  depends on the current state: each step adds one term to a and to b
+  and costs one transform pair;
 - the Picard update (:func:`_picard_update`), whose inputs are all known
-  before it starts, so one iteration costs one batched forward transform
-  of every step's forcing and one batched inverse of the new trajectory;
-- the free evolution (:func:`energy_trajectory`, the u0 initial guess),
-  which injects no forcing.
+  before it starts: one batched forward transform of every step's
+  forcing, two cumulative sums along time (the sweep's additions, in the
+  sweep's order) and one batched inverse of the new trajectory;
+- the free evolution (:func:`energy_trajectory`, the u0 initial guess,
+  :func:`deterministic_moments`): the frame with P = Q = 0.
 
 Trajectories put time on the leading axis and may carry a replica axis
 after it: :func:`sweep_replicas` and :func:`picard_replicas` solve
@@ -56,6 +75,7 @@ __all__ = [
     "Propagator",
     "deterministic_part",
     "deterministic_velocity",
+    "deterministic_moments",
     "energy_trajectory",
     "explicit_sweep",
     "sweep_replicas",
@@ -235,78 +255,121 @@ def deterministic_velocity(cfg: SolveConfig, t: float) -> LatticeField:
 
 def energy_trajectory(cfg: SolveConfig) -> np.ndarray:
     """Spectral energy of the noise-free evolution at every step time."""
-    return np.array([spectral_energy_field(cfg.grid, u_spec, v_spec, cfg.k)
-                     for u_spec, v_spec in _march(cfg)])
+    u_spec, v_spec = _free_spectra(cfg, Propagator(cfg.grid, cfg.k, cfg.dt, cfg.steps))
+    return spectral_energy_field(cfg.grid, u_spec, v_spec, cfg.k)
+
+
+def deterministic_moments(cfg: SolveConfig, theta: np.ndarray | None = None) -> np.ndarray:
+    """||u0(t_j)||**2 for j = 0..n (theta-weighted when ``theta`` is given).
+
+    The free evolution of the rotated frame at every step time, through
+    one batched inverse transform; :func:`deterministic_part` is the
+    closed form it agrees with.
+    """
+    u_spec, _ = _free_spectra(cfg, Propagator(cfg.grid, cfg.k, cfg.dt, cfg.steps))
+    return _norm_factory(cfg, theta)(cfg.grid.inverse(u_spec))
 
 
 # ---------------------------------------------------------------------------
-# time stepping: one spectral core and its three callers
+# time stepping: one rotated frame and its three callers
 # ---------------------------------------------------------------------------
 
 
 class Propagator:
-    """Exact one-step rotation of the lattice Green pair over dt.
+    """The lattice Green pair at the step times t_j = j dt, j = 0..steps.
 
-    Per frequency, with w = |eta|**k, the free state (F[u], F[u_t]) advances
-    by [[cos(w dt), sin(w dt)/w], [-w sin(w dt), cos(w dt)]], which preserves
-    the spectral energy |F[u_t]|**2 + w**2 |F[u]|**2.  Forcing enters F[u_t]
-    times ``scale`` = lattice dG/dt at 0: 1, except for the exact d = 1, k = 1
-    kernel, which is eta (h/2) cot(eta h/2) (0 at Nyquist) times the sampled one.
-    All four multipliers act on half spectra.
+    Per frequency, with w = |eta|**k, the half-grid tables hold
+
+    - ``cos[j]`` = cos(t_j w),
+    - ``sin[j]`` = sin(t_j w)/w (the series branch near w = 0),
+    - ``neg_w_sin[j]`` = -w sin(t_j w),
+
+    the rows of R(t_j) in the rotated frame (see the module docstring),
+    which preserves the spectral energy |F[u_t]|**2 + w**2 |F[u]|**2.
+    Forcing enters F[u_t] times ``scale`` = lattice dG/dt at 0: 1, except
+    for the exact d = 1, k = 1 kernel, which is eta (h/2) cot(eta h/2)
+    (0 at Nyquist) times the sampled one.
     """
 
-    def __init__(self, grid: Grid, k: int, dt: float) -> None:
-        mag = np.sqrt(grid.freq_norm_sq)
-        sin = sine_multiplier(dt, mag, k)  # sin(w dt)/w, series branch near w = 0
-        self.cos = grid.half(cosine_multiplier(dt, mag, k))
-        self.sin = grid.half(sin)
-        self.neg_w_sin = grid.half(-(grid.freq_norm_sq**k) * sin)
+    def __init__(self, grid: Grid, k: int, dt: float, steps: int) -> None:
+        # the tables are elementwise in |eta|, so one evenness check of it covers them
+        mag = grid.half(np.sqrt(grid.freq_norm_sq))
+        times = dt * np.arange(steps + 1)
+        self.cos = cosine_multiplier(times, mag, k)
+        self.sin = sine_multiplier(times, mag, k)
+        self.neg_w_sin = -grid.half(grid.freq_norm_sq**k) * self.sin
         self.scale = grid.half(GreenMultiplier(k, dt).lattice_dt_spectrum(grid, 0.0))
 
-    def step(self, u_spec: np.ndarray, v_spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (self.cos * u_spec + self.sin * v_spec,
-                self.neg_w_sin * u_spec + self.cos * v_spec)
+
+def _initial_frame(cfg: SolveConfig, prop: Propagator) -> tuple[np.ndarray, np.ndarray]:
+    """The frame coordinates at t = 0: F[v0] and scale F[v0_dot] (zero without v0_dot)."""
+    a = cfg.v0.spectrum
+    b = np.zeros_like(a) if cfg.v0_dot is None else prop.scale * cfg.v0_dot.spectrum
+    return a, b
 
 
-def _march(cfg: SolveConfig, prop: Propagator | None = None):
-    """The solver's one time-stepping loop, in spectral space alone.
+def _free_spectra(cfg: SolveConfig, prop: Propagator) -> tuple[np.ndarray, np.ndarray]:
+    """Half spectra of the noise-free u(t_j) and u_t(t_j), j = 0..n.
 
-    Yields the half spectra ``(F[u(t_j)], F[u_t(t_j)])`` for j = 0..n.  After receiving
-    state j < n the caller may ``send`` the forcing spectrum
-    F[alpha(z_j) W_j], which enters the velocity, left-endpoint, before
-    the rotation to t_{j+1}; plain iteration sends None, and the
-    noise-free evolution reproduces the deterministic part.  Forcing with
-    a leading replica axis makes every later state batched: the shared
-    initial state broadcasts against it.  Its callers are the causal
-    sweep (:func:`_causal_sweep`), the Picard update (:func:`_picard_update`)
-    and the free evolution (:func:`energy_trajectory`, the u0 guess).
+    The frame with P = Q = 0: its coordinates stay at their initial values.
     """
-    prop = Propagator(cfg.grid, cfg.k, cfg.dt) if prop is None else prop
-    u_spec = cfg.v0.spectrum
-    v_spec = np.zeros_like(u_spec) if cfg.v0_dot is None else prop.scale * cfg.v0_dot.spectrum
-    for _ in range(cfg.steps):
-        forcing = yield u_spec, v_spec
-        if forcing is not None:
-            v_spec = v_spec + prop.scale * forcing
-        u_spec, v_spec = prop.step(u_spec, v_spec)
-    yield u_spec, v_spec
+    a, b = _initial_frame(cfg, prop)
+    u_spec = prop.cos * a
+    u_spec += prop.sin * b
+    v_spec = prop.neg_w_sin * a
+    v_spec += prop.cos * b
+    return u_spec, v_spec
 
 
 def _causal_sweep(cfg: SolveConfig, w_fields: Iterable[np.ndarray]):
-    """The causal sweep over :func:`_march`: yields u(t_j) for j = 0..n.
+    """The causal sweep in the rotated frame: yields u(t_j) for j = 0..n.
 
     Step j's forcing is alpha(u(t_j)) W_j, with W_j the j-th of the n
-    items of ``w_fields``.  It depends on the current state, so every
-    step costs one inverse and one forward transform.
+    items of ``w_fields`` (a leading replica axis rides along).  It
+    depends on the current state, so every step costs one inverse and
+    one forward transform.  The frame coordinates a = F[v0] - P and
+    b = scale F[v0_dot] + Q take one term each per step, as in the
+    running sums of :func:`_forced_spectra`, so the sweep and the Picard
+    update do the same arithmetic.
     """
     grid, alpha = cfg.grid, cfg.nonlinearity
-    march = _march(cfg)
-    u_spec, _ = next(march)
+    prop = Propagator(grid, cfg.k, cfg.dt, cfg.steps)
+    a, b = _initial_frame(cfg, prop)
+    j = 0
     for w in w_fields:
-        values = grid.inverse(u_spec)
+        values = grid.inverse(prop.cos[j] * a + prop.sin[j] * b)
         yield values
-        u_spec, _ = march.send(grid.forward(alpha(values) * w))
-    yield grid.inverse(u_spec)
+        g = prop.scale * grid.forward(alpha(values) * w)
+        a = a - prop.sin[j] * g
+        b = b + prop.cos[j] * g
+        j += 1
+    yield grid.inverse(prop.cos[j] * a + prop.sin[j] * b)
+
+
+def _running_sums(start: np.ndarray, table: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """start + sum_{i<j} table[i] g[i] along the leading axis, for j = 0..len(g)."""
+    out = np.empty((len(g) + 1,) + g.shape[1:], dtype=complex)
+    out[0] = start
+    np.multiply(table[:len(g)], g, out=out[1:])
+    return np.cumsum(out, axis=0, out=out)
+
+
+def _forced_spectra(cfg: SolveConfig, prop: Propagator, g: np.ndarray) -> np.ndarray:
+    """Half spectra of u(t_j), j = 0..n, from the n injected forcing spectra ``g``.
+
+    The frame coordinates a_j and b_j are two cumulative sums along time,
+    which make the causal sweep's additions in the sweep's order.
+    """
+    # the tables along time, broadcast over the replica axis if there is one
+    shape = (len(g) + 1,) + (1,) * (g.ndim - prop.cos.ndim) + prop.cos.shape[1:]
+    cos, sin = prop.cos.reshape(shape), prop.sin.reshape(shape)
+    a0, b0 = _initial_frame(cfg, prop)
+    u_spec = _running_sums(b0, cos, g)
+    u_spec *= sin
+    a = _running_sums(a0, -sin, g)
+    a *= cos
+    u_spec += a
+    return u_spec
 
 
 def _picard_update(cfg: SolveConfig, prop: Propagator, w_fields: np.ndarray,
@@ -316,17 +379,12 @@ def _picard_update(cfg: SolveConfig, prop: Propagator, w_fields: np.ndarray,
     ``prev`` holds u_n(t_j), j = 0..n, and ``w_fields`` the n increments,
     time on the leading axis of both and an optional replica axis after
     it.  Every input is known in advance, so one batched forward transform
-    gives all n forcing spectra, the recurrence runs without transforms,
-    and one batched inverse returns u_{n+1}.
+    gives all n forcing spectra, :func:`_forced_spectra` needs no loop over
+    steps, and one batched inverse returns u_{n+1}.
     """
-    n = cfg.steps
-    forcing = cfg.grid.forward(cfg.nonlinearity(prev[:n]) * w_fields)
-    spectra = np.empty((n + 1,) + forcing.shape[1:], dtype=complex)
-    march = _march(cfg, prop)
-    spectra[0] = next(march)[0]
-    for j in range(n):
-        spectra[j + 1] = march.send(forcing[j])[0]
-    return cfg.grid.inverse(spectra)
+    g = cfg.grid.forward(cfg.nonlinearity(prev[:cfg.steps]) * w_fields)
+    g *= prop.scale
+    return cfg.grid.inverse(_forced_spectra(cfg, prop, g))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +421,7 @@ def _noise_fields(cfg: SolveConfig, path: NoisePath) -> np.ndarray:
 def _initial_guess(cfg: SolveConfig, prop: Propagator, initial: str) -> np.ndarray:
     """The Picard starting trajectory, shape (n + 1, *grid.shape)."""
     if initial == "u0":
-        return cfg.grid.inverse(np.stack([u_spec for u_spec, _ in _march(cfg, prop)]))
+        return cfg.grid.inverse(_free_spectra(cfg, prop)[0])
     if initial == "zero":
         return np.zeros((cfg.steps + 1,) + cfg.grid.shape)
     raise ValueError(f"unknown initial guess {initial!r}")
@@ -448,7 +506,7 @@ def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0",
     """
     cfg.validate(weighted=theta is not None)
     w_fields = _noise_fields(cfg, path)
-    prop = Propagator(cfg.grid, cfg.k, cfg.dt)
+    prop = Propagator(cfg.grid, cfg.k, cfg.dt, cfg.steps)
     norm_sq = _norm_factory(cfg, theta)
     max_iter = cfg.picard_max_iter if cfg.picard_max_iter is not None else cfg.steps + 2
     prev = _initial_guess(cfg, prop, initial)
@@ -478,7 +536,7 @@ def picard_replicas(cfg: SolveConfig, rngs, iterations: int,
     replica r's ``m_table[i]``.
     """
     cfg.validate(weighted=theta is not None)
-    prop = Propagator(cfg.grid, cfg.k, cfg.dt)
+    prop = Propagator(cfg.grid, cfg.k, cfg.dt, cfg.steps)
     norm_sq = _norm_factory(cfg, theta)
     guess = _initial_guess(cfg, prop, "u0")[:, None]
     m = np.empty((len(rngs), iterations, cfg.steps + 1))
@@ -550,7 +608,7 @@ def moment_track(moments: np.ndarray, cfg: SolveConfig) -> MomentSummary:
     c = gronwall_constant(cfg)
     k_lip = cfg.nonlinearity.lipschitz
     times = cfg.dt * np.arange(n + 1)
-    u0_sq = np.array([l2_norm(deterministic_part(cfg, t)) ** 2 for t in times])
+    u0_sq = deterministic_moments(cfg)
     envelope = 2.0 * u0_sq * np.exp(2.0 * k_lip * c * times)
     ok = bool(np.all(mean <= envelope + 3.0 * se + 1e-12))
     return MomentSummary(times, mean, se, envelope, len(data), ok)

@@ -212,9 +212,12 @@ def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoiseP
                            t: float) -> LatticeField:
     """Left-endpoint lattice integral of G(t-s) against Z(s) M(ds, dy).
 
-    The test oracle: a direct history sum on full spectra, which the
-    solver reaches by the exact rotation of ``solver.Propagator`` on half
-    spectra instead.
+    The test oracle: a direct history sum on full spectra.  The solver
+    reaches the same sum in the rotated frame of ``solver.Propagator`` on
+    half spectra instead: by the addition formula
+    sin((t - s) w)/w = [sin(t w) cos(s w) - cos(t w) sin(s w)]/w, the
+    history at every step time is two prefix sums over one table of the
+    Green pair.
     """
     if not Z.adapted:
         raise ValueError("integrand process is not adapted")

@@ -31,7 +31,7 @@ from .covariance import SpectralMeasure, admissibility_integral
 from .greens import GreenMultiplier, j_field
 from .lattice import Grid, LatticeField
 from .noise import NoisePath
-from .solver import MomentSummary, SolveConfig, SolveReport, deterministic_part
+from .solver import MomentSummary, SolveConfig, SolveReport, deterministic_moments
 from .solver import explicit_sweep as _sweep
 from .solver import gronwall_constant, picard_iterate as _picard
 from .stochint import IntegrandProcess, _green_times, convolution_norms_mc
@@ -253,10 +253,7 @@ def weighted_moment_track(moments: np.ndarray, cfg: SolveConfig, w: Weight) -> M
     k_gr = cfg.nonlinearity.growth
     rate = 2.0 * k_gr**2 * s_const * j_star
 
-    u0_sq = np.empty(n + 1)
-    for j, t in enumerate(times):
-        u0 = deterministic_part(cfg, t)
-        u0_sq[j] = grid.cell_volume * float(np.sum(u0.values**2 * theta))
+    u0_sq = deterministic_moments(cfg, theta)
 
     envelope = np.empty(n + 1)
     running = 0.0  # sum_{i<j} dt (Theta + B_i)

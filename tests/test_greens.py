@@ -56,6 +56,24 @@ def test_trig_identity(k):
         assert abs(c**2 + (mi**k * s) ** 2 - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (3, 8)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_batched_multipliers_equal_one_time_at_a_time(d, n, k):
+    # each row of a call over an array of times is that one time's call, bit for bit
+    grid = Grid(d, n, 6.0)
+    mag = np.sqrt(grid.freq_norm_sq)
+    times = np.array([[0.0, 1e-6, 0.35], [0.6, 2.0, 7.5]])
+    # the series branch covers w = 0 at every time and every w at t = 1e-6
+    assert np.all(times[0, 1] * mag[mag > 0] ** k < 1e-4)
+    for multiplier in (sine_multiplier, cosine_multiplier):
+        batched = multiplier(times, mag, k)
+        assert batched.shape == times.shape + grid.shape
+        for idx in np.ndindex(times.shape):
+            assert np.array_equal(batched[idx], multiplier(times[idx], mag, k))
+        assert multiplier(np.array([]), mag, k).shape == (0,) + grid.shape
+    assert np.array_equal(sine_multiplier(times, mag, k)[(...,) + (0,) * d], times)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_multiplier_bounds(k):
     rng = np.random.default_rng(11)

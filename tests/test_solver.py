@@ -11,8 +11,9 @@ from stochwave.solver import (
     Propagator,
     SolveConfig,
     _causal_sweep,
-    _march,
+    _free_spectra,
     _picard_update,
+    deterministic_moments,
     deterministic_part,
     deterministic_velocity,
     energy_trajectory,
@@ -242,6 +243,20 @@ def test_energy_conservation():
         assert (energy.max() - energy.min()) / energy.mean() <= 1e-10
 
 
+@pytest.mark.parametrize("d, n, k, steps", [(1, 128, 1, 4096), (1, 128, 2, 4096),
+                                             (2, 32, 2, 2048)])
+def test_long_horizon_energy_drift(d, n, k, steps):
+    # the free evolution reads each step time from the table, so rounding does not accumulate
+    grid = Grid(d, n, 16.0)
+    r_sq = grid.coord_norm_sq
+    cfg = SolveConfig(grid, SpectralMeasure.white(d), k, steps / 256.0, 1.0 / 256.0,
+                      Nonlinearity.affine(0.0, 0.0), LatticeField(grid, np.exp(-r_sq)),
+                      LatticeField(grid, 0.3 * np.exp(-r_sq / 2.0)))
+    energy = energy_trajectory(cfg)
+    assert energy.shape == (steps + 1,)
+    assert (energy.max() - energy.min()) / energy.mean() <= 1e-14
+
+
 def test_finite_speed_with_masked_noise():
     grid = Grid(1, 512, 16.0)
     x = grid.axis_coords
@@ -307,13 +322,15 @@ def test_picard_update_matches_the_direct_sum():
 @settings(max_examples=30, deadline=None)
 @given(d=st.sampled_from([1, 2]), k=st.sampled_from([1, 2]), n_pts=st.sampled_from([8, 16]),
        steps=st.integers(1, 12), dt=st.floats(1e-3, 0.3), seed=st.integers(0, 2**32 - 1))
-def test_march_matches_closed_form_and_direct_sum(d, k, n_pts, steps, dt, seed):
+def test_rotated_frame_matches_closed_form_and_direct_sum(d, k, n_pts, steps, dt, seed):
     grid = Grid(d, n_pts, 8.0)
     rng = np.random.default_rng(seed)
     cfg = SolveConfig(grid, SpectralMeasure.white(d), k, steps * dt, dt, Nonlinearity.sine(),
                       LatticeField(grid, rng.standard_normal(grid.shape)),
                       LatticeField(grid, rng.standard_normal(grid.shape)))
-    for j, (u_spec, v_spec) in enumerate(_march(cfg)):
+    free = _free_spectra(cfg, Propagator(grid, k, dt, steps))
+    assert free[0].shape == free[1].shape == (steps + 1,) + grid.half_shape
+    for j, (u_spec, v_spec) in enumerate(zip(*free)):
         t = j * dt
         u_ref = deterministic_part(cfg, t).values
         v_ref = deterministic_velocity(cfg, t).values
@@ -323,6 +340,50 @@ def test_march_matches_closed_form_and_direct_sum(d, k, n_pts, steps, dt, seed):
     u = list(_causal_sweep(cfg, path.fields))
     assert len(u) == steps + 1
     assert _mild_map_gap(cfg, path, u, u[-1], steps) <= 1e-11
+
+
+def _sweep_then_update(d, k, steps, replicas, mask, seed):
+    """explicit_sweep's trajectory and one Picard update of it, replica axis after time."""
+    grid = Grid(d, 16, 8.0)
+    r_sq = grid.coord_norm_sq
+    # white noise is admissible for k = 1 in d = 1 only
+    measure = SpectralMeasure.white(d) if d == 1 or k == 2 else SpectralMeasure.riesz(d, 1.0)
+    cfg = SolveConfig(grid, measure, k, 0.5, 0.5 / steps, Nonlinearity.sine(),
+                      LatticeField(grid, np.exp(-r_sq)),
+                      LatticeField(grid, 0.5 * np.exp(-2.0 * r_sq)),
+                      noise_mask=(r_sq <= 4.0).astype(float) if mask else None,
+                      snapshot_stride=1)
+    rng = np.random.default_rng(seed)
+    paths = [sample_path(grid, cfg.measure, cfg.horizon, cfg.dt, rng)
+             for _ in range(replicas or 1)]
+    reports = [explicit_sweep(cfg, path) for path in paths]
+    trajectory = np.stack([np.stack([r.snapshot_at(j).values for j in range(steps + 1)])
+                           for r in reports], axis=1)
+    w_fields = np.stack([p.fields for p in paths], axis=1) * (cfg.noise_mask if mask else 1.0)
+    if replicas is None:
+        trajectory, w_fields = trajectory[:, 0], w_fields[:, 0]
+    new = _picard_update(cfg, Propagator(grid, k, cfg.dt, steps), w_fields, trajectory)
+    assert new.shape == trajectory.shape
+    return trajectory, new
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2]), k=st.sampled_from([1, 2]), steps=st.integers(1, 24),
+       replicas=st.sampled_from([None, 1, 3]), mask=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_picard_update_fixes_the_sweep_trajectory(d, k, steps, replicas, mask, seed):
+    # the sweep solves the discrete mild equation, so one update returns its trajectory
+    trajectory, new = _sweep_then_update(d, k, steps, replicas, mask, seed)
+    assert np.max(np.abs(new - trajectory)) <= 1e-13 * np.max(np.abs(trajectory))
+
+
+@pytest.mark.parametrize("d, k, replicas", [(1, 1, None), (1, 2, 3), (2, 2, 3)])
+def test_sweep_and_picard_update_share_their_arithmetic(d, k, replicas):
+    # the update's cumulative sums make the sweep's additions in the sweep's order, so the
+    # fixed point is reproduced bit for bit; a forcing term added at its own step time
+    # changes the displacement only by rounding, and only this equality can see it
+    trajectory, new = _sweep_then_update(d, k, 12, replicas, True, 900 + d + k)
+    assert np.array_equal(new, trajectory)
 
 
 # -- replica-batched sweep ----------------------------------------------------
@@ -450,7 +511,7 @@ def test_picard_iteration_is_one_batched_transform_pair(monkeypatch, steps):
     prev = np.random.default_rng(801).standard_normal((steps + 1, 3) + cfg.grid.shape)
     w_fields = np.random.default_rng(802).standard_normal((steps, 3) + cfg.grid.shape)
     before = dict(calls)
-    new = _picard_update(cfg, Propagator(cfg.grid, cfg.k, cfg.dt), w_fields, prev)
+    new = _picard_update(cfg, Propagator(cfg.grid, cfg.k, cfg.dt, steps), w_fields, prev)
     assert {k: calls[k] - before[k] for k in calls} == {"forward": 1, "inverse": 1}
     assert new.shape == prev.shape
 
@@ -487,6 +548,19 @@ def test_validate_step_count():
 
 
 # -- moments ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 2)])
+def test_deterministic_moments_match_the_closed_form(d, k):
+    cfg = _replica_config(d=d, k=k, v0_dot=True)
+    theta = 1.0 + cfg.grid.coord_norm_sq
+    for weight in (None, theta):
+        expected = np.array([cfg.grid.cell_volume * np.sum(
+            deterministic_part(cfg, j * cfg.dt).values ** 2 * (1.0 if weight is None else weight))
+            for j in range(cfg.steps + 1)])
+        got = deterministic_moments(cfg, weight)
+        assert got.shape == expected.shape
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 def test_moment_track_zero_alpha_exact():
