@@ -75,29 +75,36 @@ def cosine_multiplier(t, xi_mag, k: int) -> np.ndarray:
     return np.cos(_times_against(t, x) * x)
 
 
-def _exact_wave_spectrum(grid: Grid, t: float, derivative: bool) -> np.ndarray:
-    """d = 1, k = 1 lattice kernel spectrum (exact finite propagation)."""
+def _exact_wave_spectrum(grid: Grid, t, derivative: bool) -> np.ndarray:
+    """d = 1, k = 1 lattice kernel spectrum (exact finite propagation).
+
+    ``t`` as in :func:`sine_multiplier`; the result has shape
+    ``(*np.shape(t), *grid.shape)``.
+    """
     h = grid.spacing
     mag = np.sqrt(grid.freq_norm_sq)
     half = 0.5 * h * mag
-    out = np.empty_like(mag)
     zero = mag == 0.0
     nyq = np.isclose(half, 0.5 * np.pi)
     inner = ~(zero | nyq)
-    factor = (0.5 * h) / np.tan(half[inner])
+    factor = np.zeros_like(mag)
+    factor[inner] = (0.5 * h) / np.tan(half[inner])
+    times = _times_against(t, mag)
     if derivative:
-        out[inner] = mag[inner] * np.cos(t * mag[inner]) * factor
-        out[zero] = 1.0
+        out = np.where(zero, 1.0, mag * np.cos(times * mag) * factor)
     else:
-        out[inner] = np.sin(t * mag[inner]) * factor
-        out[zero] = t
-    out[nyq] = 0.0
-    return out
+        out = np.where(zero, times, np.sin(times * mag) * factor)
+    return np.where(nyq, 0.0, out)
 
 
 @dataclass(frozen=True)
 class GreenMultiplier:
-    """Green-multiplier family for operator index k on horizon [0, T]."""
+    """Green-multiplier family for operator index k on horizon [0, T].
+
+    The lattice spectra take one time or an array of times and return
+    ``(*np.shape(t), *grid.shape)``, each row equal to the call at that
+    one time.
+    """
 
     k: int
     horizon: float
@@ -108,13 +115,13 @@ class GreenMultiplier:
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
 
-    def lattice_spectrum(self, grid: Grid, t: float) -> np.ndarray:
+    def lattice_spectrum(self, grid: Grid, t) -> np.ndarray:
         """Dual-grid displacement-multiplier samples (see module docstring)."""
         if self.k == 1 and grid.dimension == 1:
             return _exact_wave_spectrum(grid, t, derivative=False)
         return sine_multiplier(t, np.sqrt(grid.freq_norm_sq), self.k)
 
-    def lattice_dt_spectrum(self, grid: Grid, t: float) -> np.ndarray:
+    def lattice_dt_spectrum(self, grid: Grid, t) -> np.ndarray:
         """Time derivative of :meth:`lattice_spectrum` at fixed frequency."""
         if self.k == 1 and grid.dimension == 1:
             return _exact_wave_spectrum(grid, t, derivative=True)
@@ -149,9 +156,7 @@ def j_field(g: GreenMultiplier, measure: SpectralMeasure, s, grid: Grid) -> np.n
     circular convolution, which transforms the weights once.
     """
     times = np.asarray(s, dtype=float)
-    mult_sq = np.empty((times.size,) + grid.shape)
-    for i, t in enumerate(times.flat):
-        mult_sq[i] = g.lattice_spectrum(grid, t) ** 2
+    mult_sq = g.lattice_spectrum(grid, times.ravel()) ** 2
     out = circular_convolve(measure.lattice_weights(grid), mult_sq)
     # the convolution of nonnegative data is nonnegative up to roundoff
     return np.maximum(out, 0.0).reshape(times.shape + grid.shape)

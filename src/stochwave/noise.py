@@ -15,10 +15,14 @@ Riemann sum of the continuum spectral pairing,
     E <W, phi> <W, psi> = dt * sum_j D_j F[phi](eta_j) conj(F[psi](eta_j)),
 
 and reduces, for white noise, to i.i.d. cell values of variance dt/h**d.
-The white noise and the filtered slice are real and the weights are
-even in eta, so the filter runs on half spectra: one real transform
-pair (``Grid.forward``/``Grid.inverse``) with the weights restricted by
-``Grid.half``.  Every consumer multiplies an increment pointwise in
+A filter whose entries are all equal, as white noise's are, is the
+identity times one scalar, so those slices are the draws times that
+scalar, with no transform.  Only a varying filter runs the transform
+pair: the white noise and the filtered slice are real and the weights
+are even in eta, so it filters half spectra, one real transform pair
+(``Grid.forward``/``Grid.inverse``) with the weights restricted by
+``Grid.half``.  The choice is made from the filter's values, not from
+the measure's kind.  Every consumer multiplies an increment pointwise in
 space, so the sampler hands out real fields; only this module sees the
 spectrum.  Slices are independent across time steps and reproducible
 from the generator handed in: slice s of a path is the s-th draw of its
@@ -74,7 +78,10 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float,
     ``rng`` may be a single generator (one stream for the whole batch)
     or a sequence of ``count`` generators, one stream per batch entry;
     the per-entry form is what makes replica-offset runs poolable, since
-    entry r consumes only its own stream.
+    entry r consumes only its own stream, drawn straight into row r of
+    the batch.  A filter whose entries are all equal (white noise) is one
+    scalar, applied to the draws in place; any other filter runs the
+    half-spectrum transform pair.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -83,8 +90,15 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float,
     else:
         if len(rng) != count:
             raise ValueError(f"need {count} generators, got {len(rng)}")
-        white = np.stack([r.standard_normal(grid.shape) for r in rng])
-    return grid.inverse(_spectral_scale(grid, measure, dt) * grid.forward(white))
+        white = np.empty((count,) + grid.shape)
+        for gen, row in zip(rng, white):
+            gen.standard_normal(out=row)
+    scale = _spectral_scale(grid, measure, dt)
+    first = scale.flat[0]
+    if np.all(scale == first):
+        white *= first
+        return white
+    return grid.inverse(scale * grid.forward(white))
 
 
 def sample_slice(grid: Grid, measure: SpectralMeasure, dt: float,

@@ -45,7 +45,7 @@ import numpy as np
 
 from .covariance import SpectralMeasure
 from .greens import GreenMultiplier, j_field
-from .lattice import Grid, LatticeField, circular_convolve, l2_norm
+from .lattice import Grid, LatticeField, circular_convolve
 from .noise import NoisePath, sample_slice_batch
 
 __all__ = [
@@ -260,11 +260,10 @@ def isometry_bound(g, Z: IntegrandProcess, measure: SpectralMeasure,
     """
     grid, dt = Z.grid, Z.dt
     m, times = _green_times(Z, t)
-    jmax = np.max(j_field(g, measure, times, grid), axis=tuple(range(1, grid.dimension + 1)))
-    total = 0.0
-    for i in range(m):
-        total += dt * l2_norm(Z.fields[i], grid) ** 2 * jmax[i]
-    return float(total)
+    space = tuple(range(1, grid.dimension + 1))
+    jmax = np.max(j_field(g, measure, times, grid), axis=space)
+    norms_sq = grid.cell_volume * np.sum(Z.fields[:m] ** 2, axis=space)
+    return float(dt * np.sum(norms_sq * jmax))
 
 
 def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
@@ -293,7 +292,7 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
     if m == 0:
         return 0.0
     weights = grid.half(measure.lattice_weights(grid))
-    mult_sq = np.stack([np.abs(g.lattice_spectrum(grid, times[i])) ** 2 for i in range(m)])
+    mult_sq = np.abs(g.lattice_spectrum(grid, times)) ** 2
     grid.half(mult_sq)  # the pairing needs every |F[G(t_i)]|**2 even
     mult_sq = mult_sq.reshape(m, -1)
     fields = Z.fields[:m]
@@ -325,9 +324,7 @@ def ladder_distance(g: GreenMultiplier, scale: int, Z: IntegrandProcess,
     m, times = _green_times(Z, t)
     moll = Mollifier(scale, grid.dimension)
     damp_sq = (1.0 - moll.transform_on_grid(grid)) ** 2
-    mult_sq = np.empty((m,) + grid.shape)
-    for i in range(m):
-        mult_sq[i] = g.lattice_spectrum(grid, times[i]) ** 2 * damp_sq
+    mult_sq = g.lattice_spectrum(grid, times) ** 2 * damp_sq
     jf = np.maximum(circular_convolve(measure.lattice_weights(grid), mult_sq), 0.0)
     total = np.sum(Z.spectra_sq()[:m] * jf)
     return float(math.sqrt(dt * total / grid.box_length**grid.dimension))
@@ -364,7 +361,7 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
     """
     grid, dt = Z.grid, Z.dt
     m, times = _green_times(Z, t)
-    mults = [grid.half(g.lattice_spectrum(grid, times[i])) for i in range(m)]
+    mults = grid.half(g.lattice_spectrum(grid, times))
     sq_norms = np.empty(replicas)
     for lo in range(0, replicas, chunk):
         c = min(chunk, replicas - lo)

@@ -72,6 +72,14 @@ def test_batched_multipliers_equal_one_time_at_a_time(d, n, k):
             assert np.array_equal(batched[idx], multiplier(times[idx], mag, k))
         assert multiplier(np.array([]), mag, k).shape == (0,) + grid.shape
     assert np.array_equal(sine_multiplier(times, mag, k)[(...,) + (0,) * d], times)
+    # the lattice spectra too; d = 1, k = 1 takes the exact wave kernel
+    g = GreenMultiplier(k, 1.0)
+    for spectrum in (g.lattice_spectrum, g.lattice_dt_spectrum):
+        batched = spectrum(grid, times)
+        assert batched.shape == times.shape + grid.shape
+        for idx in np.ndindex(times.shape):
+            assert np.array_equal(batched[idx], spectrum(grid, times[idx]))
+        assert spectrum(grid, np.array([])).shape == (0,) + grid.shape
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -5,6 +5,7 @@ from stochwave.covariance import SpectralMeasure
 from stochwave.lattice import Grid
 from stochwave.noise import (
     NoisePath,
+    _spectral_scale,
     coarsen_path,
     sample_path,
     sample_slice,
@@ -123,11 +124,57 @@ def test_coarsen_path(grid):
 
 
 def test_slice_batch_with_per_replica_generators(grid):
-    # a batch fed by per-replica streams equals the per-replica slices
-    m = SpectralMeasure.white(1)
-    gens = [np.random.default_rng(100 + r) for r in range(5)]
-    batch = sample_slice_batch(grid, m, 0.1, gens, 5)
-    singles = [sample_slice(grid, m, 0.1, np.random.default_rng(100 + r)) for r in range(5)]
-    assert np.allclose(batch, np.stack(singles), atol=0)
-    with pytest.raises(ValueError):
-        sample_slice_batch(grid, m, 0.1, gens, 4)
+    # a batch fed by per-replica streams equals the per-replica slices,
+    # for the scalar (white) filter and for the transform pair (riesz)
+    for m in (SpectralMeasure.white(1), SpectralMeasure.riesz(1, 0.5)):
+        gens = [np.random.default_rng(100 + r) for r in range(5)]
+        batch = sample_slice_batch(grid, m, 0.1, gens, 5)
+        singles = [sample_slice(grid, m, 0.1, np.random.default_rng(100 + r)) for r in range(5)]
+        assert np.allclose(batch, np.stack(singles), atol=0)
+        with pytest.raises(ValueError):
+            sample_slice_batch(grid, m, 0.1, gens, 4)
+
+
+def _round_trip(grid, measure, dt, white):
+    """The filtered slice through the half-spectrum transform pair."""
+    return grid.inverse(_spectral_scale(grid, measure, dt) * grid.forward(white))
+
+
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("per_replica", [False, True])
+def test_white_slice_equals_the_transform_round_trip(d, n, per_replica):
+    # a constant filter is one scalar: the pair it skips is the identity up to rounding
+    grid = Grid(d, n, 6.0)
+    m = SpectralMeasure.white(d)
+    count, dt = 4, 0.1
+    if per_replica:
+        rng = [np.random.default_rng(200 + r) for r in range(count)]
+        white = np.stack([np.random.default_rng(200 + r).standard_normal(grid.shape)
+                          for r in range(count)])
+    else:
+        rng = np.random.default_rng(200)
+        white = np.random.default_rng(200).standard_normal((count,) + grid.shape)
+    batch = sample_slice_batch(grid, m, dt, rng, count)
+    reference = _round_trip(grid, m, dt, white)
+    assert np.max(np.abs(batch - reference)) <= 1e-14 * np.max(np.abs(reference))
+    scale = _spectral_scale(grid, m, dt)
+    assert np.array_equal(batch, white * scale.flat[0])
+    assert scale.flat[0] == pytest.approx(np.sqrt(dt / grid.cell_volume), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["white", "riesz"])
+def test_only_a_varying_filter_runs_the_transform_pair(monkeypatch, kind):
+    grid = Grid(2, 16, 6.0)
+    m = SpectralMeasure.white(2) if kind == "white" else SpectralMeasure.riesz(2, 1.0)
+    calls = []
+    for name in ("forward", "inverse"):
+        original = getattr(Grid, name)
+
+        def counted(self, arr, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, arr)
+
+        monkeypatch.setattr(Grid, name, counted)
+    gens = [np.random.default_rng(300 + r) for r in range(3)]
+    sample_slice_batch(grid, m, 0.1, gens, 3)
+    assert calls == ([] if kind == "white" else ["forward", "inverse"])

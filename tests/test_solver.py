@@ -1,8 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochwave import solver
 from stochwave.covariance import SpectralMeasure
 from stochwave.lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
 from stochwave.noise import coarsen_path, sample_path
@@ -13,6 +17,7 @@ from stochwave.solver import (
     _causal_sweep,
     _free_spectra,
     _picard_update,
+    _sweep_rows,
     deterministic_moments,
     deterministic_part,
     deterministic_velocity,
@@ -384,6 +389,55 @@ def test_sweep_and_picard_update_share_their_arithmetic(d, k, replicas):
     # changes the displacement only by rounding, and only this equality can see it
     trajectory, new = _sweep_then_update(d, k, 12, replicas, True, 900 + d + k)
     assert np.array_equal(new, trajectory)
+
+
+def _rows_per_block(monkeypatch, grid, rows):
+    """Make the causal sweep build ``rows`` table rows per block on ``grid``."""
+    monkeypatch.setattr(solver, "_SWEEP_BLOCK_CELLS", rows * math.prod(grid.half_shape))
+
+
+@pytest.mark.parametrize("rows, steps", [(16, 0), (16, 15), (16, 16), (16, 67), (1, 5)])
+def test_sweep_rows_equal_the_propagator_tables(monkeypatch, rows, steps):
+    # the sweep builds its table rows block by block, with the tables' values bit for bit
+    grid = Grid(2, 8, 8.0)
+    _rows_per_block(monkeypatch, grid, rows)
+    prop = Propagator(grid, 2, 0.01, steps)
+    built = list(_sweep_rows(grid, 2, 0.01, steps))
+    assert len(built) == steps + 1
+    assert np.array_equal(np.stack([c for c, _ in built]), prop.cos)
+    assert np.array_equal(np.stack([s for _, s in built]), prop.sin)
+
+
+def test_sweep_across_row_blocks_shares_the_picard_update_arithmetic(monkeypatch):
+    _rows_per_block(monkeypatch, Grid(1, 16, 8.0), 16)
+    trajectory, new = _sweep_then_update(1, 2, 37, 3, True, 950)
+    assert np.array_equal(new, trajectory)
+
+
+def _sweep_peak(grid, steps):
+    """Peak traced allocation of a one-replica sweep_replicas over ``steps`` steps."""
+    cfg = SolveConfig(grid, SpectralMeasure.white(2), 2, 1.0, 1.0 / steps,
+                      Nonlinearity.sine(), LatticeField(grid, np.exp(-grid.coord_norm_sq)))
+    sweep_replicas(cfg, [np.random.default_rng(0)])  # fills the grid's caches
+    tracemalloc.start()
+    try:
+        sweep_replicas(cfg, [np.random.default_rng(1)])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_the_step_count(monkeypatch):
+    # the sweep holds one block of table rows, so its peak allocation does not
+    # depend on n; whole-horizon tables would take 3 (n + 1) half grids
+    grid = Grid(2, 32, 8.0)
+    short, long = _sweep_peak(grid, 256), _sweep_peak(grid, 2048)
+    assert long <= 1.05 * short
+    # with 16 rows a block, the peak is a small multiple of one field
+    _rows_per_block(monkeypatch, grid, 16)
+    field_bytes = 8 * grid.points_per_axis**grid.dimension
+    assert _sweep_peak(grid, 64) <= 120 * field_bytes
+    assert _sweep_peak(grid, 1024) <= 120 * field_bytes
 
 
 # -- replica-batched sweep ----------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochwave.covariance import SpectralMeasure
-from stochwave.greens import GreenMultiplier
+from stochwave.greens import GreenMultiplier, j_functional
 from stochwave.lattice import Grid, l2_norm
 from stochwave.noise import NoisePath, sample_path
 from stochwave.stochint import (
@@ -196,6 +196,18 @@ def test_convolution_norms_mc_is_independent_of_chunk_size():
     assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
 
 
+def test_white_convolution_norms_mc_is_independent_of_chunk_size():
+    # white slices are scaled draws with no transform; the chunk still must not matter
+    grid = Grid(2, 16, 6.0)
+    z = _varying_integrand(grid, 5, 0.2)
+    runs = [convolution_norms_mc(GreenMultiplier(2, 1.0), z, SpectralMeasure.white(2), 20,
+                                 [np.random.default_rng(500 + r) for r in range(20)],
+                                 _plancherel(grid), chunk=chunk)
+            for chunk in (1, 7, 256)]
+    assert np.all(runs[0] > 0)
+    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 16)])
 @pytest.mark.parametrize("t", [1.0, 0.6])
 def test_convolution_norms_mc_replica_equals_its_own_path(d, n, t):
@@ -299,7 +311,7 @@ class _OddKernel:
 
     def lattice_spectrum(self, grid, t):
         eta = grid._axis_array(grid.axis_freqs, 0)
-        return np.broadcast_to(2.0 + np.sin(eta), grid.shape)
+        return np.broadcast_to(2.0 + np.sin(eta), np.shape(t) + grid.shape)
 
 
 @pytest.mark.parametrize("odd", ["weights-interior", "weights-first-column", "kernel"])
@@ -328,6 +340,20 @@ def test_bound_chain(setup):
     local = IntegrandProcess.constant(
         grid, np.exp(-((grid.axis_coords - 2.0) ** 2) * 4.0), 4, dt)
     assert isometry_functional(g, local, riesz) < isometry_bound(g, local, riesz)
+
+
+@pytest.mark.parametrize("t", [None, 0.6])
+def test_isometry_bound_is_the_per_step_sum(t):
+    # one reduction over the spatial axes against the per-step loop it replaced
+    grid = Grid(2, 16, 6.0)
+    measure = SpectralMeasure.riesz(2, 0.5)
+    g = GreenMultiplier(1, 1.0)
+    z = _varying_integrand(grid, 5, 0.2)
+    horizon = z.horizon if t is None else t
+    steps = int(round(horizon / z.dt))
+    jmax = [j_functional(g, measure, horizon - i * z.dt, grid) for i in range(steps)]
+    loop = sum(z.dt * l2_norm(z.fields[i], grid) ** 2 * jmax[i] for i in range(steps))
+    assert isometry_bound(g, z, measure, t=t) == pytest.approx(loop, rel=1e-13)
 
 
 def test_zero_integrand_functionals(setup):
