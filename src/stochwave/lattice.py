@@ -43,7 +43,10 @@ doubling weights, so the Plancherel identity reads
 :meth:`Grid.full_forward` is the complex transform on the full grid,
 (h**d * sign) * fftn(f).  It is for the independent oracles, which
 modulate integrands into complex fields or index frequency differences
-over the whole dual lattice.
+over the whole dual lattice.  Its ``axes`` argument runs the same
+transform over some spatial axes only, each scaled by h * (-1)**j_ax;
+the multi-dimensional transform is separable, so transforms over a
+partition of the axes compose to the full one.
 
 This module is the package's one FFT site: the transforms run on
 ``scipy.fft``, over the trailing ``d`` axes, so a leading batch axis
@@ -187,15 +190,33 @@ class Grid:
         return scipy.fft.irfftn(self._signed_scales()[2] * arr, s=self.shape,
                                 axes=self._axes(arr), overwrite_x=True)
 
-    def full_forward(self, values: np.ndarray) -> np.ndarray:
+    def full_forward(self, values: np.ndarray, axes: tuple[int, ...] | None = None) -> np.ndarray:
         """Spectrum on the full dual grid, for real or complex fields.
 
         The complex transform the oracles use: modulated integrands are
         complex, and frequency differences range over the whole lattice.
+        ``axes`` picks spatial axes (0 .. d - 1, default all) for a
+        partial transform, scaled by the product over those axes of
+        h * (-1)**j; partial transforms over a partition of the axes
+        compose to the full one.
         """
         arr = np.asarray(values)
         self._check_shape(arr, self.shape, "field")
-        return self._signed_scales()[0] * scipy.fft.fftn(arr, axes=self._axes(arr))
+        if axes is None:
+            out = scipy.fft.fftn(arr, axes=self._axes(arr))
+            out *= self._signed_scales()[0]
+            return out
+        axes = tuple(int(ax) for ax in axes)
+        if not axes or len(set(axes)) != len(axes) or not all(0 <= ax < self.dimension for ax in axes):
+            raise ValueError(f"axes {axes} are not distinct spatial axes of {self}")
+        lead = arr.ndim - self.dimension
+        out = scipy.fft.fftn(arr, axes=[lead + ax for ax in axes])
+        signed = self.spacing * (1.0 - 2.0 * (np.arange(self.points_per_axis) % 2))
+        scale = 1.0
+        for ax in axes:
+            scale = scale * self._axis_array(signed, ax)
+        out *= scale
+        return out
 
     def half(self, multiplier: np.ndarray) -> np.ndarray:
         """Restrict an even full-grid multiplier to the half grid.

@@ -33,7 +33,14 @@ full spectra from ``Grid.full_forward``.  The modulation oracle
 half dual grid with ``Grid.half_sum`` weights: Z is real, so modulating
 by -eta conjugates the field and mirrors its spectrum, and the even
 weights and |F[G]|**2 give eta and -eta the same term.  Each modulated
-integrand is still transformed on the full grid.
+integrand is still transformed on the full grid, row-column: the
+modulation is a product of per-axis phases, so one leading-axes
+transform serves every eta that shares its leading coordinates, and a
+last-axis transform per eta completes it.
+
+The Monte Carlo kernel runs its replicas in blocks sized by half-grid
+entries (``_MC_BLOCK_CELLS``), so its memory is bounded on every grid
+and the replica count only sets the number of blocks.
 """
 
 from __future__ import annotations
@@ -61,12 +68,20 @@ __all__ = [
     "convolution_moment_mc",
 ]
 
-# Dual frequencies per batched transform in isometry_alternative.  At
+# Last-axis dual frequencies per transform in isometry_alternative.  At
 # N = 64, d = 2 a block of 8 modulated complex fields is 512 KB, so it
-# stays in cache; on the isometry experiment's three d = 2 cases (Intel
-# Xeon, one BLAS thread, min of 5) the oracle took 0.86 s at a block of
-# 4, 0.70 s at 8, 0.83 s at 16 and 1.26 s at 64.
+# stays in cache; on the isometry experiment's three d = 2 cases (2-vCPU
+# Intel Xeon, one BLAS thread, block sizes interleaved in one process,
+# median of 9, in two orders) the oracle took 0.54-0.58 s at a block of
+# 4, 0.54-0.56 s at 8, 0.56-0.60 s at 16 and 0.67-0.68 s at 64.
 _MODULATION_BLOCK = 8
+
+# Half-grid entries per array in one Monte Carlo block: a block holds
+# max(1, min(256, _MC_BLOCK_CELLS // prod(grid.half_shape))) replicas, so
+# grids of up to 256 half-grid entries (d = 1 up to N = 256) keep blocks
+# of 256, and a d = 2, N = 64 block of 31 replicas holds a
+# 1 MB accumulator instead of 8.7 MB.
+_MC_BLOCK_CELLS = 2**16
 
 
 @dataclass
@@ -282,10 +297,18 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
     -eta, and so are the weights D_eta.  The weights and every |F[G]|**2
     go through ``Grid.half``, whose exact evenness check guards that
     pairing, and ``Grid.half_sum`` counts the interior last-axis columns
-    for themselves and their mirror.  The frequencies go through in
-    blocks of ``_MODULATION_BLOCK``, one batched transform per block and
-    step, with chi the outer product of per-axis phase tables.  Agrees
-    with :func:`isometry_functional` to rounding error.
+    for themselves and their mirror.
+
+    The transform runs row-column.  chi_eta is the product of per-axis
+    phases exp(i eta_ax x_ax), and the transform over the leading axes
+    does not see the last axis's phase, so for each leading prefix
+    (eta_0, ..., eta_{d-2}) with an active weight the modulated fields
+    chi_prefix Z take one leading-axes ``Grid.full_forward`` (every step
+    in one call).  Each active eta_{d-1} of that prefix then modulates
+    the result along the last axis, in blocks of at most
+    ``_MODULATION_BLOCK``, and one last-axis transform per block and
+    step completes the full-grid spectrum of chi_eta Z.  Agrees with
+    :func:`isometry_functional` to rounding error.
     """
     grid, dt = Z.grid, Z.dt
     m, times = _green_times(Z, t)
@@ -301,19 +324,35 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
         fields, mult_sq = fields[:1], mult_sq.sum(axis=0, keepdims=True)
     # phase[j, p] = exp(i eta_j x_p); every axis uses the same table
     phase = np.exp(1j * np.multiply.outer(grid.axis_freqs, grid.axis_coords))
-    active = np.flatnonzero(weights)
-    inner = np.zeros(weights.size)
-    for lo in range(0, active.size, _MODULATION_BLOCK):
-        block = active[lo:lo + _MODULATION_BLOCK]
-        chi = np.ones((block.size,) + (1,) * grid.dimension)
-        for ax, j in enumerate(np.unravel_index(block, grid.half_shape)):
-            shape = [block.size] + [1] * grid.dimension
-            shape[1 + ax] = grid.points_per_axis
-            chi = chi * phase[j].reshape(shape)
-        for f, msq in zip(fields, mult_sq):
-            spec = grid.full_forward(chi * f).reshape(block.size, -1)
-            inner[block] += (spec.real**2 + spec.imag**2) @ msq
-    total = grid.half_sum(weights * inner.reshape(grid.half_shape))
+    last = grid.dimension - 1
+    lead_axes = tuple(range(last))
+    active = weights != 0
+    # work buffers reused by every block: fresh block-sized temporaries
+    # cost page faults whenever the allocator hands their pages back
+    mod = np.empty((_MODULATION_BLOCK,) + grid.shape, dtype=complex)
+    spec_sq = np.empty((2, _MODULATION_BLOCK, mult_sq.shape[1]))
+    inner = np.zeros(grid.half_shape)
+    # prefixes (j_0, ..., j_{d-2}) with an active eta; one empty prefix at d = 1
+    for prefix in map(tuple, np.argwhere(active.any(axis=-1))):
+        lead = fields
+        if prefix:
+            chi = 1.0
+            for ax, j in enumerate(prefix):
+                chi = chi * grid._axis_array(phase[j], ax)
+            lead = grid.full_forward(chi * fields, axes=lead_axes)
+        cols = np.flatnonzero(active[prefix])
+        row = inner[prefix]
+        for lo in range(0, cols.size, _MODULATION_BLOCK):
+            block = cols[lo:lo + _MODULATION_BLOCK]
+            chi = phase[block].reshape((block.size,) + (1,) * last + (-1,))
+            re_sq, im_sq = spec_sq[:, :block.size]
+            for f, msq in zip(lead, mult_sq):
+                np.multiply(chi, f, out=mod[:block.size])
+                spec = grid.full_forward(mod[:block.size], axes=(last,)).reshape(block.size, -1)
+                np.square(spec.real, out=re_sq)
+                re_sq += np.square(spec.imag, out=im_sq)
+                row[block] += re_sq @ msq
+    total = grid.half_sum(weights * inner)
     return float(dt * total / grid.box_length**grid.dimension)
 
 
@@ -349,22 +388,30 @@ def truncation_distance(g: GreenMultiplier, Z: IntegrandProcess,
 
 
 def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, replicas: int,
-                         rng, norm_sq, t: float | None = None, chunk: int = 256) -> np.ndarray:
-    """Squared norms of v(t) over independent replicas, batched in chunks.
+                         rng, norm_sq, t: float | None = None) -> np.ndarray:
+    """Squared norms of v(t) over independent replicas, batched in blocks.
 
-    ``rng`` is either one generator or a sequence of per-replica
-    generators (replica r then consumes exactly its own stream, slice by
-    slice, which makes runs at different replica offsets poolable).
-    Each chunk samples fresh slices for every time step and accumulates
-    the half spectra F[v(t)]; ``norm_sq`` maps that (c, *grid.half_shape)
-    batch to its c squared norms before the next chunk is allocated.
+    ``rng`` is either one generator or a sequence of exactly ``replicas``
+    per-replica generators (replica r then consumes exactly its own
+    stream, slice by slice, which makes runs at different replica
+    offsets poolable).  A block holds at most 256 replicas and at most
+    ``_MC_BLOCK_CELLS`` half-grid entries per array, so its memory does
+    not grow with the grid.  Each block samples fresh slices for every
+    time step and accumulates the half spectra F[v(t)]; ``norm_sq`` maps
+    that (c, *grid.half_shape) batch to its c squared norms before the
+    next block is allocated.
     """
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
+    if not isinstance(rng, np.random.Generator) and len(rng) != replicas:
+        raise ValueError(f"rng holds {len(rng)} generators, replicas is {replicas}")
     grid, dt = Z.grid, Z.dt
     m, times = _green_times(Z, t)
     mults = grid.half(g.lattice_spectrum(grid, times))
+    block = max(1, min(256, _MC_BLOCK_CELLS // math.prod(grid.half_shape)))
     sq_norms = np.empty(replicas)
-    for lo in range(0, replicas, chunk):
-        c = min(chunk, replicas - lo)
+    for lo in range(0, replicas, block):
+        c = min(block, replicas - lo)
         gens = rng if isinstance(rng, np.random.Generator) else rng[lo:lo + c]
         acc = np.zeros((c,) + grid.half_shape, dtype=complex)
         for i in range(m):
@@ -375,8 +422,7 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
 
 
 def convolution_moment_mc(g, Z: IntegrandProcess, measure: SpectralMeasure,
-                          replicas: int, rng, t: float | None = None,
-                          chunk: int = 256) -> tuple[float, float]:
+                          replicas: int, rng, t: float | None = None) -> tuple[float, float]:
     """Estimate E||v(t)||**2 over independent replicas.
 
     Returns (mean, standard error) over :func:`convolution_norms_mc`
@@ -389,7 +435,7 @@ def convolution_moment_mc(g, Z: IntegrandProcess, measure: SpectralMeasure,
     def plancherel(acc: np.ndarray) -> np.ndarray:
         return grid.half_sum(acc.real**2 + acc.imag**2) / vol
 
-    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, plancherel, t, chunk)
+    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, plancherel, t)
     mean = float(np.mean(sq_norms))
     se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return mean, se

@@ -168,7 +168,7 @@ class WeightedBoundResult:
 
 def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: SpectralMeasure,
                             w: Weight, replicas: int, rng,
-                            t: float | None = None, chunk: int = 256) -> WeightedBoundResult:
+                            t: float | None = None) -> WeightedBoundResult:
     """Compare E||v||_theta**2 (Monte Carlo) against its quadrature bound.
 
     Requires k = 1: the bound rests on the compact support of the wave
@@ -193,7 +193,7 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
         v = grid.inverse(acc)
         return grid.cell_volume * np.sum(v**2 * theta, axis=tuple(range(1, v.ndim)))
 
-    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, theta_norm_sq, t, chunk)
+    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, theta_norm_sq, t)
     mc = float(np.mean(sq_norms))
     se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return WeightedBoundResult(bound, mc, se, locality_constant(grid, w, times.max() if m else 0.0),

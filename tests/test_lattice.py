@@ -101,6 +101,46 @@ def test_checkerboard_pair_matches_shifted_definitions(d, n, length, batch):
     assert np.max(np.abs(g.full_forward(zvals) - zspec)) <= 1e-13 * np.max(np.abs(zspec))
 
 
+def _partitions(items):
+    # every set partition of a tuple, as a list of blocks
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        yield [(first,)] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [tuple(sorted((first,) + block))] + part[i + 1:]
+
+
+@pytest.mark.parametrize("d, n, length", _TRANSFORM_GRIDS)
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+def test_partial_transforms_compose_to_the_full_one(d, n, length, batch):
+    g = Grid(d, n, length)
+    rng = np.random.default_rng(30 + d)
+    vals = rng.standard_normal(batch + g.shape)
+    zvals = vals + 1j * rng.standard_normal(vals.shape)
+    parts = list(_partitions(tuple(range(d))))
+    assert len(parts) == {1: 1, 2: 2, 3: 5}[d]
+    for data in (vals, zvals):
+        full = g.full_forward(data)
+        for part in parts:
+            for order in (part, part[::-1]):
+                out = data
+                for axes in order:
+                    out = g.full_forward(out, axes=axes)
+                assert out.shape == full.shape
+                assert np.max(np.abs(out - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_partial_transform_refuses_bad_axes():
+    g = Grid(2, 16, 3.0)
+    vals = np.ones(g.shape)
+    for axes in ((), (0, 0), (2,), (-1,)):
+        with pytest.raises(ValueError, match="spatial axes"):
+            g.full_forward(vals, axes=axes)
+
+
 @pytest.mark.parametrize("d, n, length", _TRANSFORM_GRIDS)
 def test_batched_transforms_equal_row_by_row(d, n, length):
     # replica-batch independence rests on this being exact, not close

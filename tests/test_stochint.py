@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import stochwave.stochint as stochint
 from stochwave.covariance import SpectralMeasure
 from stochwave.greens import GreenMultiplier, j_functional
 from stochwave.lattice import Grid, l2_norm
@@ -184,33 +185,107 @@ def _plancherel(grid):
     return lambda acc: grid.half_sum(np.abs(acc) ** 2) / vol
 
 
-def test_convolution_norms_mc_is_independent_of_chunk_size():
+def _block_rows(monkeypatch, grid, rows):
+    # Monte Carlo blocks of ``rows`` replicas on this grid
+    monkeypatch.setattr(stochint, "_MC_BLOCK_CELLS", rows * math.prod(grid.half_shape))
+
+
+def _norms_by_block_size(monkeypatch, g, z, measure, seed):
+    # norms of 20 replicas at the default block (all 20 in one) and at 1 and 7 rows a block
+    grid = z.grid
+    runs, blocks = [], []
+    for rows in (None, 1, 7):
+        if rows is not None:
+            _block_rows(monkeypatch, grid, rows)
+        sizes = []
+        plancherel = _plancherel(grid)
+
+        def norm_sq(acc):
+            sizes.append(len(acc))
+            return plancherel(acc)
+
+        runs.append(convolution_norms_mc(g, z, measure, 20,
+                                         [np.random.default_rng(seed + r) for r in range(20)],
+                                         norm_sq))
+        blocks.append(sizes)
+    assert blocks == [[20], [1] * 20, [7, 7, 6]]
+    return runs
+
+
+def test_convolution_norms_mc_is_independent_of_chunk_size(monkeypatch):
     grid = Grid(2, 16, 6.0)
-    measure = SpectralMeasure.riesz(2, 0.5)
-    z = _varying_integrand(grid, 5, 0.2)
-    runs = [convolution_norms_mc(GreenMultiplier(1, 1.0), z, measure, 20,
-                                 [np.random.default_rng(300 + r) for r in range(20)],
-                                 _plancherel(grid), chunk=chunk)
-            for chunk in (1, 7, 256)]
+    runs = _norms_by_block_size(monkeypatch, GreenMultiplier(1, 1.0),
+                                _varying_integrand(grid, 5, 0.2), SpectralMeasure.riesz(2, 0.5), 300)
     assert np.all(runs[0] > 0)
     assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
 
 
-def test_white_convolution_norms_mc_is_independent_of_chunk_size():
-    # white slices are scaled draws with no transform; the chunk still must not matter
+def test_white_convolution_norms_mc_is_independent_of_chunk_size(monkeypatch):
+    # white slices are scaled draws with no transform; the block still must not matter
     grid = Grid(2, 16, 6.0)
-    z = _varying_integrand(grid, 5, 0.2)
-    runs = [convolution_norms_mc(GreenMultiplier(2, 1.0), z, SpectralMeasure.white(2), 20,
-                                 [np.random.default_rng(500 + r) for r in range(20)],
-                                 _plancherel(grid), chunk=chunk)
-            for chunk in (1, 7, 256)]
+    runs = _norms_by_block_size(monkeypatch, GreenMultiplier(2, 1.0),
+                                _varying_integrand(grid, 5, 0.2), SpectralMeasure.white(2), 500)
     assert np.all(runs[0] > 0)
     assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+
+def test_mc_blocks_are_sized_by_half_grid_entries():
+    # d = 1 grids up to N = 256 keep blocks of 256 replicas, so one-generator draws do not move
+    for d, n, rows in ((1, 32, 256), (1, 256, 256), (1, 512, 255), (2, 16, 256),
+                       (2, 64, 31), (3, 32, 3), (3, 64, 1)):
+        grid = Grid(d, n, 6.0)
+        sizes = []
+
+        def norm_sq(acc):
+            sizes.append(len(acc))
+            return np.zeros(len(acc))
+
+        z = IntegrandProcess.constant(grid, np.zeros(grid.shape), 0, 0.1)
+        convolution_norms_mc(GreenMultiplier(1, 1.0), z, SpectralMeasure.white(d), 300,
+                             np.random.default_rng(0), norm_sq, t=0.0)
+        full, rest = divmod(300, rows)
+        assert sizes == [rows] * full + [rest] * (rest > 0)
+
+
+def test_mc_peak_memory_does_not_grow_with_replicas():
+    import tracemalloc
+
+    grid = Grid(2, 32, 6.0)
+    z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), 4, 0.25)
+    g, measure = GreenMultiplier(1, 1.0), SpectralMeasure.riesz(2, 0.5)
+    block = stochint._MC_BLOCK_CELLS // math.prod(grid.half_shape)
+    assert block == 120
+
+    def peak(replicas):
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            convolution_norms_mc(g, z, measure, replicas, rng, _plancherel(grid))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block, many = peak(block), peak(1024)
+    assert many <= 1.05 * one_block
+
+
+@pytest.mark.parametrize("replicas, generators, match", [
+    (0, None, "replicas"), (-1, None, "replicas"), (0, 0, "replicas"),
+    (4, 6, "rng"), (4, 3, "rng"),
+])
+def test_convolution_mc_refuses_bad_replica_counts(setup, replicas, generators, match):
+    grid, measure, g, z, dt = setup
+    rng = (np.random.default_rng(2) if generators is None
+           else [np.random.default_rng(r) for r in range(generators)])
+    with pytest.raises(ValueError, match=match):
+        convolution_norms_mc(g, z, measure, replicas, rng, _plancherel(grid))
+    with pytest.raises(ValueError, match=match):
+        convolution_moment_mc(g, z, measure, replicas, rng)
 
 
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 16)])
 @pytest.mark.parametrize("t", [1.0, 0.6])
-def test_convolution_norms_mc_replica_equals_its_own_path(d, n, t):
+def test_convolution_norms_mc_replica_equals_its_own_path(monkeypatch, d, n, t):
     # replica r consumes its own stream slice by slice, so its norm is
     # the direct history sum over sample_path drawn from the same stream
     grid = Grid(d, n, 6.0)
@@ -218,9 +293,10 @@ def test_convolution_norms_mc_replica_equals_its_own_path(d, n, t):
     g = GreenMultiplier(1, 1.0)
     dt, reps = 0.2, 6
     z = _varying_integrand(grid, 5, dt)
+    _block_rows(monkeypatch, grid, 4)
     norms = convolution_norms_mc(g, z, measure, reps,
                                  [np.random.default_rng(400 + r) for r in range(reps)],
-                                 _plancherel(grid), t=t, chunk=4)
+                                 _plancherel(grid), t=t)
     for r in range(reps):
         path = sample_path(grid, measure, t, dt, np.random.default_rng(400 + r))
         direct = l2_norm(stochastic_convolution(g, z, path, t)) ** 2
@@ -281,26 +357,50 @@ def test_isometry_alternative_agrees_in_higher_dimensions(d, n, k, measure, cons
 @pytest.mark.parametrize("measure", [SpectralMeasure.riesz(2, 1.0), _zero_core_table(2)])
 @pytest.mark.parametrize("constant", [True, False])
 def test_isometry_alternative_transforms_each_half_grid_eta_once(monkeypatch, measure, constant):
+    # row-column structure: one axis-0 transform of chi_{j0} Z per active
+    # prefix j0 (every field in one call), then axis-1 batches of
+    # chi_{j1} times that spectrum; each input is matched to the phase
+    # that made it, so every active half-grid eta is seen exactly once per field
     from stochwave.stochint import _MODULATION_BLOCK
 
     grid = Grid(2, 16, 6.0)
     steps = 4
     z = (IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), steps, 0.25) if constant
          else _varying_integrand(grid, steps, 0.25))
-    active = np.count_nonzero(grid.half(measure.lattice_weights(grid)))
-    calls = []
+    fields = z.fields[:1] if constant else z.fields
+    active = grid.half(measure.lattice_weights(grid)) != 0
+    phase = np.exp(1j * np.multiply.outer(grid.axis_freqs, grid.axis_coords))
     forward = Grid.full_forward
+    prefixes, lead, seen, batches = [], [], [], []
 
-    def counted(self, values):
-        calls.append(np.shape(values))
-        return forward(self, values)
+    def nearest(values, candidates):
+        # flat index of the candidate equal to values, to rounding
+        err = np.max(np.abs(candidates - values), axis=tuple(range(-values.ndim, 0)))
+        best = int(np.argmin(err))
+        assert err.flat[best] <= 1e-12 * np.max(np.abs(values))
+        return best
+
+    def counted(self, values, axes=None):
+        out = forward(self, values, axes)
+        if axes == (0,):
+            assert values.shape == fields.shape
+            prefixes.append(nearest(values, phase[:, None, :, None] * fields))
+            lead[:] = [out]
+        else:
+            assert axes == (1,) and 1 <= len(values) <= _MODULATION_BLOCK
+            batches.append(len(values))
+            for row in values:
+                f, j1 = divmod(nearest(row, phase[None, :, None, :] * lead[0][:, None]), 16)
+                seen.append((prefixes[-1], j1, f))
+        return out
 
     monkeypatch.setattr(Grid, "full_forward", counted)
     isometry_alternative(GreenMultiplier(1, 1.0), z, measure)
-    blocks = -(-active // _MODULATION_BLOCK)
-    assert len(calls) == blocks * (1 if constant else steps)
-    assert all(1 <= c[0] <= _MODULATION_BLOCK and c[1:] == grid.shape for c in calls)
-    assert sum(c[0] for c in calls) == active * (1 if constant else steps)
+    assert prefixes == list(np.flatnonzero(active.any(axis=1)))
+    per_prefix = -(-np.count_nonzero(active, axis=1) // _MODULATION_BLOCK)
+    assert len(batches) == len(fields) * int(np.sum(per_prefix))
+    assert sorted(seen) == sorted((j0, j1, f) for j0, j1 in np.argwhere(active)
+                                  for f in range(len(fields)))
 
 
 class _OddKernel:

@@ -121,6 +121,18 @@ def test_weighted_bound_zero_integrand(grid, weight):
     assert res.bound == 0.0 and res.mc_estimate == 0.0
 
 
+@pytest.mark.parametrize("replicas, generators, match", [
+    (0, None, "replicas"), (-1, None, "replicas"), (4, 6, "rng"), (4, 3, "rng"),
+])
+def test_weighted_bound_refuses_bad_replica_counts(grid, weight, replicas, generators, match):
+    g = GreenMultiplier(1, 1.0)
+    z = IntegrandProcess.constant(grid, np.ones(grid.shape), 4, 0.25)
+    rng = (np.random.default_rng(3) if generators is None
+           else [np.random.default_rng(r) for r in range(generators)])
+    with pytest.raises(ValueError, match=match):
+        weighted_isometry_bound(g, z, SpectralMeasure.white(1), weight, replicas, rng)
+
+
 def test_weighted_bound_rejects_k2(grid, weight):
     g = GreenMultiplier(2, 1.0)
     z = IntegrandProcess.constant(grid, np.ones(grid.shape), 2, 0.5)
