@@ -198,8 +198,9 @@ class ExperimentConfig:
         return _validate(ExperimentConfig(raw))
 
 
-# lower bounds of the integer [experiment] keys every experiment reads
-_INT_KEYS = (("seed", 0), ("replicas", 1), ("replica_offset", 0))
+# lower bounds of the integer [experiment] keys every experiment reads;
+# a standard error needs at least two replicas
+_INT_KEYS = (("seed", 0), ("replicas", 2), ("replica_offset", 0))
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -548,7 +549,7 @@ def _exp_isometry(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
         rngs = _replica_generators(cfg, case_index, replicas)
         mc, se = convolution_moment_mc(g, Z, measure, replicas, rngs)
 
-        dev = abs(mc - ival) / se if se > 0 else 0.0
+        dev = abs(mc - ival) / se
         alt_rel = abs(ialt - ival) / ival
         excess = itil - ival
         rows.append(Row("isometry", case, "functional", ival, None, 0, True))

@@ -13,7 +13,7 @@ discrete fixed-point equation exactly; Picard iteration reaches the
 same fixed point (after at most one iteration per time step) and is
 kept both as the constructive existence scheme and as a cross-check.
 
-Time advances in a rotated frame (:class:`Propagator`).  Per frequency,
+Time advances in a rotated frame.  Per frequency,
 with w = |eta|**k, the free flow of (F[u], F[u_t]) is the rotation
 
     R(t) = [[cos(t w), sin(t w)/w], [-w sin(t w), cos(t w)]],
@@ -30,18 +30,18 @@ Q_j = sum_{i<j} cos(t_i w) g_i the state at t_j is exactly
 
 with the frame coordinates a_j = F[v0] - P_j and b_j = scale F[v0_dot]
 + Q_j.  The sweep and the Picard update carry a and b, and the state
-leaves the frame through one table of the Green pair at the step times:
-no state is rotated step by step and no history is re-summed.  The
-solution and its forcing are real and the Green pair is even in
-frequency, so every spectrum here is a half spectrum
-(``Grid.forward``/``Grid.inverse``) and the tables are computed on the
+leaves the frame through rows of the Green pair at the step times
+(:func:`_green_rows`): no state is rotated step by step and no history
+is re-summed.  The solution and its forcing are real and the Green pair
+is even in frequency, so every spectrum here is a half spectrum
+(``Grid.forward``/``Grid.inverse``) and the rows are computed on the
 half grid, from |eta| restricted by ``Grid.half``.  Three callers read
-the table:
+the rows:
 
 - the causal sweep (:func:`_causal_sweep`), whose forcing alpha(u(t_j)) W_j
   depends on the current state: each step adds one term to a and to b
-  and costs one transform pair, and the table's rows are built a block
-  of steps at a time, so the sweep's memory does not grow with n;
+  and costs one transform pair, and the rows are built a block of step
+  times at a time, so the sweep's memory does not grow with n;
 - the Picard update (:func:`_picard_update`), whose inputs are all known
   before it starts: one batched forward transform of every step's
   forcing, two cumulative sums along time (the sweep's additions, in the
@@ -51,11 +51,12 @@ the table:
 
 Trajectories put time on the leading axis and may carry a replica axis
 after it: :func:`sweep_replicas` and :func:`picard_replicas` solve
-Monte Carlo ensembles in batches.
+Monte Carlo ensembles in blocks of replicas from ``noise.replica_blocks``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -66,14 +67,13 @@ from .covariance import SpectralMeasure, admissibility_integral
 from .greens import GreenMultiplier, cosine_multiplier, j_field, sine_multiplier
 from .greens import spectral_energy_field
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
-from .noise import NoisePath, sample_path, sample_slice_batch
+from .noise import NoisePath, replica_blocks, sample_slice_batch
 
 __all__ = [
     "Nonlinearity",
     "SolveConfig",
     "SolveReport",
     "MomentSummary",
-    "Propagator",
     "deterministic_part",
     "deterministic_velocity",
     "deterministic_moments",
@@ -85,14 +85,6 @@ __all__ = [
     "check_envelope",
     "moment_track",
 ]
-
-# Table entries per block of rows in the causal sweep (at least one step
-# time a block), so the sweep's table memory is bounded whatever n and N
-# are, and a small grid still gets all its rows from one multiplier call.
-# One replica at d = 2, N = 128, n = 1,024 (k = 2, white noise) ran in
-# 87 MB max RSS, against 420 MB with whole-horizon tables (Intel Xeon).
-_SWEEP_BLOCK_CELLS = 2**16
-
 
 @dataclass(frozen=True)
 class Nonlinearity:
@@ -263,8 +255,13 @@ def deterministic_velocity(cfg: SolveConfig, t: float) -> LatticeField:
 
 def energy_trajectory(cfg: SolveConfig) -> np.ndarray:
     """Spectral energy of the noise-free evolution at every step time."""
-    u_spec, v_spec = _free_spectra(cfg, Propagator(cfg.grid, cfg.k, cfg.dt, cfg.steps))
-    return spectral_energy_field(cfg.grid, u_spec, v_spec, cfg.k)
+    grid = cfg.grid
+    cos, sin, scale = table = _horizon_table(cfg)
+    a, b = _initial_frame(cfg, scale)
+    # F[u_t] = -w sin(t w) a + cos(t w) b, with w sin(t w) = w**2 (sin(t w)/w)
+    v_spec = -grid.half(grid.freq_norm_sq**cfg.k) * sin * a
+    v_spec += cos * b
+    return spectral_energy_field(grid, _free_spectra(cfg, table), v_spec, cfg.k)
 
 
 def deterministic_moments(cfg: SolveConfig, theta: np.ndarray | None = None) -> np.ndarray:
@@ -274,7 +271,7 @@ def deterministic_moments(cfg: SolveConfig, theta: np.ndarray | None = None) -> 
     one batched inverse transform; :func:`deterministic_part` is the
     closed form it agrees with.
     """
-    u_spec, _ = _free_spectra(cfg, Propagator(cfg.grid, cfg.k, cfg.dt, cfg.steps))
+    u_spec = _free_spectra(cfg, _horizon_table(cfg))
     return _norm_factory(cfg, theta)(cfg.grid.inverse(u_spec))
 
 
@@ -283,52 +280,28 @@ def deterministic_moments(cfg: SolveConfig, theta: np.ndarray | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-class Propagator:
-    """The lattice Green pair at the step times t_j = j dt, j = 0..steps.
+def _green_rows(grid: Grid, k: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows cos(t w) and sin(t w)/w (series branch near w = 0) on the half grid, t in ``times``.
 
-    Per frequency, with w = |eta|**k, the half-grid tables hold
-
-    - ``cos[j]`` = cos(t_j w),
-    - ``sin[j]`` = sin(t_j w)/w (the series branch near w = 0),
-    - ``neg_w_sin[j]`` = -w sin(t_j w),
-
-    the rows of R(t_j) in the rotated frame (see the module docstring),
-    which preserves the spectral energy |F[u_t]|**2 + w**2 |F[u]|**2.
-    Forcing enters F[u_t] times ``scale`` = lattice dG/dt at 0: 1, except
-    for the exact d = 1, k = 1 kernel, which is eta (h/2) cot(eta h/2)
-    (0 at Nyquist) times the sampled one.  The tables span the whole
-    horizon; the causal sweep reads the same rows from
-    :func:`_sweep_rows` instead.
+    Elementwise in t and |eta|, so one evenness check of |eta| covers them
+    and a row is the same bit for bit whichever other times share its call.
     """
-
-    def __init__(self, grid: Grid, k: int, dt: float, steps: int) -> None:
-        # the tables are elementwise in |eta|, so one evenness check of it covers them
-        mag = grid.half(np.sqrt(grid.freq_norm_sq))
-        times = dt * np.arange(steps + 1)
-        self.cos = cosine_multiplier(times, mag, k)
-        self.sin = sine_multiplier(times, mag, k)
-        self.neg_w_sin = -grid.half(grid.freq_norm_sq**k) * self.sin
-        self.scale = _forcing_scale(grid, k, dt)
+    mag = grid.half(np.sqrt(grid.freq_norm_sq))
+    return cosine_multiplier(times, mag, k), sine_multiplier(times, mag, k)
 
 
 def _forcing_scale(grid: Grid, k: int, dt: float) -> np.ndarray:
-    """Lattice dG/dt at t = 0 on the half grid, the factor forcing enters F[u_t] with."""
+    """Lattice dG/dt at t = 0 on the half grid, the factor forcing enters F[u_t] with.
+
+    It is 1, except for the exact d = 1, k = 1 kernel: eta (h/2) cot(eta h/2), 0 at Nyquist.
+    """
     return grid.half(GreenMultiplier(k, dt).lattice_dt_spectrum(grid, 0.0))
 
 
-def _sweep_rows(grid: Grid, k: int, dt: float, steps: int):
-    """The rows (cos[j], sin[j]) of :class:`Propagator`'s tables, j = 0..steps.
-
-    Built a block of step times at a time, at most ``_SWEEP_BLOCK_CELLS``
-    table entries but at least one row, by the same broadcast multiplier
-    calls, so each row equals the table's bit for bit while the sweep
-    holds one block, not the whole horizon.
-    """
-    mag = grid.half(np.sqrt(grid.freq_norm_sq))
-    block = max(1, _SWEEP_BLOCK_CELLS // mag.size)
-    for lo in range(0, steps + 1, block):
-        times = dt * np.arange(lo, min(lo + block, steps + 1))
-        yield from zip(cosine_multiplier(times, mag, k), sine_multiplier(times, mag, k))
+def _horizon_table(cfg: SolveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Green-pair rows at every step time t_j = j dt, j = 0..n, and the forcing scale."""
+    cos, sin = _green_rows(cfg.grid, cfg.k, cfg.dt * np.arange(cfg.steps + 1))
+    return cos, sin, _forcing_scale(cfg.grid, cfg.k, cfg.dt)
 
 
 def _initial_frame(cfg: SolveConfig, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,17 +311,16 @@ def _initial_frame(cfg: SolveConfig, scale: np.ndarray) -> tuple[np.ndarray, np.
     return a, b
 
 
-def _free_spectra(cfg: SolveConfig, prop: Propagator) -> tuple[np.ndarray, np.ndarray]:
-    """Half spectra of the noise-free u(t_j) and u_t(t_j), j = 0..n.
+def _free_spectra(cfg: SolveConfig, table) -> np.ndarray:
+    """Half spectra of the noise-free u(t_j), j = 0..n, from :func:`_horizon_table`.
 
     The frame with P = Q = 0: its coordinates stay at their initial values.
     """
-    a, b = _initial_frame(cfg, prop.scale)
-    u_spec = prop.cos * a
-    u_spec += prop.sin * b
-    v_spec = prop.neg_w_sin * a
-    v_spec += prop.cos * b
-    return u_spec, v_spec
+    cos, sin, scale = table
+    a, b = _initial_frame(cfg, scale)
+    u_spec = cos * a
+    u_spec += sin * b
+    return u_spec
 
 
 def _causal_sweep(cfg: SolveConfig, w_fields: Iterable[np.ndarray]):
@@ -360,13 +332,16 @@ def _causal_sweep(cfg: SolveConfig, w_fields: Iterable[np.ndarray]):
     one forward transform.  The frame coordinates a = F[v0] - P and
     b = scale F[v0_dot] + Q take one term each per step, as in the
     running sums of :func:`_forced_spectra`, so the sweep and the Picard
-    update do the same arithmetic.  The table rows come in blocks from
-    :func:`_sweep_rows`, so the sweep's memory does not grow with n.
+    update do the same arithmetic.  The Green-pair rows are built in
+    blocks of step times (``noise.replica_blocks``, one half grid a
+    row), so the sweep's memory does not grow with n.
     """
     grid, alpha = cfg.grid, cfg.nonlinearity
     scale = _forcing_scale(grid, cfg.k, cfg.dt)
     a, b = _initial_frame(cfg, scale)
-    rows = _sweep_rows(grid, cfg.k, cfg.dt, cfg.steps)
+    rows = itertools.chain.from_iterable(
+        zip(*_green_rows(grid, cfg.k, cfg.dt * np.arange(lo, hi)))
+        for lo, hi, _ in replica_blocks(cfg.steps + 1, math.prod(grid.half_shape)))
     # w first: zip stops at the last increment without taking the final row
     for w, (cos, sin) in zip(w_fields, rows):
         values = grid.inverse(cos * a + sin * b)
@@ -386,16 +361,17 @@ def _running_sums(start: np.ndarray, table: np.ndarray, g: np.ndarray) -> np.nda
     return np.cumsum(out, axis=0, out=out)
 
 
-def _forced_spectra(cfg: SolveConfig, prop: Propagator, g: np.ndarray) -> np.ndarray:
+def _forced_spectra(cfg: SolveConfig, table, g: np.ndarray) -> np.ndarray:
     """Half spectra of u(t_j), j = 0..n, from the n injected forcing spectra ``g``.
 
     The frame coordinates a_j and b_j are two cumulative sums along time,
     which make the causal sweep's additions in the sweep's order.
     """
-    # the tables along time, broadcast over the replica axis if there is one
-    shape = (len(g) + 1,) + (1,) * (g.ndim - prop.cos.ndim) + prop.cos.shape[1:]
-    cos, sin = prop.cos.reshape(shape), prop.sin.reshape(shape)
-    a0, b0 = _initial_frame(cfg, prop.scale)
+    cos, sin, scale = table
+    # the rows along time, broadcast over the replica axis if there is one
+    shape = (len(g) + 1,) + (1,) * (g.ndim - cos.ndim) + cos.shape[1:]
+    cos, sin = cos.reshape(shape), sin.reshape(shape)
+    a0, b0 = _initial_frame(cfg, scale)
     u_spec = _running_sums(b0, cos, g)
     u_spec *= sin
     a = _running_sums(a0, -sin, g)
@@ -404,19 +380,20 @@ def _forced_spectra(cfg: SolveConfig, prop: Propagator, g: np.ndarray) -> np.nda
     return u_spec
 
 
-def _picard_update(cfg: SolveConfig, prop: Propagator, w_fields: np.ndarray,
+def _picard_update(cfg: SolveConfig, table, w_fields: np.ndarray,
                    prev: np.ndarray) -> np.ndarray:
     """One Picard update: the discrete mild map applied to a whole trajectory.
 
     ``prev`` holds u_n(t_j), j = 0..n, and ``w_fields`` the n increments,
     time on the leading axis of both and an optional replica axis after
-    it.  Every input is known in advance, so one batched forward transform
-    gives all n forcing spectra, :func:`_forced_spectra` needs no loop over
-    steps, and one batched inverse returns u_{n+1}.
+    it; ``table`` is :func:`_horizon_table`'s.  Every input is known in
+    advance, so one batched forward transform gives all n forcing
+    spectra, :func:`_forced_spectra` needs no loop over steps, and one
+    batched inverse returns u_{n+1}.
     """
     g = cfg.grid.forward(cfg.nonlinearity(prev[:cfg.steps]) * w_fields)
-    g *= prop.scale
-    return cfg.grid.inverse(_forced_spectra(cfg, prop, g))
+    g *= table[2]  # the forcing scale
+    return cfg.grid.inverse(_forced_spectra(cfg, table, g))
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +427,18 @@ def _noise_fields(cfg: SolveConfig, path: NoisePath) -> np.ndarray:
     return path.fields[:n] if mask is None else path.fields[:n] * mask
 
 
-def _initial_guess(cfg: SolveConfig, prop: Propagator, initial: str) -> np.ndarray:
+def _noise_batches(cfg: SolveConfig, gens, count: int):
+    """The n masked increments of ``count`` replicas, one batch a step, drawn from ``gens``."""
+    mask = _mask(cfg)
+    for _ in range(cfg.steps):
+        w = sample_slice_batch(cfg.grid, cfg.measure, cfg.dt, gens, count)
+        yield w if mask is None else w * mask
+
+
+def _initial_guess(cfg: SolveConfig, table, initial: str) -> np.ndarray:
     """The Picard starting trajectory, shape (n + 1, *grid.shape)."""
     if initial == "u0":
-        return cfg.grid.inverse(_free_spectra(cfg, prop)[0])
+        return cfg.grid.inverse(_free_spectra(cfg, table))
     if initial == "zero":
         return np.zeros((cfg.steps + 1,) + cfg.grid.shape)
     raise ValueError(f"unknown initial guess {initial!r}")
@@ -489,36 +474,30 @@ def explicit_sweep(cfg: SolveConfig, path: NoisePath,
 
 
 def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
-                   keep=(), chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
+                   keep=()) -> tuple[np.ndarray, np.ndarray]:
     """Causal sweep of independent replicas, batched along a leading axis.
 
     Replica r draws its noise from its own generator ``rngs[r]``, slice
-    by slice in time order, exactly as ``sample_path`` does.  Chunks of
-    at most ``chunk`` replicas stream one noise batch per step through
-    the causal sweep, so each replica's results are bit-identical to
-    :func:`explicit_sweep` on its own path and do not depend on
-    ``chunk``.  Returns the squared norms, shape (replicas, n + 1),
-    theta-weighted when ``theta`` is given (as in :func:`explicit_sweep`),
-    and the values at the steps ``keep``, shape
-    (replicas, len(keep), *grid.shape).
+    by slice in time order, exactly as ``sample_path`` does.  Blocks of
+    replicas (``noise.replica_blocks``, one half grid a replica) stream
+    one noise batch per step through the causal sweep, so each
+    replica's results are bit-identical to :func:`explicit_sweep` on its
+    own path and do not depend on the block size.  Returns the squared
+    norms, shape (replicas, n + 1), theta-weighted when ``theta`` is
+    given (as in :func:`explicit_sweep`), and the values at the steps
+    ``keep``, shape (replicas, len(keep), *grid.shape).
     """
     cfg.validate(weighted=theta is not None)
     grid, n = cfg.grid, cfg.steps
     slot = {j: i for i, j in enumerate(keep)}
     if len(slot) != len(keep) or any(not 0 <= j <= n for j in slot):
         raise ValueError(f"kept steps must be distinct and lie in 0..{n}")
+    blocks = replica_blocks(len(rngs), math.prod(grid.half_shape), rngs)
     norm_sq = _norm_factory(cfg, theta)
-    mask = _mask(cfg)
     moments = np.empty((len(rngs), n + 1))
     kept = np.empty((len(rngs), len(keep)) + grid.shape)
-    for lo in range(0, len(rngs), chunk):
-        gens = rngs[lo:lo + chunk]
-        hi = lo + len(gens)
-        noise = (sample_slice_batch(grid, cfg.measure, cfg.dt, gens, len(gens))
-                 for _ in range(n))
-        if mask is not None:
-            noise = (w * mask for w in noise)
-        for j, values in enumerate(_causal_sweep(cfg, noise)):
+    for lo, hi, gens in blocks:
+        for j, values in enumerate(_causal_sweep(cfg, _noise_batches(cfg, gens, hi - lo))):
             moments[lo:hi, j] = norm_sq(values)
             if j in slot:
                 kept[lo:hi, slot[j]] = values
@@ -538,14 +517,14 @@ def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0",
     """
     cfg.validate(weighted=theta is not None)
     w_fields = _noise_fields(cfg, path)
-    prop = Propagator(cfg.grid, cfg.k, cfg.dt, cfg.steps)
+    table = _horizon_table(cfg)
     norm_sq = _norm_factory(cfg, theta)
     max_iter = cfg.picard_max_iter if cfg.picard_max_iter is not None else cfg.steps + 2
-    prev = _initial_guess(cfg, prop, initial)
+    prev = _initial_guess(cfg, table, initial)
     m_table: list[np.ndarray] = []
     converged = False
     while len(m_table) < max_iter:
-        new = _picard_update(cfg, prop, w_fields, prev)
+        new = _picard_update(cfg, table, w_fields, prev)
         m_table.append(norm_sq(new - prev))
         prev = new
         if math.sqrt(np.max(m_table[-1])) < cfg.picard_tol:
@@ -555,31 +534,35 @@ def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0",
 
 
 def picard_replicas(cfg: SolveConfig, rngs, iterations: int,
-                    theta: np.ndarray | None = None, chunk: int = 256) -> np.ndarray:
+                    theta: np.ndarray | None = None) -> np.ndarray:
     """A fixed number of Picard iterations on independent replicas, batched.
 
-    Replica r iterates on ``sample_path(..., rngs[r])``.  Chunks of at
-    most ``chunk`` replicas run as one batch, the replica axis after the
-    time axis, so each replica's rows are bit-identical to
-    :func:`picard_iterate` on its own path (initial guess u0) with a zero
-    tolerance and ``iterations`` as the budget, and do not depend on
-    ``chunk``.  Returns the squared (``theta``-weighted) update
-    distances, shape (replicas, iterations, n + 1): row [r, i] is
-    replica r's ``m_table[i]``.
+    Replica r iterates on ``sample_path(..., rngs[r])``, drawn slice by
+    slice as :func:`sweep_replicas` draws it.  Blocks of replicas
+    (``noise.replica_blocks``, one (n + 1)-row half-grid trajectory a
+    replica) run as one batch, the replica axis after the time axis, so
+    each replica's rows are bit-identical to :func:`picard_iterate` on
+    its own path (initial guess u0) with a zero tolerance and
+    ``iterations`` as the budget, and do not depend on the block size.
+    Returns the squared (``theta``-weighted) update distances, shape
+    (replicas, iterations, n + 1): row [r, i] is replica r's
+    ``m_table[i]``.
     """
     cfg.validate(weighted=theta is not None)
-    prop = Propagator(cfg.grid, cfg.k, cfg.dt, cfg.steps)
+    grid, n = cfg.grid, cfg.steps
+    blocks = replica_blocks(len(rngs), (n + 1) * math.prod(grid.half_shape), rngs)
+    table = _horizon_table(cfg)
     norm_sq = _norm_factory(cfg, theta)
-    guess = _initial_guess(cfg, prop, "u0")[:, None]
-    m = np.empty((len(rngs), iterations, cfg.steps + 1))
-    for lo in range(0, len(rngs), chunk):
-        paths = [sample_path(cfg.grid, cfg.measure, cfg.horizon, cfg.dt, gen)
-                 for gen in rngs[lo:lo + chunk]]
-        w_fields = np.stack([_noise_fields(cfg, p) for p in paths], axis=1)
-        prev = np.broadcast_to(guess, (len(guess),) + w_fields.shape[1:])
+    guess = _initial_guess(cfg, table, "u0")[:, None]
+    m = np.empty((len(rngs), iterations, n + 1))
+    for lo, hi, gens in blocks:
+        w_fields = np.empty((n, hi - lo) + grid.shape)
+        for j, w in enumerate(_noise_batches(cfg, gens, hi - lo)):
+            w_fields[j] = w
+        prev = np.broadcast_to(guess, (n + 1,) + w_fields.shape[1:])
         for i in range(iterations):
-            new = _picard_update(cfg, prop, w_fields, prev)
-            m[lo:lo + len(paths), i] = norm_sq(new - prev).T
+            new = _picard_update(cfg, table, w_fields, prev)
+            m[lo:hi, i] = norm_sq(new - prev).T
             prev = new
     return m
 
@@ -621,26 +604,35 @@ def check_envelope(alpha: Nonlinearity) -> None:
         )
 
 
+def _pool_moments(moments: np.ndarray, cfg: SolveConfig, envelope: np.ndarray,
+                  space: str = "L2") -> MomentSummary:
+    """Pool at least 30 replica trajectories, shape (replicas, n + 1), against ``envelope``.
+
+    The mean passes where it stays below the envelope plus three standard errors.
+    """
+    data = np.asarray(moments)
+    if len(data) < 30:
+        raise ValueError("moment tracking needs at least 30 replicas")
+    mean = data.mean(axis=0)
+    se = data.std(axis=0, ddof=1) / math.sqrt(len(data))
+    ok = bool(np.all(mean <= envelope + 3.0 * se + 1e-12))
+    return MomentSummary(cfg.dt * np.arange(cfg.steps + 1), mean, se, envelope, len(data), ok,
+                         space)
+
+
 def moment_track(moments: np.ndarray, cfg: SolveConfig) -> MomentSummary:
     """Pool replica moment trajectories and test the exponential envelope.
 
     ``moments`` holds one squared-norm trajectory per replica, shape
-    (replicas, n + 1).  The envelope is 2 ||u0(t)||**2 exp(2 K C t) with
-    C = max_s J(s); the squared-norm Lipschitz amplification is K**2, so
-    the envelope as written is valid for K <= 1 only, and larger
-    declared constants are rejected.
+    (replicas, n + 1), pooled by :func:`_pool_moments`.  The envelope is
+    2 ||u0(t)||**2 exp(2 K C t) with C = max_s J(s); the squared-norm
+    Lipschitz amplification is K**2, so the envelope as written is valid
+    for K <= 1 only, and larger declared constants are rejected.
     """
-    if len(moments) < 30:
-        raise ValueError("moment tracking needs at least 30 replicas")
     check_envelope(cfg.nonlinearity)
-    n = cfg.steps
-    data = np.asarray(moments)
-    mean = data.mean(axis=0)
-    se = data.std(axis=0, ddof=1) / math.sqrt(len(data))
     c = gronwall_constant(cfg)
     k_lip = cfg.nonlinearity.lipschitz
-    times = cfg.dt * np.arange(n + 1)
+    times = cfg.dt * np.arange(cfg.steps + 1)
     u0_sq = deterministic_moments(cfg)
     envelope = 2.0 * u0_sq * np.exp(2.0 * k_lip * c * times)
-    ok = bool(np.all(mean <= envelope + 3.0 * se + 1e-12))
-    return MomentSummary(times, mean, se, envelope, len(data), ok)
+    return _pool_moments(moments, cfg, envelope)

@@ -38,9 +38,9 @@ modulation is a product of per-axis phases, so one leading-axes
 transform serves every eta that shares its leading coordinates, and a
 last-axis transform per eta completes it.
 
-The Monte Carlo kernel runs its replicas in blocks sized by half-grid
-entries (``_MC_BLOCK_CELLS``), so its memory is bounded on every grid
-and the replica count only sets the number of blocks.
+The Monte Carlo kernel runs its replicas in blocks of one half grid a
+replica (``noise.replica_blocks``), so its memory is bounded on every
+grid and the replica count only sets the number of blocks.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 from .covariance import SpectralMeasure
 from .greens import GreenMultiplier, j_field
 from .lattice import Grid, LatticeField, circular_convolve
-from .noise import NoisePath, sample_slice_batch
+from .noise import NoisePath, replica_blocks, sample_slice_batch
 
 __all__ = [
     "IntegrandProcess",
@@ -75,13 +75,6 @@ __all__ = [
 # median of 9, in two orders) the oracle took 0.54-0.58 s at a block of
 # 4, 0.54-0.56 s at 8, 0.56-0.60 s at 16 and 0.67-0.68 s at 64.
 _MODULATION_BLOCK = 8
-
-# Half-grid entries per array in one Monte Carlo block: a block holds
-# max(1, min(256, _MC_BLOCK_CELLS // prod(grid.half_shape))) replicas, so
-# grids of up to 256 half-grid entries (d = 1 up to N = 256) keep blocks
-# of 256, and a d = 2, N = 64 block of 31 replicas holds a
-# 1 MB accumulator instead of 8.7 MB.
-_MC_BLOCK_CELLS = 2**16
 
 
 @dataclass
@@ -228,11 +221,11 @@ def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoiseP
     """Left-endpoint lattice integral of G(t-s) against Z(s) M(ds, dy).
 
     The test oracle: a direct history sum on full spectra.  The solver
-    reaches the same sum in the rotated frame of ``solver.Propagator`` on
-    half spectra instead: by the addition formula
+    reaches the same sum in its rotated frame on half spectra instead:
+    by the addition formula
     sin((t - s) w)/w = [sin(t w) cos(s w) - cos(t w) sin(s w)]/w, the
-    history at every step time is two prefix sums over one table of the
-    Green pair.
+    history at every step time is two prefix sums over rows of the Green
+    pair at the step times (``solver._green_rows``).
     """
     if not Z.adapted:
         raise ValueError("integrand process is not adapted")
@@ -394,30 +387,23 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
     ``rng`` is either one generator or a sequence of exactly ``replicas``
     per-replica generators (replica r then consumes exactly its own
     stream, slice by slice, which makes runs at different replica
-    offsets poolable).  A block holds at most 256 replicas and at most
-    ``_MC_BLOCK_CELLS`` half-grid entries per array, so its memory does
-    not grow with the grid.  Each block samples fresh slices for every
-    time step and accumulates the half spectra F[v(t)]; ``norm_sq`` maps
-    that (c, *grid.half_shape) batch to its c squared norms before the
-    next block is allocated.
+    offsets poolable).  Blocks come from ``noise.replica_blocks``, one
+    half grid a replica, so their memory does not grow with the grid.
+    Each block samples fresh slices for every time step and accumulates
+    the half spectra F[v(t)]; ``norm_sq`` maps that (c, *grid.half_shape)
+    batch to its c squared norms before the next block is allocated.
     """
-    if replicas < 1:
-        raise ValueError(f"replicas must be at least 1, got {replicas}")
-    if not isinstance(rng, np.random.Generator) and len(rng) != replicas:
-        raise ValueError(f"rng holds {len(rng)} generators, replicas is {replicas}")
     grid, dt = Z.grid, Z.dt
+    blocks = replica_blocks(replicas, math.prod(grid.half_shape), rng)
     m, times = _green_times(Z, t)
     mults = grid.half(g.lattice_spectrum(grid, times))
-    block = max(1, min(256, _MC_BLOCK_CELLS // math.prod(grid.half_shape)))
     sq_norms = np.empty(replicas)
-    for lo in range(0, replicas, block):
-        c = min(block, replicas - lo)
-        gens = rng if isinstance(rng, np.random.Generator) else rng[lo:lo + c]
-        acc = np.zeros((c,) + grid.half_shape, dtype=complex)
+    for lo, hi, gens in blocks:
+        acc = np.zeros((hi - lo,) + grid.half_shape, dtype=complex)
         for i in range(m):
-            fields = sample_slice_batch(grid, measure, dt, gens, c)
+            fields = sample_slice_batch(grid, measure, dt, gens, hi - lo)
             acc += mults[i] * grid.forward(Z.fields[i] * fields)
-        sq_norms[lo:lo + c] = norm_sq(acc)
+        sq_norms[lo:hi] = norm_sq(acc)
     return sq_norms
 
 

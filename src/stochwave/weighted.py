@@ -31,7 +31,7 @@ from .covariance import SpectralMeasure, admissibility_integral
 from .greens import GreenMultiplier, j_field
 from .lattice import Grid, LatticeField
 from .noise import NoisePath
-from .solver import MomentSummary, SolveConfig, SolveReport, deterministic_moments
+from .solver import MomentSummary, SolveConfig, SolveReport, _pool_moments, deterministic_moments
 from .solver import explicit_sweep as _sweep
 from .solver import gronwall_constant, picard_iterate as _picard
 from .stochint import IntegrandProcess, _green_times, convolution_norms_mc
@@ -229,7 +229,8 @@ def weighted_moment_track(moments: np.ndarray, cfg: SolveConfig, w: Weight) -> M
     """Affine-recursion envelope for linear-growth nonlinearities.
 
     ``moments`` holds one theta-weighted squared-norm trajectory per
-    replica, shape (replicas, n + 1).  From |alpha(u)|**2 <= 2 K**2 (1 + u**2) with the growth constant
+    replica, shape (replicas, n + 1), pooled as in ``solver.moment_track``.
+    From |alpha(u)|**2 <= 2 K**2 (1 + u**2) with the growth constant
     K = max(Lipschitz, |alpha(0)|) and the weighted moment bound, the
     pooled moments must stay below the explicit iteration
 
@@ -237,16 +238,9 @@ def weighted_moment_track(moments: np.ndarray, cfg: SolveConfig, w: Weight) -> M
 
     with Theta = integral theta and J* = max_s J(s).
     """
-    if len(moments) < 30:
-        raise ValueError("moment tracking needs at least 30 replicas")
     grid = cfg.grid
     theta = w.theta_on(grid)
     n = cfg.steps
-    data = np.asarray(moments)
-    mean = data.mean(axis=0)
-    se = data.std(axis=0, ddof=1) / math.sqrt(len(data))
-    times = cfg.dt * np.arange(n + 1)
-
     theta_mass = grid.cell_volume * float(np.sum(theta))
     j_star = gronwall_constant(cfg)
     s_const = locality_constant(grid, w, cfg.horizon)
@@ -260,5 +254,4 @@ def weighted_moment_track(moments: np.ndarray, cfg: SolveConfig, w: Weight) -> M
     for j in range(n + 1):
         envelope[j] = 2.0 * u0_sq[j] + rate * running
         running += cfg.dt * (theta_mass + envelope[j])
-    ok = bool(np.all(mean <= envelope + 3.0 * se + 1e-12))
-    return MomentSummary(times, mean, se, envelope, len(data), ok, space="L2theta")
+    return _pool_moments(moments, cfg, envelope, space="L2theta")

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ _VALUE = st.text(alphabet="abcXYZ019 .,-_/+*=:[]%#;", max_size=12).map(str.strip
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(EXPERIMENT_INDEX)), seed=st.integers(0, 2**63 - 1),
-       replicas=st.none() | st.integers(1, 10**6),
+       replicas=st.none() | st.integers(2, 10**6),
        extra=st.dictionaries(_KEY.map("x_{}".format), _VALUE, max_size=4),
        sections=st.dictionaries(_KEY.filter(lambda k: k != "experiment"),
                                 st.dictionaries(_KEY, _VALUE, max_size=4), max_size=3))
@@ -303,6 +304,17 @@ def test_cli_checks_overrides_like_the_config_file(tmp_path, capsys, options, ex
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["isometry", "refinement", "weighted"])
+def test_cli_refuses_a_single_replica(tmp_path, capsys, experiment):
+    # one replica has no standard error, so a Monte Carlo verdict would pass vacuously
+    config = Path(__file__).resolve().parent.parent / "configs" / f"{experiment}.ini"
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--replicas", "1", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[experiment] replicas: must be >= 2" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("amplitude, code", [(0.5, 0), (50.0, 2)])

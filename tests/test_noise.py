@@ -7,6 +7,7 @@ from stochwave.noise import (
     NoisePath,
     _spectral_scale,
     coarsen_path,
+    replica_blocks,
     sample_path,
     sample_slice,
     sample_slice_batch,
@@ -133,6 +134,35 @@ def test_slice_batch_with_per_replica_generators(grid):
         assert np.allclose(batch, np.stack(singles), atol=0)
         with pytest.raises(ValueError):
             sample_slice_batch(grid, m, 0.1, gens, 4)
+
+
+def test_replica_blocks_split_counts_and_generators():
+    # max(1, min(256, 2**16 // entries)) items a block, the last block partial
+    for entries, size in ((1, 256), (256, 256), (257, 255), (2**16, 1), (2**17, 1)):
+        blocks = replica_blocks(600, entries)
+        full, rest = divmod(600, size)
+        assert [hi - lo for lo, hi, _ in blocks] == [size] * full + [rest] * (rest > 0)
+        assert [lo for lo, _, _ in blocks] == list(range(0, 600, size))
+        assert all(gens is None for _, _, gens in blocks)
+    gens = [np.random.default_rng(r) for r in range(7)]
+    blocks = replica_blocks(7, 2**14, gens)  # 4 replicas a block
+    assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 4), (4, 7)]
+    assert all(b[2] == gens[b[0]:b[1]] for b in blocks)
+    one = np.random.default_rng(0)
+    assert all(b[2] is one for b in replica_blocks(7, 2**14, one))
+
+
+@pytest.mark.parametrize("replicas, generators, match", [
+    (0, None, "replicas must be at least 1, got 0"),
+    (-1, None, "replicas must be at least 1, got -1"),
+    (-1, 0, "replicas must be at least 1, got -1"),
+    (4, 3, "rng holds 3 generators, replicas is 4"),
+    (4, 5, "rng holds 5 generators, replicas is 4"),
+])
+def test_replica_blocks_refuse_bad_counts(replicas, generators, match):
+    rng = None if generators is None else [np.random.default_rng(r) for r in range(generators)]
+    with pytest.raises(ValueError, match=match):
+        replica_blocks(replicas, 1, rng)
 
 
 def _round_trip(grid, measure, dt, white):

@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochwave import solver
+from stochwave import noise, solver
 from stochwave.covariance import SpectralMeasure
+from stochwave.greens import spectral_energy_field
 from stochwave.lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
 from stochwave.noise import coarsen_path, sample_path
 from stochwave.solver import (
     Nonlinearity,
-    Propagator,
     SolveConfig,
     _causal_sweep,
     _free_spectra,
+    _green_rows,
+    _horizon_table,
     _picard_update,
-    _sweep_rows,
     deterministic_moments,
     deterministic_part,
     deterministic_velocity,
@@ -333,14 +334,17 @@ def test_rotated_frame_matches_closed_form_and_direct_sum(d, k, n_pts, steps, dt
     cfg = SolveConfig(grid, SpectralMeasure.white(d), k, steps * dt, dt, Nonlinearity.sine(),
                       LatticeField(grid, rng.standard_normal(grid.shape)),
                       LatticeField(grid, rng.standard_normal(grid.shape)))
-    free = _free_spectra(cfg, Propagator(grid, k, dt, steps))
-    assert free[0].shape == free[1].shape == (steps + 1,) + grid.half_shape
-    for j, (u_spec, v_spec) in enumerate(zip(*free)):
+    free = _free_spectra(cfg, _horizon_table(cfg))
+    assert free.shape == (steps + 1,) + grid.half_shape
+    # energy_trajectory builds the velocity -w sin(t w) a + cos(t w) b itself
+    energy = energy_trajectory(cfg)
+    for j, u_spec in enumerate(free):
         t = j * dt
-        u_ref = deterministic_part(cfg, t).values
-        v_ref = deterministic_velocity(cfg, t).values
-        assert np.max(np.abs(grid.inverse(u_spec) - u_ref)) <= 1e-11 * np.max(np.abs(u_ref))
-        assert np.max(np.abs(grid.inverse(v_spec) - v_ref)) <= 1e-11 * np.max(np.abs(v_ref))
+        u_ref, v_ref = deterministic_part(cfg, t), deterministic_velocity(cfg, t)
+        assert np.max(np.abs(grid.inverse(u_spec) - u_ref.values)) <= \
+            1e-11 * np.max(np.abs(u_ref.values))
+        e_ref = spectral_energy_field(grid, u_ref.spectrum, v_ref.spectrum, k)
+        assert abs(energy[j] - e_ref) <= 1e-10 * e_ref
     path = sample_path(grid, cfg.measure, cfg.horizon, dt, rng)
     u = list(_causal_sweep(cfg, path.fields))
     assert len(u) == steps + 1
@@ -367,7 +371,7 @@ def _sweep_then_update(d, k, steps, replicas, mask, seed):
     w_fields = np.stack([p.fields for p in paths], axis=1) * (cfg.noise_mask if mask else 1.0)
     if replicas is None:
         trajectory, w_fields = trajectory[:, 0], w_fields[:, 0]
-    new = _picard_update(cfg, Propagator(grid, k, cfg.dt, steps), w_fields, trajectory)
+    new = _picard_update(cfg, _horizon_table(cfg), w_fields, trajectory)
     assert new.shape == trajectory.shape
     return trajectory, new
 
@@ -391,21 +395,39 @@ def test_sweep_and_picard_update_share_their_arithmetic(d, k, replicas):
     assert np.array_equal(new, trajectory)
 
 
+def _blocks_of(monkeypatch, count, entries):
+    """Make every block of ``entries``-entry items (replicas or sweep rows) hold ``count``."""
+    monkeypatch.setattr(noise, "_BLOCK_ENTRIES", count * entries)
+
+
 def _rows_per_block(monkeypatch, grid, rows):
-    """Make the causal sweep build ``rows`` table rows per block on ``grid``."""
-    monkeypatch.setattr(solver, "_SWEEP_BLOCK_CELLS", rows * math.prod(grid.half_shape))
+    """Make the causal sweep build ``rows`` Green-pair rows per block on ``grid``."""
+    _blocks_of(monkeypatch, rows, math.prod(grid.half_shape))
 
 
 @pytest.mark.parametrize("rows, steps", [(16, 0), (16, 15), (16, 16), (16, 67), (1, 5)])
 def test_sweep_rows_equal_the_propagator_tables(monkeypatch, rows, steps):
-    # the sweep builds its table rows block by block, with the tables' values bit for bit
+    # the sweep builds its rows a block of step times at a time, equal bit for bit
+    # to the whole-horizon rows the Picard path and the free evolution read
     grid = Grid(2, 8, 8.0)
+    cfg = SolveConfig(grid, SpectralMeasure.white(2), 2, steps * 0.01, 0.01,
+                      Nonlinearity.sine(), LatticeField(grid, np.exp(-grid.coord_norm_sq)))
+    assert cfg.steps == steps
+    cos, sin, _ = _horizon_table(cfg)
+    assert cos.shape == sin.shape == (steps + 1,) + grid.half_shape
     _rows_per_block(monkeypatch, grid, rows)
-    prop = Propagator(grid, 2, 0.01, steps)
-    built = list(_sweep_rows(grid, 2, 0.01, steps))
-    assert len(built) == steps + 1
-    assert np.array_equal(np.stack([c for c, _ in built]), prop.cos)
-    assert np.array_equal(np.stack([s for _, s in built]), prop.sin)
+    built = []
+
+    def recorded(*args):
+        built.append(_green_rows(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "_green_rows", recorded)
+    assert len(list(_causal_sweep(cfg, np.zeros((steps,) + grid.shape)))) == steps + 1
+    full, rest = divmod(steps + 1, rows)
+    assert [len(c) for c, _ in built] == [rows] * full + [rest] * (rest > 0)
+    assert np.array_equal(np.concatenate([c for c, _ in built]), cos)
+    assert np.array_equal(np.concatenate([s for _, s in built]), sin)
 
 
 def test_sweep_across_row_blocks_shares_the_picard_update_arithmetic(monkeypatch):
@@ -463,14 +485,15 @@ def _replica_config(d=1, k=1, mask=False, v0_dot=False, weighted=False):
     (1, 1, True, True, True),
     (2, 2, True, True, False),
 ])
-def test_sweep_replicas_matches_per_replica_sweeps(d, k, mask, v0_dot, weighted):
-    # bit-identical to explicit_sweep on each replica's own sample_path
+def test_sweep_replicas_matches_per_replica_sweeps(monkeypatch, d, k, mask, v0_dot, weighted):
+    # bit-identical to explicit_sweep on each replica's own sample_path, in blocks of 4
     cfg = _replica_config(d, k, mask, v0_dot, weighted)
     n = cfg.steps
     theta = (1.0 + cfg.grid.coord_norm_sq) ** -1.0 if weighted else None
     keep = (0, 1, n // 2, n)
+    _blocks_of(monkeypatch, 4, math.prod(cfg.grid.half_shape))
     moments, kept = sweep_replicas(cfg, [np.random.default_rng(300 + r) for r in range(9)],
-                                   theta=theta, keep=keep, chunk=4)
+                                   theta=theta, keep=keep)
     assert moments.shape == (9, n + 1) and kept.shape == (9, len(keep)) + cfg.grid.shape
     cfg.snapshot_stride = 1
     for r in range(9):
@@ -482,12 +505,21 @@ def test_sweep_replicas_matches_per_replica_sweeps(d, k, mask, v0_dot, weighted)
             assert np.array_equal(kept[r, i], ref.snapshot_at(j).values)
 
 
-def test_sweep_replicas_is_independent_of_chunk_size():
+def _by_block_size(monkeypatch, entries, solve):
+    """``solve()`` at the default blocks (20 replicas in one) and at blocks of 1 and 7."""
+    results = [solve()]
+    for count in (1, 7):
+        _blocks_of(monkeypatch, count, entries)
+        results.append(solve())
+    return results
+
+
+def test_sweep_replicas_is_independent_of_chunk_size(monkeypatch):
     cfg = _replica_config(mask=True, v0_dot=True)
     n = cfg.steps
-    results = [sweep_replicas(cfg, [np.random.default_rng(400 + r) for r in range(20)],
-                              keep=(n - 1, n), chunk=chunk)
-               for chunk in (1, 7, 256)]
+    assert noise.replica_blocks(20, math.prod(cfg.grid.half_shape)) == [(0, 20, None)]
+    results = _by_block_size(monkeypatch, math.prod(cfg.grid.half_shape), lambda: sweep_replicas(
+        cfg, [np.random.default_rng(400 + r) for r in range(20)], keep=(n - 1, n)))
     for moments, kept in results[1:]:
         assert np.array_equal(moments, results[0][0])
         assert np.array_equal(kept, results[0][1])
@@ -505,14 +537,16 @@ def test_sweep_replicas_is_independent_of_chunk_size():
     for d, k in ((1, 1), (2, 2)) for mask in (False, True) for v0_dot in (False, True)
     for weighted in (False, True) if k == 1 or not weighted
 ])
-def test_picard_replicas_match_per_path_solves(d, k, mask, v0_dot, weighted):
-    # row [r, i] is bit-identical to m_table[i] of picard_iterate on replica r's own path
+def test_picard_replicas_match_per_path_solves(monkeypatch, d, k, mask, v0_dot, weighted):
+    # row [r, i] is bit-identical to m_table[i] of picard_iterate on replica r's own path,
+    # in blocks of 3
     cfg = _replica_config(d, k, mask, v0_dot, weighted)
     iterations = 4
     weight = Weight(d + 1.0)
     theta = weight.theta_on(cfg.grid) if weighted else None
+    _blocks_of(monkeypatch, 3, (cfg.steps + 1) * math.prod(cfg.grid.half_shape))
     m = picard_replicas(cfg, [np.random.default_rng(600 + r) for r in range(5)], iterations,
-                        theta=theta, chunk=3)
+                        theta=theta)
     assert m.shape == (5, iterations, cfg.steps + 1)
     cfg.picard_tol, cfg.picard_max_iter = 0.0, iterations
     for r in range(5):
@@ -526,13 +560,42 @@ def test_picard_replicas_match_per_path_solves(d, k, mask, v0_dot, weighted):
         assert np.array_equal(m[r], np.array(ref.m_table))
 
 
-def test_picard_replicas_is_independent_of_chunk_size():
+def test_picard_replicas_is_independent_of_chunk_size(monkeypatch):
     cfg = _replica_config(mask=True, v0_dot=True)
-    results = [picard_replicas(cfg, [np.random.default_rng(700 + r) for r in range(20)], 3,
-                               chunk=chunk)
-               for chunk in (1, 7, 256)]
+    entries = (cfg.steps + 1) * math.prod(cfg.grid.half_shape)
+    assert noise.replica_blocks(20, entries) == [(0, 20, None)]
+    results = _by_block_size(monkeypatch, entries, lambda: picard_replicas(
+        cfg, [np.random.default_rng(700 + r) for r in range(20)], 3))
     for m in results[1:]:
         assert np.array_equal(m, results[0])
+
+
+def _picard_replicas_peak(cfg, replicas):
+    """Peak traced allocation of picard_replicas over ``replicas`` replicas."""
+    picard_replicas(cfg, [np.random.default_rng(0)], 2)  # fills the grid's caches
+    tracemalloc.start()
+    try:
+        picard_replicas(cfg, [np.random.default_rng(900 + r) for r in range(replicas)], 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_picard_replicas_memory_does_not_grow_with_the_replica_count():
+    # a replica holds its (n + 1)-row trajectory, so blocks here hold 26 replicas
+    cfg = _replica_config(d=2, k=2)
+    assert noise.replica_blocks(104, (cfg.steps + 1) * math.prod(cfg.grid.half_shape)) == \
+        [(lo, lo + 26, None) for lo in range(0, 104, 26)]
+    assert _picard_replicas_peak(cfg, 104) <= 1.05 * _picard_replicas_peak(cfg, 26)
+
+
+def test_replica_batches_refuse_zero_replicas():
+    # the count check is noise.replica_blocks's, made before anything is allocated
+    cfg = _replica_config()
+    with pytest.raises(ValueError, match="replicas must be at least 1, got 0"):
+        sweep_replicas(cfg, [])
+    with pytest.raises(ValueError, match="replicas must be at least 1, got 0"):
+        picard_replicas(cfg, [], 3)
 
 
 @pytest.mark.parametrize("steps", [4, 32])
@@ -565,7 +628,7 @@ def test_picard_iteration_is_one_batched_transform_pair(monkeypatch, steps):
     prev = np.random.default_rng(801).standard_normal((steps + 1, 3) + cfg.grid.shape)
     w_fields = np.random.default_rng(802).standard_normal((steps, 3) + cfg.grid.shape)
     before = dict(calls)
-    new = _picard_update(cfg, Propagator(cfg.grid, cfg.k, cfg.dt, steps), w_fields, prev)
+    new = _picard_update(cfg, _horizon_table(cfg), w_fields, prev)
     assert {k: calls[k] - before[k] for k in calls} == {"forward": 1, "inverse": 1}
     assert new.shape == prev.shape
 

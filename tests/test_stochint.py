@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import stochwave.stochint as stochint
+import stochwave.noise as noise
 from stochwave.covariance import SpectralMeasure
 from stochwave.greens import GreenMultiplier, j_functional
 from stochwave.lattice import Grid, l2_norm
@@ -187,7 +187,7 @@ def _plancherel(grid):
 
 def _block_rows(monkeypatch, grid, rows):
     # Monte Carlo blocks of ``rows`` replicas on this grid
-    monkeypatch.setattr(stochint, "_MC_BLOCK_CELLS", rows * math.prod(grid.half_shape))
+    monkeypatch.setattr(noise, "_BLOCK_ENTRIES", rows * math.prod(grid.half_shape))
 
 
 def _norms_by_block_size(monkeypatch, g, z, measure, seed):
@@ -253,7 +253,7 @@ def test_mc_peak_memory_does_not_grow_with_replicas():
     grid = Grid(2, 32, 6.0)
     z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), 4, 0.25)
     g, measure = GreenMultiplier(1, 1.0), SpectralMeasure.riesz(2, 0.5)
-    block = stochint._MC_BLOCK_CELLS // math.prod(grid.half_shape)
+    block = noise._BLOCK_ENTRIES // math.prod(grid.half_shape)
     assert block == 120
 
     def peak(replicas):
