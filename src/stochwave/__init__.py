@@ -1,7 +1,7 @@
 """Spectral simulation and verification of second-order-in-time stochastic
 PDEs driven by spatially homogeneous Gaussian noise."""
 
-from .covariance import AdmissibilityReport, SpectralMeasure, admissibility_integral
+from .covariance import AdmissibilityReport, SpectralMeasure, admissibility_integral, admissible
 from .greens import GreenMultiplier, j_field, j_functional
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm, read_field, write_field
 from .noise import NoisePath, coarsen_path, sample_path, sample_slice
@@ -43,6 +43,7 @@ __all__ = [
     "AdmissibilityReport",
     "SpectralMeasure",
     "admissibility_integral",
+    "admissible",
     "GreenMultiplier",
     "j_field",
     "j_functional",

@@ -18,8 +18,12 @@ The admissibility integral
     integral (1 + |xi|**2)**(-k) mu(d xi)
 
 decides whether the linear equation of operator index k has a
-function-valued solution.  Divergence is decided by tail-exponent
-analysis, never by quadrature overflow.
+function-valued solution.  :func:`admissible` is the one divergence
+rule: it reads the verdict from the density's tail exponent, never from
+quadrature overflow, so every solve path decides admissibility without
+a quadrature.  ``scipy.integrate`` is imported only by the two functions
+that compute a quadrature value, the riesz normalization and the finite
+branch of :func:`admissibility_integral`.
 """
 
 from __future__ import annotations
@@ -29,11 +33,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "SpectralMeasure",
     "AdmissibilityReport",
+    "admissible",
     "admissibility_integral",
     "sphere_surface_area",
     "ball_volume",
@@ -62,6 +66,8 @@ def _riesz_constant(alpha: float, d: int) -> float:
 
     both sides reduced to radial quadratures.
     """
+    from scipy import integrate
+
     surf = sphere_surface_area(d)
     lhs, _ = integrate.quad(lambda r: r ** (d - alpha - 1) * math.exp(-r * r / 2.0), 0.0, np.inf)
     rhs, _ = integrate.quad(lambda r: r ** (alpha - 1) * math.exp(-r * r / 2.0), 0.0, np.inf)
@@ -227,20 +233,32 @@ class SpectralMeasure:
         return out
 
 
-def admissibility_integral(measure: SpectralMeasure, k: int) -> AdmissibilityReport:
-    """Evaluate integral (1 + |xi|**2)**(-k) mu(d xi).
+def admissible(measure: SpectralMeasure, k: int) -> bool:
+    """Whether integral (1 + |xi|**2)**(-k) mu(d xi) is finite.
 
-    The verdict comes from tail-exponent analysis: with density ~ r**p
-    at infinity the radial integrand behaves like r**(p + d - 1 - 2k),
-    so the integral diverges iff p + d - 1 - 2k >= -1.  The finite value
-    is computed by adaptive radial quadrature.
+    The verdict comes from tail-exponent analysis alone: with density
+    ~ r**p at infinity the radial integrand behaves like
+    r**(p + d - 1 - 2k), so the integral converges iff
+    p + d - 1 - 2k < -1.  No quadrature runs.
     """
     if k < 1:
         raise ValueError("operator index k must be >= 1")
-    d = measure.dimension
-    p = measure._tail_exponent()
-    if p + d - 1 - 2 * k >= -1.0:
+    return measure._tail_exponent() + measure.dimension - 1 - 2 * k < -1.0
+
+
+def admissibility_integral(measure: SpectralMeasure, k: int) -> AdmissibilityReport:
+    """Evaluate integral (1 + |xi|**2)**(-k) mu(d xi).
+
+    Divergence is decided by :func:`admissible`, the one divergence
+    rule; a divergent integral reports ``math.inf`` without a
+    quadrature.  The finite value is computed by adaptive radial
+    quadrature.
+    """
+    if not admissible(measure, k):
         return AdmissibilityReport(value=math.inf, k=k)
+    from scipy import integrate
+
+    d = measure.dimension
     surf = sphere_surface_area(d)
 
     def integrand(r: float) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SpectralMeasure, admissibility_integral
+from .covariance import SpectralMeasure, admissible
 from .lattice import Grid, circular_convolve
 
 __all__ = [
@@ -170,6 +170,6 @@ def j_functional(g: GreenMultiplier, measure: SpectralMeasure, s: float, grid: G
     radial measures supported here, and the dual grid always contains 0.
     Raises when the measure fails the admissibility condition for g.k.
     """
-    if not admissibility_integral(measure, g.k).finite:
+    if not admissible(measure, g.k):
         raise ValueError("J undefined: admissibility condition fails")
     return float(np.max(j_field(g, measure, s, grid)))

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SpectralMeasure, admissibility_integral
+from .covariance import SpectralMeasure, admissible
 from .greens import GreenMultiplier, cosine_multiplier, j_field, sine_multiplier
 from .greens import spectral_energy_field
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
@@ -191,7 +191,7 @@ class SolveConfig:
         steps_float = self.horizon / self.dt
         if abs(steps_float - round(steps_float)) > 1e-9:
             raise ValueError("horizon/dt must be an integer step count")
-        if not admissibility_integral(self.measure, self.k).finite:
+        if not admissible(self.measure, self.k):
             raise ValueError("measure fails the admissibility condition for this k")
         if not weighted and not self.nonlinearity.vanishes_at_zero:
             raise ValueError(
@@ -589,7 +589,7 @@ def gronwall_constant(cfg: SolveConfig) -> float:
     Admissibility is checked once, as :func:`~stochwave.greens.j_functional`
     checks it; one batched :func:`j_field` then covers every step time.
     """
-    if not admissibility_integral(cfg.measure, cfg.k).finite:
+    if not admissible(cfg.measure, cfg.k):
         raise ValueError("J undefined: admissibility condition fails")
     times = cfg.dt * np.arange(1, cfg.steps + 1)
     return float(np.max(j_field(cfg.green, cfg.measure, times, cfg.grid), initial=0.0))

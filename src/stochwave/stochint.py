@@ -413,8 +413,10 @@ def convolution_moment_mc(g, Z: IntegrandProcess, measure: SpectralMeasure,
 
     Returns (mean, standard error) over :func:`convolution_norms_mc`
     replicas, whose squared norm is evaluated by Plancherel on the half
-    grid.
+    grid.  A standard error needs ``replicas >= 2``.
     """
+    if replicas < 2:
+        raise ValueError(f"replicas: must be >= 2, got {replicas}")
     grid = Z.grid
     vol = grid.box_length**grid.dimension
 
@@ -423,5 +425,5 @@ def convolution_moment_mc(g, Z: IntegrandProcess, measure: SpectralMeasure,
 
     sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, plancherel, t)
     mean = float(np.mean(sq_norms))
-    se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
+    se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas))
     return mean, se

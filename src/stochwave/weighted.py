@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SpectralMeasure, admissibility_integral
+from .covariance import SpectralMeasure, admissible
 from .greens import GreenMultiplier, j_field
 from .lattice import Grid, LatticeField
 from .noise import NoisePath
@@ -172,11 +172,14 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
     """Compare E||v||_theta**2 (Monte Carlo) against its quadrature bound.
 
     Requires k = 1: the bound rests on the compact support of the wave
-    kernel, which beam-type operators (k >= 2) do not have.
+    kernel, which beam-type operators (k >= 2) do not have.  A standard
+    error needs ``replicas >= 2``.
     """
     if g.k != 1:
         raise ValueError("compact support required: weighted bound only holds for k = 1")
-    if not admissibility_integral(measure, 1).finite:
+    if replicas < 2:
+        raise ValueError(f"replicas: must be >= 2, got {replicas}")
+    if not admissible(measure, 1):
         raise ValueError("measure fails the admissibility condition for k = 1")
     grid, dt = Z.grid, Z.dt
     w.check_dimension(grid.dimension)
@@ -195,7 +198,7 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
 
     sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, theta_norm_sq, t)
     mc = float(np.mean(sq_norms))
-    se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
+    se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas))
     return WeightedBoundResult(bound, mc, se, locality_constant(grid, w, times.max() if m else 0.0),
                                replicas)
 

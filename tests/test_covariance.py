@@ -7,6 +7,7 @@ from scipy import integrate
 from stochwave.covariance import (
     SpectralMeasure,
     admissibility_integral,
+    admissible,
     ball_volume,
     sphere_surface_area,
 )
@@ -149,6 +150,43 @@ def test_radial_table_tail_required():
     m = SpectralMeasure.radial_table(1, [0.1, 1.0, 10.0], [1.0, 0.5, 0.1])
     with pytest.raises(ValueError, match="tail exponent required"):
         admissibility_integral(m, 1)
+
+
+def test_admissible_matches_the_integral_on_every_experiment_case(monkeypatch, tmp_path):
+    from stochwave import harness
+
+    cases = []
+    integral = harness.admissibility_integral
+
+    def recording(measure, k):
+        report = integral(measure, k)
+        cases.append((measure, k, report.finite))
+        return report
+
+    monkeypatch.setattr(harness, "admissibility_integral", recording)
+    harness.run(harness.parse_config("[experiment]\nname = admissibility\n"), out_dir=tmp_path)
+    assert len(cases) == 40  # white at d = 1..4, riesz at alpha = 0.5..3.5 < d; k = 1, 2
+    assert {finite for _, _, finite in cases} == {True, False}
+    for measure, k, finite in cases:
+        assert admissible(measure, k) == finite, (measure, k)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("tail", [-3.0, -0.5, 1.0, 1.5])
+def test_admissible_matches_the_integral_on_radial_tables(d, k, tail):
+    m = SpectralMeasure.radial_table(d, [0.1, 1.0, 10.0], [1.0, 0.5, 0.1], tail_exponent=tail)
+    assert admissible(m, k) == admissibility_integral(m, k).finite
+    assert admissible(m, k) == (tail + d - 1 - 2 * k < -1)
+
+
+def test_admissible_refuses_what_the_integral_refuses():
+    no_tail = SpectralMeasure.radial_table(1, [0.1, 1.0, 10.0], [1.0, 0.5, 0.1])
+    for check in (admissible, admissibility_integral):
+        with pytest.raises(ValueError, match="tail exponent required"):
+            check(no_tail, 1)
+        with pytest.raises(ValueError, match="operator index"):
+            check(SpectralMeasure.white(1), 0)
 
 
 def test_radial_table_verdicts_and_interpolation():

@@ -1,4 +1,9 @@
 import itertools
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -348,3 +353,38 @@ def test_cli_run_time_config_error_exit_code(tmp_path, capsys, text, message):
     assert cli.main(["run", str(bad), "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+_IMPORT_PROBE = """
+import json, sys
+import stochwave.cli as cli
+loaded = ['scipy.integrate' in sys.modules]
+assert cli.main(['run', sys.argv[1], '--output', sys.argv[2]]) == 0
+loaded.append('scipy.integrate' in sys.modules)
+from stochwave.covariance import SpectralMeasure
+from stochwave.lattice import Grid
+SpectralMeasure.riesz(2, 1.0).lattice_weights(Grid(2, 8, 8.0))  # an isometry riesz case
+loaded.append('scipy.integrate' in sys.modules)
+print(json.dumps({'loaded': loaded, 'riesz': SpectralMeasure.riesz(2, 1.0).riesz_constant.hex()}))
+"""
+
+
+def test_white_noise_run_does_not_import_quadrature(tmp_path):
+    # only a quadrature value (riesz normalization, finite admissibility
+    # integral) loads scipy.integrate; white-noise runs never need one
+    cfg_path = tmp_path / "energy.ini"
+    cfg_path.write_text(ENERGY_CFG + "[grid]\nn = 32\n[solver]\nsteps = 32\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cfg_path), str(tmp_path / "out")],
+                          capture_output=True, text=True, check=True, env=env)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["loaded"] == [False, False, True]
+    # the lazily imported quadrature gives the riesz constant bit for bit
+    from scipy import integrate
+
+    d, alpha = 2, 1.0
+    lhs, _ = integrate.quad(lambda r: r ** (d - alpha - 1) * math.exp(-r * r / 2.0), 0.0, np.inf)
+    rhs, _ = integrate.quad(lambda r: r ** (alpha - 1) * math.exp(-r * r / 2.0), 0.0, np.inf)
+    surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    assert float.fromhex(result["riesz"]) == (surf * lhs) / ((2.0 * math.pi) ** (d / 2.0) * surf * rhs)

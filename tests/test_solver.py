@@ -714,14 +714,40 @@ def test_gronwall_constant_checks_admissibility_once(monkeypatch):
     expected = max(greens.j_functional(cfg.green, cfg.measure, j * cfg.dt, cfg.grid)
                    for j in range(1, cfg.steps + 1))
     calls = []
-    quadrature = solver.admissibility_integral
-    monkeypatch.setattr(solver, "admissibility_integral",
-                        lambda measure, k: calls.append(k) or quadrature(measure, k))
+    verdict = solver.admissible
+    monkeypatch.setattr(solver, "admissible",
+                        lambda measure, k: calls.append(k) or verdict(measure, k))
     assert solver.gronwall_constant(cfg) == expected
     assert calls == [cfg.k]
     cfg.grid, cfg.measure = Grid(2, 8, 8.0), SpectralMeasure.white(2)  # d = 2 needs k >= 2
     with pytest.raises(ValueError, match="admissibility"):
         solver.gronwall_constant(cfg)
+
+
+def test_white_noise_solve_paths_run_no_quadrature(monkeypatch):
+    # admissibility is read from the tail exponent, so no gate needs QUADPACK
+    from scipy import integrate
+
+    from stochwave import greens, weighted
+    from stochwave.covariance import admissibility_integral
+    from stochwave.stochint import IntegrandProcess
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature on a solve path")
+
+    monkeypatch.setattr(integrate, "quad", no_quadrature)
+    with pytest.raises(AssertionError, match="quadrature"):
+        admissibility_integral(SpectralMeasure.white(1), 1)  # the patch is live
+    cfg = _basic_config(dt=1.0 / 16.0)
+    cfg.validate()
+    path = sample_path(cfg.grid, cfg.measure, cfg.horizon, cfg.dt, np.random.default_rng(3))
+    assert explicit_sweep(cfg, path).moments.shape == (cfg.steps + 1,)
+    assert solver.gronwall_constant(cfg) > 0.0
+    assert greens.j_functional(cfg.green, cfg.measure, 0.5, cfg.grid) > 0.0
+    z = IntegrandProcess.constant(cfg.grid, np.exp(-cfg.grid.coord_norm_sq), 4, 0.25)
+    res = weighted.weighted_isometry_bound(cfg.green, z, cfg.measure, weighted.Weight(2.0), 4,
+                                           np.random.default_rng(4))
+    assert res.bound > 0.0 and res.std_error > 0.0
 
 
 def test_moment_envelope_linear_alpha():

@@ -283,6 +283,13 @@ def test_convolution_mc_refuses_bad_replica_counts(setup, replicas, generators, 
         convolution_moment_mc(g, z, measure, replicas, rng)
 
 
+@pytest.mark.parametrize("replicas", [1, 0, -1])
+def test_convolution_moment_mc_needs_two_replicas_for_a_standard_error(setup, replicas):
+    grid, measure, g, z, dt = setup
+    with pytest.raises(ValueError, match="must be >= 2"):
+        convolution_moment_mc(g, z, measure, replicas, np.random.default_rng(2))
+
+
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 16)])
 @pytest.mark.parametrize("t", [1.0, 0.6])
 def test_convolution_norms_mc_replica_equals_its_own_path(monkeypatch, d, n, t):

@@ -133,6 +133,15 @@ def test_weighted_bound_refuses_bad_replica_counts(grid, weight, replicas, gener
         weighted_isometry_bound(g, z, SpectralMeasure.white(1), weight, replicas, rng)
 
 
+@pytest.mark.parametrize("replicas", [1, 0, -1])
+def test_weighted_bound_needs_two_replicas_for_a_standard_error(grid, weight, replicas):
+    g = GreenMultiplier(1, 1.0)
+    z = IntegrandProcess.constant(grid, np.ones(grid.shape), 4, 0.25)
+    with pytest.raises(ValueError, match="must be >= 2"):
+        weighted_isometry_bound(g, z, SpectralMeasure.white(1), weight, replicas,
+                                np.random.default_rng(3))
+
+
 def test_weighted_bound_rejects_k2(grid, weight):
     g = GreenMultiplier(2, 1.0)
     z = IntegrandProcess.constant(grid, np.ones(grid.shape), 2, 0.5)
