@@ -99,11 +99,16 @@ class SpectralMeasure:
             raise ValueError("dimension must be a positive integer")
         if kind not in ("white", "riesz", "radial-table"):
             raise ValueError(f"unknown measure kind {kind!r}")
-        if scale <= 0:
-            raise ValueError("normalization constant must be positive")
+        scale = float(scale)
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale: must be a finite positive number, got {scale}")
+        if tail_exponent is not None:
+            tail_exponent = float(tail_exponent)
+            if not math.isfinite(tail_exponent):
+                raise ValueError(f"tail_exponent: must be finite, got {tail_exponent}")
         self.dimension = int(dimension)
         self.kind = kind
-        self.scale = float(scale)
+        self.scale = scale
         self.alpha = alpha
         self.tail_exponent = tail_exponent
         self._radii = None
@@ -119,6 +124,8 @@ class SpectralMeasure:
             table = np.asarray(density_values, dtype=float)
             if radii.ndim != 1 or radii.shape != table.shape or radii.size < 2:
                 raise ValueError("radial table needs matching 1-d radius/density arrays with >= 2 samples")
+            if not np.all(np.isfinite(radii) & np.isfinite(table)):
+                raise ValueError("radial table radii and densities must be finite")
             if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
                 raise ValueError("table radii must be positive and strictly increasing")
             if np.any(table < 0):

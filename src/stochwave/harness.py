@@ -147,9 +147,12 @@ class ExperimentConfig:
         if v is None:
             return default
         try:
-            return float(v)
+            value = float(v)
         except ValueError:
             raise ValueError(f"[{section}] {key}: expected a number, got {v!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"[{section}] {key}: expected a finite number, got {v!r}")
+        return value
 
     def get_bool(self, section: str, key: str, default: bool) -> bool:
         v = self.get(section, key)

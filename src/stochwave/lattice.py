@@ -49,8 +49,15 @@ the multi-dimensional transform is separable, so transforms over a
 partition of the axes compose to the full one.
 
 This module is the package's one FFT site: the transforms run on
-``scipy.fft``, over the trailing ``d`` axes, so a leading batch axis
+``numpy.fft``, over the trailing ``d`` axes, so a leading batch axis
 rides along and a batched transform equals the row-by-row one exactly.
+An n-dimensional transform is a sequence of one-axis passes, and the
+order of the passes sets the rounding, so it is fixed: the real
+forward transform is an ``rfft`` over the last spatial axis followed by
+in-place ``fft`` passes over the leading spatial axes in ascending
+order; the inverse runs in-place ``ifft`` passes over the leading axes
+in ascending order, then one ``irfft`` over the last axis; the complex
+transform takes its axes in the order they are given.
 """
 
 from __future__ import annotations
@@ -61,7 +68,6 @@ from fractions import Fraction
 from typing import BinaryIO
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "Grid",
@@ -72,6 +78,33 @@ __all__ = [
     "write_field",
     "read_field",
 ]
+
+
+def _rfftn(arr: np.ndarray, axes) -> np.ndarray:
+    """Real transform: ``rfft`` over the last of ``axes``, then in-place
+    ``fft`` passes over the others in ascending order."""
+    spec = np.fft.rfft(arr, axis=axes[-1])
+    for ax in axes[:-1]:
+        np.fft.fft(spec, axis=ax, out=spec)
+    return spec
+
+
+def _irfftn(buf: np.ndarray, n: int, axes) -> np.ndarray:
+    """Inverse of :func:`_rfftn`, overwriting the complex buffer ``buf``:
+    in-place ``ifft`` passes over all but the last of ``axes`` in
+    ascending order, then an ``irfft`` of length ``n`` over the last."""
+    for ax in axes[:-1]:
+        np.fft.ifft(buf, axis=ax, out=buf)
+    return np.fft.irfft(buf, n=n, axis=axes[-1])
+
+
+def _fftn(arr: np.ndarray, axes) -> np.ndarray:
+    """Complex transform: ``fft`` passes over ``axes`` in the order given."""
+    out = np.fft.fft(arr, axis=axes[0])
+    for ax in axes[1:]:
+        np.fft.fft(out, axis=ax, out=out)
+    return out
+
 
 class Grid:
     """Uniform periodic grid on the centered box [-L/2, L/2)**d.
@@ -181,14 +214,14 @@ class Grid:
         """
         arr = np.asarray(values)
         self._check_shape(arr, self.shape, "field")
-        return self._signed_scales()[1] * scipy.fft.rfftn(arr, axes=self._axes(arr))
+        return self._signed_scales()[1] * _rfftn(arr, self._axes(arr))
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """Real fields from half spectra; the inverse of :meth:`forward`."""
         arr = np.asarray(spectrum)
         self._check_shape(arr, self.half_shape, "half spectrum")
-        return scipy.fft.irfftn(self._signed_scales()[2] * arr, s=self.shape,
-                                axes=self._axes(arr), overwrite_x=True)
+        buf = self._signed_scales()[2] * arr.astype(complex, copy=False)
+        return _irfftn(buf, self.points_per_axis, self._axes(arr))
 
     def full_forward(self, values: np.ndarray, axes: tuple[int, ...] | None = None) -> np.ndarray:
         """Spectrum on the full dual grid, for real or complex fields.
@@ -203,14 +236,14 @@ class Grid:
         arr = np.asarray(values)
         self._check_shape(arr, self.shape, "field")
         if axes is None:
-            out = scipy.fft.fftn(arr, axes=self._axes(arr))
+            out = _fftn(arr, self._axes(arr))
             out *= self._signed_scales()[0]
             return out
         axes = tuple(int(ax) for ax in axes)
         if not axes or len(set(axes)) != len(axes) or not all(0 <= ax < self.dimension for ax in axes):
             raise ValueError(f"axes {axes} are not distinct spatial axes of {self}")
         lead = arr.ndim - self.dimension
-        out = scipy.fft.fftn(arr, axes=[lead + ax for ax in axes])
+        out = _fftn(arr, [lead + ax for ax in axes])
         signed = self.spacing * (1.0 - 2.0 * (np.arange(self.points_per_axis) % 2))
         scale = 1.0
         for ax in axes:
@@ -324,8 +357,8 @@ def circular_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a, b = np.asarray(a), np.asarray(b)
     axes = tuple(range(b.ndim - a.ndim, b.ndim))
-    spec = scipy.fft.rfftn(a) * scipy.fft.rfftn(b, axes=axes)
-    return scipy.fft.irfftn(spec, s=a.shape, axes=axes, overwrite_x=True)
+    spec = _rfftn(a, tuple(range(a.ndim))) * _rfftn(b, axes)
+    return _irfftn(spec, a.shape[-1], axes)
 
 
 # ---------------------------------------------------------------------------

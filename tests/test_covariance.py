@@ -211,6 +211,30 @@ def test_radial_table_validation():
         SpectralMeasure.radial_table(1, [0.5, 1.0], [1.0, -1.0])  # negative density
 
 
+_TABLE = ([0.5, 1.0, 2.0], [1.0, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_measure_parameters_raise_at_construction(value):
+    # a non-finite parameter would otherwise surface as nan weights or a
+    # verdict decided by nan comparisons, far from its cause
+    builders = {
+        "scale": [lambda: SpectralMeasure.white(1, scale=value),
+                  lambda: SpectralMeasure.riesz(2, 1.0, scale=value),
+                  lambda: SpectralMeasure.radial_table(1, *_TABLE, tail_exponent=-3.0, scale=value)],
+        "tail_exponent": [lambda: SpectralMeasure.radial_table(1, *_TABLE, tail_exponent=value)],
+        "alpha": [lambda: SpectralMeasure.riesz(2, value)],
+        "finite": [lambda: SpectralMeasure.radial_table(1, [0.5, value], [1.0, 1.0], tail_exponent=-3.0),
+                   lambda: SpectralMeasure.radial_table(1, [0.5, 1.0], [1.0, value], tail_exponent=-3.0)],
+    }
+    for name, builds in builders.items():
+        for build in builds:
+            with pytest.raises(ValueError, match=name):
+                build()
+    # the finite neighbours construct
+    assert SpectralMeasure.radial_table(1, *_TABLE, tail_exponent=-3.0, scale=2.0).scale == 2.0
+
+
 def test_lattice_weights_memoized_and_read_only():
     m = SpectralMeasure.riesz(2, 1.0)
     w = m.lattice_weights(Grid(2, 16, 8.0))

@@ -345,6 +345,9 @@ def test_one_minus_exp_fails_outside_its_lipschitz_box(tmp_path, capsys, amplitu
     ("[experiment]\nname = picard\nreplicas = 10\n", "[experiment] replicas"),
     ("[experiment]\nname = energy\n[grid]\nn = abc\n", "[grid] n: expected an integer"),
     ("[experiment]\nname = energy\n[grid]\nlength = 1.0.0\n", "[grid] length: expected a number"),
+    ("[experiment]\nname = energy\n[grid]\nlength = inf\n", "[grid] length: expected a finite number"),
+    ("[experiment]\nname = energy\n[solver]\nv0_amplitude = nan\n",
+     "[solver] v0_amplitude: expected a finite number"),
 ])
 def test_cli_run_time_config_error_exit_code(tmp_path, capsys, text, message):
     # values the parser accepts but the experiment rejects while it is built
@@ -355,12 +358,29 @@ def test_cli_run_time_config_error_exit_code(tmp_path, capsys, text, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, kind", [("scale", "white"), ("alpha", "riesz"),
+                                       ("tail_exponent", "radial-table")])
+def test_cli_non_finite_measure_parameter_exit_code(tmp_path, capsys, key, kind, value):
+    table = tmp_path / "table.csv"
+    table.write_text("0.5,1.0\n1.0,0.5\n2.0,0.25\n")
+    extra = {"radial-table": f"table_path = {table}\n"}.get(kind, "")
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[experiment]\nname = picard\n[measure]\nkind = {kind}\n{extra}{key} = {value}\n")
+    assert cli.main(["run", str(bad), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [measure] {key}: ") and value in err
+    assert not (tmp_path / "out" / "picard.csv").exists()
+
+
 _IMPORT_PROBE = """
 import json, sys
 import stochwave.cli as cli
-loaded = ['scipy.integrate' in sys.modules]
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))
+loaded = [scipy_loaded()]
 assert cli.main(['run', sys.argv[1], '--output', sys.argv[2]]) == 0
-loaded.append('scipy.integrate' in sys.modules)
+loaded.append(scipy_loaded())
 from stochwave.covariance import SpectralMeasure
 from stochwave.lattice import Grid
 SpectralMeasure.riesz(2, 1.0).lattice_weights(Grid(2, 8, 8.0))  # an isometry riesz case
@@ -371,7 +391,8 @@ print(json.dumps({'loaded': loaded, 'riesz': SpectralMeasure.riesz(2, 1.0).riesz
 
 def test_white_noise_run_does_not_import_quadrature(tmp_path):
     # only a quadrature value (riesz normalization, finite admissibility
-    # integral) loads scipy.integrate; white-noise runs never need one
+    # integral) loads scipy.integrate; white-noise runs never need one,
+    # and the transforms run on numpy.fft, so they load no scipy module
     cfg_path = tmp_path / "energy.ini"
     cfg_path.write_text(ENERGY_CFG + "[grid]\nn = 32\n[solver]\nsteps = 32\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -379,7 +400,7 @@ def test_white_noise_run_does_not_import_quadrature(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cfg_path), str(tmp_path / "out")],
                           capture_output=True, text=True, check=True, env=env)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["loaded"] == [False, False, True]
+    assert result["loaded"] == [[], [], True]
     # the lazily imported quadrature gives the riesz constant bit for bit
     from scipy import integrate
 

@@ -4,12 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochwave.lattice import (
     Grid,
     LatticeField,
+    circular_convolve,
     h_neg_k_norm,
     l2_norm,
     read_field,
@@ -162,6 +164,107 @@ def test_batched_transforms_equal_row_by_row(d, n, length):
     empty = np.zeros((0,) + g.shape)
     assert g.forward(empty).shape == (0,) + g.half_shape
     assert g.inverse(g.forward(empty)).shape == empty.shape
+
+
+# the transform pair as it ran on scipy.fft (multi-axis pocketfft calls),
+# kept as the reference; the package itself transforms with numpy.fft
+
+
+def _signs(g):
+    parity = np.indices(g.shape).sum(axis=0)
+    return 1.0 - 2.0 * (parity % 2)
+
+
+def _scipy_forward(g, vals):
+    scale = (g.cell_volume * _signs(g))[..., : g.half_shape[-1]]
+    return scale * scipy.fft.rfftn(vals, axes=g._axes(vals))
+
+
+def _scipy_inverse(g, spec):
+    scale = (_signs(g) / g.cell_volume)[..., : g.half_shape[-1]]
+    return scipy.fft.irfftn(scale * spec, s=g.shape, axes=g._axes(spec))
+
+
+def _scipy_full_forward(g, vals, axes=None):
+    if axes is None:
+        return scipy.fft.fftn(vals, axes=g._axes(vals)) * (g.cell_volume * _signs(g))
+    lead = vals.ndim - g.dimension
+    signed = g.spacing * (1.0 - 2.0 * (np.arange(g.points_per_axis) % 2))
+    scale = 1.0
+    for ax in axes:
+        scale = scale * g._axis_array(signed, ax)
+    return scipy.fft.fftn(vals, axes=[lead + ax for ax in axes]) * scale
+
+
+@pytest.mark.parametrize("d, n, length", _TRANSFORM_GRIDS)
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+def test_transform_pair_equals_the_scipy_reference_bit_for_bit(d, n, length, batch):
+    # the one-axis passes run in the order the multi-axis transforms use,
+    # which is what makes the results equal, not merely close
+    g = Grid(d, n, length)
+    rng = np.random.default_rng(40 + d)
+    vals = rng.standard_normal(batch + g.shape)
+    spec = g.forward(vals)
+    assert np.array_equal(spec, _scipy_forward(g, vals))
+    assert np.array_equal(g.inverse(spec), _scipy_inverse(g, spec))
+    zvals = vals + 1j * rng.standard_normal(vals.shape)
+    assert np.array_equal(g.full_forward(zvals), _scipy_full_forward(g, zvals))
+    for part in _partitions(tuple(range(d))):
+        for block in part:
+            for axes in (block, block[::-1]):
+                assert np.array_equal(g.full_forward(zvals, axes=axes),
+                                      _scipy_full_forward(g, zvals, axes))
+    # real input: scipy fills the mirrored half of a real field's spectrum
+    # by conjugation, numpy transforms the field as a complex one, so the
+    # two agree only to rounding
+    ref = _scipy_full_forward(g, vals)
+    assert np.max(np.abs(g.full_forward(vals) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d, n, length", _TRANSFORM_GRIDS)
+def test_batched_circular_convolve_equals_the_scipy_reference_bit_for_bit(d, n, length):
+    g = Grid(d, n, length)
+    rng = np.random.default_rng(50 + d)
+    a = rng.standard_normal(g.shape)
+    b = rng.standard_normal((2, 3) + g.shape)
+    axes = g._axes(b)
+    ref = scipy.fft.irfftn(scipy.fft.rfftn(a) * scipy.fft.rfftn(b, axes=axes), s=a.shape, axes=axes)
+    assert np.array_equal(circular_convolve(a, b), ref)
+    assert np.array_equal(circular_convolve(a, b[1, 2]), ref[1, 2])
+
+
+@pytest.mark.parametrize("d, n, length", _TRANSFORM_GRIDS)
+def test_transforms_leave_their_input_unchanged(d, n, length):
+    # the passes after the first run in place, on buffers the call owns
+    g = Grid(d, n, length)
+    rng = np.random.default_rng(60 + d)
+    vals = rng.standard_normal((3,) + g.shape)
+    zvals = vals + 1j * rng.standard_normal(vals.shape)
+    spec = g.forward(vals)
+    calls = [(g.forward, vals), (g.inverse, spec), (g.full_forward, vals), (g.full_forward, zvals)]
+    calls += [(lambda z, axes=axes: g.full_forward(z, axes=axes), zvals)
+              for axes in ((0,), tuple(range(d))[::-1])]
+    for transform, data in calls:
+        before = data.copy()
+        transform(data)
+        assert np.array_equal(data, before)
+
+
+def test_inverse_of_real_and_zero_stride_spectra_equals_the_complex_copy():
+    g = Grid(2, 16, 3.0)
+    rng = np.random.default_rng(70)
+    real = rng.standard_normal(g.half_shape)
+    assert np.array_equal(g.inverse(real), g.inverse(real.astype(complex)))
+    row = rng.standard_normal(g.half_shape) + 1j * rng.standard_normal(g.half_shape)
+    for view in (np.broadcast_to(row, (4,) + g.half_shape), np.broadcast_to(real[0], g.half_shape)):
+        assert 0 in view.strides
+        assert np.array_equal(g.inverse(view), g.inverse(np.ascontiguousarray(view, dtype=complex)))
+
+
+def test_forward_refuses_complex_fields():
+    g = Grid(1, 16, 3.0)
+    with pytest.raises(TypeError):
+        g.forward(np.ones(g.shape, dtype=complex))
 
 
 _GRID_CHOICES = st.sampled_from([(1, 8), (1, 32), (1, 128), (2, 8), (2, 16), (3, 8)])
