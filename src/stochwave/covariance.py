@@ -7,9 +7,9 @@ spectral measure on frequency space.  Three kinds are supported:
   package Fourier convention the density is (2*pi)**(-d).
 * ``riesz``  -- power-law covariance |x|**(-alpha), 0 < alpha < d, with
   spectral density proportional to |eta|**(alpha - d).  The
-  proportionality constant is not taken from a closed form: it is fixed
-  once, numerically, by requiring the real-space/spectral pairing
-  identity to hold for a reference Gaussian, and cached.
+  proportionality constant is fixed by requiring the real-space/spectral
+  pairing identity to hold for a reference Gaussian; both sides are
+  Gaussian radial moments, so it is a closed form in Gamma functions.
 * ``radial-table`` -- user-supplied radial density samples, interpolated
   linearly in log-radius, with a declared power-law tail exponent.
 
@@ -21,16 +21,15 @@ decides whether the linear equation of operator index k has a
 function-valued solution.  :func:`admissible` is the one divergence
 rule: it reads the verdict from the density's tail exponent, never from
 quadrature overflow, so every solve path decides admissibility without
-a quadrature.  ``scipy.integrate`` is imported only by the two functions
-that compute a quadrature value, the riesz normalization and the finite
-branch of :func:`admissibility_integral`.
+a quadrature.  For white and riesz densities, c * r**(a - d), the finite
+value is a Beta function; only a radial table's finite value needs an
+adaptive quadrature, and only that branch imports ``scipy.integrate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +53,21 @@ def ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-@lru_cache(maxsize=None)
+def _gaussian_moment(a: float) -> float:
+    """integral_0^inf r**(a-1) exp(-r**2 / 2) dr = 2**(a/2 - 1) Gamma(a/2), a > 0."""
+    return 2.0 ** (a / 2.0 - 1.0) * math.gamma(a / 2.0)
+
+
+def _half_beta(p: float, q: float) -> float:
+    """integral_0^inf r**(2p-1) (1 + r**2)**(-(p+q)) dr = B(p, q) / 2, p, q > 0.
+
+    From ``math.gamma`` while Gamma(p + q) is finite, else from ``math.lgamma``.
+    """
+    if p + q < 171.0:
+        return 0.5 * math.gamma(p) * math.gamma(q) / math.gamma(p + q)
+    return 0.5 * math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
+
+
 def _riesz_constant(alpha: float, d: int) -> float:
     """Spectral normalization for the |x|**(-alpha) covariance.
 
@@ -64,14 +77,10 @@ def _riesz_constant(alpha: float, d: int) -> float:
         integral |x|**(-alpha) phi(x) dx
             = c * integral |eta|**(alpha-d) F[phi](eta) d eta,
 
-    both sides reduced to radial quadratures.
+    both sides reduced to Gaussian radial moments (the sphere surface
+    cancels).
     """
-    from scipy import integrate
-
-    surf = sphere_surface_area(d)
-    lhs, _ = integrate.quad(lambda r: r ** (d - alpha - 1) * math.exp(-r * r / 2.0), 0.0, np.inf)
-    rhs, _ = integrate.quad(lambda r: r ** (alpha - 1) * math.exp(-r * r / 2.0), 0.0, np.inf)
-    return (surf * lhs) / ((2.0 * math.pi) ** (d / 2.0) * surf * rhs)
+    return _gaussian_moment(d - alpha) / ((2.0 * math.pi) ** (d / 2.0) * _gaussian_moment(alpha))
 
 
 @dataclass(frozen=True)
@@ -115,6 +124,7 @@ class SpectralMeasure:
         self._log_radii = None
         self._table = None
         self._weights = {}  # Grid -> read-only lattice_weights array
+        self._half_weights = {}  # Grid -> read-only half_lattice_weights array
         if kind == "riesz":
             if alpha is None or not 0.0 < alpha < dimension:
                 raise ValueError(f"riesz exponent must satisfy 0 < alpha < d, got alpha={alpha}, d={dimension}")
@@ -239,6 +249,19 @@ class SpectralMeasure:
         self._weights[grid] = out
         return out
 
+    def half_lattice_weights(self, grid) -> np.ndarray:
+        """``grid.half(self.lattice_weights(grid))``, memoized per grid.
+
+        The evenness check of :meth:`Grid.half` runs once per grid, and
+        every caller shares one read-only array.
+        """
+        cached = self._half_weights.get(grid)
+        if cached is None:
+            cached = grid.half(self.lattice_weights(grid))
+            cached.flags.writeable = False
+            self._half_weights[grid] = cached
+        return cached
+
 
 def admissible(measure: SpectralMeasure, k: int) -> bool:
     """Whether integral (1 + |xi|**2)**(-k) mu(d xi) is finite.
@@ -258,15 +281,20 @@ def admissibility_integral(measure: SpectralMeasure, k: int) -> AdmissibilityRep
 
     Divergence is decided by :func:`admissible`, the one divergence
     rule; a divergent integral reports ``math.inf`` without a
-    quadrature.  The finite value is computed by adaptive radial
-    quadrature.
+    quadrature.  A white or riesz density c * r**(a - d) (a = d for
+    white, a = alpha for riesz) gives the closed form
+    surface(d) * c * B(a/2, k - a/2) / 2; a radial table's finite value
+    is computed by adaptive radial quadrature.
     """
     if not admissible(measure, k):
         return AdmissibilityReport(value=math.inf, k=k)
-    from scipy import integrate
-
     d = measure.dimension
     surf = sphere_surface_area(d)
+    if measure.kind != "radial-table":
+        a = measure.alpha if measure.kind == "riesz" else d
+        c = float(measure.radial_density(1.0))
+        return AdmissibilityReport(value=surf * c * _half_beta(a / 2.0, k - a / 2.0), k=k)
+    from scipy import integrate
 
     def integrand(r: float) -> float:
         return float(measure.radial_density(r)) * (1.0 + r * r) ** (-k) * r ** (d - 1)

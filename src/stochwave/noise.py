@@ -21,12 +21,13 @@ scalar, with no transform.  Only a varying filter runs the transform
 pair: the white noise and the filtered slice are real and the weights
 are even in eta, so it filters half spectra, one real transform pair
 (``Grid.forward``/``Grid.inverse``) with the weights restricted by
-``Grid.half``.  The choice is made from the filter's values, not from
-the measure's kind.  Every consumer multiplies an increment pointwise in
-space, so the sampler hands out real fields; only this module sees the
-spectrum.  Slices are independent across time steps and reproducible
-from the generator handed in: slice s of a path is the s-th draw of its
-stream.  Replica batches run in blocks sized by :func:`replica_blocks`.
+``Grid.half`` once per grid (``SpectralMeasure.half_lattice_weights``).
+The choice is made from the filter's values, not from the measure's
+kind.  Every consumer multiplies an increment pointwise in space, so the
+sampler hands out real fields; only this module sees the spectrum.
+Slices are independent across time steps and reproducible from the
+generator handed in: slice s of a path is the s-th draw of its stream.
+Replica batches run in blocks sized by :func:`replica_blocks`.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class NoisePath:
 
 def _spectral_scale(grid: Grid, measure: SpectralMeasure, dt: float) -> np.ndarray:
     """The filter sqrt(dt N**d D_j) on the half grid."""
-    weights = grid.half(measure.lattice_weights(grid))
+    weights = measure.half_lattice_weights(grid)
     return np.sqrt(dt * grid.points_per_axis**grid.dimension * weights)
 
 

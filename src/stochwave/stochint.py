@@ -307,7 +307,7 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
     m, times = _green_times(Z, t)
     if m == 0:
         return 0.0
-    weights = grid.half(measure.lattice_weights(grid))
+    weights = measure.half_lattice_weights(grid)
     mult_sq = np.abs(g.lattice_spectrum(grid, times)) ** 2
     grid.half(mult_sq)  # the pairing needs every |F[G(t_i)]|**2 even
     mult_sq = mult_sq.reshape(m, -1)

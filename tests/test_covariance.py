@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,13 +46,16 @@ def test_riesz_singular_at_origin():
         m.density_at(np.zeros(2))
 
 
+_ULPS = 4 * np.finfo(float).eps  # a few roundings of a Gamma-function expression
+
+
 def test_riesz_normalization_against_closed_form():
     # independent oracle: F[|x|^-b] = 2^(d-b) pi^(d/2) G((d-b)/2)/G(b/2) |xi|^(b-d)
     for d, alpha in ((1, 0.5), (2, 1.0), (3, 1.4)):
         m = SpectralMeasure.riesz(d, alpha)
         closed = 2.0**(-alpha) * math.pi**(-d / 2) \
             * math.gamma((d - alpha) / 2) / math.gamma(alpha / 2)
-        assert m.riesz_constant == pytest.approx(closed, rel=1e-9)
+        assert m.riesz_constant == pytest.approx(closed, rel=_ULPS, abs=0)
     # the d=2, alpha=1 case pins the density example at |eta| = 2
     m = SpectralMeasure.riesz(2, 1.0)
     assert m.density_at(np.array([2.0, 0.0])) == pytest.approx(m.riesz_constant / 2.0, rel=1e-12)
@@ -124,6 +132,82 @@ def test_admissibility_white_d1_k1_value():
     report = admissibility_integral(SpectralMeasure.white(1), 1)
     assert report.finite
     assert report.value == pytest.approx(0.5, rel=1e-10)
+
+
+def _quadrature_oracle(measure, k):
+    """The adaptive radial quadrature of the admissibility integral and its error estimate."""
+    d = measure.dimension
+    surf = sphere_surface_area(d)
+
+    def integrand(r):
+        return float(measure.radial_density(r)) * (1.0 + r * r) ** (-k) * r ** (d - 1)
+
+    inner, inner_err = integrate.quad(integrand, 0.0, 1.0)
+    outer, outer_err = integrate.quad(integrand, 1.0, np.inf)
+    return surf * (inner + outer), surf * (inner_err + outer_err)
+
+
+def test_admissibility_closed_forms_match_quadrature_on_every_experiment_case(monkeypatch, tmp_path):
+    # the white and riesz values are Beta functions; QUADPACK is the oracle,
+    # trusted to its own error estimate
+    from stochwave import harness
+
+    cases = []
+    integral = harness.admissibility_integral
+
+    def recording(measure, k):
+        report = integral(measure, k)
+        cases.append((measure, k, report))
+        return report
+
+    monkeypatch.setattr(harness, "admissibility_integral", recording)
+    harness.run(harness.parse_config("[experiment]\nname = admissibility\n"), out_dir=tmp_path)
+    finite = [(m, k, report.value) for m, k, report in cases if report.finite]
+    assert len(finite) == 30
+    for measure, k, value in finite:
+        oracle, err = _quadrature_oracle(measure, k)
+        assert abs(value - oracle) <= err + _ULPS * oracle, (measure, k, value, oracle, err)
+
+
+def test_admissibility_closed_forms_exact_values():
+    assert admissibility_integral(SpectralMeasure.white(1), 1).value == pytest.approx(0.5, rel=_ULPS, abs=0)
+    assert admissibility_integral(SpectralMeasure.white(1), 2).value == pytest.approx(0.25, rel=_ULPS, abs=0)
+    assert admissibility_integral(SpectralMeasure.riesz(2, 1.0), 1).value \
+        == pytest.approx(math.pi / 2, rel=_ULPS, abs=0)
+    # scale multiplies the density, so it multiplies the value
+    assert admissibility_integral(SpectralMeasure.white(1, scale=3.0), 1).value \
+        == pytest.approx(1.5, rel=_ULPS, abs=0)
+
+
+def test_admissibility_closed_form_at_large_k():
+    # Gamma(k) overflows past k = 171; the Beta function comes from lgamma there
+    for measure, k in ((SpectralMeasure.white(1), 200), (SpectralMeasure.riesz(3, 1.5), 400)):
+        value = admissibility_integral(measure, k).value
+        oracle, err = _quadrature_oracle(measure, k)
+        # exp of a difference of lgamma values near lgamma(k) keeps their absolute rounding
+        assert 0.0 < value and abs(value - oracle) <= err + _ULPS * math.lgamma(k) * oracle
+
+
+_RADIAL_TABLE_PROBE = """
+import json, sys
+from stochwave.covariance import SpectralMeasure, admissibility_integral
+m = SpectralMeasure.radial_table(2, [0.1, 1.0, 10.0], [1.0, 0.5, 0.1], tail_exponent=-3.0)
+before = 'scipy.integrate' in sys.modules
+value = admissibility_integral(m, 1).value
+print(json.dumps([before, 'scipy.integrate' in sys.modules, value.hex()]))
+"""
+
+
+def test_radial_table_admissibility_keeps_the_lazy_quadrature():
+    # only a radial table's finite value runs QUADPACK, imported on first use
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _RADIAL_TABLE_PROBE], capture_output=True,
+                          text=True, check=True, env=env)
+    before, after, value = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (before, after) == (False, True)
+    m = SpectralMeasure.radial_table(2, [0.1, 1.0, 10.0], [1.0, 0.5, 0.1], tail_exponent=-3.0)
+    assert float.fromhex(value) == _quadrature_oracle(m, 1)[0]
 
 
 def test_admissibility_white_d2_k1_divergent():
@@ -266,3 +350,14 @@ def test_lattice_weights_white_and_riesz_zero_cell():
     expected = g.dual_cell_volume * direct / (ball_volume(2) * rho**2)
     assert weights.ravel()[0] == pytest.approx(expected, rel=1e-10)
     assert np.all(weights > 0)
+
+
+def test_half_lattice_weights_memoized_and_read_only():
+    m = SpectralMeasure.riesz(2, 1.0)
+    g = Grid(2, 16, 8.0)
+    half = m.half_lattice_weights(g)
+    assert m.half_lattice_weights(Grid(2, 16, 8.0)) is half
+    assert np.array_equal(half, g.half(m.lattice_weights(g)))
+    assert half.shape == g.half_shape and not half.flags.writeable
+    with pytest.raises(ValueError, match="dimension"):
+        m.half_lattice_weights(Grid(1, 16, 8.0))

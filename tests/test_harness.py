@@ -381,18 +381,21 @@ def scipy_loaded():
 loaded = [scipy_loaded()]
 assert cli.main(['run', sys.argv[1], '--output', sys.argv[2]]) == 0
 loaded.append(scipy_loaded())
-from stochwave.covariance import SpectralMeasure
+from stochwave.covariance import SpectralMeasure, admissibility_integral
 from stochwave.lattice import Grid
 SpectralMeasure.riesz(2, 1.0).lattice_weights(Grid(2, 8, 8.0))  # an isometry riesz case
-loaded.append('scipy.integrate' in sys.modules)
+assert admissibility_integral(SpectralMeasure.riesz(2, 1.0), 1).finite
+assert admissibility_integral(SpectralMeasure.white(1), 1).finite
+loaded.append(scipy_loaded())
 print(json.dumps({'loaded': loaded, 'riesz': SpectralMeasure.riesz(2, 1.0).riesz_constant.hex()}))
 """
 
 
 def test_white_noise_run_does_not_import_quadrature(tmp_path):
-    # only a quadrature value (riesz normalization, finite admissibility
-    # integral) loads scipy.integrate; white-noise runs never need one,
-    # and the transforms run on numpy.fft, so they load no scipy module
+    # the transforms run on numpy.fft, and the riesz normalization and the
+    # white and riesz admissibility values are closed forms, so neither a
+    # white-noise run nor a riesz weight table or admissibility value loads
+    # a scipy module
     cfg_path = tmp_path / "energy.ini"
     cfg_path.write_text(ENERGY_CFG + "[grid]\nn = 32\n[solver]\nsteps = 32\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -400,12 +403,11 @@ def test_white_noise_run_does_not_import_quadrature(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cfg_path), str(tmp_path / "out")],
                           capture_output=True, text=True, check=True, env=env)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["loaded"] == [[], [], True]
-    # the lazily imported quadrature gives the riesz constant bit for bit
-    from scipy import integrate
-
+    assert result["loaded"] == [[], [], []]
+    # the riesz constant is a ratio of Gaussian radial moments 2**(a/2 - 1) Gamma(a/2)
     d, alpha = 2, 1.0
-    lhs, _ = integrate.quad(lambda r: r ** (d - alpha - 1) * math.exp(-r * r / 2.0), 0.0, np.inf)
-    rhs, _ = integrate.quad(lambda r: r ** (alpha - 1) * math.exp(-r * r / 2.0), 0.0, np.inf)
-    surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    assert float.fromhex(result["riesz"]) == (surf * lhs) / ((2.0 * math.pi) ** (d / 2.0) * surf * rhs)
+
+    def moment(a):
+        return 2.0 ** (a / 2.0 - 1.0) * math.gamma(a / 2.0)
+
+    assert float.fromhex(result["riesz"]) == moment(d - alpha) / ((2.0 * math.pi) ** (d / 2.0) * moment(alpha))

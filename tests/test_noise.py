@@ -208,3 +208,25 @@ def test_only_a_varying_filter_runs_the_transform_pair(monkeypatch, kind):
     gens = [np.random.default_rng(300 + r) for r in range(3)]
     sample_slice_batch(grid, m, 0.1, gens, 3)
     assert calls == ([] if kind == "white" else ["forward", "inverse"])
+
+
+@pytest.mark.parametrize("kind", ["white", "riesz"])
+def test_the_half_grid_filter_is_restricted_once_per_grid(monkeypatch, kind):
+    # the evenness check of Grid.half runs on the first batch only, and the
+    # memoized weights give the same slices as a fresh restriction
+    grid = Grid(2, 16, 6.0)
+    m = SpectralMeasure.white(2) if kind == "white" else SpectralMeasure.riesz(2, 1.0)
+    fresh = grid.half(SpectralMeasure(2, m.kind, alpha=m.alpha).lattice_weights(grid))
+    weights = m.lattice_weights(grid)
+    restrictions = []
+    original = Grid.half
+
+    def counted(self, multiplier):
+        restrictions.append(multiplier is weights)  # the transforms restrict their own scales
+        return original(self, multiplier)
+
+    monkeypatch.setattr(Grid, "half", counted)
+    batches = [sample_slice_batch(grid, m, 0.1, np.random.default_rng(400), 2) for _ in range(3)]
+    assert sum(restrictions) == 1
+    assert all(np.array_equal(b, batches[0]) for b in batches)
+    assert np.array_equal(_spectral_scale(grid, m, 0.1), np.sqrt(0.1 * grid.points_per_axis**2 * fresh))

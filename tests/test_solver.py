@@ -737,7 +737,9 @@ def test_white_noise_solve_paths_run_no_quadrature(monkeypatch):
 
     monkeypatch.setattr(integrate, "quad", no_quadrature)
     with pytest.raises(AssertionError, match="quadrature"):
-        admissibility_integral(SpectralMeasure.white(1), 1)  # the patch is live
+        # the patch is live: a radial table's finite value is a quadrature
+        admissibility_integral(SpectralMeasure.radial_table(1, [0.1, 1.0, 10.0], [1.0, 0.5, 0.1],
+                                                            tail_exponent=-3.0), 1)
     cfg = _basic_config(dt=1.0 / 16.0)
     cfg.validate()
     path = sample_path(cfg.grid, cfg.measure, cfg.horizon, cfg.dt, np.random.default_rng(3))
