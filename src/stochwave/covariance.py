@@ -29,6 +29,7 @@ adaptive quadrature, and only that branch imports ``scipy.integrate``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,14 @@ def sphere_surface_area(d: int) -> float:
 def ball_volume(d: int) -> float:
     """Volume of the unit ball in R**d."""
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+
+
+def _positive_int(value, what: str) -> int:
+    """``value`` as an int if it is an integer >= 1; a bool, a float or a
+    smaller value raises ``ValueError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _gaussian_moment(a: float) -> float:
@@ -104,8 +113,7 @@ class SpectralMeasure:
 
     def __init__(self, dimension, kind, scale=1.0, alpha=None,
                  radii=None, density_values=None, tail_exponent=None):
-        if dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+        dimension = _positive_int(dimension, "dimension")
         if kind not in ("white", "riesz", "radial-table"):
             raise ValueError(f"unknown measure kind {kind!r}")
         scale = float(scale)
@@ -115,7 +123,7 @@ class SpectralMeasure:
             tail_exponent = float(tail_exponent)
             if not math.isfinite(tail_exponent):
                 raise ValueError(f"tail_exponent: must be finite, got {tail_exponent}")
-        self.dimension = int(dimension)
+        self.dimension = dimension
         self.kind = kind
         self.scale = scale
         self.alpha = alpha
@@ -269,10 +277,10 @@ def admissible(measure: SpectralMeasure, k: int) -> bool:
     The verdict comes from tail-exponent analysis alone: with density
     ~ r**p at infinity the radial integrand behaves like
     r**(p + d - 1 - 2k), so the integral converges iff
-    p + d - 1 - 2k < -1.  No quadrature runs.
+    p + d - 1 - 2k < -1.  No quadrature runs.  ``k`` must be an integer
+    >= 1 (not a bool).
     """
-    if k < 1:
-        raise ValueError("operator index k must be >= 1")
+    k = _positive_int(k, "operator index k")
     return measure._tail_exponent() + measure.dimension - 1 - 2 * k < -1.0
 
 
@@ -284,8 +292,10 @@ def admissibility_integral(measure: SpectralMeasure, k: int) -> AdmissibilityRep
     quadrature.  A white or riesz density c * r**(a - d) (a = d for
     white, a = alpha for riesz) gives the closed form
     surface(d) * c * B(a/2, k - a/2) / 2; a radial table's finite value
-    is computed by adaptive radial quadrature.
+    is computed by adaptive radial quadrature.  ``k`` must be an integer
+    >= 1 (not a bool).
     """
+    k = _positive_int(k, "operator index k")
     if not admissible(measure, k):
         return AdmissibilityReport(value=math.inf, k=k)
     d = measure.dimension

@@ -27,7 +27,9 @@ kind.  Every consumer multiplies an increment pointwise in space, so the
 sampler hands out real fields; only this module sees the spectrum.
 Slices are independent across time steps and reproducible from the
 generator handed in: slice s of a path is the s-th draw of its stream.
-Replica batches run in blocks sized by :func:`replica_blocks`.
+Replica batches run in blocks sized by :func:`replica_blocks`; a caller
+that draws block after block may hand in the rows and the spectrum
+buffer to reuse (``out``, ``work``), which changes no value.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def _spectral_scale(grid: Grid, measure: SpectralMeasure, dt: float) -> np.ndarr
 
 
 def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float,
-                       rng, count: int) -> np.ndarray:
+                       rng, count: int, out: np.ndarray | None = None,
+                       work: np.ndarray | None = None) -> np.ndarray:
     """Real increments of ``count`` independent slices on a leading axis.
 
     ``rng`` may be a single generator (one stream for the whole batch)
@@ -88,24 +91,37 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float,
     entry r consumes only its own stream, drawn straight into row r of
     the batch.  A filter whose entries are all equal (white noise) is one
     scalar, applied to the draws in place; any other filter runs the
-    half-spectrum transform pair.
+    half-spectrum transform pair: forward into ``work``, the filter
+    applied there, and the inverse back into the draws' rows.
+
+    ``out`` (float, shape (count, *grid.shape)) receives the slices and
+    is returned; ``work`` (complex, shape (count, *grid.half_shape)) is
+    the spectrum buffer of a varying filter, overwritten.  Either is
+    allocated when not given, so a caller that passes both reuses its
+    own buffers on every call.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    shape = (count,) + grid.shape
+    if out is None:
+        out = np.empty(shape)
+    else:
+        grid._check_out(out, shape, float)
     if isinstance(rng, np.random.Generator):
-        white = rng.standard_normal((count,) + grid.shape)
+        rng.standard_normal(out=out)
     else:
         if len(rng) != count:
             raise ValueError(f"need {count} generators, got {len(rng)}")
-        white = np.empty((count,) + grid.shape)
-        for gen, row in zip(rng, white):
+        for gen, row in zip(rng, out):
             gen.standard_normal(out=row)
     scale = _spectral_scale(grid, measure, dt)
     first = scale.flat[0]
     if np.all(scale == first):
-        white *= first
-        return white
-    return grid.inverse(scale * grid.forward(white))
+        out *= first
+        return out
+    spec = grid.forward(out, out=work)
+    spec *= scale
+    return grid.inverse(spec, out=out)
 
 
 def replica_blocks(replicas: int, entries: int, rng=None) -> list[tuple[int, int, object]]:

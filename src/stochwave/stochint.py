@@ -40,7 +40,16 @@ last-axis transform per eta completes it.
 
 The Monte Carlo kernel runs its replicas in blocks of one half grid a
 replica (``noise.replica_blocks``), so its memory is bounded on every
-grid and the replica count only sets the number of blocks.
+grid and the replica count only sets the number of blocks.  It
+allocates one real and two complex block buffers per call, and every
+block and step works on leading views of them: the slices are drawn
+into the real one (``noise.sample_slice_batch`` with ``out``), a
+varying noise filter and the forward transform run in one complex one,
+and the other accumulates F[v(t)].  The modulation oracle likewise
+transforms its modulated fields in place.  Both go through the ``out``
+forms of the transform pair, because fresh block-sized temporaries
+cost page faults whenever the allocator hands their pages back (the
+numbers are in the ``lattice`` module docstring).
 """
 
 from __future__ import annotations
@@ -72,8 +81,9 @@ __all__ = [
 # N = 64, d = 2 a block of 8 modulated complex fields is 512 KB, so it
 # stays in cache; on the isometry experiment's three d = 2 cases (2-vCPU
 # Intel Xeon, one BLAS thread, block sizes interleaved in one process,
-# median of 9, in two orders) the oracle took 0.54-0.58 s at a block of
-# 4, 0.54-0.56 s at 8, 0.56-0.60 s at 16 and 0.67-0.68 s at 64.
+# median of 9, in two orders), with the fields transformed in place, the
+# oracle took 0.31-0.32 s at a block of 4, 0.29 s at 8, 0.31 s at 16 and
+# 0.35-0.36 s at 64.
 _MODULATION_BLOCK = 8
 
 
@@ -300,7 +310,7 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
     in one call).  Each active eta_{d-1} of that prefix then modulates
     the result along the last axis, in blocks of at most
     ``_MODULATION_BLOCK``, and one last-axis transform per block and
-    step completes the full-grid spectrum of chi_eta Z.  Agrees with
+    step, in place, completes the full-grid spectrum of chi_eta Z.  Agrees with
     :func:`isometry_functional` to rounding error.
     """
     grid, dt = Z.grid, Z.dt
@@ -320,9 +330,11 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
     last = grid.dimension - 1
     lead_axes = tuple(range(last))
     active = weights != 0
-    # work buffers reused by every block: fresh block-sized temporaries
-    # cost page faults whenever the allocator hands their pages back
+    # work buffers reused by every prefix and block, the transforms run
+    # in place in them: fresh block-sized temporaries cost page faults
+    # whenever the allocator hands their pages back
     mod = np.empty((_MODULATION_BLOCK,) + grid.shape, dtype=complex)
+    lead_buf = np.empty(fields.shape, dtype=complex)
     spec_sq = np.empty((2, _MODULATION_BLOCK, mult_sq.shape[1]))
     inner = np.zeros(grid.half_shape)
     # prefixes (j_0, ..., j_{d-2}) with an active eta; one empty prefix at d = 1
@@ -332,7 +344,8 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
             chi = 1.0
             for ax, j in enumerate(prefix):
                 chi = chi * grid._axis_array(phase[j], ax)
-            lead = grid.full_forward(chi * fields, axes=lead_axes)
+            lead = grid.full_forward(np.multiply(chi, fields, out=lead_buf), axes=lead_axes,
+                                     out=lead_buf)
         cols = np.flatnonzero(active[prefix])
         row = inner[prefix]
         for lo in range(0, cols.size, _MODULATION_BLOCK):
@@ -340,8 +353,9 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
             chi = phase[block].reshape((block.size,) + (1,) * last + (-1,))
             re_sq, im_sq = spec_sq[:, :block.size]
             for f, msq in zip(lead, mult_sq):
-                np.multiply(chi, f, out=mod[:block.size])
-                spec = grid.full_forward(mod[:block.size], axes=(last,)).reshape(block.size, -1)
+                spec = np.multiply(chi, f, out=mod[:block.size])
+                grid.full_forward(spec, axes=(last,), out=spec)
+                spec = spec.reshape(block.size, -1)
                 np.square(spec.real, out=re_sq)
                 re_sq += np.square(spec.imag, out=im_sq)
                 row[block] += re_sq @ msq
@@ -391,18 +405,34 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
     half grid a replica, so their memory does not grow with the grid.
     Each block samples fresh slices for every time step and accumulates
     the half spectra F[v(t)]; ``norm_sq`` maps that (c, *grid.half_shape)
-    batch to its c squared norms before the next block is allocated.
+    batch to its c squared norms before the next block starts.
+
+    The slices, their spectra and the accumulator live in three buffers
+    allocated once per call, sized by the first block, and reused by
+    every block and step through leading ``[:c]`` views.  So the batch
+    ``norm_sq`` receives is a view of a reused buffer: it may read it
+    but must not keep it, since the next block overwrites it (the
+    Plancherel norm here and ``weighted.theta_norm_sq`` only read it).
     """
     grid, dt = Z.grid, Z.dt
     blocks = replica_blocks(replicas, math.prod(grid.half_shape), rng)
     m, times = _green_times(Z, t)
     mults = grid.half(g.lattice_spectrum(grid, times))
     sq_norms = np.empty(replicas)
+    rows = blocks[0][1] - blocks[0][0]
+    fields_buf = np.empty((rows,) + grid.shape)
+    spec_buf = np.empty((rows,) + grid.half_shape, dtype=complex)
+    acc_buf = np.empty_like(spec_buf)
     for lo, hi, gens in blocks:
-        acc = np.zeros((hi - lo,) + grid.half_shape, dtype=complex)
+        k = hi - lo
+        fields, spec, acc = fields_buf[:k], spec_buf[:k], acc_buf[:k]
+        acc.fill(0.0)
         for i in range(m):
-            fields = sample_slice_batch(grid, measure, dt, gens, hi - lo)
-            acc += mults[i] * grid.forward(Z.fields[i] * fields)
+            sample_slice_batch(grid, measure, dt, gens, k, out=fields, work=spec)
+            fields *= Z.fields[i]
+            grid.forward(fields, out=spec)
+            spec *= mults[i]
+            acc += spec
         sq_norms[lo:hi] = norm_sq(acc)
     return sq_norms
 

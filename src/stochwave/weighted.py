@@ -193,8 +193,12 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
         bound += dt * znorm_sq * jmax[i]
 
     def theta_norm_sq(acc: np.ndarray) -> np.ndarray:
+        # acc is the kernel's reused accumulator: read only.  v is squared
+        # and weighted in place, since the kernel's block buffers stay live
         v = grid.inverse(acc)
-        return grid.cell_volume * np.sum(v**2 * theta, axis=tuple(range(1, v.ndim)))
+        np.square(v, out=v)
+        v *= theta
+        return grid.cell_volume * np.sum(v, axis=tuple(range(1, v.ndim)))
 
     sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, theta_norm_sq, t)
     mc = float(np.mean(sq_norms))

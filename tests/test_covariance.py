@@ -273,6 +273,32 @@ def test_admissible_refuses_what_the_integral_refuses():
             check(SpectralMeasure.white(1), 0)
 
 
+@pytest.mark.parametrize("k", [1.5, 1.0, True, False, 0, -2, "1"])
+def test_admissibility_refuses_an_operator_index_that_is_not_a_positive_integer(k):
+    # 1.5 would run the Beta form at a fractional index, True as k = 1
+    for check in (admissible, admissibility_integral):
+        with pytest.raises(ValueError, match="operator index k"):
+            check(SpectralMeasure.white(1), k)
+
+
+@pytest.mark.parametrize("dimension", [2.7, 2.0, True, 0, -1, "2"])
+def test_measure_refuses_a_dimension_that_is_not_a_positive_integer(dimension):
+    # 2.7 would be truncated to 2, True read as 1
+    for build in (lambda: SpectralMeasure.white(dimension),
+                  lambda: SpectralMeasure.riesz(dimension, 0.5),
+                  lambda: SpectralMeasure.radial_table(dimension, *_TABLE, tail_exponent=-3.0)):
+        with pytest.raises(ValueError, match="dimension"):
+            build()
+
+
+def test_numpy_integers_are_integers():
+    m = SpectralMeasure.white(np.int64(2))
+    assert m.dimension == 2 and type(m.dimension) is int
+    report = admissibility_integral(m, np.int64(2))
+    assert report == admissibility_integral(SpectralMeasure.white(2), 2)
+    assert type(report.k) is int and admissible(m, np.int32(2))
+
+
 def test_radial_table_verdicts_and_interpolation():
     radii = np.array([0.1, 1.0, 10.0])
     dens = np.array([1.0, 0.5, 0.1])

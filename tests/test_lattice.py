@@ -250,6 +250,93 @@ def test_transforms_leave_their_input_unchanged(d, n, length):
         assert np.array_equal(data, before)
 
 
+def _leading_view(arr, rows=3):
+    # rows leading rows of a larger buffer filled with junk, as a caller's reused buffer
+    buf = np.full((arr.shape[0] + rows,) + arr.shape[1:], np.nan, dtype=arr.dtype)
+    return buf[:arr.shape[0]]
+
+
+@pytest.mark.parametrize("d, n, length", _TRANSFORM_GRIDS)
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_out_forms_equal_the_allocating_calls(d, n, length, batch):
+    g = Grid(d, n, length)
+    rng = np.random.default_rng(80 + d)
+    vals = rng.standard_normal(batch + g.shape)
+    zvals = vals + 1j * rng.standard_normal(vals.shape)
+    spec = g.forward(vals)
+    full_shape, half_shape = batch + g.shape, batch + g.half_shape
+    outs = [np.empty(half_shape, dtype=complex)]
+    if batch:
+        outs.append(_leading_view(np.empty(half_shape, dtype=complex)))
+    for out in outs:
+        assert g.forward(vals, out=out) is out
+        assert np.array_equal(out, spec)
+    fields = g.inverse(spec)
+    for out in [np.empty(full_shape)] + ([_leading_view(fields)] if batch else []):
+        work = spec.copy()
+        assert g.inverse(work, out=out) is out
+        assert np.array_equal(out, fields)
+    axes_choices = [None] + [(ax,) for ax in range(d)] + [tuple(range(d))[::-1]]
+    for data in (vals, zvals):
+        for axes in axes_choices:
+            ref = g.full_forward(data, axes=axes)
+            outs = [np.empty(full_shape, dtype=complex)]
+            if batch:
+                outs.append(_leading_view(ref))
+            for out in outs:
+                assert g.full_forward(data, axes=axes, out=out) is out
+                assert np.array_equal(out, ref)
+            if data is zvals:
+                # in place: the output is the input
+                inplace = _leading_view(data) if batch else np.empty_like(data)
+                inplace[...] = data
+                assert g.full_forward(inplace, axes=axes, out=inplace) is inplace
+                assert np.array_equal(inplace, ref)
+
+
+def test_inverse_with_out_overwrites_its_spectrum_and_only_then():
+    g = Grid(2, 16, 3.0)
+    rng = np.random.default_rng(90)
+    spec = g.forward(rng.standard_normal((4,) + g.shape))
+    work = spec.copy()
+    g.inverse(work)
+    assert np.array_equal(work, spec)  # the allocating call leaves its input alone
+    g.inverse(work, out=np.empty((4,) + g.shape))
+    assert not np.array_equal(work, spec)  # the documented work space is spent
+    # so a real, zero-stride or read-only spectrum cannot be the work space
+    out = np.empty(g.shape)
+    for bad in (spec[0].real.copy(), np.broadcast_to(spec[0, :1], g.half_shape), spec[0].astype(np.complex64)):
+        with pytest.raises(ValueError, match="work space"):
+            g.inverse(bad, out=out)
+    frozen = spec[0].copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="work space"):
+        g.inverse(frozen, out=out)
+
+
+def test_out_of_the_wrong_shape_or_dtype_raises():
+    g = Grid(2, 16, 3.0)
+    vals = np.ones((3,) + g.shape)
+    spec = g.forward(vals)
+    bad_forward = [np.empty((3,) + g.shape, dtype=complex), np.empty((2,) + g.half_shape, dtype=complex),
+                   np.empty((3,) + g.half_shape), np.empty((3,) + g.half_shape, dtype=np.complex64),
+                   [[0j]]]
+    bad_inverse = [np.empty((3,) + g.half_shape), np.empty((3,) + g.shape, dtype=complex),
+                   np.empty((3,) + g.shape, dtype=np.float32), np.empty(g.shape)]
+    bad_full = [np.empty((3,) + g.half_shape, dtype=complex), np.empty((3,) + g.shape),
+                np.empty(g.shape, dtype=complex)]
+    for out in bad_forward:
+        with pytest.raises(ValueError, match="out must be"):
+            g.forward(vals, out=out)
+    for out in bad_inverse:
+        with pytest.raises(ValueError, match="out must be"):
+            g.inverse(spec.copy(), out=out)
+    for out in bad_full:
+        for axes in (None, (1,)):
+            with pytest.raises(ValueError, match="out must be"):
+                g.full_forward(vals, axes=axes, out=out)
+
+
 def test_inverse_of_real_and_zero_stride_spectra_equals_the_complex_copy():
     g = Grid(2, 16, 3.0)
     rng = np.random.default_rng(70)

@@ -200,9 +200,9 @@ def test_only_a_varying_filter_runs_the_transform_pair(monkeypatch, kind):
     for name in ("forward", "inverse"):
         original = getattr(Grid, name)
 
-        def counted(self, arr, _name=name, _original=original):
+        def counted(self, arr, out=None, _name=name, _original=original):
             calls.append(_name)
-            return _original(self, arr)
+            return _original(self, arr, out=out)
 
         monkeypatch.setattr(Grid, name, counted)
     gens = [np.random.default_rng(300 + r) for r in range(3)]
@@ -230,3 +230,36 @@ def test_the_half_grid_filter_is_restricted_once_per_grid(monkeypatch, kind):
     assert sum(restrictions) == 1
     assert all(np.array_equal(b, batches[0]) for b in batches)
     assert np.array_equal(_spectral_scale(grid, m, 0.1), np.sqrt(0.1 * grid.points_per_axis**2 * fresh))
+
+
+@pytest.mark.parametrize("kind", ["white", "riesz"])
+@pytest.mark.parametrize("per_replica", [False, True])
+def test_slices_drawn_into_caller_buffers_equal_the_allocating_draw(kind, per_replica):
+    # the rows and the spectrum work space are leading views of larger,
+    # junk-filled buffers, as the Monte Carlo kernel's reused ones are
+    grid = Grid(2, 16, 6.0)
+    m = SpectralMeasure.white(2) if kind == "white" else SpectralMeasure.riesz(2, 1.0)
+
+    def rng():
+        return ([np.random.default_rng(500 + r) for r in range(3)] if per_replica
+                else np.random.default_rng(500))
+
+    ref = sample_slice_batch(grid, m, 0.1, rng(), 3)
+    rows = np.full((5,) + grid.shape, np.nan)[:3]
+    work = np.full((5,) + grid.half_shape, np.nan, dtype=complex)[:3]
+    assert sample_slice_batch(grid, m, 0.1, rng(), 3, out=rows, work=work) is rows
+    assert np.array_equal(rows, ref)
+    # the work space is optional
+    assert np.array_equal(sample_slice_batch(grid, m, 0.1, rng(), 3, out=np.empty_like(ref)), ref)
+
+
+def test_slice_batch_refuses_rows_of_the_wrong_shape_or_dtype():
+    grid = Grid(2, 16, 6.0)
+    m = SpectralMeasure.riesz(2, 1.0)
+    for out in (np.empty((2,) + grid.shape), np.empty((3,) + grid.shape, dtype=np.float32),
+                np.empty((3,) + grid.half_shape)):
+        with pytest.raises(ValueError, match="out must be"):
+            sample_slice_batch(grid, m, 0.1, np.random.default_rng(0), 3, out=out)
+    with pytest.raises(ValueError, match="out must be"):
+        sample_slice_batch(grid, m, 0.1, np.random.default_rng(0), 3, out=np.empty((3,) + grid.shape),
+                           work=np.empty((3,) + grid.shape, dtype=complex))

@@ -269,6 +269,37 @@ def test_mc_peak_memory_does_not_grow_with_replicas():
     assert many <= 1.05 * one_block
 
 
+@pytest.mark.parametrize("kind", ["white", "riesz"])
+def test_mc_peak_memory_is_its_buffers_plus_one_block(kind):
+    # the kernel owns one real and two complex block buffers and its
+    # multiplier table; the Plancherel norm adds two real half-grid
+    # squares, one complex block, and a real-to-complex product casts
+    # through one numpy ufunc buffer of getbufsize() complex entries
+    import tracemalloc
+
+    grid = Grid(2, 32, 6.0)
+    steps = 4
+    z = _varying_integrand(grid, steps, 0.25)
+    measure = SpectralMeasure.white(2) if kind == "white" else SpectralMeasure.riesz(2, 0.5)
+    g = GreenMultiplier(1, 1.0)
+    rows = noise._BLOCK_ENTRIES // math.prod(grid.half_shape)
+    replicas = 3 * rows - 1
+    real_block = rows * math.prod(grid.shape) * 8
+    complex_block = rows * math.prod(grid.half_shape) * 16
+    mults = steps * math.prod(grid.half_shape) * 8
+    bound = real_block + 3 * complex_block + mults + np.getbufsize() * 16
+    gens = [np.random.default_rng(r) for r in range(replicas)]
+    convolution_norms_mc(g, z, measure, replicas, gens, _plancherel(grid))  # warm caches
+    gens = [np.random.default_rng(r) for r in range(replicas)]
+    tracemalloc.start()
+    try:
+        convolution_norms_mc(g, z, measure, replicas, gens, _plancherel(grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert real_block + 2 * complex_block < peak <= bound
+
+
 @pytest.mark.parametrize("replicas, generators, match", [
     (0, None, "replicas"), (-1, None, "replicas"), (0, 0, "replicas"),
     (4, 6, "rng"), (4, 3, "rng"),
@@ -361,6 +392,59 @@ def test_isometry_alternative_agrees_in_higher_dimensions(d, n, k, measure, cons
     assert b == pytest.approx(a, rel=1e-8)
 
 
+def _alternative_reference(g, Z, measure, t=None):
+    # the modulation oracle's arithmetic, in its order, with every
+    # transform and product allocating its result
+    from stochwave.stochint import _MODULATION_BLOCK, _green_times
+
+    grid, dt = Z.grid, Z.dt
+    m, times = _green_times(Z, t)
+    weights = measure.half_lattice_weights(grid)
+    mult_sq = (np.abs(g.lattice_spectrum(grid, times)) ** 2).reshape(m, -1)
+    fields = Z.fields[:m]
+    if Z.is_constant:
+        fields, mult_sq = fields[:1], mult_sq.sum(axis=0, keepdims=True)
+    phase = np.exp(1j * np.multiply.outer(grid.axis_freqs, grid.axis_coords))
+    last = grid.dimension - 1
+    active = weights != 0
+    inner = np.zeros(grid.half_shape)
+    for prefix in map(tuple, np.argwhere(active.any(axis=-1))):
+        lead = fields
+        if prefix:
+            chi = 1.0
+            for ax, j in enumerate(prefix):
+                chi = chi * grid._axis_array(phase[j], ax)
+            lead = grid.full_forward(chi * fields, axes=tuple(range(last)))
+        cols = np.flatnonzero(active[prefix])
+        for lo in range(0, cols.size, _MODULATION_BLOCK):
+            block = cols[lo:lo + _MODULATION_BLOCK]
+            chi = phase[block].reshape((block.size,) + (1,) * last + (-1,))
+            for f, msq in zip(lead, mult_sq):
+                spec = grid.full_forward(chi * f, axes=(last,)).reshape(block.size, -1)
+                inner[prefix][block] += (spec.real**2 + spec.imag**2) @ msq
+    return float(dt * grid.half_sum(weights * inner) / grid.box_length**grid.dimension)
+
+
+@pytest.mark.parametrize("d, n, measure", [
+    (1, 32, SpectralMeasure.riesz(1, 0.5)),
+    (2, 16, SpectralMeasure.riesz(2, 1.0)),
+    (2, 16, _zero_core_table(2)),
+    (3, 8, _zero_core_table(3)),
+])
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.parametrize("t", [None, 0.5])
+def test_isometry_alternative_equals_its_allocating_reference(d, n, measure, constant, t):
+    # the oracle transforms in buffers it reuses; stale data left in one
+    # would show here, since the reference allocates every transform
+    grid = Grid(d, n, 6.0)
+    g = GreenMultiplier(2, 1.0)
+    z = (IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), 4, 0.25) if constant
+         else _varying_integrand(grid, 4, 0.25))
+    value = isometry_alternative(g, z, measure, t=t)
+    assert value > 0.0
+    assert value == _alternative_reference(g, z, measure, t=t)
+
+
 @pytest.mark.parametrize("measure", [SpectralMeasure.riesz(2, 1.0), _zero_core_table(2)])
 @pytest.mark.parametrize("constant", [True, False])
 def test_isometry_alternative_transforms_each_half_grid_eta_once(monkeypatch, measure, constant):
@@ -387,12 +471,13 @@ def test_isometry_alternative_transforms_each_half_grid_eta_once(monkeypatch, me
         assert err.flat[best] <= 1e-12 * np.max(np.abs(values))
         return best
 
-    def counted(self, values, axes=None):
-        out = forward(self, values, axes)
+    def counted(self, values, axes=None, out=None):
+        values = np.array(values)  # the transform may run in place, over its input
+        out = forward(self, values, axes, out)
         if axes == (0,):
             assert values.shape == fields.shape
             prefixes.append(nearest(values, phase[:, None, :, None] * fields))
-            lead[:] = [out]
+            lead[:] = [out.copy()]
         else:
             assert axes == (1,) and 1 <= len(values) <= _MODULATION_BLOCK
             batches.append(len(values))
