@@ -4,7 +4,7 @@ PDEs driven by spatially homogeneous Gaussian noise."""
 from .covariance import AdmissibilityReport, SpectralMeasure, admissibility_integral, admissible
 from .greens import GreenMultiplier, j_field, j_functional
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm, read_field, write_field
-from .noise import NoisePath, coarsen_path, sample_path, sample_slice
+from .noise import NoisePath, sample_path, sample_slice
 from .solver import (
     MomentSummary,
     Nonlinearity,
@@ -33,7 +33,6 @@ from .weighted import (
     annuli_norms,
     equivalence_constants,
     weighted_isometry_bound,
-    weighted_norm,
     weighted_wave_solve,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "read_field",
     "write_field",
     "NoisePath",
-    "coarsen_path",
     "sample_path",
     "sample_slice",
     "MomentSummary",
@@ -80,6 +78,5 @@ __all__ = [
     "annuli_norms",
     "equivalence_constants",
     "weighted_isometry_bound",
-    "weighted_norm",
     "weighted_wave_solve",
 ]

@@ -206,13 +206,6 @@ class SpectralMeasure:
             out[above] = self._table[-1] * (r[above] / rmax) ** self.tail_exponent
         return self.scale * out
 
-    def density_at(self, eta) -> float:
-        """Density at a frequency point eta in R**d."""
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        if eta.size != self.dimension:
-            raise ValueError(f"point has {eta.size} coordinates, measure lives in d={self.dimension}")
-        return float(self.radial_density(np.linalg.norm(eta)))
-
     def _tail_exponent(self) -> float:
         """Power p with density ~ r**p as r -> infinity."""
         if self.kind == "white":

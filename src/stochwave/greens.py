@@ -25,11 +25,12 @@ with the continuum multiplier to O((eta*h)**2) at low frequency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SpectralMeasure, admissible
+from .covariance import SpectralMeasure, _positive_int, admissible
 from .lattice import Grid, circular_convolve
 
 __all__ = [
@@ -110,10 +111,9 @@ class GreenMultiplier:
     horizon: float
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("operator index k must be >= 1")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        _positive_int(self.k, "operator index k")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be a finite positive number, got {self.horizon!r}")
 
     def lattice_spectrum(self, grid: Grid, t) -> np.ndarray:
         """Dual-grid displacement-multiplier samples (see module docstring)."""
@@ -169,6 +169,7 @@ def j_functional(g: GreenMultiplier, measure: SpectralMeasure, s: float, grid: G
     supremum; the integrand is continuous and peaks near xi = 0 for the
     radial measures supported here, and the dual grid always contains 0.
     Raises when the measure fails the admissibility condition for g.k.
+    No experiment calls it; it is a tracer target in ``perfbench/layers.py``.
     """
     if not admissible(measure, g.k):
         raise ValueError("J undefined: admissibility condition fails")

@@ -411,6 +411,24 @@ def solve_report_csv(summary: MomentSummary, m_table=()) -> str:
     return out.getvalue()
 
 
+def _decreasing_row(experiment: str, case: str, quantity: str, values,
+                    enough: bool = True) -> Row:
+    """Verdict row, value 1.0 and pass when ``values`` strictly decrease (and ``enough``)."""
+    ok = enough and all(a > b for a, b in zip(values, values[1:]))
+    return Row(experiment, case, quantity, 1.0 if ok else 0.0, None, 0, ok)
+
+
+def _envelope_rows(experiment: str, case: str, summary: MomentSummary, replicas: int,
+                   out_dir: Path, m_table=()) -> list[Row]:
+    """The pooled moment at T and the envelope excess, after writing the trajectory CSV."""
+    (out_dir / f"{experiment}_trajectory.csv").write_text(solve_report_csv(summary, m_table))
+    ok = summary.within_envelope
+    excess = float(np.max(summary.mean - summary.envelope - 3.0 * summary.std_error))
+    return [Row(experiment, case, "moment_at_T", summary.mean[-1], summary.std_error[-1],
+                replicas, ok),
+            Row(experiment, case, "envelope_excess", excess, None, 0, ok)]
+
+
 # ---------------------------------------------------------------------------
 # config-driven object builders
 # ---------------------------------------------------------------------------
@@ -583,10 +601,8 @@ def _exp_mollifier_ladder(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     for name, ladder in (("green", green_ladder), ("truncation", trunc_ladder)):
         for s, val in zip(scales, ladder):
             rows.append(Row("mollifier-ladder", name, f"distance_n{s}", val, None, 0, True))
-        monotone = all(a > b for a, b in zip(ladder, ladder[1:]))
         ratio = ladder[-1] / ladder[0]
-        rows.append(Row("mollifier-ladder", name, "strictly_decreasing",
-                        1.0 if monotone else 0.0, None, 0, monotone))
+        rows.append(_decreasing_row("mollifier-ladder", name, "strictly_decreasing", ladder))
         rows.append(Row("mollifier-ladder", name, "final_over_initial", ratio, None, 0,
                         ratio < 0.05))
     return rows
@@ -643,23 +659,15 @@ def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     floor = 1e-20 * mbar[0]
     usable = [i for i in range(len(mbar)) if mbar[i] > floor]
     ratios = [mbar[i] / mbar[i - 1] for i in usable[1:]]
-    monotone = all(a > b for a, b in zip(ratios, ratios[1:])) and len(ratios) >= 3
     for i, r in enumerate(ratios):
         rows.append(Row("picard", "contraction", f"mhat_ratio_{i + 1}", r, None, 0, True))
-    rows.append(Row("picard", "contraction", "ratios_decreasing",
-                    1.0 if monotone else 0.0, None, 0, monotone))
+    rows.append(_decreasing_row("picard", "contraction", "ratios_decreasing", ratios,
+                                len(ratios) >= 3))
 
     # moment envelope
     moments, _ = sweep_replicas(solve_cfg, _replica_generators(cfg, 2, replicas))
     summary = moment_track(moments, solve_cfg)
-    t_index = len(summary.times) - 1
-    rows.append(Row("picard", "moment", "moment_at_T", summary.mean[t_index],
-                    summary.std_error[t_index], replicas, summary.within_envelope))
-    excess = np.max(summary.mean - summary.envelope - 3.0 * summary.std_error)
-    rows.append(Row("picard", "moment", "envelope_excess", float(excess), None, 0,
-                    summary.within_envelope))
-    (out_dir / "picard_trajectory.csv").write_text(solve_report_csv(summary, pic.m_table))
-    return rows
+    return rows + _envelope_rows("picard", "moment", summary, replicas, out_dir, pic.m_table)
 
 
 def _exp_energy(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
@@ -735,12 +743,13 @@ def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     c_disc, big_c = equivalence_constants(grid, w)
     rng = replica_generator(cfg.seed, "weighted", 0, cfg.replica_offset)
     n_fields = cfg.get_int("experiment", "equivalence_fields", 50)
+    shell_count = int(w.annulus_index(grid).max()) + 1
+    weights_n = np.array([float(max(n, 1)) ** (-w.exponent) for n in range(shell_count)])
     violations = 0
     for _ in range(n_fields):
         f = LatticeField(grid, rng.standard_normal(grid.shape))
         wn_sq = grid.cell_volume * float(np.sum(f.values**2 * theta))
         shells = annuli_norms(f, w)
-        weights_n = np.array([float(max(n, 1)) ** (-w.exponent) for n in range(shells.size)])
         shell_sum = float(np.sum(weights_n * shells))
         if not (c_disc * shell_sum <= wn_sq * (1.0 + 1e-12)
                 and wn_sq <= big_c * shell_sum * (1.0 + 1e-12)):
@@ -775,14 +784,7 @@ def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     moments, _ = sweep_replicas(solve_cfg, _replica_generators(cfg, 2, solver_replicas),
                                 theta=theta)
     summary = weighted_moment_track(moments, solve_cfg, w)
-    t_index = len(summary.times) - 1
-    rows.append(Row("weighted", "linear-growth", "moment_at_T", summary.mean[t_index],
-                    summary.std_error[t_index], solver_replicas, summary.within_envelope))
-    excess = float(np.max(summary.mean - summary.envelope - 3.0 * summary.std_error))
-    rows.append(Row("weighted", "linear-growth", "envelope_excess", excess, None, 0,
-                    summary.within_envelope))
-    (out_dir / "weighted_trajectory.csv").write_text(solve_report_csv(summary))
-    return rows
+    return rows + _envelope_rows("weighted", "linear-growth", summary, solver_replicas, out_dir)
 
 
 def _exp_refinement(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
@@ -809,9 +811,7 @@ def _exp_refinement(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
         means.append(mean)
         rows.append(Row("refinement", f"dt_1over{int(round(1 / dt))}", "increment_moment",
                         mean, se, replicas, True))
-    monotone = all(a > b for a, b in zip(means, means[1:]))
-    rows.append(Row("refinement", "summary", "decreasing_under_halving",
-                    1.0 if monotone else 0.0, None, 0, monotone))
+    rows.append(_decreasing_row("refinement", "summary", "decreasing_under_halving", means))
     return rows
 
 

@@ -358,20 +358,10 @@ class LatticeField:
             self._spectrum = self.grid.forward(self.values)
         return self._spectrum
 
-    def __add__(self, other: "LatticeField") -> "LatticeField":
-        if self.grid != other.grid:
-            raise ValueError("grids differ")
-        return LatticeField(self.grid, self.values + other.values)
-
     def __sub__(self, other: "LatticeField") -> "LatticeField":
         if self.grid != other.grid:
             raise ValueError("grids differ")
         return LatticeField(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "LatticeField":
-        return LatticeField(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
 
 
 def l2_norm(f: LatticeField | np.ndarray, grid: Grid | None = None) -> float:

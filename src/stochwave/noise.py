@@ -41,8 +41,7 @@ import numpy as np
 from .covariance import SpectralMeasure
 from .lattice import Grid
 
-__all__ = ["NoisePath", "sample_slice", "sample_slice_batch", "sample_path", "coarsen_path",
-           "replica_blocks"]
+__all__ = ["NoisePath", "sample_slice", "sample_slice_batch", "sample_path", "replica_blocks"]
 
 # Array entries per block.  A d = 2, N = 64 Monte Carlo block of 31 replicas
 # holds a 1 MB accumulator, not 8.7 MB; a sweep at d = 2, N = 128, n = 1,024
@@ -64,14 +63,6 @@ class NoisePath:
 
     def __len__(self) -> int:
         return len(self.fields)
-
-    @property
-    def horizon(self) -> float:
-        return self.dt * len(self.fields)
-
-    def times(self) -> np.ndarray:
-        """Left endpoints s_i of the slices."""
-        return self.dt * np.arange(len(self.fields))
 
 
 def _spectral_scale(grid: Grid, measure: SpectralMeasure, dt: float) -> np.ndarray:
@@ -143,7 +134,10 @@ def replica_blocks(replicas: int, entries: int, rng=None) -> list[tuple[int, int
 
 def sample_slice(grid: Grid, measure: SpectralMeasure, dt: float,
                  rng: np.random.Generator) -> np.ndarray:
-    """Draw one real-space noise increment of width dt."""
+    """Draw one real-space noise increment of width dt.
+
+    No experiment calls it; it is a tracer target in ``perfbench/layers.py``.
+    """
     return sample_slice_batch(grid, measure, dt, rng, 1)[0]
 
 
@@ -163,15 +157,3 @@ def sample_path(grid: Grid, measure: SpectralMeasure, horizon: float, dt: float,
         raise ValueError(f"horizon/dt = {steps_float} is not an integer step count")
     return NoisePath(grid, dt, sample_slice_batch(grid, measure, dt, rng, steps))
 
-
-def coarsen_path(path: NoisePath, factor: int) -> NoisePath:
-    """Merge consecutive slices in blocks of ``factor``.
-
-    Summing independent increments reproduces, exactly in law, a path
-    at step factor*dt; used by refinement studies to couple solutions
-    across time resolutions.
-    """
-    if factor < 1 or len(path) % factor != 0:
-        raise ValueError("factor must divide the slice count")
-    blocks = path.fields.reshape((len(path) // factor, factor) + path.grid.shape)
-    return NoisePath(path.grid, path.dt * factor, blocks.sum(axis=1))

@@ -135,31 +135,6 @@ class Nonlinearity:
     def affine(cls, a: float, b: float) -> "Nonlinearity":
         return cls("affine", lambda u: a * u + b, abs(a), b == 0.0)
 
-    @classmethod
-    def from_table(cls, points, values, lipschitz: float | None = None) -> "Nonlinearity":
-        points = np.asarray(points, dtype=float)
-        values = np.asarray(values, dtype=float)
-        slopes = np.diff(values) / np.diff(points)
-        k = float(np.max(np.abs(slopes))) if lipschitz is None else float(lipschitz)
-        vanishes = abs(np.interp(0.0, points, values)) == 0.0
-
-        def interp(u: np.ndarray) -> np.ndarray:
-            return np.interp(u, points, values)
-
-        return cls("custom-table", interp, k, vanishes)
-
-    def validate(self, rng: np.random.Generator, pairs: int = 1000, box: float = 3.0) -> None:
-        """Spot-check the Lipschitz and linear-growth declarations."""
-        u1 = rng.uniform(-box, box, pairs)
-        u2 = rng.uniform(-box, box, pairs)
-        gap = np.abs(self(u1) - self(u2))
-        bound = self.lipschitz * np.abs(u1 - u2) + 1e-12
-        if np.any(gap > bound):
-            raise ValueError(f"nonlinearity {self.name!r} violates its Lipschitz constant")
-        if self.vanishes_at_zero:
-            if np.any(np.abs(self(u1)) > self.lipschitz * np.abs(u1) + 1e-12):
-                raise ValueError(f"nonlinearity {self.name!r} violates |alpha(u)| <= K|u|")
-
 
 @dataclass
 class SolveConfig:
@@ -234,7 +209,7 @@ class SolveReport:
 
 
 def deterministic_part(cfg: SolveConfig, t: float) -> LatticeField:
-    """u0(t) = (d/dt) G(t) * v0 + G(t) * v0_dot, in closed form at any t."""
+    """Test oracle for the free evolution: u0(t) = (d/dt) G(t) * v0 + G(t) * v0_dot, at any t."""
     grid = cfg.grid
     mag = np.sqrt(grid.freq_norm_sq)
     spec = grid.half(cosine_multiplier(t, mag, cfg.k)) * cfg.v0.spectrum
@@ -244,7 +219,7 @@ def deterministic_part(cfg: SolveConfig, t: float) -> LatticeField:
 
 
 def deterministic_velocity(cfg: SolveConfig, t: float) -> LatticeField:
-    """Time derivative of the deterministic part, in closed form."""
+    """Test oracle for the free velocity: d/dt of :func:`deterministic_part`, in closed form."""
     grid = cfg.grid
     mag = np.sqrt(grid.freq_norm_sq)
     spec = grid.half(-(mag**cfg.k) * np.sin(t * mag**cfg.k)) * cfg.v0.spectrum
@@ -578,7 +553,6 @@ class MomentSummary:
     mean: np.ndarray
     std_error: np.ndarray
     envelope: np.ndarray
-    replicas: int
     within_envelope: bool
     space: str = "L2"
 
@@ -616,8 +590,7 @@ def _pool_moments(moments: np.ndarray, cfg: SolveConfig, envelope: np.ndarray,
     mean = data.mean(axis=0)
     se = data.std(axis=0, ddof=1) / math.sqrt(len(data))
     ok = bool(np.all(mean <= envelope + 3.0 * se + 1e-12))
-    return MomentSummary(cfg.dt * np.arange(cfg.steps + 1), mean, se, envelope, len(data), ok,
-                         space)
+    return MomentSummary(cfg.dt * np.arange(cfg.steps + 1), mean, se, envelope, ok, space)
 
 
 def moment_track(moments: np.ndarray, cfg: SolveConfig) -> MomentSummary:

@@ -95,17 +95,11 @@ class IntegrandProcess:
     constant integrand (:meth:`constant`) stores its one field as a
     broadcast view, so its rows share memory and the time axis has zero
     stride, which is what :attr:`is_constant` reads.
-
-    ``adapted`` declares that Z(s_i) depends only on noise slices
-    strictly before step i; the solver constructs its integrands that
-    way, and the contract is verified behaviorally in the test suite by
-    permuting future slices.
     """
 
     grid: Grid
     dt: float
     fields: np.ndarray
-    adapted: bool = True
 
     def __post_init__(self) -> None:
         self.fields = np.asarray(self.fields, dtype=float)
@@ -128,7 +122,7 @@ class IntegrandProcess:
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"field shape {values.shape} != grid shape {grid.shape}")
-        return cls(grid, dt, np.broadcast_to(values, (steps,) + grid.shape), adapted=True)
+        return cls(grid, dt, np.broadcast_to(values, (steps,) + grid.shape))
 
     @property
     def is_constant(self) -> bool:
@@ -208,9 +202,6 @@ class Mollifier:
         """F[psi_n](xi) = F[psi](xi / n)."""
         return self.base_transform(np.asarray(xi_mag, dtype=float) / self.scale)
 
-    def transform_on_grid(self, grid: Grid) -> np.ndarray:
-        return self.transform(np.sqrt(grid.freq_norm_sq))
-
 
 # ---------------------------------------------------------------------------
 # stochastic convolution and isometry quadratures
@@ -228,17 +219,16 @@ def _steps_before(t: float, dt: float, available: int) -> int:
 
 def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoisePath,
                            t: float) -> LatticeField:
-    """Left-endpoint lattice integral of G(t-s) against Z(s) M(ds, dy).
+    """Test oracle for the solver's stochastic convolution: the left-endpoint
+    lattice integral of G(t-s) against Z(s) M(ds, dy).
 
-    The test oracle: a direct history sum on full spectra.  The solver
+    A direct history sum on full spectra.  The solver
     reaches the same sum in its rotated frame on half spectra instead:
     by the addition formula
     sin((t - s) w)/w = [sin(t w) cos(s w) - cos(t w) sin(s w)]/w, the
     history at every step time is two prefix sums over rows of the Green
     pair at the step times (``solver._green_rows``).
     """
-    if not Z.adapted:
-        raise ValueError("integrand process is not adapted")
     if Z.grid != path.grid:
         raise ValueError("integrand and path live on different grids")
     grid, dt = Z.grid, Z.dt
@@ -369,7 +359,7 @@ def ladder_distance(g: GreenMultiplier, scale: int, Z: IntegrandProcess,
     grid, dt = Z.grid, Z.dt
     m, times = _green_times(Z, t)
     moll = Mollifier(scale, grid.dimension)
-    damp_sq = (1.0 - moll.transform_on_grid(grid)) ** 2
+    damp_sq = (1.0 - moll.transform(np.sqrt(grid.freq_norm_sq))) ** 2
     mult_sq = g.lattice_spectrum(grid, times) ** 2 * damp_sq
     jf = np.maximum(circular_convolve(measure.lattice_weights(grid), mult_sq), 0.0)
     total = np.sum(Z.spectra_sq()[:m] * jf)
@@ -385,7 +375,7 @@ def truncation_distance(g: GreenMultiplier, Z: IntegrandProcess,
     for ax in range(grid.dimension):
         coord = grid._axis_array(grid.axis_coords, ax)
         inside = inside & (np.abs(coord) <= half_width)
-    tail = IntegrandProcess(grid, Z.dt, Z.fields * ~inside, adapted=Z.adapted)
+    tail = IntegrandProcess(grid, Z.dt, Z.fields * ~inside)
     return float(math.sqrt(isometry_functional(g, tail, measure, t=t)))
 
 

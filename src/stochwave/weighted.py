@@ -38,7 +38,6 @@ from .stochint import IntegrandProcess, _green_times, convolution_norms_mc
 
 __all__ = [
     "Weight",
-    "weighted_norm",
     "annuli_norms",
     "equivalence_constants",
     "locality_constant",
@@ -57,10 +56,9 @@ class Weight:
     radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.exponent <= 0:
-            raise ValueError("weight exponent must be positive")
-        if self.radius <= 0:
-            raise ValueError("annulus radius must be positive")
+        for what, value in (("weight exponent", self.exponent), ("annulus radius", self.radius)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{what} must be a finite positive number, got {value!r}")
 
     @property
     def sandwich_lower(self) -> float:
@@ -81,12 +79,6 @@ class Weight:
         return np.floor(np.sqrt(grid.coord_norm_sq) / self.radius).astype(int)
 
 
-def weighted_norm(f: LatticeField, w: Weight) -> float:
-    """(integral f**2 theta)**(1/2) on the lattice."""
-    theta = w.theta_on(f.grid)
-    return float(math.sqrt(f.grid.cell_volume * np.sum(f.values**2 * theta)))
-
-
 def annuli_norms(f: LatticeField, w: Weight) -> np.ndarray:
     """Squared L2 norms of f restricted to the shells H_0, H_1, ..."""
     grid = f.grid
@@ -94,6 +86,19 @@ def annuli_norms(f: LatticeField, w: Weight) -> np.ndarray:
     out = np.zeros(int(idx.max()) + 1)
     np.add.at(out, idx.ravel(), grid.cell_volume * f.values.ravel() ** 2)
     return out
+
+
+def _shell_theta_extrema(grid: Grid, w: Weight) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max of theta over the grid points of each shell H_0, H_1, ...; nan if empty."""
+    theta = w.theta_on(grid).ravel()
+    idx = w.annulus_index(grid).ravel()
+    t_min = np.full(int(idx.max()) + 1, np.inf)
+    t_max = -t_min
+    np.minimum.at(t_min, idx, theta)
+    np.maximum.at(t_max, idx, theta)
+    empty = np.isinf(t_min)
+    t_min[empty] = t_max[empty] = np.nan
+    return t_min, t_max
 
 
 def equivalence_constants(grid: Grid, w: Weight) -> tuple[float, float]:
@@ -104,17 +109,12 @@ def equivalence_constants(grid: Grid, w: Weight) -> tuple[float, float]:
     for every lattice field, computed from the extrema of theta over the
     grid points of each occupied shell.
     """
-    theta = w.theta_on(grid).ravel()
-    idx = w.annulus_index(grid).ravel()
-    n_max = int(idx.max())
+    t_min, t_max = _shell_theta_extrema(grid, w)
     lo, hi = math.inf, -math.inf
-    for n in range(n_max + 1):
-        sel = idx == n
-        if not np.any(sel):
-            continue
+    for n in np.flatnonzero(~np.isnan(t_min)):
         scale = float(max(n, 1)) ** w.exponent
-        lo = min(lo, theta[sel].min() * scale)
-        hi = max(hi, theta[sel].max() * scale)
+        lo = min(lo, t_min[n] * scale)
+        hi = max(hi, t_max[n] * scale)
     return lo, hi
 
 
@@ -126,24 +126,11 @@ def locality_constant(grid: Grid, w: Weight, horizon: float) -> float:
     ceil(horizon/R) + 1 neighboring shells; S prices the resulting
     re-weighting of the shell sums against theta.
     """
-    theta = w.theta_on(grid).ravel()
-    idx = w.annulus_index(grid).ravel()
-    n_max = int(idx.max())
-    t_min = np.full(n_max + 1, np.nan)
-    t_max = np.full(n_max + 1, np.nan)
-    for n in range(n_max + 1):
-        sel = idx == n
-        if np.any(sel):
-            t_min[n] = theta[sel].min()
-            t_max[n] = theta[sel].max()
+    t_min, t_max = _shell_theta_extrema(grid, w)
     width = int(math.ceil(horizon / w.radius)) + 1
     best = 0.0
-    for m in range(n_max + 1):
-        if np.isnan(t_min[m]):
-            continue
-        lo = max(0, m - width)
-        hi = min(n_max, m + width)
-        neighborhood = np.nansum(t_max[lo:hi + 1])
+    for m in np.flatnonzero(~np.isnan(t_min)):
+        neighborhood = np.nansum(t_max[max(0, m - width):m + width + 1])
         best = max(best, neighborhood / t_min[m])
     return best
 
@@ -220,6 +207,7 @@ def weighted_wave_solve(cfg: SolveConfig, path: NoisePath, w: Weight,
     requirement of the plain solver is lifted); k must be 1.  The
     dynamics coincide with the plain solver's; the weighted norm enters
     the Picard stop rule, the distance table, and the reported moments.
+    No experiment calls it; it is a tracer target in ``perfbench/layers.py``.
     """
     if cfg.k != 1:
         raise ValueError("weighted solver requires k = 1 (compact support)")

@@ -22,13 +22,14 @@ from stochwave.stochint import Mollifier
 
 def test_white_density_value():
     m = SpectralMeasure.white(1)
-    assert m.density_at(3.7) == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
+    assert m.radial_density(3.7) == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
 
 
 def test_density_even():
     for m in (SpectralMeasure.white(2), SpectralMeasure.riesz(2, 1.0)):
         eta = np.array([0.7, -1.3])
-        assert m.density_at(eta) == pytest.approx(m.density_at(-eta), rel=1e-14)
+        assert m.radial_density(np.linalg.norm(eta)) == pytest.approx(
+            m.radial_density(np.linalg.norm(-eta)), rel=1e-14)
 
 
 def test_riesz_construction_bounds():
@@ -43,7 +44,7 @@ def test_riesz_construction_bounds():
 def test_riesz_singular_at_origin():
     m = SpectralMeasure.riesz(2, 1.0)
     with pytest.raises(ValueError, match="singular"):
-        m.density_at(np.zeros(2))
+        m.radial_density(0.0)
 
 
 _ULPS = 4 * np.finfo(float).eps  # a few roundings of a Gamma-function expression
@@ -58,7 +59,7 @@ def test_riesz_normalization_against_closed_form():
         assert m.riesz_constant == pytest.approx(closed, rel=_ULPS, abs=0)
     # the d=2, alpha=1 case pins the density example at |eta| = 2
     m = SpectralMeasure.riesz(2, 1.0)
-    assert m.density_at(np.array([2.0, 0.0])) == pytest.approx(m.riesz_constant / 2.0, rel=1e-12)
+    assert m.radial_density(2.0) == pytest.approx(m.riesz_constant / 2.0, rel=1e-12)
 
 
 def _gauss_transform_sq(d, sigma):

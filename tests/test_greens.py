@@ -28,6 +28,25 @@ def test_multiplier_limit_values():
     assert _green_at(1.0, np.array([np.pi]), 1) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("k", [1.5, 1.0, True, 0, -1, "1"])
+def test_multiplier_refuses_an_operator_index_that_is_not_a_positive_integer(k):
+    # 1.5 would sample a fractional-index multiplier, True one of index 1
+    with pytest.raises(ValueError, match="operator index k"):
+        GreenMultiplier(k, 1.0)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+def test_multiplier_refuses_a_horizon_that_is_not_finite_and_positive(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        GreenMultiplier(1, horizon)
+
+
+def test_multiplier_accepts_numpy_integers():
+    grid = Grid(1, 16, 4.0)
+    assert np.array_equal(GreenMultiplier(np.int64(2), 1.0).lattice_spectrum(grid, 0.5),
+                          GreenMultiplier(2, 1.0).lattice_spectrum(grid, 0.5))
+
+
 def test_dt_multiplier_values():
     assert _green_dt_at(0.0, np.array([0.4, 0.3]), 2) == 1.0
     assert _green_dt_at(0.7, np.zeros(2), 2) == 1.0

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from stochwave.harness import (
     ExperimentConfig,
     ResultTable,
     Row,
+    _decreasing_row,
     aggregate,
     parse_config,
     replica_generator,
@@ -95,6 +97,32 @@ def test_picard_run_is_byte_deterministic(tmp_path):
     run(cfg, out_dir=tmp_path / "b")
     for name in ("picard.csv", "picard_trajectory.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("text, case", [
+    ("[experiment]\nname = picard\nseed = 5\nreplicas = 30\nratio_replicas = 6\n[grid]\nn = 64\n",
+     "moment"),
+    ("[experiment]\nname = weighted\nseed = 11\nreplicas = 30\nequivalence_fields = 2\n"
+     "envelope_replicas = 30\n[grid]\nn = 64\n", "linear-growth"),
+])
+def test_moment_at_t_row_is_the_last_pooled_trajectory_row(tmp_path, text, case):
+    cfg = _config(text)
+    table = run(cfg, out_dir=tmp_path)
+    (row,) = [r for r in table.rows if (r.case, r.quantity) == (case, "moment_at_T")]
+    lines = (tmp_path / f"{cfg.name}_trajectory.csv").read_text().splitlines()
+    pooled = [rec for rec in csv.reader(lines[1:]) if rec[1] == "0"]
+    t, _, _, moment, band, _ = pooled[-1]
+    assert float(t) == 1.0  # the horizon T
+    assert float(moment) == row.value and float(band) == 3.0 * row.std_error
+
+
+@pytest.mark.parametrize("values, enough, ok", [
+    ([3.0, 2.0, 1.0], True, True), ([3.0, 2.0, 2.0], True, False), ([1.0, 2.0], True, False),
+    ([3.0, 2.0, 1.0], False, False), ([5.0], True, True),
+])
+def test_decreasing_row_passes_only_on_a_strict_decrease(values, enough, ok):
+    row = _decreasing_row("picard", "contraction", "ratios_decreasing", values, enough)
+    assert (row.value, row.verdict) == ((1.0, True) if ok else (0.0, False))
 
 
 def test_isometry_run_is_byte_deterministic(tmp_path):

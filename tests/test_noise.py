@@ -6,7 +6,6 @@ from stochwave.lattice import Grid
 from stochwave.noise import (
     NoisePath,
     _spectral_scale,
-    coarsen_path,
     replica_blocks,
     sample_path,
     sample_slice,
@@ -111,17 +110,6 @@ def test_homogeneity_and_covariance_against_spectrum():
         assert abs(emp - exact) < 3.5 * se
         # band-limited periodized model vs the continuum power law
         assert exact / dt == pytest.approx(lag**-alpha, rel=0.05)
-
-
-def test_coarsen_path(grid):
-    m = SpectralMeasure.white(1)
-    fine = sample_path(grid, m, 1.0, 0.125, np.random.default_rng(8))
-    coarse = coarsen_path(fine, 2)
-    assert len(coarse) == 4 and coarse.dt == 0.25
-    merged = fine.fields[0] + fine.fields[1]
-    assert np.array_equal(coarse.fields[0], merged)
-    with pytest.raises(ValueError):
-        coarsen_path(fine, 3)
 
 
 def test_slice_batch_with_per_replica_generators(grid):

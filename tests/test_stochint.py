@@ -89,14 +89,6 @@ def test_convolution_identity_kernel_reduces_to_plain_sum(setup):
     assert np.max(np.abs(out.values - direct)) < 1e-10 * np.max(np.abs(direct))
 
 
-def test_convolution_rejects_unadapted(setup):
-    grid, measure, g, z, dt = setup
-    bad = IntegrandProcess(grid, dt, z.fields, adapted=False)
-    path = sample_path(grid, measure, 1.0, dt, np.random.default_rng(2))
-    with pytest.raises(ValueError, match="adapted"):
-        stochastic_convolution(g, bad, path, 1.0)
-
-
 def test_convolution_off_grid_time_rejected(setup):
     grid, measure, g, z, dt = setup
     path = sample_path(grid, measure, 1.0, dt, np.random.default_rng(3))

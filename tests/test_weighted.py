@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from stochwave.weighted import (
     locality_constant,
     weighted_isometry_bound,
     weighted_moment_track,
-    weighted_norm,
     weighted_wave_solve,
 )
 
@@ -38,6 +39,14 @@ def test_weight_validation():
         Weight(1.0).check_dimension(2)  # exponent must exceed d
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_weight_refuses_an_exponent_or_radius_that_is_not_finite_and_positive(value):
+    with pytest.raises(ValueError, match="weight exponent"):
+        Weight(value)
+    with pytest.raises(ValueError, match="annulus radius"):
+        Weight(2.0, radius=value)
+
+
 def test_sandwich_exact(grid, weight):
     theta = weight.theta_on(grid)
     r = np.sqrt(grid.coord_norm_sq)
@@ -46,22 +55,6 @@ def test_sandwich_exact(grid, weight):
     base[far] = r[far] ** (-weight.exponent)
     assert np.all(theta >= weight.sandwich_lower * base * (1 - 1e-12))
     assert np.all(theta <= weight.sandwich_upper * base * (1 + 1e-12))
-
-
-def test_weighted_norm_trivials(grid, weight):
-    assert weighted_norm(LatticeField.zeros(grid), weight) == 0.0
-    # field inside the unit ball: theta between 2^(-K/2) and 1 there
-    vals = np.where(np.abs(grid.axis_coords) <= 1.0, 1.0, 0.0)
-    f = LatticeField(grid, vals)
-    ratio = weighted_norm(f, weight) / l2_norm(f)
-    assert 2.0 ** (-weight.exponent / 4.0) <= ratio <= 1.0
-
-
-def test_weighted_norm_contraction(grid, weight):
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        f = LatticeField(grid, rng.standard_normal(grid.shape))
-        assert weighted_norm(f, weight) <= l2_norm(f)
 
 
 def test_annuli_norms_indicator(grid, weight):
@@ -76,10 +69,11 @@ def test_annuli_norms_indicator(grid, weight):
 def test_shell_equivalence_random_fields(grid, weight):
     c_low, c_high = equivalence_constants(grid, weight)
     assert 0.0 < c_low <= c_high <= 1.0 + 1e-12
+    theta = weight.theta_on(grid)
     rng = np.random.default_rng(1)
     for _ in range(50):
         f = LatticeField(grid, rng.standard_normal(grid.shape))
-        wsq = weighted_norm(f, weight) ** 2
+        wsq = grid.cell_volume * float(np.sum(f.values**2 * theta))
         shells = annuli_norms(f, weight)
         scale = np.array([float(max(n, 1)) ** (-weight.exponent) for n in range(shells.size)])
         total = float(np.sum(scale * shells))
@@ -233,3 +227,29 @@ def test_locality_constant_grows_with_horizon(grid, weight):
     s1 = locality_constant(grid, weight, 0.5)
     s2 = locality_constant(grid, weight, 3.0)
     assert 1.0 < s1 <= s2
+
+
+def _shell_constants_by_masks(grid, w, horizon):
+    """(c, C, S) from one boolean mask per occupied shell: the reference."""
+    theta, idx = w.theta_on(grid).ravel(), w.annulus_index(grid).ravel()
+    shells = [n for n in range(int(idx.max()) + 1) if np.any(idx == n)]
+    t_min = {n: theta[idx == n].min() for n in shells}
+    t_max = {n: theta[idx == n].max() for n in shells}
+    scale = {n: float(max(n, 1)) ** w.exponent for n in shells}
+    width = int(math.ceil(horizon / w.radius)) + 1
+    s = max(sum(t_max[j] for j in shells if abs(j - m) <= width) / t_min[m] for m in shells)
+    return (min(t_min[n] * scale[n] for n in shells),
+            max(t_max[n] * scale[n] for n in shells), s)
+
+
+@pytest.mark.parametrize("grid, w, horizon", [
+    (Grid(1, 256, 16.0), Weight(2.0), 0.5),
+    (Grid(1, 256, 16.0), Weight(2.0), 3.0),
+    (Grid(2, 32, 8.0), Weight(3.0, radius=0.7), 1.0),
+    (Grid(1, 8, 16.0), Weight(2.0, radius=0.5), 1.0),  # spacing 2: most shells empty
+])
+def test_shell_constants_match_the_per_shell_masks(grid, w, horizon):
+    c, big_c, s = _shell_constants_by_masks(grid, w, horizon)
+    # extrema and their products are exact; S sums in another order
+    assert equivalence_constants(grid, w) == (c, big_c)
+    assert locality_constant(grid, w, horizon) == pytest.approx(s, rel=1e-14)
