@@ -162,14 +162,17 @@ def j_field(g: GreenMultiplier, measure: SpectralMeasure, s, grid: Grid) -> np.n
     return np.maximum(out, 0.0).reshape(times.shape + grid.shape)
 
 
-def j_functional(g: GreenMultiplier, measure: SpectralMeasure, s: float, grid: Grid) -> float:
+def j_functional(g: GreenMultiplier, measure: SpectralMeasure, s, grid: Grid) -> float:
     """Worst-case spectral energy of G(s): the maximum of :func:`j_field`.
+
+    ``s`` is one time or an array of times; the maximum runs over all of
+    them, so ``solver.gronwall_constant`` takes max_s J(s) over the step
+    times for ``moment_track`` in one call.
 
     The maximum over the dual grid is a lower bound to the continuum
     supremum; the integrand is continuous and peaks near xi = 0 for the
     radial measures supported here, and the dual grid always contains 0.
     Raises when the measure fails the admissibility condition for g.k.
-    No experiment calls it; it is a tracer target in ``perfbench/layers.py``.
     """
     if not admissible(measure, g.k):
         raise ValueError("J undefined: admissibility condition fails")

@@ -27,9 +27,10 @@ kind.  Every consumer multiplies an increment pointwise in space, so the
 sampler hands out real fields; only this module sees the spectrum.
 Slices are independent across time steps and reproducible from the
 generator handed in: slice s of a path is the s-th draw of its stream.
-Replica batches run in blocks sized by :func:`replica_blocks`; a caller
-that draws block after block may hand in the rows and the spectrum
-buffer to reuse (``out``, ``work``), which changes no value.
+A replica batch takes one generator a replica and runs in blocks sized
+by :func:`replica_blocks`; a caller that draws block after block may
+hand in the rows and the spectrum buffer to reuse (``out``, ``work``),
+which changes no value.
 """
 
 from __future__ import annotations
@@ -76,12 +77,11 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float,
                        work: np.ndarray | None = None) -> np.ndarray:
     """Real increments of ``count`` independent slices on a leading axis.
 
-    ``rng`` may be a single generator (one stream for the whole batch)
-    or a sequence of ``count`` generators, one stream per batch entry;
-    the per-entry form is what makes replica-offset runs poolable, since
-    entry r consumes only its own stream, drawn straight into row r of
-    the batch.  A filter whose entries are all equal (white noise) is one
-    scalar, applied to the draws in place; any other filter runs the
+    ``rng`` is one generator, a path's stream (the batch axis is time,
+    drawn in order, as :func:`sample_path` does), or ``count`` generators,
+    one replica's stream per entry, drawn straight into its row.  A
+    filter whose entries are all equal (white noise) is one scalar,
+    applied to the draws in place; any other filter runs the
     half-spectrum transform pair: forward into ``work``, the filter
     applied there, and the inverse back into the draws' rows.
 
@@ -118,17 +118,19 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float,
 def replica_blocks(replicas: int, entries: int, rng=None) -> list[tuple[int, int, object]]:
     """``(lo, hi, generators)`` blocks of max(1, min(256, _BLOCK_ENTRIES // entries)) items.
 
-    ``rng`` is one generator, handed to every block, or exactly
-    ``replicas`` generators, sliced per block; without it ``generators``
-    is None.  The counts are checked before the first block is made.
+    ``rng`` is exactly ``replicas`` generators, sliced per block; without
+    it ``generators`` is None (the sweep's step blocks).  One generator
+    shared by the blocks would tie the draws to the block size, so it is
+    refused.  The counts are checked before the first block is made.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
-    single = rng is None or isinstance(rng, np.random.Generator)
-    if not single and len(rng) != replicas:
+    if isinstance(rng, np.random.Generator):
+        raise ValueError("rng must hold one generator per replica, not one shared Generator")
+    if rng is not None and len(rng) != replicas:
         raise ValueError(f"rng holds {len(rng)} generators, replicas is {replicas}")
     block = max(1, min(256, _BLOCK_ENTRIES // entries))
-    return [(lo, min(lo + block, replicas), rng if single else rng[lo:lo + block])
+    return [(lo, min(lo + block, replicas), None if rng is None else rng[lo:lo + block])
             for lo in range(0, replicas, block)]
 
 

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SpectralMeasure, admissible
-from .greens import GreenMultiplier, cosine_multiplier, j_field, sine_multiplier
+from .greens import GreenMultiplier, cosine_multiplier, j_functional, sine_multiplier
 from .greens import spectral_energy_field
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
 from .noise import NoisePath, replica_blocks, sample_slice_batch
@@ -85,6 +85,12 @@ __all__ = [
     "check_envelope",
     "moment_track",
 ]
+
+# alpha(u) = 1 - exp(-u) has slope exp(-u), unbounded as u -> -inf; its
+# declared constant exp(box) is only valid on |u| <= box, so evaluating it
+# anywhere outside the box is an error.
+_ONE_MINUS_EXP_BOX = 3.0
+
 
 @dataclass(frozen=True)
 class Nonlinearity:
@@ -117,10 +123,9 @@ class Nonlinearity:
         return cls("sine", np.sin, 1.0, True)
 
     @classmethod
-    def one_minus_exp(cls, box: float = 3.0) -> "Nonlinearity":
-        # alpha(u) = 1 - exp(-u) has slope exp(-u), unbounded as u -> -inf;
-        # the declared constant is only valid on |u| <= box, so evaluating
-        # it anywhere outside the box is an error.
+    def one_minus_exp(cls) -> "Nonlinearity":
+        box = _ONE_MINUS_EXP_BOX
+
         def alpha(u: np.ndarray) -> np.ndarray:
             peak = float(np.max(np.abs(u), initial=0.0))
             if not peak <= box:
@@ -560,13 +565,11 @@ class MomentSummary:
 def gronwall_constant(cfg: SolveConfig) -> float:
     """C = max_s J(s) over the step times, the moment-bound rate.
 
-    Admissibility is checked once, as :func:`~stochwave.greens.j_functional`
-    checks it; one batched :func:`j_field` then covers every step time.
+    One :func:`~stochwave.greens.j_functional` call over every step time:
+    one admissibility check and one batched ``j_field``.
     """
-    if not admissible(cfg.measure, cfg.k):
-        raise ValueError("J undefined: admissibility condition fails")
     times = cfg.dt * np.arange(1, cfg.steps + 1)
-    return float(np.max(j_field(cfg.green, cfg.measure, times, cfg.grid), initial=0.0))
+    return j_functional(cfg.green, cfg.measure, times, cfg.grid)
 
 
 def check_envelope(alpha: Nonlinearity) -> None:

@@ -21,7 +21,9 @@ discretization error.
 
 An integrand is one array Z of shape (steps, *grid.shape), time on the
 leading axis (:class:`IntegrandProcess`), so the spectra of all steps
-come from one batched transform.
+come from one batched transform.  Its horizon is the time t, as v(t) is
+fixed by the integrand on [0, t]: v at m * dt is the integral of the
+first m steps.  Only the oracle :func:`stochastic_convolution` takes t.
 
 The Monte Carlo kernel (:func:`convolution_norms_mc`) works on half
 spectra: noise, integrand and solution are real and the Green
@@ -38,9 +40,9 @@ modulation is a product of per-axis phases, so one leading-axes
 transform serves every eta that shares its leading coordinates, and a
 last-axis transform per eta completes it.
 
-The Monte Carlo kernel runs its replicas in blocks of one half grid a
-replica (``noise.replica_blocks``), so its memory is bounded on every
-grid and the replica count only sets the number of blocks.  It
+The Monte Carlo kernel draws each replica from its own generator in
+time order, in blocks of one half grid a replica (``noise.replica_blocks``),
+so its memory is bounded on every grid and the blocks move no value.  It
 allocates one real and two complex block buffers per call, and every
 block and step works on leading views of them: the slices are drawn
 into the real one (``noise.sample_slice_batch`` with ``out``), a
@@ -110,12 +112,13 @@ class IntegrandProcess:
     def __len__(self) -> int:
         return len(self.fields)
 
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self.fields))
-
     @property
     def horizon(self) -> float:
         return self.dt * len(self.fields)
+
+    def lags(self) -> np.ndarray:
+        """Green times t - s_i of the steps, with t the horizon."""
+        return self.horizon - self.dt * np.arange(len(self.fields))
 
     @classmethod
     def constant(cls, grid: Grid, values, steps: int, dt: float) -> "IntegrandProcess":
@@ -243,39 +246,28 @@ def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoiseP
     return LatticeField.from_spectrum(grid, acc[..., : grid.half_shape[-1]])
 
 
-def _green_times(Z: IntegrandProcess, t: float | None) -> tuple[int, np.ndarray]:
-    horizon = Z.horizon if t is None else t
-    m = _steps_before(horizon, Z.dt, len(Z))
-    return m, horizon - Z.times()[:m]
-
-
-def isometry_functional(g, Z: IntegrandProcess, measure: SpectralMeasure,
-                        t: float | None = None) -> float:
+def isometry_functional(g, Z: IntegrandProcess, measure: SpectralMeasure) -> float:
     """Exact second moment E||v(t)||**2 of the discrete convolution."""
     grid, dt = Z.grid, Z.dt
-    m, times = _green_times(Z, t)
-    jf = j_field(g, measure, times, grid)
-    total = np.sum(Z.spectra_sq()[:m] * jf)
+    jf = j_field(g, measure, Z.lags(), grid)
+    total = np.sum(Z.spectra_sq() * jf)
     return float(dt * total / grid.box_length**grid.dimension)
 
 
-def isometry_bound(g, Z: IntegrandProcess, measure: SpectralMeasure,
-                   t: float | None = None) -> float:
+def isometry_bound(g, Z: IntegrandProcess, measure: SpectralMeasure) -> float:
     """Upper bound: sum_i dt ||Z_i||**2 * sup_xi J_i(xi).
 
     Coincides with :func:`isometry_functional` for white noise, where
     translation invariance makes J constant in the shift.
     """
     grid, dt = Z.grid, Z.dt
-    m, times = _green_times(Z, t)
     space = tuple(range(1, grid.dimension + 1))
-    jmax = np.max(j_field(g, measure, times, grid), axis=space)
-    norms_sq = grid.cell_volume * np.sum(Z.fields[:m] ** 2, axis=space)
+    jmax = np.max(j_field(g, measure, Z.lags(), grid), axis=space)
+    norms_sq = grid.cell_volume * np.sum(Z.fields**2, axis=space)
     return float(dt * np.sum(norms_sq * jmax))
 
 
-def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
-                         t: float | None = None) -> float:
+def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure) -> float:
     """Second moment through modulation: integrate ||G * (chi_eta Z)||**2.
 
     The test oracle for :func:`isometry_functional`: chi_eta(x) =
@@ -304,14 +296,13 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
     :func:`isometry_functional` to rounding error.
     """
     grid, dt = Z.grid, Z.dt
-    m, times = _green_times(Z, t)
-    if m == 0:
+    if not len(Z):
         return 0.0
     weights = measure.half_lattice_weights(grid)
-    mult_sq = np.abs(g.lattice_spectrum(grid, times)) ** 2
+    mult_sq = np.abs(g.lattice_spectrum(grid, Z.lags())) ** 2
     grid.half(mult_sq)  # the pairing needs every |F[G(t_i)]|**2 even
-    mult_sq = mult_sq.reshape(m, -1)
-    fields = Z.fields[:m]
+    mult_sq = mult_sq.reshape(len(Z), -1)
+    fields = Z.fields
     if Z.is_constant:
         # the spectrum of chi_eta Z is the same at every step
         fields, mult_sq = fields[:1], mult_sq.sum(axis=0, keepdims=True)
@@ -354,21 +345,19 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure,
 
 
 def ladder_distance(g: GreenMultiplier, scale: int, Z: IntegrandProcess,
-                    measure: SpectralMeasure, t: float | None = None) -> float:
+                    measure: SpectralMeasure) -> float:
     """||G - G * psi_n||_Z: isometry quadrature with multiplier G(1 - F[psi_n])."""
     grid, dt = Z.grid, Z.dt
-    m, times = _green_times(Z, t)
     moll = Mollifier(scale, grid.dimension)
     damp_sq = (1.0 - moll.transform(np.sqrt(grid.freq_norm_sq))) ** 2
-    mult_sq = g.lattice_spectrum(grid, times) ** 2 * damp_sq
+    mult_sq = g.lattice_spectrum(grid, Z.lags()) ** 2 * damp_sq
     jf = np.maximum(circular_convolve(measure.lattice_weights(grid), mult_sq), 0.0)
-    total = np.sum(Z.spectra_sq()[:m] * jf)
+    total = np.sum(Z.spectra_sq() * jf)
     return float(math.sqrt(dt * total / grid.box_length**grid.dimension))
 
 
 def truncation_distance(g: GreenMultiplier, Z: IntegrandProcess,
-                        measure: SpectralMeasure, half_width: float,
-                        t: float | None = None) -> float:
+                        measure: SpectralMeasure, half_width: float) -> float:
     """||Z - Z_n||_g for the cube truncation Z_n = Z 1_{[-n, n]**d}."""
     grid = Z.grid
     inside = np.ones(grid.shape, dtype=bool)
@@ -376,7 +365,7 @@ def truncation_distance(g: GreenMultiplier, Z: IntegrandProcess,
         coord = grid._axis_array(grid.axis_coords, ax)
         inside = inside & (np.abs(coord) <= half_width)
     tail = IntegrandProcess(grid, Z.dt, Z.fields * ~inside)
-    return float(math.sqrt(isometry_functional(g, tail, measure, t=t)))
+    return float(math.sqrt(isometry_functional(g, tail, measure)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +374,17 @@ def truncation_distance(g: GreenMultiplier, Z: IntegrandProcess,
 
 
 def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, replicas: int,
-                         rng, norm_sq, t: float | None = None) -> np.ndarray:
-    """Squared norms of v(t) over independent replicas, batched in blocks.
+                         rng, norm_sq) -> np.ndarray:
+    """Squared norms of v(t), t the horizon of Z, over independent replicas.
 
-    ``rng`` is either one generator or a sequence of exactly ``replicas``
-    per-replica generators (replica r then consumes exactly its own
-    stream, slice by slice, which makes runs at different replica
-    offsets poolable).  Blocks come from ``noise.replica_blocks``, one
-    half grid a replica, so their memory does not grow with the grid.
-    Each block samples fresh slices for every time step and accumulates
-    the half spectra F[v(t)]; ``norm_sq`` maps that (c, *grid.half_shape)
-    batch to its c squared norms before the next block starts.
+    ``rng`` is exactly ``replicas`` generators: replica r consumes only
+    its own stream, slice by slice in time order, as ``sample_path`` does,
+    so neither the block size nor the replica offset moves its norm.
+    Blocks come from ``noise.replica_blocks``, one half grid a replica,
+    so their memory does not grow with the grid.  Each block samples
+    fresh slices for every time step and accumulates the half spectra
+    F[v(t)]; ``norm_sq`` maps that (c, *grid.half_shape) batch to its c
+    squared norms before the next block starts.
 
     The slices, their spectra and the accumulator live in three buffers
     allocated once per call, sized by the first block, and reused by
@@ -406,8 +395,7 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
     """
     grid, dt = Z.grid, Z.dt
     blocks = replica_blocks(replicas, math.prod(grid.half_shape), rng)
-    m, times = _green_times(Z, t)
-    mults = grid.half(g.lattice_spectrum(grid, times))
+    mults = grid.half(g.lattice_spectrum(grid, Z.lags()))
     sq_norms = np.empty(replicas)
     rows = blocks[0][1] - blocks[0][0]
     fields_buf = np.empty((rows,) + grid.shape)
@@ -417,18 +405,18 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
         k = hi - lo
         fields, spec, acc = fields_buf[:k], spec_buf[:k], acc_buf[:k]
         acc.fill(0.0)
-        for i in range(m):
+        for z, mult in zip(Z.fields, mults):
             sample_slice_batch(grid, measure, dt, gens, k, out=fields, work=spec)
-            fields *= Z.fields[i]
+            fields *= z
             grid.forward(fields, out=spec)
-            spec *= mults[i]
+            spec *= mult
             acc += spec
         sq_norms[lo:hi] = norm_sq(acc)
     return sq_norms
 
 
 def convolution_moment_mc(g, Z: IntegrandProcess, measure: SpectralMeasure,
-                          replicas: int, rng, t: float | None = None) -> tuple[float, float]:
+                          replicas: int, rng) -> tuple[float, float]:
     """Estimate E||v(t)||**2 over independent replicas.
 
     Returns (mean, standard error) over :func:`convolution_norms_mc`
@@ -443,7 +431,7 @@ def convolution_moment_mc(g, Z: IntegrandProcess, measure: SpectralMeasure,
     def plancherel(acc: np.ndarray) -> np.ndarray:
         return grid.half_sum(acc.real**2 + acc.imag**2) / vol
 
-    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, plancherel, t)
+    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, plancherel)
     mean = float(np.mean(sq_norms))
     se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas))
     return mean, se

@@ -34,7 +34,7 @@ from .noise import NoisePath
 from .solver import MomentSummary, SolveConfig, SolveReport, _pool_moments, deterministic_moments
 from .solver import explicit_sweep as _sweep
 from .solver import gronwall_constant, picard_iterate as _picard
-from .stochint import IntegrandProcess, _green_times, convolution_norms_mc
+from .stochint import IntegrandProcess, convolution_norms_mc
 
 __all__ = [
     "Weight",
@@ -146,7 +146,6 @@ class WeightedBoundResult:
     mc_estimate: float
     std_error: float
     locality: float
-    replicas: int
 
     @property
     def within(self) -> bool:
@@ -154,8 +153,7 @@ class WeightedBoundResult:
 
 
 def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: SpectralMeasure,
-                            w: Weight, replicas: int, rng,
-                            t: float | None = None) -> WeightedBoundResult:
+                            w: Weight, replicas: int, rng) -> WeightedBoundResult:
     """Compare E||v||_theta**2 (Monte Carlo) against its quadrature bound.
 
     Requires k = 1: the bound rests on the compact support of the wave
@@ -170,14 +168,13 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
         raise ValueError("measure fails the admissibility condition for k = 1")
     grid, dt = Z.grid, Z.dt
     w.check_dimension(grid.dimension)
-    m, times = _green_times(Z, t)
     theta = w.theta_on(grid)
 
-    jmax = np.max(j_field(g, measure, times, grid), axis=tuple(range(1, grid.dimension + 1)))
+    jmax = np.max(j_field(g, measure, Z.lags(), grid), axis=tuple(range(1, grid.dimension + 1)))
     bound = 0.0
-    for i in range(m):
-        znorm_sq = grid.cell_volume * float(np.sum(Z.fields[i] ** 2 * theta))
-        bound += dt * znorm_sq * jmax[i]
+    for z, j in zip(Z.fields, jmax):
+        znorm_sq = grid.cell_volume * float(np.sum(z**2 * theta))
+        bound += dt * znorm_sq * j
 
     def theta_norm_sq(acc: np.ndarray) -> np.ndarray:
         # acc is the kernel's reused accumulator: read only.  v is squared
@@ -187,11 +184,10 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
         v *= theta
         return grid.cell_volume * np.sum(v, axis=tuple(range(1, v.ndim)))
 
-    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, theta_norm_sq, t)
+    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, theta_norm_sq)
     mc = float(np.mean(sq_norms))
     se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas))
-    return WeightedBoundResult(bound, mc, se, locality_constant(grid, w, times.max() if m else 0.0),
-                               replicas)
+    return WeightedBoundResult(bound, mc, se, locality_constant(grid, w, Z.horizon))
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,8 @@ def test_replica_blocks_split_counts_and_generators():
     blocks = replica_blocks(7, 2**14, gens)  # 4 replicas a block
     assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 4), (4, 7)]
     assert all(b[2] == gens[b[0]:b[1]] for b in blocks)
-    one = np.random.default_rng(0)
-    assert all(b[2] is one for b in replica_blocks(7, 2**14, one))
+    with pytest.raises(ValueError, match="rng"):  # one stream shared by the blocks
+        replica_blocks(7, 2**14, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("replicas, generators, match", [

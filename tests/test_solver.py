@@ -53,7 +53,7 @@ def _basic_config(n=64, length=16.0, k=1, dt=1.0 / 64.0, alpha=None, **kw):
 
 
 def test_one_minus_exp_refuses_values_outside_its_box():
-    alpha = Nonlinearity.one_minus_exp(box=3.0)
+    alpha = Nonlinearity.one_minus_exp()
     edge = np.array([-3.0, 0.0, 3.0])
     assert np.array_equal(alpha(edge), 1.0 - np.exp(-edge))
     for u in (np.array([0.0, -3.5]), np.array([[1.0], [4.0]]), np.array([np.nan])):
@@ -682,8 +682,8 @@ def test_gronwall_constant_checks_admissibility_once(monkeypatch):
     expected = max(greens.j_functional(cfg.green, cfg.measure, j * cfg.dt, cfg.grid)
                    for j in range(1, cfg.steps + 1))
     calls = []
-    verdict = solver.admissible
-    monkeypatch.setattr(solver, "admissible",
+    verdict = greens.admissible
+    monkeypatch.setattr(greens, "admissible",
                         lambda measure, k: calls.append(k) or verdict(measure, k))
     assert solver.gronwall_constant(cfg) == expected
     assert calls == [cfg.k]
@@ -715,8 +715,10 @@ def test_white_noise_solve_paths_run_no_quadrature(monkeypatch):
     assert solver.gronwall_constant(cfg) > 0.0
     assert greens.j_functional(cfg.green, cfg.measure, 0.5, cfg.grid) > 0.0
     z = IntegrandProcess.constant(cfg.grid, np.exp(-cfg.grid.coord_norm_sq), 4, 0.25)
+    streams = [np.random.Generator(np.random.Philox(s))
+               for s in np.random.SeedSequence(4).spawn(4)]
     res = weighted.weighted_isometry_bound(cfg.green, z, cfg.measure, weighted.Weight(2.0), 4,
-                                           np.random.default_rng(4))
+                                           streams)
     assert res.bound > 0.0 and res.std_error > 0.0
 
 

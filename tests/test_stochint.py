@@ -117,7 +117,7 @@ def test_isometry_explicit_summation_oracle():
     rng = np.random.default_rng(5)
     fields = rng.standard_normal((steps,) + grid.shape)
     z = IntegrandProcess(grid, dt, fields)
-    fast = isometry_functional(g, z, measure, t=0.5)
+    fast = isometry_functional(g, z, measure)
 
     n = grid.points_per_axis
     weights = measure.lattice_weights(grid)
@@ -141,7 +141,7 @@ def test_single_step_closed_form_and_mc():
     g = GreenMultiplier(1, 1.0)
     dt = 0.5
     z = IntegrandProcess.constant(grid, np.ones(grid.shape), 1, dt)
-    expected = isometry_functional(g, z, measure, t=dt)
+    expected = isometry_functional(g, z, measure)
 
     mult = g.lattice_spectrum(grid, dt)
     weights = measure.lattice_weights(grid)
@@ -151,7 +151,7 @@ def test_single_step_closed_form_and_mc():
     )) / grid.box_length
     assert expected == pytest.approx(closed, rel=1e-12)
 
-    mc, se = convolution_moment_mc(g, z, measure, 4000, np.random.default_rng(6), t=dt)
+    mc, se = convolution_moment_mc(g, z, measure, 4000, _streams(6, 4000))
     assert abs(mc - expected) <= 3.0 * se
 
 
@@ -162,8 +162,19 @@ def test_isometry_mc_agreement_small(kind, alpha, k):
     g = GreenMultiplier(k, 1.0)
     z = IntegrandProcess.constant(grid, np.exp(-grid.axis_coords**2), 4, 0.25)
     ival = isometry_functional(g, z, measure)
-    mc, se = convolution_moment_mc(g, z, measure, 2000, np.random.default_rng(7))
+    mc, se = convolution_moment_mc(g, z, measure, 2000, _streams(7, 2000))
     assert abs(mc - ival) <= 3.0 * se
+
+
+def _streams(seed, replicas):
+    # one Philox stream a replica, spawned from the test's seed
+    return [np.random.Generator(np.random.Philox(s))
+            for s in np.random.SeedSequence(seed).spawn(replicas)]
+
+
+def _up_to(z, t):
+    # the integrand's steps before t, so that its horizon is t
+    return z if t is None else IntegrandProcess(z.grid, z.dt, z.fields[:round(t / z.dt)])
 
 
 def _varying_integrand(grid, steps, dt):
@@ -222,7 +233,8 @@ def test_white_convolution_norms_mc_is_independent_of_chunk_size(monkeypatch):
 
 
 def test_mc_blocks_are_sized_by_half_grid_entries():
-    # d = 1 grids up to N = 256 keep blocks of 256 replicas, so one-generator draws do not move
+    # blocks bound memory only: each replica draws from its own stream, so
+    # the block size moves no value (the *_independent_of_chunk_size tests)
     for d, n, rows in ((1, 32, 256), (1, 256, 256), (1, 512, 255), (2, 16, 256),
                        (2, 64, 31), (3, 32, 3), (3, 64, 1)):
         grid = Grid(d, n, 6.0)
@@ -234,7 +246,7 @@ def test_mc_blocks_are_sized_by_half_grid_entries():
 
         z = IntegrandProcess.constant(grid, np.zeros(grid.shape), 0, 0.1)
         convolution_norms_mc(GreenMultiplier(1, 1.0), z, SpectralMeasure.white(d), 300,
-                             np.random.default_rng(0), norm_sq, t=0.0)
+                             _streams(0, 300), norm_sq)
         full, rest = divmod(300, rows)
         assert sizes == [rows] * full + [rest] * (rest > 0)
 
@@ -249,7 +261,7 @@ def test_mc_peak_memory_does_not_grow_with_replicas():
     assert block == 120
 
     def peak(replicas):
-        rng = np.random.default_rng(1)
+        rng = _streams(1, replicas)
         tracemalloc.start()
         try:
             convolution_norms_mc(g, z, measure, replicas, rng, _plancherel(grid))
@@ -294,7 +306,7 @@ def test_mc_peak_memory_is_its_buffers_plus_one_block(kind):
 
 @pytest.mark.parametrize("replicas, generators, match", [
     (0, None, "replicas"), (-1, None, "replicas"), (0, 0, "replicas"),
-    (4, 6, "rng"), (4, 3, "rng"),
+    (4, 6, "rng"), (4, 3, "rng"), (4, None, "rng"),
 ])
 def test_convolution_mc_refuses_bad_replica_counts(setup, replicas, generators, match):
     grid, measure, g, z, dt = setup
@@ -316,17 +328,18 @@ def test_convolution_moment_mc_needs_two_replicas_for_a_standard_error(setup, re
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 16)])
 @pytest.mark.parametrize("t", [1.0, 0.6])
 def test_convolution_norms_mc_replica_equals_its_own_path(monkeypatch, d, n, t):
-    # replica r consumes its own stream slice by slice, so its norm is
-    # the direct history sum over sample_path drawn from the same stream
+    # replica r consumes its own stream slice by slice, so its norm on
+    # the integrand's steps before t is the direct history sum at t over
+    # sample_path drawn from the same stream
     grid = Grid(d, n, 6.0)
     measure = SpectralMeasure.riesz(d, 0.5)
     g = GreenMultiplier(1, 1.0)
     dt, reps = 0.2, 6
     z = _varying_integrand(grid, 5, dt)
     _block_rows(monkeypatch, grid, 4)
-    norms = convolution_norms_mc(g, z, measure, reps,
+    norms = convolution_norms_mc(g, _up_to(z, t), measure, reps,
                                  [np.random.default_rng(400 + r) for r in range(reps)],
-                                 _plancherel(grid), t=t)
+                                 _plancherel(grid))
     for r in range(reps):
         path = sample_path(grid, measure, t, dt, np.random.default_rng(400 + r))
         direct = l2_norm(stochastic_convolution(g, z, path, t)) ** 2
@@ -340,8 +353,8 @@ def test_isometry_alternative_agreement_time_varying():
     g = GreenMultiplier(1, 1.0)
     rng = np.random.default_rng(8)
     z = IntegrandProcess(grid, 0.25, rng.standard_normal((3,) + grid.shape))
-    a = isometry_functional(g, z, measure, t=0.75)
-    b = isometry_alternative(g, z, measure, t=0.75)
+    a = isometry_functional(g, z, measure)
+    b = isometry_alternative(g, z, measure)
     assert b == pytest.approx(a, rel=1e-8)
     z0 = IntegrandProcess.constant(grid, np.zeros(grid.shape), 3, 0.25)
     assert isometry_alternative(g, z0, measure) == 0.0
@@ -372,28 +385,28 @@ def test_isometry_alternative_agrees_in_higher_dimensions(d, n, k, measure, cons
         z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq / 2.0), steps, dt)
     else:
         z = IntegrandProcess(grid, dt, rng.standard_normal((steps,) + grid.shape))
+    z = _up_to(z, t)
     # the oracle sweeps the half dual grid: 131 active eta at d = 2, N = 16
     # and 281 at d = 3, N = 8 for the zero-core table
     active = np.count_nonzero(grid.half(measure.lattice_weights(grid)))
     assert active > _MODULATION_BLOCK
     if measure.kind == "radial-table":
         assert active < math.prod(grid.half_shape) and active % _MODULATION_BLOCK != 0
-    a = isometry_functional(g, z, measure, t=t)
-    b = isometry_alternative(g, z, measure, t=t)
+    a = isometry_functional(g, z, measure)
+    b = isometry_alternative(g, z, measure)
     assert a > 0.0
     assert b == pytest.approx(a, rel=1e-8)
 
 
-def _alternative_reference(g, Z, measure, t=None):
+def _alternative_reference(g, Z, measure):
     # the modulation oracle's arithmetic, in its order, with every
     # transform and product allocating its result
-    from stochwave.stochint import _MODULATION_BLOCK, _green_times
+    from stochwave.stochint import _MODULATION_BLOCK
 
     grid, dt = Z.grid, Z.dt
-    m, times = _green_times(Z, t)
     weights = measure.half_lattice_weights(grid)
-    mult_sq = (np.abs(g.lattice_spectrum(grid, times)) ** 2).reshape(m, -1)
-    fields = Z.fields[:m]
+    mult_sq = (np.abs(g.lattice_spectrum(grid, Z.lags())) ** 2).reshape(len(Z), -1)
+    fields = Z.fields
     if Z.is_constant:
         fields, mult_sq = fields[:1], mult_sq.sum(axis=0, keepdims=True)
     phase = np.exp(1j * np.multiply.outer(grid.axis_freqs, grid.axis_coords))
@@ -430,11 +443,11 @@ def test_isometry_alternative_equals_its_allocating_reference(d, n, measure, con
     # would show here, since the reference allocates every transform
     grid = Grid(d, n, 6.0)
     g = GreenMultiplier(2, 1.0)
-    z = (IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), 4, 0.25) if constant
-         else _varying_integrand(grid, 4, 0.25))
-    value = isometry_alternative(g, z, measure, t=t)
+    z = _up_to(IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), 4, 0.25) if constant
+               else _varying_integrand(grid, 4, 0.25), t)
+    value = isometry_alternative(g, z, measure)
     assert value > 0.0
-    assert value == _alternative_reference(g, z, measure, t=t)
+    assert value == _alternative_reference(g, z, measure)
 
 
 @pytest.mark.parametrize("measure", [SpectralMeasure.riesz(2, 1.0), _zero_core_table(2)])
@@ -532,12 +545,10 @@ def test_isometry_bound_is_the_per_step_sum(t):
     grid = Grid(2, 16, 6.0)
     measure = SpectralMeasure.riesz(2, 0.5)
     g = GreenMultiplier(1, 1.0)
-    z = _varying_integrand(grid, 5, 0.2)
-    horizon = z.horizon if t is None else t
-    steps = int(round(horizon / z.dt))
-    jmax = [j_functional(g, measure, horizon - i * z.dt, grid) for i in range(steps)]
-    loop = sum(z.dt * l2_norm(z.fields[i], grid) ** 2 * jmax[i] for i in range(steps))
-    assert isometry_bound(g, z, measure, t=t) == pytest.approx(loop, rel=1e-13)
+    z = _up_to(_varying_integrand(grid, 5, 0.2), t)
+    jmax = [j_functional(g, measure, z.horizon - i * z.dt, grid) for i in range(len(z))]
+    loop = sum(z.dt * l2_norm(z.fields[i], grid) ** 2 * jmax[i] for i in range(len(z)))
+    assert isometry_bound(g, z, measure) == pytest.approx(loop, rel=1e-13)
 
 
 def test_zero_integrand_functionals(setup):

@@ -20,6 +20,12 @@ from stochwave.weighted import (
 )
 
 
+def _streams(seed, replicas):
+    # one Philox stream a replica, spawned from the test's seed
+    return [np.random.Generator(np.random.Philox(s))
+            for s in np.random.SeedSequence(seed).spawn(replicas)]
+
+
 @pytest.fixture
 def grid():
     return Grid(1, 256, 16.0)
@@ -110,13 +116,13 @@ def test_shell_locality_of_convolution(grid):
 def test_weighted_bound_zero_integrand(grid, weight):
     g = GreenMultiplier(1, 1.0)
     z = IntegrandProcess.constant(grid, np.zeros(grid.shape), 4, 0.25)
-    res = weighted_isometry_bound(g, z, SpectralMeasure.white(1), weight, 10,
-                                  np.random.default_rng(3))
+    res = weighted_isometry_bound(g, z, SpectralMeasure.white(1), weight, 10, _streams(3, 10))
     assert res.bound == 0.0 and res.mc_estimate == 0.0
 
 
 @pytest.mark.parametrize("replicas, generators, match", [
     (0, None, "replicas"), (-1, None, "replicas"), (4, 6, "rng"), (4, 3, "rng"),
+    (4, None, "rng"),
 ])
 def test_weighted_bound_refuses_bad_replica_counts(grid, weight, replicas, generators, match):
     g = GreenMultiplier(1, 1.0)
@@ -148,8 +154,7 @@ def test_weighted_bound_ball_integrand(grid, weight):
     g = GreenMultiplier(1, 1.0)
     ball = (np.abs(grid.axis_coords) <= 1.0).astype(float)
     z = IntegrandProcess.constant(grid, ball, 8, 0.125)
-    res = weighted_isometry_bound(g, z, SpectralMeasure.white(1), weight, 600,
-                                  np.random.default_rng(5))
+    res = weighted_isometry_bound(g, z, SpectralMeasure.white(1), weight, 600, _streams(5, 600))
     assert res.within
     # strict gap for the origin-centered integrand
     assert res.mc_estimate < res.bound
@@ -162,8 +167,7 @@ def test_weighted_bound_far_integrand_needs_locality_constant(grid, weight):
     g = GreenMultiplier(1, 1.0)
     far = np.exp(-((grid.axis_coords - 5.0) ** 2) * 4.0)
     z = IntegrandProcess.constant(grid, far, 8, 0.125)
-    res = weighted_isometry_bound(g, z, SpectralMeasure.white(1), weight, 600,
-                                  np.random.default_rng(6))
+    res = weighted_isometry_bound(g, z, SpectralMeasure.white(1), weight, 600, _streams(6, 600))
     assert res.mc_estimate <= res.locality * res.bound + 3.0 * res.std_error
     assert res.locality > 1.0
 
