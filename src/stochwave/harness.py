@@ -33,8 +33,9 @@ import numpy as np
 from .covariance import SpectralMeasure, admissibility_integral
 from .greens import GreenMultiplier
 from .lattice import Grid, LatticeField, l2_norm, write_field
-from .noise import sample_path
+from .noise import mean_se, sample_path
 from .solver import (
+    MIN_TRACK_REPLICAS,
     MomentSummary,
     Nonlinearity,
     SolveConfig,
@@ -103,6 +104,9 @@ EXPERIMENT_CRITERIA = {
 
 DEFAULT_SEED = 20260810
 OUTPUT_ENV_VAR = "STOCHWAVE_OUTPUT"
+
+# standard errors every Monte Carlo verdict allows (and the trajectory CSV's band)
+_SE_MULTIPLIER = 3.0
 
 
 def replica_generator(master_seed: int, experiment: str, case_index: int,
@@ -365,17 +369,11 @@ def aggregate(tables: list[ResultTable]) -> ResultTable:
     associative and commutative.
     """
     groups: dict[tuple, list[Row]] = {}
-    order: list[tuple] = []
     for table in tables:
         for row in table.rows:
-            key = (row.experiment, row.case, row.quantity)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-    order.sort()
+            groups.setdefault((row.experiment, row.case, row.quantity), []).append(row)
     merged = []
-    for key in order:
+    for key in sorted(groups):
         rows = groups[key]
         verdict = all(r.verdict for r in rows)
         mc = [r for r in rows if r.std_error is not None]
@@ -394,7 +392,7 @@ def solve_report_csv(summary: MomentSummary, m_table=()) -> str:
     """Trajectory CSV: t, iteration, m_n, moment, band, space.
 
     Iteration 0 rows carry the pooled moment trajectory and its Monte
-    Carlo band (3 s.e.); iteration n >= 1 rows carry ``m_table[n - 1]``,
+    Carlo band (``_SE_MULTIPLIER`` s.e.); iteration n >= 1 rows carry ``m_table[n - 1]``,
     the squared update distances of one solve's n-th Picard sweep at
     each step time.
     """
@@ -404,7 +402,7 @@ def solve_report_csv(summary: MomentSummary, m_table=()) -> str:
     times, space = summary.times, summary.space
     for j, t in enumerate(times):
         writer.writerow([repr(float(t)), 0, "", repr(float(summary.mean[j])),
-                         repr(float(3.0 * summary.std_error[j])), space])
+                         repr(float(_SE_MULTIPLIER * summary.std_error[j])), space])
     for n, dist_sq in enumerate(m_table, start=1):
         for j, t in enumerate(times):
             writer.writerow([repr(float(t)), n, repr(float(dist_sq[j])), "", "", space])
@@ -422,8 +420,8 @@ def _envelope_rows(experiment: str, case: str, summary: MomentSummary, replicas:
                    out_dir: Path, m_table=()) -> list[Row]:
     """The pooled moment at T and the envelope excess, after writing the trajectory CSV."""
     (out_dir / f"{experiment}_trajectory.csv").write_text(solve_report_csv(summary, m_table))
-    ok = summary.within_envelope
-    excess = float(np.max(summary.mean - summary.envelope - 3.0 * summary.std_error))
+    excess = float(np.max(summary.mean - summary.envelope - _SE_MULTIPLIER * summary.std_error))
+    ok = excess <= 1e-12
     return [Row(experiment, case, "moment_at_T", summary.mean[-1], summary.std_error[-1],
                 replicas, ok),
             Row(experiment, case, "envelope_excess", excess, None, 0, ok)]
@@ -575,8 +573,9 @@ def _exp_isometry(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
         excess = itil - ival
         rows.append(Row("isometry", case, "functional", ival, None, 0, True))
         rows.append(Row("isometry", case, "bound", itil, None, 0, True))
-        rows.append(Row("isometry", case, "mc_moment", mc, se, replicas, dev <= 3.0))
-        rows.append(Row("isometry", case, "mc_deviation_se", dev, None, 0, dev <= 3.0))
+        rows.append(Row("isometry", case, "mc_moment", mc, se, replicas, dev <= _SE_MULTIPLIER))
+        rows.append(Row("isometry", case, "mc_deviation_se", dev, None, 0,
+                        dev <= _SE_MULTIPLIER))
         rows.append(Row("isometry", case, "alternative_rel_err", alt_rel, None, 0, alt_rel <= 1e-8))
         rows.append(Row("isometry", case, "bound_excess", excess, None, 0,
                         excess >= -1e-12 * max(ival, 1.0)))
@@ -635,8 +634,9 @@ def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     if ratio_replicas < 1:
         raise ValueError("[experiment] ratio_replicas: must be >= 1")
     replicas = cfg.replicas or 100
-    if replicas < 30:
-        raise ValueError("[experiment] replicas: moment tracking needs at least 30")
+    if replicas < MIN_TRACK_REPLICAS:
+        raise ValueError("[experiment] replicas: moment tracking needs at least "
+                         f"{MIN_TRACK_REPLICAS}")
     grid, measure = solve_cfg.grid, solve_cfg.measure
     rows = []
 
@@ -695,11 +695,15 @@ def _exp_support(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     measure = _build_measure(cfg, 1)
     v0 = _build_initial(cfg, grid, "v0", "bump", 1.0, 1.0)
     mask = (np.sqrt(grid.coord_norm_sq) <= 1.0).astype(float)
+    horizon = cfg.get_float("green", "horizon", 1.0)
+    needed = 8.0 + horizon  # four diameters of |x| <= 1 (the bump and the mask), plus T
+    if grid.box_length < needed:
+        raise ValueError(f"box length {grid.box_length} < {needed} needed to keep "
+                         "finite-speed effects from wrapping within the horizon")
     solve_cfg = SolveConfig(
-        grid=grid, measure=measure, k=1,
-        horizon=cfg.get_float("green", "horizon", 1.0), dt=h,
+        grid=grid, measure=measure, k=1, horizon=horizon, dt=h,
         nonlinearity=_build_nonlinearity(cfg, "sine"), v0=v0,
-        noise_mask=mask, snapshot_stride=1, support_radius_hint=1.0,
+        noise_mask=mask, snapshot_stride=1,
     )
     path = sample_path(grid, measure, solve_cfg.horizon, h,
                        replica_generator(cfg.seed, "support", 0, cfg.replica_offset))
@@ -721,6 +725,13 @@ def _exp_support(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
 
 
 def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
+    n_fields = cfg.get_int("experiment", "equivalence_fields", 50)
+    if n_fields < 1:
+        raise ValueError("[experiment] equivalence_fields: must be >= 1")
+    solver_replicas = cfg.get_int("experiment", "envelope_replicas", 100)
+    if solver_replicas < MIN_TRACK_REPLICAS:
+        raise ValueError("[experiment] envelope_replicas: moment tracking needs at least "
+                         f"{MIN_TRACK_REPLICAS}")
     rows = []
     grid = _build_grid(cfg, 1, 256, 16.0)
     d = grid.dimension
@@ -733,16 +744,13 @@ def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     base = np.ones(grid.shape)
     far = radius > 1.0
     base[far] = radius[far] ** (-w.exponent)
-    lower_ok = np.all(theta >= w.sandwich_lower * base * (1.0 - 1e-12))
-    upper_ok = np.all(theta <= w.sandwich_upper * base * (1.0 + 1e-12))
-    rows.append(Row("weighted", "sandwich", "pointwise_ok",
-                    1.0 if (lower_ok and upper_ok) else 0.0, None, 0,
-                    bool(lower_ok and upper_ok)))
+    ok = bool(np.all(theta >= w.sandwich_lower * base * (1.0 - 1e-12))
+              and np.all(theta <= w.sandwich_upper * base * (1.0 + 1e-12)))
+    rows.append(Row("weighted", "sandwich", "pointwise_ok", 1.0 if ok else 0.0, None, 0, ok))
 
     # shell equivalence on random fields with the computed discrete constants
     c_disc, big_c = equivalence_constants(grid, w)
     rng = replica_generator(cfg.seed, "weighted", 0, cfg.replica_offset)
-    n_fields = cfg.get_int("experiment", "equivalence_fields", 50)
     shell_count = int(w.annulus_index(grid).max()) + 1
     weights_n = np.array([float(max(n, 1)) ** (-w.exponent) for n in range(shell_count)])
     violations = 0
@@ -770,11 +778,10 @@ def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     res = weighted_isometry_bound(g, Z, measure, w, replicas, rngs)
     rows.append(Row("weighted", "moment-bound", "quadrature_bound", res.bound, None, 0, True))
     rows.append(Row("weighted", "moment-bound", "mc_moment", res.mc_estimate, res.std_error,
-                    replicas, res.within))
+                    replicas, res.mc_estimate <= res.bound + _SE_MULTIPLIER * res.std_error))
     rows.append(Row("weighted", "moment-bound", "locality_constant", res.locality, None, 0, True))
 
     # linear-growth solver (alpha does not vanish at zero) under its envelope
-    solver_replicas = cfg.get_int("experiment", "envelope_replicas", 100)
     v0 = _build_initial(cfg, grid, "v0", "wavepacket", 1.0, 2.0, mode=1.0)
     solve_cfg = SolveConfig(
         grid=grid, measure=measure, k=1, horizon=1.0,
@@ -788,11 +795,14 @@ def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
 
 
 def _exp_refinement(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
+    t0 = cfg.get_float("experiment", "base_time", 0.5)
+    if not (16.0 * t0 >= 1.0 and abs(16.0 * t0 - round(16.0 * t0)) <= 1e-9):
+        raise ValueError(f"[experiment] base_time: must be a positive multiple of the "
+                         f"coarsest step 1/16, got {t0!r}")
+    dts = [1.0 / 16.0 / 2**level for level in range(4)]
     grid = _build_grid(cfg, 1, 64, 16.0)
     measure = _build_measure(cfg, grid.dimension)
     v0 = _build_initial(cfg, grid, "v0", "gaussian", 1.0, 1.0)
-    t0 = cfg.get_float("experiment", "base_time", 0.5)
-    dts = [1.0 / 16.0 / 2**level for level in range(4)]
     replicas = cfg.replicas or 100
     rows = []
     means = []
@@ -805,10 +815,8 @@ def _exp_refinement(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
         j0 = int(round(t0 / dt))
         _, kept = sweep_replicas(solve_cfg, _replica_generators(cfg, level, replicas),
                                  keep=(j0, j0 + 1))
-        vals = np.array([l2_norm(after - before, grid) ** 2 for before, after in kept])
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(replicas))
-        means.append(mean)
+        mean, se = mean_se([l2_norm(after - before, grid) ** 2 for before, after in kept])
+        means.append(float(mean))
         rows.append(Row("refinement", f"dt_1over{int(round(1 / dt))}", "increment_moment",
                         mean, se, replicas, True))
     rows.append(_decreasing_row("refinement", "summary", "decreasing_under_halving", means))

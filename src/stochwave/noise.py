@@ -30,11 +30,13 @@ generator handed in: slice s of a path is the s-th draw of its stream.
 A replica batch takes one generator a replica and runs in blocks sized
 by :func:`replica_blocks`; a caller that draws block after block may
 hand in the rows and the spectrum buffer to reuse (``out``, ``work``),
-which changes no value.
+which changes no value.  Every replica sample set is reduced to its mean
+and standard error by :func:`mean_se`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +44,8 @@ import numpy as np
 from .covariance import SpectralMeasure
 from .lattice import Grid
 
-__all__ = ["NoisePath", "sample_slice", "sample_slice_batch", "sample_path", "replica_blocks"]
+__all__ = ["NoisePath", "sample_slice", "sample_slice_batch", "sample_path", "replica_blocks",
+           "mean_se"]
 
 # Array entries per block.  A d = 2, N = 64 Monte Carlo block of 31 replicas
 # holds a 1 MB accumulator, not 8.7 MB; a sweep at d = 2, N = 128, n = 1,024
@@ -132,6 +135,14 @@ def replica_blocks(replicas: int, entries: int, rng=None) -> list[tuple[int, int
     block = max(1, min(256, _BLOCK_ENTRIES // entries))
     return [(lo, min(lo + block, replicas), None if rng is None else rng[lo:lo + block])
             for lo in range(0, replicas, block)]
+
+
+def mean_se(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error (ddof 1, over sqrt(count)) of samples, one replica a leading row."""
+    data = np.asarray(samples)
+    if len(data) < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {len(data)}")
+    return data.mean(axis=0), data.std(axis=0, ddof=1) / math.sqrt(len(data))
 
 
 def sample_slice(grid: Grid, measure: SpectralMeasure, dt: float,

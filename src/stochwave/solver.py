@@ -67,7 +67,7 @@ from .covariance import SpectralMeasure, admissible
 from .greens import GreenMultiplier, cosine_multiplier, j_functional, sine_multiplier
 from .greens import spectral_energy_field
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
-from .noise import NoisePath, replica_blocks, sample_slice_batch
+from .noise import NoisePath, mean_se, replica_blocks, sample_slice_batch
 
 __all__ = [
     "Nonlinearity",
@@ -85,6 +85,8 @@ __all__ = [
     "check_envelope",
     "moment_track",
 ]
+
+MIN_TRACK_REPLICAS = 30  # the fewest replica trajectories moment tracking pools
 
 # alpha(u) = 1 - exp(-u) has slope exp(-u), unbounded as u -> -inf; its
 # declared constant exp(box) is only valid on |u| <= box, so evaluating it
@@ -157,7 +159,6 @@ class SolveConfig:
     picard_max_iter: int | None = None
     noise_mask: np.ndarray | None = None
     snapshot_stride: int = 10
-    support_radius_hint: float | None = None
 
     @property
     def steps(self) -> int:
@@ -181,13 +182,6 @@ class SolveConfig:
             raise ValueError("v0 has non-finite L2 norm")
         if self.v0_dot is not None and not math.isfinite(h_neg_k_norm(self.v0_dot, self.k)):
             raise ValueError("v0_dot has non-finite negative-Sobolev norm")
-        if self.k == 1 and self.support_radius_hint is not None:
-            needed = 4.0 * (2.0 * self.support_radius_hint) + self.horizon
-            if self.grid.box_length < needed:
-                raise ValueError(
-                    f"box length {self.grid.box_length} < {needed} needed to keep "
-                    "finite-speed effects from wrapping within the horizon"
-                )
         if self.noise_mask is not None and np.asarray(self.noise_mask).shape != self.grid.shape:
             raise ValueError("noise mask shape does not match the grid")
 
@@ -484,37 +478,43 @@ def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
     return moments, kept
 
 
-def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0",
-                   theta: np.ndarray | None = None) -> SolveReport:
-    """Iterate the mild-solution map on one fixed noise path.
+def _picard_loop(cfg: SolveConfig, table, w_fields: np.ndarray, prev: np.ndarray,
+                 max_iter: int, tol: float):
+    """Up to ``max_iter`` updates from ``prev``: (last iterate, m_table, converged).
 
-    Stops when the sup-over-t L2 distance between successive iterates
-    falls below ``cfg.picard_tol`` (or the ``theta``-weighted norm, as
-    in :func:`explicit_sweep`).  Non-convergence within the iteration
-    budget is reported, not fatal; the squared-distance table carries
-    the tail.  Each iteration is one whole-trajectory update, so it
-    costs one batched transform pair whatever n is.
+    ``m_table[i]`` holds update i + 1's squared L2 distances per step time (and
+    replica); it stops once sqrt(max) < ``tol``, so a tolerance of 0 never stops it.
     """
-    cfg.validate(weighted=theta is not None)
-    w_fields = _noise_fields(cfg, path)
-    table = _horizon_table(cfg)
-    norm_sq = _norm_factory(cfg, theta)
-    max_iter = cfg.picard_max_iter if cfg.picard_max_iter is not None else cfg.steps + 2
-    prev = _initial_guess(cfg, table, initial)
+    norm_sq = _norm_factory(cfg, None)
     m_table: list[np.ndarray] = []
-    converged = False
     while len(m_table) < max_iter:
         new = _picard_update(cfg, table, w_fields, prev)
         m_table.append(norm_sq(new - prev))
         prev = new
-        if math.sqrt(np.max(m_table[-1])) < cfg.picard_tol:
-            converged = True
-            break
-    return _report(cfg, prev, m_table, len(m_table), converged, theta)
+        if math.sqrt(np.max(m_table[-1])) < tol:
+            return prev, m_table, True
+    return prev, m_table, False
 
 
-def picard_replicas(cfg: SolveConfig, rngs, iterations: int,
-                    theta: np.ndarray | None = None) -> np.ndarray:
+def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0") -> SolveReport:
+    """Iterate the mild-solution map on one fixed noise path.
+
+    Stops when the sup-over-t L2 distance between successive iterates
+    falls below ``cfg.picard_tol``.  Non-convergence within the iteration
+    budget is reported, not fatal; the squared-distance table carries
+    the tail.  Each iteration is one whole-trajectory update, so it
+    costs one batched transform pair whatever n is.
+    """
+    cfg.validate()
+    table = _horizon_table(cfg)
+    max_iter = cfg.picard_max_iter if cfg.picard_max_iter is not None else cfg.steps + 2
+    values, m_table, converged = _picard_loop(
+        cfg, table, _noise_fields(cfg, path), _initial_guess(cfg, table, initial), max_iter,
+        cfg.picard_tol)
+    return _report(cfg, values, m_table, len(m_table), converged, None)
+
+
+def picard_replicas(cfg: SolveConfig, rngs, iterations: int) -> np.ndarray:
     """A fixed number of Picard iterations on independent replicas, batched.
 
     Replica r iterates on ``sample_path(..., rngs[r])``, drawn slice by
@@ -524,15 +524,13 @@ def picard_replicas(cfg: SolveConfig, rngs, iterations: int,
     each replica's rows are bit-identical to :func:`picard_iterate` on
     its own path (initial guess u0) with a zero tolerance and
     ``iterations`` as the budget, and do not depend on the block size.
-    Returns the squared (``theta``-weighted) update distances, shape
-    (replicas, iterations, n + 1): row [r, i] is replica r's
-    ``m_table[i]``.
+    Returns the squared update distances, shape (replicas, iterations,
+    n + 1): row [r, i] is replica r's ``m_table[i]``.
     """
-    cfg.validate(weighted=theta is not None)
+    cfg.validate()
     grid, n = cfg.grid, cfg.steps
     blocks = replica_blocks(len(rngs), (n + 1) * math.prod(grid.half_shape), rngs)
     table = _horizon_table(cfg)
-    norm_sq = _norm_factory(cfg, theta)
     guess = _initial_guess(cfg, table, "u0")[:, None]
     m = np.empty((len(rngs), iterations, n + 1))
     for lo, hi, gens in blocks:
@@ -540,10 +538,9 @@ def picard_replicas(cfg: SolveConfig, rngs, iterations: int,
         for j, w in enumerate(_noise_batches(cfg, gens, hi - lo)):
             w_fields[j] = w
         prev = np.broadcast_to(guess, (n + 1,) + w_fields.shape[1:])
-        for i in range(iterations):
-            new = _picard_update(cfg, table, w_fields, prev)
-            m[lo:hi, i] = norm_sq(new - prev).T
-            prev = new
+        _, m_table, _ = _picard_loop(cfg, table, w_fields, prev, iterations, 0.0)
+        for i, dist_sq in enumerate(m_table):
+            m[lo:hi, i] = dist_sq.T
     return m
 
 
@@ -558,7 +555,6 @@ class MomentSummary:
     mean: np.ndarray
     std_error: np.ndarray
     envelope: np.ndarray
-    within_envelope: bool
     space: str = "L2"
 
 
@@ -583,24 +579,20 @@ def check_envelope(alpha: Nonlinearity) -> None:
 
 def _pool_moments(moments: np.ndarray, cfg: SolveConfig, envelope: np.ndarray,
                   space: str = "L2") -> MomentSummary:
-    """Pool at least 30 replica trajectories, shape (replicas, n + 1), against ``envelope``.
-
-    The mean passes where it stays below the envelope plus three standard errors.
-    """
+    """Pool ``MIN_TRACK_REPLICAS`` or more (replicas, n + 1) trajectories beside ``envelope``."""
     data = np.asarray(moments)
-    if len(data) < 30:
-        raise ValueError("moment tracking needs at least 30 replicas")
-    mean = data.mean(axis=0)
-    se = data.std(axis=0, ddof=1) / math.sqrt(len(data))
-    ok = bool(np.all(mean <= envelope + 3.0 * se + 1e-12))
-    return MomentSummary(cfg.dt * np.arange(cfg.steps + 1), mean, se, envelope, ok, space)
+    if len(data) < MIN_TRACK_REPLICAS:
+        raise ValueError(f"moment tracking needs at least {MIN_TRACK_REPLICAS} replicas")
+    mean, se = mean_se(data)
+    return MomentSummary(cfg.dt * np.arange(cfg.steps + 1), mean, se, envelope, space)
 
 
 def moment_track(moments: np.ndarray, cfg: SolveConfig) -> MomentSummary:
-    """Pool replica moment trajectories and test the exponential envelope.
+    """Pool replica moment trajectories beside the exponential envelope.
 
     ``moments`` holds one squared-norm trajectory per replica, shape
-    (replicas, n + 1), pooled by :func:`_pool_moments`.  The envelope is
+    (replicas, n + 1), pooled by :func:`_pool_moments`; the summary
+    carries no verdict (the harness decides it).  The envelope is
     2 ||u0(t)||**2 exp(2 K C t) with C = max_s J(s); the squared-norm
     Lipschitz amplification is K**2, so the envelope as written is valid
     for K <= 1 only, and larger declared constants are rejected.

@@ -64,7 +64,7 @@ import numpy as np
 from .covariance import SpectralMeasure
 from .greens import GreenMultiplier, j_field
 from .lattice import Grid, LatticeField, circular_convolve
-from .noise import NoisePath, replica_blocks, sample_slice_batch
+from .noise import NoisePath, mean_se, replica_blocks, sample_slice_batch
 
 __all__ = [
     "IntegrandProcess",
@@ -431,7 +431,5 @@ def convolution_moment_mc(g, Z: IntegrandProcess, measure: SpectralMeasure,
     def plancherel(acc: np.ndarray) -> np.ndarray:
         return grid.half_sum(acc.real**2 + acc.imag**2) / vol
 
-    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, plancherel)
-    mean = float(np.mean(sq_norms))
-    se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas))
-    return mean, se
+    mean, se = mean_se(convolution_norms_mc(g, Z, measure, replicas, rng, plancherel))
+    return float(mean), float(se)

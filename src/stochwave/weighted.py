@@ -30,10 +30,9 @@ import numpy as np
 from .covariance import SpectralMeasure, admissible
 from .greens import GreenMultiplier, j_field
 from .lattice import Grid, LatticeField
-from .noise import NoisePath
+from .noise import NoisePath, mean_se
 from .solver import MomentSummary, SolveConfig, SolveReport, _pool_moments, deterministic_moments
-from .solver import explicit_sweep as _sweep
-from .solver import gronwall_constant, picard_iterate as _picard
+from .solver import explicit_sweep, gronwall_constant
 from .stochint import IntegrandProcess, convolution_norms_mc
 
 __all__ = [
@@ -147,18 +146,15 @@ class WeightedBoundResult:
     std_error: float
     locality: float
 
-    @property
-    def within(self) -> bool:
-        return self.mc_estimate <= self.bound + 3.0 * self.std_error
-
 
 def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: SpectralMeasure,
                             w: Weight, replicas: int, rng) -> WeightedBoundResult:
-    """Compare E||v||_theta**2 (Monte Carlo) against its quadrature bound.
+    """The quadrature bound on E||v||_theta**2 and its Monte Carlo estimate, with no verdict.
 
     Requires k = 1: the bound rests on the compact support of the wave
     kernel, which beam-type operators (k >= 2) do not have.  A standard
-    error needs ``replicas >= 2``.
+    error needs ``replicas >= 2``.  The harness decides whether the
+    estimate stays within the bound.
     """
     if g.k != 1:
         raise ValueError("compact support required: weighted bound only holds for k = 1")
@@ -184,10 +180,8 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
         v *= theta
         return grid.cell_volume * np.sum(v, axis=tuple(range(1, v.ndim)))
 
-    sq_norms = convolution_norms_mc(g, Z, measure, replicas, rng, theta_norm_sq)
-    mc = float(np.mean(sq_norms))
-    se = float(np.std(sq_norms, ddof=1) / math.sqrt(replicas))
-    return WeightedBoundResult(bound, mc, se, locality_constant(grid, w, Z.horizon))
+    mc, se = mean_se(convolution_norms_mc(g, Z, measure, replicas, rng, theta_norm_sq))
+    return WeightedBoundResult(bound, float(mc), float(se), locality_constant(grid, w, Z.horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -195,33 +189,28 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
 # ---------------------------------------------------------------------------
 
 
-def weighted_wave_solve(cfg: SolveConfig, path: NoisePath, w: Weight,
-                        method: str = "sweep", initial: str = "u0") -> SolveReport:
-    """Wave-equation solve measured in the weighted norm.
+def weighted_wave_solve(cfg: SolveConfig, path: NoisePath, w: Weight) -> SolveReport:
+    """Causal sweep with its moments measured in the weighted norm.
 
     Accepts any globally Lipschitz nonlinearity (the vanish-at-zero
     requirement of the plain solver is lifted); k must be 1.  The
     dynamics coincide with the plain solver's; the weighted norm enters
-    the Picard stop rule, the distance table, and the reported moments.
-    No experiment calls it; it is a tracer target in ``perfbench/layers.py``.
+    the reported moments.  No experiment calls it; it is a tracer target
+    in ``perfbench/layers.py``.
     """
     if cfg.k != 1:
         raise ValueError("weighted solver requires k = 1 (compact support)")
     w.check_dimension(cfg.grid.dimension)
-    theta = w.theta_on(cfg.grid)
-    if method == "sweep":
-        return _sweep(cfg, path, theta=theta)
-    if method == "picard":
-        return _picard(cfg, path, initial=initial, theta=theta)
-    raise ValueError(f"unknown method {method!r}")
+    return explicit_sweep(cfg, path, theta=w.theta_on(cfg.grid))
 
 
 def weighted_moment_track(moments: np.ndarray, cfg: SolveConfig, w: Weight) -> MomentSummary:
-    """Affine-recursion envelope for linear-growth nonlinearities.
+    """Pool replica moments beside the affine-recursion envelope of linear-growth nonlinearities.
 
     ``moments`` holds one theta-weighted squared-norm trajectory per
-    replica, shape (replicas, n + 1), pooled as in ``solver.moment_track``.
-    From |alpha(u)|**2 <= 2 K**2 (1 + u**2) with the growth constant
+    replica, shape (replicas, n + 1), pooled as in ``solver.moment_track``;
+    the summary carries no verdict (the harness decides it).  From
+    |alpha(u)|**2 <= 2 K**2 (1 + u**2) with the growth constant
     K = max(Lipschitz, |alpha(0)|) and the weighted moment bound, the
     pooled moments must stay below the explicit iteration
 

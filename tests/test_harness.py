@@ -12,13 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochwave import cli
+from stochwave.solver import MomentSummary
+from stochwave.weighted import WeightedBoundResult
+
+from stochwave import cli, harness
 from stochwave.harness import (
     EXPERIMENT_INDEX,
     ExperimentConfig,
     ResultTable,
     Row,
     _decreasing_row,
+    _envelope_rows,
     aggregate,
     parse_config,
     replica_generator,
@@ -123,6 +127,75 @@ def test_moment_at_t_row_is_the_last_pooled_trajectory_row(tmp_path, text, case)
 def test_decreasing_row_passes_only_on_a_strict_decrease(values, enough, ok):
     row = _decreasing_row("picard", "contraction", "ratios_decreasing", values, enough)
     assert (row.value, row.verdict) == ((1.0, True) if ok else (0.0, False))
+
+
+@pytest.mark.parametrize("excess, ok", [
+    (-1.0, True), (0.0, True), (1e-12, True), (np.nextafter(1e-12, 1.0), False), (1e-6, False),
+])
+def test_envelope_verdict_flips_at_an_excess_of_1e_12(tmp_path, excess, ok):
+    # steps 0 and 2 sit exactly on envelope + 3 s.e.; step 1 passes its zero envelope by
+    # ``excess`` with no band, so the row's value is max(excess, 0) without rounding
+    summary = MomentSummary(np.array([0.0, 0.5, 1.0]), np.array([1.75, excess, 5.5]),
+                            np.array([0.25, 0.0, 0.5]), np.array([1.0, 0.0, 4.0]))
+    moment, excess_row = _envelope_rows("picard", "moment", summary, 30, tmp_path)
+    assert excess_row.value == max(excess, 0.0)
+    assert moment.verdict is ok and excess_row.verdict is ok
+
+
+def _isometry_verdicts(tmp_path, monkeypatch, estimates):
+    """The isometry Monte Carlo verdicts when case i's estimate is estimates[i], I = 1, s.e. 1/16."""
+    for name in ("isometry_functional", "isometry_alternative", "isometry_bound"):
+        monkeypatch.setattr(harness, name, lambda *args: 1.0)
+    estimates = iter(estimates)
+    monkeypatch.setattr(harness, "convolution_moment_mc", lambda *args: (next(estimates), 0.0625))
+    table = run(_config("[experiment]\nname = isometry\nreplicas = 2\n[grid]\nn = 8\n"),
+                out_dir=tmp_path)
+    rows = {(r.case, r.quantity): r for r in table.rows}
+    verdicts = []
+    for case in [r.case for r in table.rows if r.quantity == "mc_moment"]:
+        assert rows[case, "mc_moment"].verdict == rows[case, "mc_deviation_se"].verdict
+        verdicts.append(rows[case, "mc_deviation_se"].verdict)
+    return verdicts
+
+
+@pytest.mark.parametrize("multiplier", [2.0, 3.0, 4.0])
+def test_isometry_verdict_flips_at_the_se_multiplier(tmp_path, monkeypatch, multiplier):
+    # every estimate lies in [1/2, 2], so mc - I is exact (Sterbenz) and so is |mc - I| / (1/16):
+    # the deviation is exactly the multiplier, or the next float past it
+    monkeypatch.setattr(harness, "_SE_MULTIPLIER", multiplier)
+    high, low = 1.0 + multiplier / 16.0, 1.0 - multiplier / 16.0
+    assert _isometry_verdicts(tmp_path, monkeypatch, [
+        high, np.nextafter(high, 2.0), low, np.nextafter(low, 0.0), 1.0, high + 1.0 / 16.0,
+    ]) == [True, False, True, False, True, False]
+
+
+@pytest.mark.parametrize("multiplier", [3.0, 4.0])
+@pytest.mark.parametrize("offset, ok", [(0.0, True), (-0.25, True), (2.0**-40, False)])
+def test_weighted_bound_verdict_flips_at_the_se_multiplier(tmp_path, monkeypatch, multiplier,
+                                                           offset, ok):
+    # bound 1, s.e. 0.25: the estimate sits ``offset`` past bound + multiplier s.e., exactly
+    monkeypatch.setattr(harness, "_SE_MULTIPLIER", multiplier)
+    monkeypatch.setattr(harness, "weighted_isometry_bound", lambda *args: WeightedBoundResult(
+        1.0, 1.0 + 0.25 * multiplier + offset, 0.25, 1.0))
+    table = run(_config("[experiment]\nname = weighted\nreplicas = 2\nequivalence_fields = 1\n"
+                        "envelope_replicas = 30\n[grid]\nn = 64\n[solver]\ndt = 0.0625\n"),
+                out_dir=tmp_path)
+    (row,) = [r for r in table.rows if (r.case, r.quantity) == ("moment-bound", "mc_moment")]
+    assert row.verdict is ok
+
+
+@pytest.mark.parametrize("text, key", [
+    ("name = weighted\nequivalence_fields = 0\n", "equivalence_fields"),
+    ("name = weighted\nenvelope_replicas = 29\n", "envelope_replicas"),
+    ("name = refinement\nbase_time = 0.3\n", "base_time"),
+])
+def test_experiment_keys_are_checked_before_any_work(tmp_path, monkeypatch, text, key):
+    def no_work(*args):
+        raise AssertionError("the experiment started before checking its keys")
+
+    monkeypatch.setattr(harness, "_build_grid", no_work)
+    with pytest.raises(ValueError, match=rf"^\[experiment\] {key}: "):
+        run(_config("[experiment]\n" + text), out_dir=tmp_path)
 
 
 def test_isometry_run_is_byte_deterministic(tmp_path):
@@ -371,6 +444,14 @@ def test_one_minus_exp_fails_outside_its_lipschitz_box(tmp_path, capsys, amplitu
     ("[experiment]\nname = picard\n[solver]\nnonlinearity = one-minus-exp\n", "Lipschitz"),
     ("[experiment]\nname = picard\nratio_replicas = 0\n", "[experiment] ratio_replicas"),
     ("[experiment]\nname = picard\nreplicas = 10\n", "[experiment] replicas"),
+    ("[experiment]\nname = weighted\nequivalence_fields = 0\n", "[experiment] equivalence_fields"),
+    ("[experiment]\nname = weighted\nequivalence_fields = -3\n", "[experiment] equivalence_fields"),
+    ("[experiment]\nname = weighted\nenvelope_replicas = 10\n",
+     "[experiment] envelope_replicas: moment tracking needs at least 30"),
+    ("[experiment]\nname = refinement\nbase_time = -0.5\n", "[experiment] base_time"),
+    ("[experiment]\nname = refinement\nbase_time = 0.3\n", "[experiment] base_time"),
+    ("[experiment]\nname = refinement\nbase_time = 0\n", "[experiment] base_time"),
+    ("[experiment]\nname = support\n[grid]\nlength = 8\n", "box length 8.0 < 9.0"),
     ("[experiment]\nname = energy\n[grid]\nn = abc\n", "[grid] n: expected an integer"),
     ("[experiment]\nname = energy\n[grid]\nlength = 1.0.0\n", "[grid] length: expected a number"),
     ("[experiment]\nname = energy\n[grid]\nlength = inf\n", "[grid] length: expected a finite number"),

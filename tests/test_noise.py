@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from stochwave.lattice import Grid
 from stochwave.noise import (
     NoisePath,
     _spectral_scale,
+    mean_se,
     replica_blocks,
     sample_path,
     sample_slice,
@@ -151,6 +154,33 @@ def test_replica_blocks_refuse_bad_counts(replicas, generators, match):
     rng = None if generators is None else [np.random.default_rng(r) for r in range(generators)]
     with pytest.raises(ValueError, match=match):
         replica_blocks(replicas, 1, rng)
+
+
+@pytest.mark.parametrize("replicas", [2, 30, 1000])
+def test_mean_se_equals_the_replica_reductions_it_replaces(replicas):
+    # skewed squared-norm-like samples; 1,000 crosses numpy's pairwise-sum blocks
+    rng = np.random.default_rng(replicas)
+    norms = 3.7 * rng.standard_normal(replicas) ** 2
+    trajectories = 3.7 * rng.standard_normal((replicas, 33)) ** 2
+    mean, se = mean_se(norms)
+    # the Monte Carlo estimators (stochint.convolution_moment_mc, weighted.weighted_isometry_bound)
+    assert float(mean) == float(np.mean(norms))
+    assert float(se) == float(np.std(norms, ddof=1) / math.sqrt(replicas))
+    # the refinement experiment, which reduces a list of floats
+    listed = [float(v) for v in norms]
+    vals = np.array(listed)
+    assert (float(mean_se(listed)[0]), float(mean_se(listed)[1])) == \
+        (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas)))
+    # the moment tracks, one trajectory a replica on the leading axis
+    mean, se = mean_se(trajectories)
+    assert np.array_equal(mean, trajectories.mean(axis=0))
+    assert np.array_equal(se, trajectories.std(axis=0, ddof=1) / math.sqrt(len(trajectories)))
+
+
+@pytest.mark.parametrize("samples", [[], [2.5], np.ones((1, 4)), np.ones((0, 4))])
+def test_mean_se_refuses_fewer_than_two_samples(samples):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        mean_se(samples)
 
 
 def _round_trip(grid, measure, dt, white):

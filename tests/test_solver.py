@@ -30,7 +30,6 @@ from stochwave.solver import (
     sweep_replicas,
 )
 from stochwave.stochint import IntegrandProcess, stochastic_convolution
-from stochwave.weighted import Weight, weighted_wave_solve
 
 
 def _basic_config(n=64, length=16.0, k=1, dt=1.0 / 64.0, alpha=None, **kw):
@@ -240,8 +239,7 @@ def test_finite_speed_with_masked_noise():
     h = grid.spacing
     cfg = SolveConfig(grid, SpectralMeasure.white(1), 1, 1.0, h, Nonlinearity.sine(),
                       LatticeField(grid, bump),
-                      noise_mask=(np.abs(x) <= 1.0).astype(float),
-                      snapshot_stride=1, support_radius_hint=1.0)
+                      noise_mask=(np.abs(x) <= 1.0).astype(float), snapshot_stride=1)
     path = sample_path(grid, cfg.measure, 1.0, h, np.random.default_rng(12))
     report = explicit_sweep(cfg, path)
     for j, fld in report.snapshots.items():
@@ -499,32 +497,24 @@ def test_sweep_replicas_is_independent_of_chunk_size(monkeypatch):
 # -- replica-batched Picard ---------------------------------------------------
 
 
-# every combination; the weighted solver (theta) requires k = 1
-@pytest.mark.parametrize("d, k, mask, v0_dot, weighted", [
-    (d, k, mask, v0_dot, weighted)
+@pytest.mark.parametrize("d, k, mask, v0_dot", [
+    (d, k, mask, v0_dot)
     for d, k in ((1, 1), (2, 2)) for mask in (False, True) for v0_dot in (False, True)
-    for weighted in (False, True) if k == 1 or not weighted
 ])
-def test_picard_replicas_match_per_path_solves(monkeypatch, d, k, mask, v0_dot, weighted):
+def test_picard_replicas_match_per_path_solves(monkeypatch, d, k, mask, v0_dot):
     # row [r, i] is bit-identical to m_table[i] of picard_iterate on replica r's own path,
     # in blocks of 3
-    cfg = _replica_config(d, k, mask, v0_dot, weighted)
+    cfg = _replica_config(d, k, mask, v0_dot)
     iterations = 4
-    weight = Weight(d + 1.0)
-    theta = weight.theta_on(cfg.grid) if weighted else None
     _blocks_of(monkeypatch, 3, (cfg.steps + 1) * math.prod(cfg.grid.half_shape))
-    m = picard_replicas(cfg, [np.random.default_rng(600 + r) for r in range(5)], iterations,
-                        theta=theta)
+    m = picard_replicas(cfg, [np.random.default_rng(600 + r) for r in range(5)], iterations)
     assert m.shape == (5, iterations, cfg.steps + 1)
     cfg.picard_tol, cfg.picard_max_iter = 0.0, iterations
     for r in range(5):
         path = sample_path(cfg.grid, cfg.measure, cfg.horizon, cfg.dt,
                            np.random.default_rng(600 + r))
-        if weighted:
-            ref = weighted_wave_solve(cfg, path, weight, method="picard")
-        else:
-            ref = picard_iterate(cfg, path)
-        assert ref.iterations == iterations
+        ref = picard_iterate(cfg, path)
+        assert ref.iterations == iterations and not ref.converged
         assert np.array_equal(m[r], np.array(ref.m_table))
 
 
@@ -618,12 +608,6 @@ def test_validate_rejects_inadmissible_measure():
         cfg.validate()
 
 
-def test_validate_box_rule():
-    cfg = _basic_config(length=8.0, n=64, support_radius_hint=1.0)
-    with pytest.raises(ValueError, match="box length"):
-        cfg.validate()
-
-
 def test_validate_step_count():
     grid = Grid(1, 64, 16.0)
     cfg = SolveConfig(grid, SpectralMeasure.white(1), 1, 1.0, 0.3,
@@ -659,7 +643,7 @@ def test_moment_track_zero_alpha_exact():
     assert np.allclose(summary.mean, u0_sq, rtol=1e-12)
     # replicas are identical; only mean-rounding noise remains
     assert np.all(summary.std_error <= 1e-14 * summary.mean.max())
-    assert summary.within_envelope
+    assert np.all(summary.mean <= summary.envelope + 3.0 * summary.std_error + 1e-12)
 
 
 def test_moment_track_needs_replicas():
@@ -729,4 +713,4 @@ def test_moment_envelope_linear_alpha():
         path = sample_path(cfg.grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(200 + r))
         reports.append(explicit_sweep(cfg, path))
     summary = moment_track(np.stack([r.moments for r in reports]), cfg)
-    assert summary.within_envelope
+    assert np.all(summary.mean <= summary.envelope + 3.0 * summary.std_error + 1e-12)

@@ -7,7 +7,7 @@ from stochwave.covariance import SpectralMeasure
 from stochwave.greens import GreenMultiplier
 from stochwave.lattice import Grid, LatticeField, l2_norm
 from stochwave.noise import sample_path
-from stochwave.solver import Nonlinearity, SolveConfig, deterministic_part, explicit_sweep
+from stochwave.solver import Nonlinearity, SolveConfig, deterministic_part, picard_iterate
 from stochwave.stochint import IntegrandProcess, stochastic_convolution
 from stochwave.weighted import (
     Weight,
@@ -155,7 +155,7 @@ def test_weighted_bound_ball_integrand(grid, weight):
     ball = (np.abs(grid.axis_coords) <= 1.0).astype(float)
     z = IntegrandProcess.constant(grid, ball, 8, 0.125)
     res = weighted_isometry_bound(g, z, SpectralMeasure.white(1), weight, 600, _streams(5, 600))
-    assert res.within
+    assert res.mc_estimate <= res.bound + 3.0 * res.std_error
     # strict gap for the origin-centered integrand
     assert res.mc_estimate < res.bound
 
@@ -195,7 +195,7 @@ def test_weighted_solver_zero_alpha(grid, weight):
 
 def test_weighted_solution_matches_plain_solver_on_ball(grid, weight):
     # ball-supported data and masked noise: identical dynamics, so the
-    # weighted and plain solvers must agree
+    # weighted sweep and the plain Picard fixed point must agree
     x = grid.axis_coords
     bump = np.zeros(grid.shape)
     inside = np.abs(x) < 1.0
@@ -205,8 +205,8 @@ def test_weighted_solution_matches_plain_solver_on_ball(grid, weight):
                       Nonlinearity.sine(), LatticeField(grid, bump),
                       noise_mask=mask, snapshot_stride=1, picard_tol=1e-13)
     path = sample_path(grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(9))
-    plain = explicit_sweep(cfg, path)
-    weighted_rep = weighted_wave_solve(cfg, path, weight, method="picard")
+    plain = picard_iterate(cfg, path)
+    weighted_rep = weighted_wave_solve(cfg, path, weight)
     gap = max(
         l2_norm(plain.snapshot_at(j) - weighted_rep.snapshot_at(j))
         for j in plain.snapshots
@@ -224,7 +224,7 @@ def test_weighted_solver_constant_alpha_envelope(grid, weight):
         path = sample_path(grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(500 + r))
         reports.append(weighted_wave_solve(cfg, path, weight))
     summary = weighted_moment_track(np.stack([r.moments for r in reports]), cfg, weight)
-    assert summary.within_envelope
+    assert np.all(summary.mean <= summary.envelope + 3.0 * summary.std_error + 1e-12)
 
 
 def test_locality_constant_grows_with_horizon(grid, weight):
