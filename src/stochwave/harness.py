@@ -128,45 +128,71 @@ def _replica_generators(cfg: "ExperimentConfig", case_index: int, count: int) ->
 # ---------------------------------------------------------------------------
 
 
+# Every key an experiment reads: section -> key -> (type, bound[, reason]).  An
+# int must be >= its bound and a float > it (None: any finite number); a str's
+# bound is its tuple of choices (None: any text).  A value out of bound fails with
+# "[section] key: <reason> <bound>", the reason "must be >=" or "must be >" unless
+# the entry gives one.  Defaults stay with the experiment that reads the key.
+_FIELD_KEYS = {"kind": (str, ("zero", "gaussian", "bump", "wavepacket")),  # v0_*, v0_dot_*
+               "amplitude": (float, None), "width": (float, 0.0), "center": (float, None),
+               "mode": (float, None)}
+_KEYS = {
+    "experiment": {"seed": (int, 0), "replicas": (int, 2),  # a standard error needs two
+                   "replica_offset": (int, 0), "output": (str, None), "snapshots": (bool, None),
+                   "ratio_replicas": (int, 1), "equivalence_fields": (int, 1),
+                   "envelope_replicas": (int, MIN_TRACK_REPLICAS, "moment tracking needs at least"),
+                   "base_time": (float, 0.0)},
+    "grid": {"d": (int, 1), "n": (int, 8), "length": (float, 0.0)},
+    "measure": {"kind": (str, ("white", "riesz", "radial-table")), "alpha": (float, 0.0),
+                "scale": (float, 0.0), "table_path": (str, None), "tail_exponent": (float, None)},
+    "green": {"k": (int, 1), "horizon": (float, 0.0)},
+    "solver": {"dt": (float, 0.0), "steps": (int, 1),
+               "nonlinearity": (str, ("identity", "sine", "one-minus-exp", "affine")),
+               "affine_a": (float, None), "affine_b": (float, None), "picard_tol": (float, 0.0),
+               **{f"{field}_{key}": spec
+                  for field in ("v0", "v0_dot") for key, spec in _FIELD_KEYS.items()}},
+    "weight": {"exponent": (float, 0.0), "radius": (float, 0.0)},
+}
+
+
+def _value(section: str, key: str, text: str):
+    """``text`` as the declared type of [section] key, checked against its bound."""
+    kind, bound, *reason = _KEYS[section][key]
+    where = f"[{section}] {key}"
+    if kind is bool:
+        if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"{where}: expected a boolean, got {text!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    if kind is str:
+        if bound is not None and text not in bound:
+            raise ValueError(f"{where}: unknown {key} {text!r}, expected one of "
+                             f"{' | '.join(bound)}")
+        return text
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: expected {what}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number, got {text!r}")
+    if bound is not None and not (value >= bound if kind is int else value > bound):
+        why = reason[0] if reason else ("must be >=" if kind is int else "must be >")
+        raise ValueError(f"{where}: {why} {bound}, got {text!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
-    """Typed view over the flat INI key tree; raw strings are canonical."""
+    """View over the flat INI key tree; raw strings are canonical, read through ``_KEYS``."""
 
     raw: dict
 
-    def get(self, section: str, key: str, default=None) -> str | None:
-        return self.raw.get(section, {}).get(key, default)
-
-    def get_int(self, section: str, key: str, default: int | None) -> int | None:
-        v = self.get(section, key)
-        if v is None:
-            return default
-        try:
-            return int(v)
-        except ValueError:
-            raise ValueError(f"[{section}] {key}: expected an integer, got {v!r}") from None
-
-    def get_float(self, section: str, key: str, default: float | None) -> float | None:
-        v = self.get(section, key)
-        if v is None:
-            return default
-        try:
-            value = float(v)
-        except ValueError:
-            raise ValueError(f"[{section}] {key}: expected a number, got {v!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"[{section}] {key}: expected a finite number, got {v!r}")
-        return value
-
-    def get_bool(self, section: str, key: str, default: bool) -> bool:
-        v = self.get(section, key)
-        if v is None:
-            return default
-        if v.lower() in ("true", "yes", "1", "on"):
-            return True
-        if v.lower() in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(f"[{section}] {key}: cannot parse boolean from {v!r}")
+    def get(self, section: str, key: str, default=None):
+        """[section] key as its declared type, or ``default`` when the config does not set it."""
+        if key not in _KEYS.get(section, {}):
+            raise KeyError(f"[{section}] {key} is not declared in _KEYS")
+        text = self.raw.get(section, {}).get(key)
+        return default if text is None else _value(section, key, text)
 
     @property
     def name(self) -> str:
@@ -174,26 +200,19 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return self.get_int("experiment", "seed", DEFAULT_SEED)
+        return self.get("experiment", "seed", DEFAULT_SEED)
 
     @property
     def replicas(self) -> int | None:
-        return self.get_int("experiment", "replicas", None)
+        return self.get("experiment", "replicas")
 
     @property
     def replica_offset(self) -> int:
-        return self.get_int("experiment", "replica_offset", 0)
+        return self.get("experiment", "replica_offset", 0)
 
     @property
     def output_dir(self) -> Path:
-        v = self.get("experiment", "output")
-        if v is None:
-            v = os.environ.get(OUTPUT_ENV_VAR, "results")
-        return Path(v)
-
-    @property
-    def write_snapshots(self) -> bool:
-        return self.get_bool("experiment", "snapshots", False)
+        return Path(self.get("experiment", "output", os.environ.get(OUTPUT_ENV_VAR, "results")))
 
     def override(self, **updates) -> "ExperimentConfig":
         """Copy with [experiment] keys replaced, checked as :func:`parse_config` checks."""
@@ -205,45 +224,28 @@ class ExperimentConfig:
         return _validate(ExperimentConfig(raw))
 
 
-# lower bounds of the integer [experiment] keys every experiment reads;
-# a standard error needs at least two replicas
-_INT_KEYS = (("seed", 0), ("replicas", 2), ("replica_offset", 0))
-
-
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    """The checks every config passes before an experiment reads it."""
+    """The checks every config passes before an experiment reads it: its
+    name, and the type and bound of every key in ``_KEYS`` that it sets."""
     if "name" not in cfg.raw.get("experiment", {}):
         raise ValueError("malformed config: missing [experiment] name")
     if cfg.name not in EXPERIMENT_INDEX:
         raise ValueError(f"unknown experiment {cfg.name!r}; see list-experiments")
-    for key, low in _INT_KEYS:
-        value = cfg.get_int("experiment", key, None)
-        if value is not None and value < low:
-            raise ValueError(f"[experiment] {key}: must be >= {low}")
+    for section, values in cfg.raw.items():
+        for key, text in values.items():
+            if key in _KEYS.get(section, {}):
+                _value(section, key, text)
     return cfg
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate an experiment config.
 
-    Schema (INI sections; unknown keys are preserved but unused):
-
-    [experiment]  name (required, one of the registered experiments),
-                  seed, replicas, replica_offset, output,
-                  snapshots (bool), ratio_replicas (picard),
-                  envelope_replicas, equivalence_fields (weighted),
-                  base_time (refinement)
-    [grid]        d, n, length
-    [measure]     kind = white | riesz | radial-table, alpha, scale,
-                  table_path, tail_exponent
-    [green]       k, horizon
-    [solver]      dt, steps (energy), nonlinearity = identity | sine |
-                  one-minus-exp | affine, affine_a, affine_b, picard_tol,
-                  v0_kind = zero | gaussian | bump | wavepacket,
-                  v0_amplitude, v0_width, v0_center, v0_mode,
-                  v0_dot_kind, v0_dot_amplitude, v0_dot_width,
-                  v0_dot_center, v0_dot_mode
-    [weight]      exponent, radius
+    INI sections; ``[experiment] name`` (one of the registered experiments)
+    is required.  ``_KEYS`` declares every other key an experiment reads,
+    with its section, type and bound or choices; each one the text sets is
+    converted and checked here, so a bad value raises before any work.
+    Unknown keys are preserved but unused.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -433,29 +435,24 @@ def _envelope_rows(experiment: str, case: str, summary: MomentSummary, replicas:
 
 
 def _build_grid(cfg: ExperimentConfig, d: int, n: int, length: float) -> Grid:
-    return Grid(
-        cfg.get_int("grid", "d", d),
-        cfg.get_int("grid", "n", n),
-        cfg.get_float("grid", "length", length),
-    )
+    return Grid(cfg.get("grid", "d", d), cfg.get("grid", "n", n),
+                cfg.get("grid", "length", length))
 
 
 def _build_measure(cfg: ExperimentConfig, d: int) -> SpectralMeasure:
     kind = cfg.get("measure", "kind", "white")
-    scale = cfg.get_float("measure", "scale", 1.0)
+    scale = cfg.get("measure", "scale", 1.0)
     if kind == "white":
         return SpectralMeasure.white(d, scale=scale)
     if kind == "riesz":
-        return SpectralMeasure.riesz(d, cfg.get_float("measure", "alpha", 0.5), scale=scale)
-    if kind == "radial-table":
-        path = cfg.get("measure", "table_path")
-        if path is None:
-            raise ValueError("[measure] table_path required for radial-table")
-        data = np.loadtxt(path, delimiter=",")
-        return SpectralMeasure.radial_table(
-            d, data[:, 0], data[:, 1],
-            tail_exponent=cfg.get_float("measure", "tail_exponent", None), scale=scale)
-    raise ValueError(f"unknown measure kind {kind!r}")
+        return SpectralMeasure.riesz(d, cfg.get("measure", "alpha", 0.5), scale=scale)
+    path = cfg.get("measure", "table_path")  # radial-table
+    if path is None:
+        raise ValueError("[measure] table_path required for radial-table")
+    data = np.loadtxt(path, delimiter=",")
+    return SpectralMeasure.radial_table(
+        d, data[:, 0], data[:, 1], tail_exponent=cfg.get("measure", "tail_exponent"),
+        scale=scale)
 
 
 def _build_nonlinearity(cfg: ExperimentConfig, default: str = "sine") -> Nonlinearity:
@@ -466,16 +463,18 @@ def _build_nonlinearity(cfg: ExperimentConfig, default: str = "sine") -> Nonline
         return Nonlinearity.sine()
     if name == "one-minus-exp":
         return Nonlinearity.one_minus_exp()
-    if name == "affine":
-        return Nonlinearity.affine(
-            cfg.get_float("solver", "affine_a", 0.0),
-            cfg.get_float("solver", "affine_b", 1.0),
-        )
-    raise ValueError(f"unknown nonlinearity {name!r}")
+    return Nonlinearity.affine(cfg.get("solver", "affine_a", 0.0),  # affine
+                               cfg.get("solver", "affine_b", 1.0))
 
 
-def _initial_field(grid: Grid, kind: str, amplitude: float, width: float,
-                   center: float, mode: float) -> LatticeField:
+def _build_initial(cfg: ExperimentConfig, grid: Grid, prefix: str, kind: str,
+                   amplitude: float, width: float, center: float = 0.0,
+                   mode: float = 0.0) -> LatticeField:
+    """The [solver] ``<prefix>_*`` field on ``grid``; the arguments are the keys' defaults."""
+    kind, amplitude, width, center, mode = (
+        cfg.get("solver", f"{prefix}_{key}", default) for key, default in (
+            ("kind", kind), ("amplitude", amplitude), ("width", width), ("center", center),
+            ("mode", mode)))
     if kind == "zero":
         return LatticeField.zeros(grid)
     shifted_sq = np.zeros(grid.shape)
@@ -490,24 +489,9 @@ def _initial_field(grid: Grid, kind: str, amplitude: float, width: float,
         inside = r_sq < 1.0
         vals[inside] = amplitude * np.exp(-1.0 / (1.0 - r_sq[inside]))
         return LatticeField(grid, vals)
-    if kind == "wavepacket":
-        x0 = grid._axis_array(grid.axis_coords, 0) - center
-        env = amplitude * np.exp(-shifted_sq / width**2)
-        return LatticeField(grid, env * np.cos(mode * (x0 + np.zeros(grid.shape))))
-    raise ValueError(f"unknown initial-field kind {kind!r}")
-
-
-def _build_initial(cfg: ExperimentConfig, grid: Grid, prefix: str, kind: str,
-                   amplitude: float, width: float, center: float = 0.0,
-                   mode: float = 0.0) -> LatticeField:
-    return _initial_field(
-        grid,
-        cfg.get("solver", f"{prefix}_kind", kind),
-        cfg.get_float("solver", f"{prefix}_amplitude", amplitude),
-        cfg.get_float("solver", f"{prefix}_width", width),
-        cfg.get_float("solver", f"{prefix}_center", center),
-        cfg.get_float("solver", f"{prefix}_mode", mode),
-    )
+    x0 = grid._axis_array(grid.axis_coords, 0) - center  # wavepacket
+    env = amplitude * np.exp(-shifted_sq / width**2)
+    return LatticeField(grid, env * np.cos(mode * (x0 + np.zeros(grid.shape))))
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +534,8 @@ _ISOMETRY_CASES = [
 
 def _exp_isometry(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     replicas = cfg.replicas or 1000
-    n = cfg.get_int("grid", "n", 64)
-    length = cfg.get_float("grid", "length", 16.0)
+    n = cfg.get("grid", "n", 64)
+    length = cfg.get("grid", "length", 16.0)
     horizon, steps = 0.5, 8
     dt = horizon / steps
     rows = []
@@ -589,7 +573,7 @@ def _exp_isometry(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
 def _exp_mollifier_ladder(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     grid = _build_grid(cfg, 1, 512, 48.0)
     measure = _build_measure(cfg, grid.dimension)
-    g = GreenMultiplier(cfg.get_int("green", "k", 1), 1.0)
+    g = GreenMultiplier(cfg.get("green", "k", 1), 1.0)
     steps, dt = 4, 0.25
     Z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq / 2.0), steps, dt)
     scales = (1, 2, 4, 8, 16)
@@ -607,36 +591,39 @@ def _exp_mollifier_ladder(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     return rows
 
 
+def _solver_dt(cfg: ExperimentConfig, horizon: float, default: float) -> float:
+    """[solver] dt, checked to split the horizon into whole steps as SolveConfig.validate does."""
+    dt = cfg.get("solver", "dt", default)
+    steps = horizon / dt
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"[solver] dt: must split the horizon {horizon!r} into whole steps, "
+                         f"got {dt!r}")
+    return dt
+
+
 def _picard_config(cfg: ExperimentConfig) -> SolveConfig:
+    horizon = cfg.get("green", "horizon", 1.0)
+    dt = _solver_dt(cfg, horizon, 1.0 / 128.0)
     grid = _build_grid(cfg, 1, 128, 16.0)
     measure = _build_measure(cfg, grid.dimension)
     v0 = _build_initial(cfg, grid, "v0", "wavepacket", 1.0, 2.0, mode=2.0)
     v0_dot_kind = cfg.get("solver", "v0_dot_kind", "zero")
-    v0_dot = None if v0_dot_kind == "zero" else _build_initial(cfg, grid, "v0_dot", v0_dot_kind, 1.0, 1.0)
-    return SolveConfig(
-        grid=grid,
-        measure=measure,
-        k=cfg.get_int("green", "k", 1),
-        horizon=cfg.get_float("green", "horizon", 1.0),
-        dt=cfg.get_float("solver", "dt", 1.0 / 128.0),
-        nonlinearity=_build_nonlinearity(cfg, "sine"),
-        v0=v0,
-        v0_dot=v0_dot,
-        picard_tol=cfg.get_float("solver", "picard_tol", 1e-13),
-        snapshot_stride=1,
-    )
+    v0_dot = (None if v0_dot_kind == "zero"
+              else _build_initial(cfg, grid, "v0_dot", v0_dot_kind, 1.0, 1.0))
+    return SolveConfig(grid=grid, measure=measure, k=cfg.get("green", "k", 1), horizon=horizon,
+                       dt=dt, nonlinearity=_build_nonlinearity(cfg, "sine"), v0=v0,
+                       v0_dot=v0_dot, picard_tol=cfg.get("solver", "picard_tol", 1e-13),
+                       snapshot_stride=1)
 
 
 def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
-    solve_cfg = _picard_config(cfg)
-    check_envelope(solve_cfg.nonlinearity)
-    ratio_replicas = cfg.get_int("experiment", "ratio_replicas", 20)
-    if ratio_replicas < 1:
-        raise ValueError("[experiment] ratio_replicas: must be >= 1")
     replicas = cfg.replicas or 100
     if replicas < MIN_TRACK_REPLICAS:
         raise ValueError("[experiment] replicas: moment tracking needs at least "
                          f"{MIN_TRACK_REPLICAS}")
+    ratio_replicas = cfg.get("experiment", "ratio_replicas", 20)
+    solve_cfg = _picard_config(cfg)
+    check_envelope(solve_cfg.nonlinearity)
     grid, measure = solve_cfg.grid, solve_cfg.measure
     rows = []
 
@@ -673,8 +660,8 @@ def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
 def _exp_energy(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     rows = []
     grid = _build_grid(cfg, 1, 128, 16.0)
-    steps = cfg.get_int("solver", "steps", 256)
-    horizon = cfg.get_float("green", "horizon", 1.0)
+    steps = cfg.get("solver", "steps", 256)
+    horizon = cfg.get("green", "horizon", 1.0)
     v0 = _build_initial(cfg, grid, "v0", "gaussian", 1.0, 1.0)
     v0_dot = _build_initial(cfg, grid, "v0_dot", "gaussian", 0.3, 1.4, center=1.0)
     for k in (1, 2):
@@ -690,12 +677,15 @@ def _exp_energy(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
 
 
 def _exp_support(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
+    d = cfg.get("grid", "d", 1)
+    if d != 1:
+        raise ValueError(f"[grid] d: the support experiment runs in d = 1 only, got {d}")
     grid = _build_grid(cfg, 1, 512, 16.0)
     h = grid.spacing
     measure = _build_measure(cfg, 1)
     v0 = _build_initial(cfg, grid, "v0", "bump", 1.0, 1.0)
     mask = (np.sqrt(grid.coord_norm_sq) <= 1.0).astype(float)
-    horizon = cfg.get_float("green", "horizon", 1.0)
+    horizon = cfg.get("green", "horizon", 1.0)
     needed = 8.0 + horizon  # four diameters of |x| <= 1 (the bump and the mask), plus T
     if grid.box_length < needed:
         raise ValueError(f"box length {grid.box_length} < {needed} needed to keep "
@@ -714,7 +704,7 @@ def _exp_support(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
         outside = radius > 1.0 + j * solve_cfg.dt + 2.0 * h
         if np.any(outside):
             worst = max(worst, float(np.abs(fld.values[outside]).max()))
-    if cfg.write_snapshots:
+    if cfg.get("experiment", "snapshots", False):
         with open(out_dir / "support_final.field", "wb") as fh:
             write_field(report.snapshot_at(solve_cfg.steps), fh)
     inside_scale = float(np.abs(report.snapshot_at(solve_cfg.steps).values).max())
@@ -725,18 +715,15 @@ def _exp_support(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
 
 
 def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
-    n_fields = cfg.get_int("experiment", "equivalence_fields", 50)
-    if n_fields < 1:
-        raise ValueError("[experiment] equivalence_fields: must be >= 1")
-    solver_replicas = cfg.get_int("experiment", "envelope_replicas", 100)
-    if solver_replicas < MIN_TRACK_REPLICAS:
-        raise ValueError("[experiment] envelope_replicas: moment tracking needs at least "
-                         f"{MIN_TRACK_REPLICAS}")
+    n_fields = cfg.get("experiment", "equivalence_fields", 50)
+    solver_replicas = cfg.get("experiment", "envelope_replicas", 100)
+    dt = _solver_dt(cfg, 1.0, 1.0 / 64.0)
+    d = cfg.get("grid", "d", 1)
+    w = Weight(cfg.get("weight", "exponent", float(d + 1)), cfg.get("weight", "radius", 1.0))
+    if w.exponent <= d:
+        raise ValueError(f"[weight] exponent: must be > [grid] d = {d}, got {w.exponent!r}")
     rows = []
-    grid = _build_grid(cfg, 1, 256, 16.0)
-    d = grid.dimension
-    w = Weight(cfg.get_float("weight", "exponent", float(d + 1)),
-               cfg.get_float("weight", "radius", 1.0))
+    grid = _build_grid(cfg, d, 256, 16.0)
     theta = w.theta_on(grid)
 
     # pointwise sandwich with the exact constants: base = 1 and |x|**(-K)
@@ -784,8 +771,7 @@ def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     # linear-growth solver (alpha does not vanish at zero) under its envelope
     v0 = _build_initial(cfg, grid, "v0", "wavepacket", 1.0, 2.0, mode=1.0)
     solve_cfg = SolveConfig(
-        grid=grid, measure=measure, k=1, horizon=1.0,
-        dt=cfg.get_float("solver", "dt", 1.0 / 64.0),
+        grid=grid, measure=measure, k=1, horizon=1.0, dt=dt,
         nonlinearity=_build_nonlinearity(cfg, "affine"), v0=v0,
     )
     moments, _ = sweep_replicas(solve_cfg, _replica_generators(cfg, 2, solver_replicas),
@@ -795,7 +781,7 @@ def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
 
 
 def _exp_refinement(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
-    t0 = cfg.get_float("experiment", "base_time", 0.5)
+    t0 = cfg.get("experiment", "base_time", 0.5)
     if not (16.0 * t0 >= 1.0 and abs(16.0 * t0 - round(16.0 * t0)) <= 1e-9):
         raise ValueError(f"[experiment] base_time: must be a positive multiple of the "
                          f"coarsest step 1/16, got {t0!r}")

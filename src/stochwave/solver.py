@@ -156,7 +156,6 @@ class SolveConfig:
     v0: LatticeField
     v0_dot: LatticeField | None = None
     picard_tol: float = 1e-12
-    picard_max_iter: int | None = None
     noise_mask: np.ndarray | None = None
     snapshot_stride: int = 10
 
@@ -500,17 +499,16 @@ def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0") -> So
     """Iterate the mild-solution map on one fixed noise path.
 
     Stops when the sup-over-t L2 distance between successive iterates
-    falls below ``cfg.picard_tol``.  Non-convergence within the iteration
-    budget is reported, not fatal; the squared-distance table carries
+    falls below ``cfg.picard_tol``.  Non-convergence within the budget of
+    n + 2 iterations is reported, not fatal; the squared-distance table carries
     the tail.  Each iteration is one whole-trajectory update, so it
     costs one batched transform pair whatever n is.
     """
     cfg.validate()
     table = _horizon_table(cfg)
-    max_iter = cfg.picard_max_iter if cfg.picard_max_iter is not None else cfg.steps + 2
     values, m_table, converged = _picard_loop(
-        cfg, table, _noise_fields(cfg, path), _initial_guess(cfg, table, initial), max_iter,
-        cfg.picard_tol)
+        cfg, table, _noise_fields(cfg, path), _initial_guess(cfg, table, initial),
+        cfg.steps + 2, cfg.picard_tol)
     return _report(cfg, values, m_table, len(m_table), converged, None)
 
 
@@ -521,9 +519,9 @@ def picard_replicas(cfg: SolveConfig, rngs, iterations: int) -> np.ndarray:
     slice as :func:`sweep_replicas` draws it.  Blocks of replicas
     (``noise.replica_blocks``, one (n + 1)-row half-grid trajectory a
     replica) run as one batch, the replica axis after the time axis, so
-    each replica's rows are bit-identical to :func:`picard_iterate` on
-    its own path (initial guess u0) with a zero tolerance and
-    ``iterations`` as the budget, and do not depend on the block size.
+    each replica's rows are bit-identical to the first ``iterations`` of
+    :func:`picard_iterate` on its own path (initial guess u0) with a zero
+    tolerance, and do not depend on the block size.
     Returns the squared update distances, shape (replicas, iterations,
     n + 1): row [r, i] is replica r's ``m_table[i]``.
     """

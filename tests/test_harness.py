@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,17 +186,43 @@ def test_weighted_bound_verdict_flips_at_the_se_multiplier(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("text, key", [
-    ("name = weighted\nequivalence_fields = 0\n", "equivalence_fields"),
-    ("name = weighted\nenvelope_replicas = 29\n", "envelope_replicas"),
-    ("name = refinement\nbase_time = 0.3\n", "base_time"),
+    ("name = weighted\nequivalence_fields = 0\n", "[experiment] equivalence_fields"),
+    ("name = weighted\nenvelope_replicas = 29\n", "[experiment] envelope_replicas"),
+    ("name = refinement\nbase_time = 0.3\n", "[experiment] base_time"),
+    ("name = picard\nreplicas = 10\n", "[experiment] replicas"),
+    ("name = energy\nsnapshots = maybe\n", "[experiment] snapshots"),
+    ("name = picard\n[solver]\npicard_tol = -1\n", "[solver] picard_tol"),
+    ("name = energy\n[solver]\nsteps = 0\n", "[solver] steps"),
+    ("name = energy\n[green]\nhorizon = 0\n", "[green] horizon"),
+    ("name = energy\n[solver]\nv0_width = 0\n", "[solver] v0_width"),
+    ("name = weighted\n[solver]\ndt = 0\n", "[solver] dt"),
+    ("name = support\n[green]\nhorizon = -1\n", "[green] horizon"),
+    # values that pass their own bound but not another key's
+    ("name = weighted\n[solver]\ndt = 0.3\n", "[solver] dt"),
+    ("name = picard\n[green]\nhorizon = 0.5\n[solver]\ndt = 0.3\n", "[solver] dt"),
+    ("name = weighted\n[grid]\nd = 2\n[weight]\nexponent = 2\n", "[weight] exponent"),
+    ("name = support\n[grid]\nd = 2\n", "[grid] d"),
 ])
 def test_experiment_keys_are_checked_before_any_work(tmp_path, monkeypatch, text, key):
     def no_work(*args):
         raise AssertionError("the experiment started before checking its keys")
 
     monkeypatch.setattr(harness, "_build_grid", no_work)
-    with pytest.raises(ValueError, match=rf"^\[experiment\] {key}: "):
+    with pytest.raises(ValueError, match="^" + re.escape(key) + ": "):
         run(_config("[experiment]\n" + text), out_dir=tmp_path)
+
+
+def test_get_refuses_an_undeclared_key():
+    cfg = _config(ENERGY_CFG)
+    assert cfg.get("experiment", "seed") == 77 and cfg.get("grid", "n", 128) == 128
+    for section, key in (("experiment", "threads"), ("grid", "dt"), ("nosuch", "n")):
+        with pytest.raises(KeyError, match=re.escape(f"[{section}] {key}")):
+            cfg.get(section, key)
+
+
+def test_unknown_keys_still_parse():
+    cfg = _config(ENERGY_CFG + "threads = many\n[extra]\nn = abc\n")
+    assert cfg.raw["experiment"]["threads"] == "many" and cfg.raw["extra"] == {"n": "abc"}
 
 
 def test_isometry_run_is_byte_deterministic(tmp_path):
@@ -459,7 +486,7 @@ def test_one_minus_exp_fails_outside_its_lipschitz_box(tmp_path, capsys, amplitu
      "[solver] v0_amplitude: expected a finite number"),
 ])
 def test_cli_run_time_config_error_exit_code(tmp_path, capsys, text, message):
-    # values the parser accepts but the experiment rejects while it is built
+    # bad values, refused when the config is parsed or when the experiment starts
     bad = tmp_path / "bad.ini"
     bad.write_text(text)
     assert cli.main(["run", str(bad), "--output", str(tmp_path / "out")]) == 2

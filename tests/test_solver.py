@@ -164,11 +164,12 @@ def test_uniqueness_two_initial_guesses():
 
 
 def test_picard_non_convergence_reported():
-    cfg = _basic_config(picard_tol=0.0, picard_max_iter=3)
+    # a zero tolerance never stops the loop, so the whole budget of n + 2 iterations runs
+    cfg = _basic_config(dt=0.25, picard_tol=0.0)
     path = sample_path(cfg.grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(9))
     report = picard_iterate(cfg, path)
-    assert not report.converged and report.iterations == 3
-    assert len(report.m_table) == 3
+    assert not report.converged and report.iterations == cfg.steps + 2 == 6
+    assert len(report.m_table) == 6
 
 
 def test_pathwise_determinism():
@@ -282,13 +283,15 @@ def test_sweep_is_the_fixed_point_of_the_direct_sum():
 
 
 def test_picard_update_matches_the_direct_sum():
-    cfg = _oracle_config(256, picard_tol=0.0, picard_max_iter=1)
+    cfg = _oracle_config(256)
     n = cfg.steps
     path = sample_path(cfg.grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(14))
-    report = picard_iterate(cfg, path)
+    table = _horizon_table(cfg)
+    update = _picard_update(cfg, table, solver._noise_fields(cfg, path),
+                            solver._initial_guess(cfg, table, "u0"))
     guess = [deterministic_part(cfg, j * cfg.dt).values for j in range(n + 1)]
     for j in (1, n // 2, n):
-        assert _mild_map_gap(cfg, path, guess, report.snapshot_at(j).values, j) <= 1e-12
+        assert _mild_map_gap(cfg, path, guess, update[j], j) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -509,13 +512,13 @@ def test_picard_replicas_match_per_path_solves(monkeypatch, d, k, mask, v0_dot):
     _blocks_of(monkeypatch, 3, (cfg.steps + 1) * math.prod(cfg.grid.half_shape))
     m = picard_replicas(cfg, [np.random.default_rng(600 + r) for r in range(5)], iterations)
     assert m.shape == (5, iterations, cfg.steps + 1)
-    cfg.picard_tol, cfg.picard_max_iter = 0.0, iterations
+    cfg.picard_tol = 0.0
     for r in range(5):
         path = sample_path(cfg.grid, cfg.measure, cfg.horizon, cfg.dt,
                            np.random.default_rng(600 + r))
         ref = picard_iterate(cfg, path)
-        assert ref.iterations == iterations and not ref.converged
-        assert np.array_equal(m[r], np.array(ref.m_table))
+        assert ref.iterations == cfg.steps + 2 > iterations and not ref.converged
+        assert np.array_equal(m[r], np.array(ref.m_table[:iterations]))
 
 
 def test_picard_replicas_is_independent_of_chunk_size(monkeypatch):
@@ -573,10 +576,13 @@ def test_picard_iteration_is_one_batched_transform_pair(monkeypatch, steps):
 
     monkeypatch.setattr(Grid, "forward", counted("forward"))
     monkeypatch.setattr(Grid, "inverse", counted("inverse"))
+    table = _horizon_table(cfg)
+    w_fields = solver._noise_fields(cfg, path)
+
     def counted_solve(iterations):
-        cfg.picard_max_iter = iterations
         before = dict(calls)
-        picard_iterate(cfg, path)
+        solver._picard_loop(cfg, table, w_fields, solver._initial_guess(cfg, table, "u0"),
+                            iterations, 0.0)
         return {k: calls[k] - before[k] for k in calls}
 
     counted_solve(1)  # fills the cached spectra of v0 and v0_dot
