@@ -1,7 +1,7 @@
 """Spectral simulation and verification of second-order-in-time stochastic
 PDEs driven by spatially homogeneous Gaussian noise."""
 
-from .covariance import AdmissibilityReport, SpectralMeasure, admissibility_integral, admissible
+from .covariance import SpectralMeasure, admissibility_integral, admissible
 from .greens import GreenMultiplier, j_field, j_functional
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm, read_field, write_field
 from .noise import NoisePath, sample_path, sample_slice
@@ -39,7 +39,6 @@ from .weighted import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityReport",
     "SpectralMeasure",
     "admissibility_integral",
     "admissible",

@@ -6,14 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import (
-    EXPERIMENT_CRITERIA,
-    ResultTable,
-    aggregate,
-    list_experiments,
-    parse_config_file,
-    run,
-)
+from .harness import EXPERIMENTS, ResultTable, aggregate, parse_config_file, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,8 +35,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list-experiments":
-        for name in list_experiments():
-            print(f"{name:18s} {EXPERIMENT_CRITERIA[name]}")
+        for name, (_, criterion, _) in EXPERIMENTS.items():
+            print(f"{name:18s} {criterion}")
         return 0
 
     if args.command == "aggregate":

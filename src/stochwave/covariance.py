@@ -30,13 +30,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "SpectralMeasure",
-    "AdmissibilityReport",
     "admissible",
     "admissibility_integral",
     "sphere_surface_area",
@@ -90,18 +87,6 @@ def _riesz_constant(alpha: float, d: int) -> float:
     cancels).
     """
     return _gaussian_moment(d - alpha) / ((2.0 * math.pi) ** (d / 2.0) * _gaussian_moment(alpha))
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Outcome of the admissibility integral for one (measure, k) pair."""
-
-    value: float  # math.inf when the integral diverges
-    k: int
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
 
 
 class SpectralMeasure:
@@ -277,26 +262,27 @@ def admissible(measure: SpectralMeasure, k: int) -> bool:
     return measure._tail_exponent() + measure.dimension - 1 - 2 * k < -1.0
 
 
-def admissibility_integral(measure: SpectralMeasure, k: int) -> AdmissibilityReport:
-    """Evaluate integral (1 + |xi|**2)**(-k) mu(d xi).
+def admissibility_integral(measure: SpectralMeasure, k: int) -> float:
+    """The value of integral (1 + |xi|**2)**(-k) mu(d xi), ``math.inf`` when it diverges.
 
     Divergence is decided by :func:`admissible`, the one divergence
-    rule; a divergent integral reports ``math.inf`` without a
-    quadrature.  A white or riesz density c * r**(a - d) (a = d for
-    white, a = alpha for riesz) gives the closed form
-    surface(d) * c * B(a/2, k - a/2) / 2; a radial table's finite value
-    is computed by adaptive radial quadrature.  ``k`` must be an integer
+    rule, so a divergent integral returns ``math.inf`` without a
+    quadrature and ``math.isfinite`` of the value is the verdict.  A
+    white or riesz density c * r**(a - d) (a = d for white, a = alpha
+    for riesz) gives the closed form surface(d) * c * B(a/2, k - a/2) / 2;
+    a radial table's finite value is computed by adaptive radial
+    quadrature.  ``k`` must be an integer
     >= 1 (not a bool).
     """
     k = _positive_int(k, "operator index k")
     if not admissible(measure, k):
-        return AdmissibilityReport(value=math.inf, k=k)
+        return math.inf
     d = measure.dimension
     surf = sphere_surface_area(d)
     if measure.kind != "radial-table":
         a = measure.alpha if measure.kind == "riesz" else d
         c = float(measure.radial_density(1.0))
-        return AdmissibilityReport(value=surf * c * _half_beta(a / 2.0, k - a / 2.0), k=k)
+        return surf * c * _half_beta(a / 2.0, k - a / 2.0)
     from scipy import integrate
 
     def integrand(r: float) -> float:
@@ -304,4 +290,4 @@ def admissibility_integral(measure: SpectralMeasure, k: int) -> AdmissibilityRep
 
     inner, _ = integrate.quad(integrand, 0.0, 1.0)
     outer, _ = integrate.quad(integrand, 1.0, np.inf)
-    return AdmissibilityReport(value=surf * (inner + outer), k=k)
+    return surf * (inner + outer)

@@ -7,15 +7,21 @@ streams are counter-based (Philox), keyed by
     SeedSequence(master_seed, spawn_key=(experiment_index, case_index,
                                          replica_index)),
 
-with the experiment indices listed in ``EXPERIMENT_INDEX``; within one
-stream, noise slices are drawn in time order.  Two runs of the same
-experiment at replica offsets 0..a and a..b therefore draw exactly the
-replicas of one run over 0..b, which is what makes result aggregation
-exact rather than approximate.
+with the experiment index from the one registry ``EXPERIMENTS`` (name ->
+spawn-key index, criterion, function); within one stream, noise slices
+are drawn in time order.  Two runs of the same experiment at replica
+offsets 0..a and a..b therefore draw exactly the replicas of one run
+over 0..b, which is what makes result aggregation exact rather than
+approximate.
 
-Config files are INI-style (see ``parse_config``); results are CSV rows
-(experiment, case, quantity, value, std_error, replicas, verdict) with
-'.' decimals and no locale dependence.
+Config files are INI-style (see ``parse_config``), and every key they set
+is checked against ``_KEYS`` when they are parsed.  An experiment checks
+the values that depend on each other before it builds anything, and it
+hands its side files (trajectory CSV, field snapshot) to :func:`run`,
+which writes them and the result CSV only once the experiment has
+returned its rows: a refused config leaves no output directory.  Results
+are CSV rows (experiment, case, quantity, value, std_error, replicas,
+verdict) with '.' decimals and no locale dependence.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 from .covariance import SpectralMeasure, admissibility_integral
 from .greens import GreenMultiplier
 from .lattice import Grid, LatticeField, l2_norm, write_field
-from .noise import mean_se, sample_path
+from .noise import mean_se, sample_path, whole_steps
 from .solver import (
     MIN_TRACK_REPLICAS,
     MomentSummary,
@@ -65,8 +71,7 @@ from .weighted import (
 )
 
 __all__ = [
-    "EXPERIMENT_INDEX",
-    "EXPERIMENT_CRITERIA",
+    "EXPERIMENTS",
     "ExperimentConfig",
     "Row",
     "ResultTable",
@@ -76,31 +81,8 @@ __all__ = [
     "replica_generator",
     "run",
     "aggregate",
-    "list_experiments",
     "solve_report_csv",
 ]
-
-EXPERIMENT_INDEX = {
-    "admissibility": 0,
-    "isometry": 1,
-    "mollifier-ladder": 2,
-    "picard": 3,
-    "energy": 4,
-    "support": 5,
-    "weighted": 6,
-    "refinement": 7,
-}
-
-EXPERIMENT_CRITERIA = {
-    "admissibility": "admissibility verdicts match analytic thresholds",
-    "isometry": "second-moment identity, modulation equivalence, bound chain",
-    "mollifier-ladder": "smoothing and truncation ladders decrease to < 5%",
-    "picard": "fixed-point agreement, contraction ratios, moment envelope",
-    "energy": "noise-free spectral energy conservation",
-    "support": "finite propagation speed with masked noise (k = 1, d = 1)",
-    "weighted": "weight sandwich, shell equivalence, weighted bound, affine envelope",
-    "refinement": "moment of time increments decreases under step halving",
-}
 
 DEFAULT_SEED = 20260810
 OUTPUT_ENV_VAR = "STOCHWAVE_OUTPUT"
@@ -113,7 +95,7 @@ def replica_generator(master_seed: int, experiment: str, case_index: int,
                       replica_index: int) -> np.random.Generator:
     """Counter-based stream for one (experiment, case, replica) triple."""
     ss = np.random.SeedSequence(
-        master_seed, spawn_key=(EXPERIMENT_INDEX[experiment], case_index, replica_index)
+        master_seed, spawn_key=(EXPERIMENTS[experiment][0], case_index, replica_index)
     )
     return np.random.Generator(np.random.Philox(ss))
 
@@ -129,10 +111,11 @@ def _replica_generators(cfg: "ExperimentConfig", case_index: int, count: int) ->
 
 
 # Every key an experiment reads: section -> key -> (type, bound[, reason]).  An
-# int must be >= its bound and a float > it (None: any finite number); a str's
-# bound is its tuple of choices (None: any text).  A value out of bound fails with
-# "[section] key: <reason> <bound>", the reason "must be >=" or "must be >" unless
-# the entry gives one.  Defaults stay with the experiment that reads the key.
+# int must be >= its bound and a float > it (None: any finite number), unless the
+# bound is the set of allowed values; a str's bound is its tuple of choices (None:
+# any text).  A value out of bound fails with "[section] key: <reason>, got ...",
+# the entry's reason or one the bound gives.  Defaults stay with the experiment
+# that reads the key.
 _FIELD_KEYS = {"kind": (str, ("zero", "gaussian", "bump", "wavepacket")),  # v0_*, v0_dot_*
                "amplitude": (float, None), "width": (float, 0.0), "center": (float, None),
                "mode": (float, None)}
@@ -140,9 +123,12 @@ _KEYS = {
     "experiment": {"seed": (int, 0), "replicas": (int, 2),  # a standard error needs two
                    "replica_offset": (int, 0), "output": (str, None), "snapshots": (bool, None),
                    "ratio_replicas": (int, 1), "equivalence_fields": (int, 1),
-                   "envelope_replicas": (int, MIN_TRACK_REPLICAS, "moment tracking needs at least"),
+                   "envelope_replicas": (int, MIN_TRACK_REPLICAS,
+                                         f"moment tracking needs at least {MIN_TRACK_REPLICAS}"),
                    "base_time": (float, 0.0)},
-    "grid": {"d": (int, 1), "n": (int, 8), "length": (float, 0.0)},
+    "grid": {"d": (int, {1, 2, 3}),
+             "n": (int, {2**j for j in range(3, 63)}, "must be a power of two >= 8"),
+             "length": (float, 0.0)},
     "measure": {"kind": (str, ("white", "riesz", "radial-table")), "alpha": (float, 0.0),
                 "scale": (float, 0.0), "table_path": (str, None), "tail_exponent": (float, None)},
     "green": {"k": (int, 1), "horizon": (float, 0.0)},
@@ -175,9 +161,13 @@ def _value(section: str, key: str, text: str):
         raise ValueError(f"{where}: expected {what}, got {text!r}") from None
     if kind is float and not math.isfinite(value):
         raise ValueError(f"{where}: expected a finite number, got {text!r}")
-    if bound is not None and not (value >= bound if kind is int else value > bound):
-        why = reason[0] if reason else ("must be >=" if kind is int else "must be >")
-        raise ValueError(f"{where}: {why} {bound}, got {text!r}")
+    if isinstance(bound, set):
+        ok, why = value in bound, f"must be one of {sorted(bound)}"
+    else:
+        ok = bound is None or (value >= bound if kind is int else value > bound)
+        why = f"must be {'>=' if kind is int else '>'} {bound}"
+    if not ok:
+        raise ValueError(f"{where}: {reason[0] if reason else why}, got {text!r}")
     return value
 
 
@@ -229,7 +219,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     name, and the type and bound of every key in ``_KEYS`` that it sets."""
     if "name" not in cfg.raw.get("experiment", {}):
         raise ValueError("malformed config: missing [experiment] name")
-    if cfg.name not in EXPERIMENT_INDEX:
+    if cfg.name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {cfg.name!r}; see list-experiments")
     for section, values in cfg.raw.items():
         for key, text in values.items():
@@ -419,9 +409,9 @@ def _decreasing_row(experiment: str, case: str, quantity: str, values,
 
 
 def _envelope_rows(experiment: str, case: str, summary: MomentSummary, replicas: int,
-                   out_dir: Path, m_table=()) -> list[Row]:
-    """The pooled moment at T and the envelope excess, after writing the trajectory CSV."""
-    (out_dir / f"{experiment}_trajectory.csv").write_text(solve_report_csv(summary, m_table))
+                   files: dict, m_table=()) -> list[Row]:
+    """The pooled moment at T and the envelope excess; the trajectory CSV goes to ``files``."""
+    files[f"{experiment}_trajectory.csv"] = solve_report_csv(summary, m_table).encode()
     excess = float(np.max(summary.mean - summary.envelope - _SE_MULTIPLIER * summary.std_error))
     ok = excess <= 1e-12
     return [Row(experiment, case, "moment_at_T", summary.mean[-1], summary.std_error[-1],
@@ -434,18 +424,23 @@ def _envelope_rows(experiment: str, case: str, summary: MomentSummary, replicas:
 # ---------------------------------------------------------------------------
 
 
-def _build_grid(cfg: ExperimentConfig, d: int, n: int, length: float) -> Grid:
-    return Grid(cfg.get("grid", "d", d), cfg.get("grid", "n", n),
+def _build_grid(cfg: ExperimentConfig, n: int, length: float) -> Grid:
+    return Grid(cfg.get("grid", "d", 1), cfg.get("grid", "n", n),
                 cfg.get("grid", "length", length))
 
 
-def _build_measure(cfg: ExperimentConfig, d: int) -> SpectralMeasure:
+def _build_measure(cfg: ExperimentConfig) -> SpectralMeasure:
+    """The [measure] of the [grid] dimension, built before the grid is: it checks keys only."""
+    d = cfg.get("grid", "d", 1)
     kind = cfg.get("measure", "kind", "white")
     scale = cfg.get("measure", "scale", 1.0)
     if kind == "white":
         return SpectralMeasure.white(d, scale=scale)
     if kind == "riesz":
-        return SpectralMeasure.riesz(d, cfg.get("measure", "alpha", 0.5), scale=scale)
+        alpha = cfg.get("measure", "alpha", 0.5)
+        if not alpha < d:
+            raise ValueError(f"[measure] alpha: must be < [grid] d = {d}, got {alpha!r}")
+        return SpectralMeasure.riesz(d, alpha, scale=scale)
     path = cfg.get("measure", "table_path")  # radial-table
     if path is None:
         raise ValueError("[measure] table_path required for radial-table")
@@ -499,26 +494,26 @@ def _build_initial(cfg: ExperimentConfig, grid: Grid, prefix: str, kind: str,
 # ---------------------------------------------------------------------------
 
 
-def _exp_admissibility(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
+def _exp_admissibility(cfg: ExperimentConfig, files: dict) -> list[Row]:
     rows = []
     dims = (1, 2, 3, 4)
     orders = (1, 2)
     alphas = [0.5 * j for j in range(1, 8)]
     for d in dims:
         for k in orders:
-            report = admissibility_integral(SpectralMeasure.white(d), k)
+            value = admissibility_integral(SpectralMeasure.white(d), k)
             expected = d < 2 * k
             rows.append(Row("admissibility", f"white-d{d}-k{k}", "integral",
-                            report.value, None, 0, report.finite == expected))
+                            value, None, 0, math.isfinite(value) == expected))
     for d in dims:
         for alpha in alphas:
             if not alpha < d:
                 continue
             for k in orders:
-                report = admissibility_integral(SpectralMeasure.riesz(d, alpha), k)
+                value = admissibility_integral(SpectralMeasure.riesz(d, alpha), k)
                 expected = alpha < 2 * k
                 rows.append(Row("admissibility", f"riesz{alpha}-d{d}-k{k}", "integral",
-                                report.value, None, 0, report.finite == expected))
+                                value, None, 0, math.isfinite(value) == expected))
     return rows
 
 
@@ -532,7 +527,7 @@ _ISOMETRY_CASES = [
 ]
 
 
-def _exp_isometry(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
+def _exp_isometry(cfg: ExperimentConfig, files: dict) -> list[Row]:
     replicas = cfg.replicas or 1000
     n = cfg.get("grid", "n", 64)
     length = cfg.get("grid", "length", 16.0)
@@ -570,9 +565,9 @@ def _exp_isometry(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     return rows
 
 
-def _exp_mollifier_ladder(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
-    grid = _build_grid(cfg, 1, 512, 48.0)
-    measure = _build_measure(cfg, grid.dimension)
+def _exp_mollifier_ladder(cfg: ExperimentConfig, files: dict) -> list[Row]:
+    measure = _build_measure(cfg)
+    grid = _build_grid(cfg, 512, 48.0)
     g = GreenMultiplier(cfg.get("green", "k", 1), 1.0)
     steps, dt = 4, 0.25
     Z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq / 2.0), steps, dt)
@@ -591,21 +586,20 @@ def _exp_mollifier_ladder(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     return rows
 
 
-def _solver_dt(cfg: ExperimentConfig, horizon: float, default: float) -> float:
-    """[solver] dt, checked to split the horizon into whole steps as SolveConfig.validate does."""
-    dt = cfg.get("solver", "dt", default)
-    steps = horizon / dt
-    if abs(steps - round(steps)) > 1e-9:
-        raise ValueError(f"[solver] dt: must split the horizon {horizon!r} into whole steps, "
-                         f"got {dt!r}")
-    return dt
+def _whole_steps(key: str, span: float, dt: float) -> int:
+    """``noise.whole_steps(span, dt)``, its refusal naming the config key."""
+    try:
+        return whole_steps(span, dt)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _picard_config(cfg: ExperimentConfig) -> SolveConfig:
     horizon = cfg.get("green", "horizon", 1.0)
-    dt = _solver_dt(cfg, horizon, 1.0 / 128.0)
-    grid = _build_grid(cfg, 1, 128, 16.0)
-    measure = _build_measure(cfg, grid.dimension)
+    dt = cfg.get("solver", "dt", 1.0 / 128.0)
+    _whole_steps("[solver] dt", horizon, dt)
+    measure = _build_measure(cfg)
+    grid = _build_grid(cfg, 128, 16.0)
     v0 = _build_initial(cfg, grid, "v0", "wavepacket", 1.0, 2.0, mode=2.0)
     v0_dot_kind = cfg.get("solver", "v0_dot_kind", "zero")
     v0_dot = (None if v0_dot_kind == "zero"
@@ -616,7 +610,7 @@ def _picard_config(cfg: ExperimentConfig) -> SolveConfig:
                        snapshot_stride=1)
 
 
-def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
+def _exp_picard(cfg: ExperimentConfig, files: dict) -> list[Row]:
     replicas = cfg.replicas or 100
     if replicas < MIN_TRACK_REPLICAS:
         raise ValueError("[experiment] replicas: moment tracking needs at least "
@@ -654,12 +648,12 @@ def _exp_picard(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     # moment envelope
     moments, _ = sweep_replicas(solve_cfg, _replica_generators(cfg, 2, replicas))
     summary = moment_track(moments, solve_cfg)
-    return rows + _envelope_rows("picard", "moment", summary, replicas, out_dir, pic.m_table)
+    return rows + _envelope_rows("picard", "moment", summary, replicas, files, pic.m_table)
 
 
-def _exp_energy(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
+def _exp_energy(cfg: ExperimentConfig, files: dict) -> list[Row]:
     rows = []
-    grid = _build_grid(cfg, 1, 128, 16.0)
+    grid = _build_grid(cfg, 128, 16.0)
     steps = cfg.get("solver", "steps", 256)
     horizon = cfg.get("green", "horizon", 1.0)
     v0 = _build_initial(cfg, grid, "v0", "gaussian", 1.0, 1.0)
@@ -676,13 +670,13 @@ def _exp_energy(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     return rows
 
 
-def _exp_support(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
+def _exp_support(cfg: ExperimentConfig, files: dict) -> list[Row]:
     d = cfg.get("grid", "d", 1)
     if d != 1:
         raise ValueError(f"[grid] d: the support experiment runs in d = 1 only, got {d}")
-    grid = _build_grid(cfg, 1, 512, 16.0)
+    measure = _build_measure(cfg)
+    grid = _build_grid(cfg, 512, 16.0)
     h = grid.spacing
-    measure = _build_measure(cfg, 1)
     v0 = _build_initial(cfg, grid, "v0", "bump", 1.0, 1.0)
     mask = (np.sqrt(grid.coord_norm_sq) <= 1.0).astype(float)
     horizon = cfg.get("green", "horizon", 1.0)
@@ -705,8 +699,9 @@ def _exp_support(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
         if np.any(outside):
             worst = max(worst, float(np.abs(fld.values[outside]).max()))
     if cfg.get("experiment", "snapshots", False):
-        with open(out_dir / "support_final.field", "wb") as fh:
-            write_field(report.snapshot_at(solve_cfg.steps), fh)
+        snapshot = io.BytesIO()
+        write_field(report.snapshot_at(solve_cfg.steps), snapshot)
+        files["support_final.field"] = snapshot.getvalue()
     inside_scale = float(np.abs(report.snapshot_at(solve_cfg.steps).values).max())
     return [
         Row("support", "wave-d1", "max_outside_cone", worst, None, 0, worst <= 1e-10),
@@ -714,16 +709,18 @@ def _exp_support(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     ]
 
 
-def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
+def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
     n_fields = cfg.get("experiment", "equivalence_fields", 50)
     solver_replicas = cfg.get("experiment", "envelope_replicas", 100)
-    dt = _solver_dt(cfg, 1.0, 1.0 / 64.0)
+    dt = cfg.get("solver", "dt", 1.0 / 64.0)
+    _whole_steps("[solver] dt", 1.0, dt)
     d = cfg.get("grid", "d", 1)
     w = Weight(cfg.get("weight", "exponent", float(d + 1)), cfg.get("weight", "radius", 1.0))
     if w.exponent <= d:
         raise ValueError(f"[weight] exponent: must be > [grid] d = {d}, got {w.exponent!r}")
+    measure = _build_measure(cfg)
     rows = []
-    grid = _build_grid(cfg, d, 256, 16.0)
+    grid = _build_grid(cfg, 256, 16.0)
     theta = w.theta_on(grid)
 
     # pointwise sandwich with the exact constants: base = 1 and |x|**(-K)
@@ -760,7 +757,6 @@ def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     g = GreenMultiplier(1, horizon)
     ball = (np.sqrt(grid.coord_norm_sq) <= 1.0).astype(float)
     Z = IntegrandProcess.constant(grid, ball, steps, horizon / steps)
-    measure = _build_measure(cfg, d)
     rngs = _replica_generators(cfg, 1, replicas)
     res = weighted_isometry_bound(g, Z, measure, w, replicas, rngs)
     rows.append(Row("weighted", "moment-bound", "quadrature_bound", res.bound, None, 0, True))
@@ -777,17 +773,17 @@ def _exp_weighted(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     moments, _ = sweep_replicas(solve_cfg, _replica_generators(cfg, 2, solver_replicas),
                                 theta=theta)
     summary = weighted_moment_track(moments, solve_cfg, w)
-    return rows + _envelope_rows("weighted", "linear-growth", summary, solver_replicas, out_dir)
+    return rows + _envelope_rows("weighted", "linear-growth", summary, solver_replicas, files)
 
 
-def _exp_refinement(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
+def _exp_refinement(cfg: ExperimentConfig, files: dict) -> list[Row]:
     t0 = cfg.get("experiment", "base_time", 0.5)
-    if not (16.0 * t0 >= 1.0 and abs(16.0 * t0 - round(16.0 * t0)) <= 1e-9):
-        raise ValueError(f"[experiment] base_time: must be a positive multiple of the "
-                         f"coarsest step 1/16, got {t0!r}")
     dts = [1.0 / 16.0 / 2**level for level in range(4)]
-    grid = _build_grid(cfg, 1, 64, 16.0)
-    measure = _build_measure(cfg, grid.dimension)
+    if _whole_steps("[experiment] base_time", t0, dts[0]) < 1:
+        raise ValueError(f"[experiment] base_time: must be at least the coarsest step 1/16, "
+                         f"got {t0!r}")
+    measure = _build_measure(cfg)
+    grid = _build_grid(cfg, 64, 16.0)
     v0 = _build_initial(cfg, grid, "v0", "gaussian", 1.0, 1.0)
     replicas = cfg.replicas or 100
     rows = []
@@ -798,10 +794,11 @@ def _exp_refinement(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
             grid=grid, measure=measure, k=1, horizon=horizon, dt=dt,
             nonlinearity=_build_nonlinearity(cfg, "sine"), v0=v0,
         )
-        j0 = int(round(t0 / dt))
+        j0 = whole_steps(t0, dt)
         _, kept = sweep_replicas(solve_cfg, _replica_generators(cfg, level, replicas),
                                  keep=(j0, j0 + 1))
-        mean, se = mean_se([l2_norm(after - before, grid) ** 2 for before, after in kept])
+        mean, se = mean_se([l2_norm(LatticeField(grid, after - before)) ** 2
+                            for before, after in kept])
         means.append(float(mean))
         rows.append(Row("refinement", f"dt_1over{int(round(1 / dt))}", "increment_moment",
                         mean, se, replicas, True))
@@ -809,26 +806,30 @@ def _exp_refinement(cfg: ExperimentConfig, out_dir: Path) -> list[Row]:
     return rows
 
 
-_EXPERIMENTS = {
-    "admissibility": _exp_admissibility,
-    "isometry": _exp_isometry,
-    "mollifier-ladder": _exp_mollifier_ladder,
-    "picard": _exp_picard,
-    "energy": _exp_energy,
-    "support": _exp_support,
-    "weighted": _exp_weighted,
-    "refinement": _exp_refinement,
+# name -> (spawn-key index, criterion, function).  The index is the first entry of
+# every spawn key the experiment draws from, so it is fixed for good.
+EXPERIMENTS = {
+    "admissibility": (0, "admissibility verdicts match analytic thresholds", _exp_admissibility),
+    "isometry": (1, "second-moment identity, modulation equivalence, bound chain", _exp_isometry),
+    "mollifier-ladder": (2, "smoothing and truncation ladders decrease to < 5%",
+                         _exp_mollifier_ladder),
+    "picard": (3, "fixed-point agreement, contraction ratios, moment envelope", _exp_picard),
+    "energy": (4, "noise-free spectral energy conservation", _exp_energy),
+    "support": (5, "finite propagation speed with masked noise (k = 1, d = 1)", _exp_support),
+    "weighted": (6, "weight sandwich, shell equivalence, weighted bound, affine envelope",
+                 _exp_weighted),
+    "refinement": (7, "moment of time increments decreases under step halving", _exp_refinement),
 }
 
 
-def list_experiments() -> list[str]:
-    return list(EXPERIMENT_INDEX)
-
-
 def run(cfg: ExperimentConfig, out_dir: Path | None = None) -> ResultTable:
-    """Execute one experiment and write its CSV into the output directory."""
+    """Execute one experiment, then write its CSV and side files into the output directory,
+    made only once the experiment has returned its rows."""
+    files: dict[str, bytes] = {}
+    table = ResultTable(EXPERIMENTS[cfg.name][2](cfg, files))
+    files[f"{cfg.name}.csv"] = table.to_csv().encode()
     out = Path(out_dir) if out_dir is not None else cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    table = ResultTable(_EXPERIMENTS[cfg.name](cfg, out))
-    (out / f"{cfg.name}.csv").write_text(table.to_csv())
+    for name, data in files.items():
+        (out / name).write_bytes(data)
     return table

@@ -207,15 +207,14 @@ class Grid:
     def _axes(self, arr: np.ndarray) -> tuple[int, ...]:
         return tuple(range(arr.ndim - self.dimension, arr.ndim))
 
-    def _signed_scales(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """h**d * sign, and its and sign / h**d's half-grid restrictions."""
+    def _signed_scales(self) -> tuple[np.ndarray, np.ndarray]:
+        """The half-grid restrictions of h**d * sign and of sign / h**d."""
         if self._scales is None:
             parity = np.zeros(self.shape, dtype=int)
             for ax in range(self.dimension):
                 parity = parity + self._axis_array(np.arange(self.points_per_axis), ax)
             sign = 1.0 - 2.0 * (parity % 2)
-            full = self.cell_volume * sign
-            self._scales = (full, self.half(full), self.half(sign / self.cell_volume))
+            self._scales = (self.half(self.cell_volume * sign), self.half(sign / self.cell_volume))
         return self._scales
 
     def _check_shape(self, arr: np.ndarray, shape: tuple[int, ...], what: str) -> None:
@@ -245,7 +244,7 @@ class Grid:
         # without out the scaled spectrum is a second fresh array: scaling
         # in place there moved the solver's allocations and raised the
         # picard-solve benchmark's peak RSS by about 0.2 MB
-        return np.multiply(self._signed_scales()[1], spec, out=out)
+        return np.multiply(self._signed_scales()[0], spec, out=out)
 
     def inverse(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Real fields from half spectra; the inverse of :meth:`forward`.
@@ -265,7 +264,7 @@ class Grid:
                 raise ValueError("with out, the spectrum is the work space and must be a writable "
                                  f"complex array, got {arr.dtype}, writeable={arr.flags.writeable}")
             work = arr
-        buf = np.multiply(self._signed_scales()[2], arr, out=work, dtype=complex)
+        buf = np.multiply(self._signed_scales()[1], arr, out=work, dtype=complex)
         return _irfftn(buf, self.points_per_axis, self._axes(arr), out)
 
     def full_forward(self, values: np.ndarray, axes: tuple[int, ...] | None = None,
@@ -285,11 +284,7 @@ class Grid:
         self._check_shape(arr, self.shape, "field")
         if out is not None:
             self._check_out(out, arr.shape, complex)
-        if axes is None:
-            out = _fftn(arr, self._axes(arr), out)
-            out *= self._signed_scales()[0]
-            return out
-        axes = tuple(int(ax) for ax in axes)
+        axes = tuple(range(self.dimension)) if axes is None else tuple(int(ax) for ax in axes)
         if not axes or len(set(axes)) != len(axes) or not all(0 <= ax < self.dimension for ax in axes):
             raise ValueError(f"axes {axes} are not distinct spatial axes of {self}")
         lead = arr.ndim - self.dimension
@@ -364,15 +359,9 @@ class LatticeField:
         return LatticeField(self.grid, self.values - other.values)
 
 
-def l2_norm(f: LatticeField | np.ndarray, grid: Grid | None = None) -> float:
-    """L2 norm (h**d * sum f**2)**(1/2); accepts complex-valued arrays."""
-    if isinstance(f, LatticeField):
-        grid, arr = f.grid, f.values
-    else:
-        if grid is None:
-            raise ValueError("grid required when passing a bare array")
-        arr = np.asarray(f)
-    return float(np.sqrt(grid.cell_volume * np.sum(np.abs(arr) ** 2)))
+def l2_norm(f: LatticeField) -> float:
+    """L2 norm (h**d * sum f**2)**(1/2)."""
+    return float(np.sqrt(f.grid.cell_volume * np.sum(f.values**2)))
 
 
 def h_neg_k_norm(f: LatticeField, k: int) -> float:

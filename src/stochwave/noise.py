@@ -27,7 +27,9 @@ kind.  Every consumer multiplies an increment pointwise in space, so the
 sampler hands out real fields; only this module sees the spectrum.
 Slices are independent across time steps and reproducible from the
 generator handed in: slice s of a path is the s-th draw of its stream.
-A replica batch takes one generator a replica and runs in blocks sized
+A batch draws each row from its own entry of a list of generators (a
+path lists its one stream once a step); a replica batch takes one
+generator a replica and runs in blocks sized
 by :func:`replica_blocks`; a caller that draws block after block may
 hand in the rows and the spectrum buffer to reuse (``out``, ``work``),
 which changes no value.  Every replica sample set is reduced to its mean
@@ -44,8 +46,8 @@ import numpy as np
 from .covariance import SpectralMeasure
 from .lattice import Grid
 
-__all__ = ["NoisePath", "sample_slice", "sample_slice_batch", "sample_path", "replica_blocks",
-           "mean_se"]
+__all__ = ["NoisePath", "whole_steps", "sample_slice", "sample_slice_batch", "sample_path",
+           "replica_blocks", "mean_se"]
 
 # Array entries per block.  A d = 2, N = 64 Monte Carlo block of 31 replicas
 # holds a 1 MB accumulator, not 8.7 MB; a sweep at d = 2, N = 128, n = 1,024
@@ -75,39 +77,50 @@ def _spectral_scale(grid: Grid, measure: SpectralMeasure, dt: float) -> np.ndarr
     return np.sqrt(dt * grid.points_per_axis**grid.dimension * weights)
 
 
-def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float,
-                       rng, count: int, out: np.ndarray | None = None,
-                       work: np.ndarray | None = None) -> np.ndarray:
-    """Real increments of ``count`` independent slices on a leading axis.
+def whole_steps(span: float, dt: float) -> int:
+    """The number of steps of ``dt`` in ``span``, which must be whole to 1e-9 steps.
 
-    ``rng`` is one generator, a path's stream (the batch axis is time,
-    drawn in order, as :func:`sample_path` does), or ``count`` generators,
-    one replica's stream per entry, drawn straight into its row.  A
-    filter whose entries are all equal (white noise) is one scalar,
-    applied to the draws in place; any other filter runs the
-    half-spectrum transform pair: forward into ``work``, the filter
-    applied there, and the inverse back into the draws' rows.
-
-    ``out`` (float, shape (count, *grid.shape)) receives the slices and
-    is returned; ``work`` (complex, shape (count, *grid.half_shape)) is
-    the spectrum buffer of a varying filter, overwritten.  Either is
-    allocated when not given, so a caller that passes both reuses its
-    own buffers on every call.
+    The one rule for "t is a whole number of steps of dt": a solve's
+    horizon, a sampled path, a convolution's time and the harness's step
+    checks all read it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    shape = (count,) + grid.shape
+    steps = span / dt
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"{span!r} is off the step grid of dt = {dt!r}: {steps!r} steps "
+                         "is not an integer")
+    return int(round(steps))
+
+
+def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float, rngs,
+                       out: np.ndarray | None = None,
+                       work: np.ndarray | None = None) -> np.ndarray:
+    """Real increments of independent slices, one row a generator of ``rngs``.
+
+    Row i is drawn straight from ``rngs[i]``: one replica's stream per
+    row in a replica batch, or one path's stream repeated (the rows are
+    then its successive slices in time order, as :func:`sample_path`
+    draws them).  A filter whose entries are all equal (white noise) is
+    one scalar, applied to the draws in place; any other filter runs the
+    half-spectrum transform pair: forward into ``work``, the filter
+    applied there, and the inverse back into the draws' rows.
+
+    ``out`` (float, shape (len(rngs), *grid.shape)) receives the slices
+    and is returned; ``work`` (complex, shape (len(rngs),
+    *grid.half_shape)) is the spectrum buffer of a varying filter,
+    overwritten.  Either is allocated when not given, so a caller that
+    passes both reuses its own buffers on every call.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    shape = (len(rngs),) + grid.shape
     if out is None:
         out = np.empty(shape)
     else:
         grid._check_out(out, shape, float)
-    if isinstance(rng, np.random.Generator):
-        rng.standard_normal(out=out)
-    else:
-        if len(rng) != count:
-            raise ValueError(f"need {count} generators, got {len(rng)}")
-        for gen, row in zip(rng, out):
-            gen.standard_normal(out=row)
+    for gen, row in zip(rngs, out):
+        gen.standard_normal(out=row)
     scale = _spectral_scale(grid, measure, dt)
     first = scale.flat[0]
     if np.all(scale == first):
@@ -151,22 +164,16 @@ def sample_slice(grid: Grid, measure: SpectralMeasure, dt: float,
 
     No experiment calls it; it is a tracer target in ``perfbench/layers.py``.
     """
-    return sample_slice_batch(grid, measure, dt, rng, 1)[0]
+    return sample_slice_batch(grid, measure, dt, [rng])[0]
 
 
 def sample_path(grid: Grid, measure: SpectralMeasure, horizon: float, dt: float,
                 rng: np.random.Generator) -> NoisePath:
-    """Sample ceil(T/dt) independent slices; requires T/dt integral.
+    """Sample the :func:`whole_steps` slices of dt in the horizon from one stream.
 
-    One batch draw from ``rng`` yields the same slices, in the same
-    order, as ``steps`` successive :func:`sample_slice` calls, with the
+    ``rng`` draws every row of one batch, so the slices are the same, in
+    the same order, as successive :func:`sample_slice` calls, with the
     spectral scale evaluated once.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    steps_float = horizon / dt
-    steps = int(round(steps_float))
-    if abs(steps_float - steps) > 1e-9:
-        raise ValueError(f"horizon/dt = {steps_float} is not an integer step count")
-    return NoisePath(grid, dt, sample_slice_batch(grid, measure, dt, rng, steps))
-
+    steps = whole_steps(horizon, dt)
+    return NoisePath(grid, dt, sample_slice_batch(grid, measure, dt, [rng] * steps))

@@ -67,7 +67,7 @@ from .covariance import SpectralMeasure, admissible
 from .greens import GreenMultiplier, cosine_multiplier, j_functional, sine_multiplier
 from .greens import spectral_energy_field
 from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
-from .noise import NoisePath, mean_se, replica_blocks, sample_slice_batch
+from .noise import NoisePath, mean_se, replica_blocks, sample_slice_batch, whole_steps
 
 __all__ = [
     "Nonlinearity",
@@ -161,16 +161,14 @@ class SolveConfig:
 
     @property
     def steps(self) -> int:
-        return int(round(self.horizon / self.dt))
+        return whole_steps(self.horizon, self.dt)
 
     @property
     def green(self) -> GreenMultiplier:
         return GreenMultiplier(self.k, self.horizon)
 
     def validate(self, weighted: bool = False) -> None:
-        steps_float = self.horizon / self.dt
-        if abs(steps_float - round(steps_float)) > 1e-9:
-            raise ValueError("horizon/dt must be an integer step count")
+        whole_steps(self.horizon, self.dt)  # raises unless dt splits the horizon
         if not admissible(self.measure, self.k):
             raise ValueError("measure fails the admissibility condition for this k")
         if not weighted and not self.nonlinearity.vanishes_at_zero:
@@ -400,11 +398,11 @@ def _noise_fields(cfg: SolveConfig, path: NoisePath) -> np.ndarray:
     return path.fields[:n] if mask is None else path.fields[:n] * mask
 
 
-def _noise_batches(cfg: SolveConfig, gens, count: int):
-    """The n masked increments of ``count`` replicas, one batch a step, drawn from ``gens``."""
+def _noise_batches(cfg: SolveConfig, gens):
+    """The n masked increments of the replicas of ``gens``, one batch a step."""
     mask = _mask(cfg)
     for _ in range(cfg.steps):
-        w = sample_slice_batch(cfg.grid, cfg.measure, cfg.dt, gens, count)
+        w = sample_slice_batch(cfg.grid, cfg.measure, cfg.dt, gens)
         yield w if mask is None else w * mask
 
 
@@ -470,7 +468,7 @@ def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
     moments = np.empty((len(rngs), n + 1))
     kept = np.empty((len(rngs), len(keep)) + grid.shape)
     for lo, hi, gens in blocks:
-        for j, values in enumerate(_causal_sweep(cfg, _noise_batches(cfg, gens, hi - lo))):
+        for j, values in enumerate(_causal_sweep(cfg, _noise_batches(cfg, gens))):
             moments[lo:hi, j] = norm_sq(values)
             if j in slot:
                 kept[lo:hi, slot[j]] = values
@@ -533,7 +531,7 @@ def picard_replicas(cfg: SolveConfig, rngs, iterations: int) -> np.ndarray:
     m = np.empty((len(rngs), iterations, n + 1))
     for lo, hi, gens in blocks:
         w_fields = np.empty((n, hi - lo) + grid.shape)
-        for j, w in enumerate(_noise_batches(cfg, gens, hi - lo)):
+        for j, w in enumerate(_noise_batches(cfg, gens)):
             w_fields[j] = w
         prev = np.broadcast_to(guess, (n + 1,) + w_fields.shape[1:])
         _, m_table, _ = _picard_loop(cfg, table, w_fields, prev, iterations, 0.0)

@@ -64,7 +64,7 @@ import numpy as np
 from .covariance import SpectralMeasure
 from .greens import GreenMultiplier, j_field
 from .lattice import Grid, LatticeField, circular_convolve
-from .noise import NoisePath, mean_se, replica_blocks, sample_slice_batch
+from .noise import NoisePath, mean_se, replica_blocks, sample_slice_batch, whole_steps
 
 __all__ = [
     "IntegrandProcess",
@@ -211,15 +211,6 @@ class Mollifier:
 # ---------------------------------------------------------------------------
 
 
-def _steps_before(t: float, dt: float, available: int) -> int:
-    m = int(round(t / dt))
-    if abs(m * dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"time {t} is not on the step grid (dt = {dt})")
-    if m > available:
-        raise ValueError(f"time {t} needs {m} noise slices, path has {available}")
-    return m
-
-
 def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoisePath,
                            t: float) -> LatticeField:
     """Test oracle for the solver's stochastic convolution: the left-endpoint
@@ -237,7 +228,10 @@ def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoiseP
     grid, dt = Z.grid, Z.dt
     if abs(dt - path.dt) > 1e-12 * dt:
         raise ValueError("integrand and path use different time steps")
-    m = _steps_before(t, dt, min(len(Z), len(path)))
+    m = whole_steps(t, dt)
+    available = min(len(Z), len(path))
+    if m > available:
+        raise ValueError(f"time {t} needs {m} noise slices, path has {available}")
     acc = np.zeros(grid.shape, dtype=complex)
     for i in range(m):
         prod = Z.fields[i] * path.fields[i]
@@ -406,7 +400,7 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
         fields, spec, acc = fields_buf[:k], spec_buf[:k], acc_buf[:k]
         acc.fill(0.0)
         for z, mult in zip(Z.fields, mults):
-            sample_slice_batch(grid, measure, dt, gens, k, out=fields, work=spec)
+            sample_slice_batch(grid, measure, dt, gens, out=fields, work=spec)
             fields *= z
             grid.forward(fields, out=spec)
             spec *= mult

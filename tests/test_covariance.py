@@ -130,9 +130,7 @@ def test_pairing_identity_smoothed_indicator(kind):
 
 
 def test_admissibility_white_d1_k1_value():
-    report = admissibility_integral(SpectralMeasure.white(1), 1)
-    assert report.finite
-    assert report.value == pytest.approx(0.5, rel=1e-10)
+    assert admissibility_integral(SpectralMeasure.white(1), 1) == pytest.approx(0.5, rel=1e-10)
 
 
 def _quadrature_oracle(measure, k):
@@ -157,13 +155,13 @@ def test_admissibility_closed_forms_match_quadrature_on_every_experiment_case(mo
     integral = harness.admissibility_integral
 
     def recording(measure, k):
-        report = integral(measure, k)
-        cases.append((measure, k, report))
-        return report
+        value = integral(measure, k)
+        cases.append((measure, k, value))
+        return value
 
     monkeypatch.setattr(harness, "admissibility_integral", recording)
     harness.run(harness.parse_config("[experiment]\nname = admissibility\n"), out_dir=tmp_path)
-    finite = [(m, k, report.value) for m, k, report in cases if report.finite]
+    finite = [(m, k, value) for m, k, value in cases if math.isfinite(value)]
     assert len(finite) == 30
     for measure, k, value in finite:
         oracle, err = _quadrature_oracle(measure, k)
@@ -171,19 +169,19 @@ def test_admissibility_closed_forms_match_quadrature_on_every_experiment_case(mo
 
 
 def test_admissibility_closed_forms_exact_values():
-    assert admissibility_integral(SpectralMeasure.white(1), 1).value == pytest.approx(0.5, rel=_ULPS, abs=0)
-    assert admissibility_integral(SpectralMeasure.white(1), 2).value == pytest.approx(0.25, rel=_ULPS, abs=0)
-    assert admissibility_integral(SpectralMeasure.riesz(2, 1.0), 1).value \
+    assert admissibility_integral(SpectralMeasure.white(1), 1) == pytest.approx(0.5, rel=_ULPS, abs=0)
+    assert admissibility_integral(SpectralMeasure.white(1), 2) == pytest.approx(0.25, rel=_ULPS, abs=0)
+    assert admissibility_integral(SpectralMeasure.riesz(2, 1.0), 1) \
         == pytest.approx(math.pi / 2, rel=_ULPS, abs=0)
     # scale multiplies the density, so it multiplies the value
-    assert admissibility_integral(SpectralMeasure.white(1, scale=3.0), 1).value \
+    assert admissibility_integral(SpectralMeasure.white(1, scale=3.0), 1) \
         == pytest.approx(1.5, rel=_ULPS, abs=0)
 
 
 def test_admissibility_closed_form_at_large_k():
     # Gamma(k) overflows past k = 171; the Beta function comes from lgamma there
     for measure, k in ((SpectralMeasure.white(1), 200), (SpectralMeasure.riesz(3, 1.5), 400)):
-        value = admissibility_integral(measure, k).value
+        value = admissibility_integral(measure, k)
         oracle, err = _quadrature_oracle(measure, k)
         # exp of a difference of lgamma values near lgamma(k) keeps their absolute rounding
         assert 0.0 < value and abs(value - oracle) <= err + _ULPS * math.lgamma(k) * oracle
@@ -194,7 +192,7 @@ import json, sys
 from stochwave.covariance import SpectralMeasure, admissibility_integral
 m = SpectralMeasure.radial_table(2, [0.1, 1.0, 10.0], [1.0, 0.5, 0.1], tail_exponent=-3.0)
 before = 'scipy.integrate' in sys.modules
-value = admissibility_integral(m, 1).value
+value = admissibility_integral(m, 1)
 print(json.dumps([before, 'scipy.integrate' in sys.modules, value.hex()]))
 """
 
@@ -212,14 +210,12 @@ def test_radial_table_admissibility_keeps_the_lazy_quadrature():
 
 
 def test_admissibility_white_d2_k1_divergent():
-    report = admissibility_integral(SpectralMeasure.white(2), 1)
-    assert not report.finite
-    assert math.isinf(report.value)
+    assert admissibility_integral(SpectralMeasure.white(2), 1) == math.inf
 
 
 def test_admissibility_monotone_in_k():
     m = SpectralMeasure.riesz(3, 1.0)
-    values = [admissibility_integral(m, k).value for k in (1, 2, 3)]
+    values = [admissibility_integral(m, k) for k in (1, 2, 3)]
     assert values[0] > values[1] > values[2]
 
 
@@ -227,8 +223,8 @@ def test_admissibility_monotone_in_k():
 def test_admissibility_riesz_threshold_sweep(k):
     d = 4
     for alpha in np.arange(0.5, 3.6, 0.5):
-        report = admissibility_integral(SpectralMeasure.riesz(d, float(alpha)), k)
-        assert report.finite == (alpha < 2 * k)
+        value = admissibility_integral(SpectralMeasure.riesz(d, float(alpha)), k)
+        assert math.isfinite(value) == (alpha < 2 * k)
 
 
 def test_radial_table_tail_required():
@@ -244,9 +240,9 @@ def test_admissible_matches_the_integral_on_every_experiment_case(monkeypatch, t
     integral = harness.admissibility_integral
 
     def recording(measure, k):
-        report = integral(measure, k)
-        cases.append((measure, k, report.finite))
-        return report
+        value = integral(measure, k)
+        cases.append((measure, k, math.isfinite(value)))
+        return value
 
     monkeypatch.setattr(harness, "admissibility_integral", recording)
     harness.run(harness.parse_config("[experiment]\nname = admissibility\n"), out_dir=tmp_path)
@@ -261,7 +257,7 @@ def test_admissible_matches_the_integral_on_every_experiment_case(monkeypatch, t
 @pytest.mark.parametrize("tail", [-3.0, -0.5, 1.0, 1.5])
 def test_admissible_matches_the_integral_on_radial_tables(d, k, tail):
     m = SpectralMeasure.radial_table(d, [0.1, 1.0, 10.0], [1.0, 0.5, 0.1], tail_exponent=tail)
-    assert admissible(m, k) == admissibility_integral(m, k).finite
+    assert admissible(m, k) == math.isfinite(admissibility_integral(m, k))
     assert admissible(m, k) == (tail + d - 1 - 2 * k < -1)
 
 
@@ -295,9 +291,9 @@ def test_measure_refuses_a_dimension_that_is_not_a_positive_integer(dimension):
 def test_numpy_integers_are_integers():
     m = SpectralMeasure.white(np.int64(2))
     assert m.dimension == 2 and type(m.dimension) is int
-    report = admissibility_integral(m, np.int64(2))
-    assert report == admissibility_integral(SpectralMeasure.white(2), 2)
-    assert type(report.k) is int and admissible(m, np.int32(2))
+    value = admissibility_integral(m, np.int64(2))
+    assert value == admissibility_integral(SpectralMeasure.white(2), 2)
+    assert type(value) is float and admissible(m, np.int32(2))
 
 
 def test_radial_table_verdicts_and_interpolation():
@@ -305,8 +301,8 @@ def test_radial_table_verdicts_and_interpolation():
     dens = np.array([1.0, 0.5, 0.1])
     heavy = SpectralMeasure.radial_table(1, radii, dens, tail_exponent=1.5)
     light = SpectralMeasure.radial_table(1, radii, dens, tail_exponent=-3.0)
-    assert not admissibility_integral(heavy, 1).finite
-    assert admissibility_integral(light, 1).finite
+    assert admissibility_integral(heavy, 1) == math.inf
+    assert math.isfinite(admissibility_integral(light, 1))
     # log-radius interpolation hits the table nodes exactly
     assert light.radial_density(1.0) == pytest.approx(0.5)
     mid = light.radial_density(np.sqrt(0.1 * 1.0))  # halfway in log r

@@ -205,7 +205,7 @@ def test_j_functional_upper_bound_via_admissibility():
         val = j_functional(g, m, s, grid)
         sup = float(np.max(np.sin(s * xs**k) ** 2 * (1 + xs * xs) ** k / xs ** (2 * k)))
         sup = max(sup, s * s)  # x -> 0 limit
-        bound = sup * admissibility_integral(m, k).value
+        bound = sup * admissibility_integral(m, k)
         assert val <= bound * (1.0 + 1e-9)
 
 

@@ -18,7 +18,7 @@ from stochwave.weighted import WeightedBoundResult
 
 from stochwave import cli, harness
 from stochwave.harness import (
-    EXPERIMENT_INDEX,
+    EXPERIMENTS,
     ExperimentConfig,
     ResultTable,
     Row,
@@ -48,7 +48,7 @@ _VALUE = st.text(alphabet="abcXYZ019 .,-_/+*=:[]%#;", max_size=12).map(str.strip
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(EXPERIMENT_INDEX)), seed=st.integers(0, 2**63 - 1),
+@given(name=st.sampled_from(sorted(EXPERIMENTS)), seed=st.integers(0, 2**63 - 1),
        replicas=st.none() | st.integers(2, 10**6),
        extra=st.dictionaries(_KEY.map("x_{}".format), _VALUE, max_size=4),
        sections=st.dictionaries(_KEY.filter(lambda k: k != "experiment"),
@@ -84,6 +84,16 @@ def test_replica_streams_are_deterministic_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_the_seeding_contract_is_pinned():
+    # the registry index is the first entry of every spawn key, so moving one
+    # redraws every stream of that experiment; the literal pins the Philox
+    # stream of the picard experiment's fixed path at the default seed
+    assert {name: index for name, (index, _, _) in EXPERIMENTS.items()} == {
+        "admissibility": 0, "isometry": 1, "mollifier-ladder": 2, "picard": 3, "energy": 4,
+        "support": 5, "weighted": 6, "refinement": 7}
+    assert replica_generator(20260810, "picard", 0, 0).standard_normal() == 0.43744210888409474
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -138,7 +148,9 @@ def test_envelope_verdict_flips_at_an_excess_of_1e_12(tmp_path, excess, ok):
     # ``excess`` with no band, so the row's value is max(excess, 0) without rounding
     summary = MomentSummary(np.array([0.0, 0.5, 1.0]), np.array([1.75, excess, 5.5]),
                             np.array([0.25, 0.0, 0.5]), np.array([1.0, 0.0, 4.0]))
-    moment, excess_row = _envelope_rows("picard", "moment", summary, 30, tmp_path)
+    files = {}
+    moment, excess_row = _envelope_rows("picard", "moment", summary, 30, files)
+    assert list(files) == ["picard_trajectory.csv"]
     assert excess_row.value == max(excess, 0.0)
     assert moment.verdict is ok and excess_row.verdict is ok
 
@@ -202,6 +214,10 @@ def test_weighted_bound_verdict_flips_at_the_se_multiplier(tmp_path, monkeypatch
     ("name = picard\n[green]\nhorizon = 0.5\n[solver]\ndt = 0.3\n", "[solver] dt"),
     ("name = weighted\n[grid]\nd = 2\n[weight]\nexponent = 2\n", "[weight] exponent"),
     ("name = support\n[grid]\nd = 2\n", "[grid] d"),
+    # values a library object would refuse only once the experiment builds it
+    ("name = energy\n[grid]\nn = 100\n", "[grid] n"),
+    ("name = picard\n[grid]\nd = 4\n", "[grid] d"),
+    ("name = picard\n[measure]\nkind = riesz\nalpha = 1.5\n", "[measure] alpha"),
 ])
 def test_experiment_keys_are_checked_before_any_work(tmp_path, monkeypatch, text, key):
     def no_work(*args):
@@ -209,7 +225,8 @@ def test_experiment_keys_are_checked_before_any_work(tmp_path, monkeypatch, text
 
     monkeypatch.setattr(harness, "_build_grid", no_work)
     with pytest.raises(ValueError, match="^" + re.escape(key) + ": "):
-        run(_config("[experiment]\n" + text), out_dir=tmp_path)
+        run(_config("[experiment]\n" + text), out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # run makes the directory only after the rows
 
 
 def test_get_refuses_an_undeclared_key():
@@ -396,7 +413,7 @@ def test_support_experiment_snapshot(tmp_path):
 def test_cli_list_and_run(tmp_path, capsys):
     assert cli.main(["list-experiments"]) == 0
     out = capsys.readouterr().out
-    assert all(name in out for name in EXPERIMENT_INDEX)
+    assert all(f"{name:18s} {criterion}" in out for name, (_, criterion, _) in EXPERIMENTS.items())
 
     cfg_path = tmp_path / "energy.ini"
     cfg_path.write_text(ENERGY_CFG)
@@ -520,8 +537,8 @@ loaded.append(scipy_loaded())
 from stochwave.covariance import SpectralMeasure, admissibility_integral
 from stochwave.lattice import Grid
 SpectralMeasure.riesz(2, 1.0).lattice_weights(Grid(2, 8, 8.0))  # an isometry riesz case
-assert admissibility_integral(SpectralMeasure.riesz(2, 1.0), 1).finite
-assert admissibility_integral(SpectralMeasure.white(1), 1).finite
+assert admissibility_integral(SpectralMeasure.riesz(2, 1.0), 1) < float('inf')
+assert admissibility_integral(SpectralMeasure.white(1), 1) < float('inf')
 loaded.append(scipy_loaded())
 print(json.dumps({'loaded': loaded, 'riesz': SpectralMeasure.riesz(2, 1.0).riesz_constant.hex()}))
 """

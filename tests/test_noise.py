@@ -59,7 +59,7 @@ def test_white_noise_cells_iid():
     grid = Grid(1, 16, 4.0)
     m = SpectralMeasure.white(1)
     dt, reps = 0.2, 10_000
-    fields = sample_slice_batch(grid, m, dt, np.random.default_rng(4), reps)
+    fields = sample_slice_batch(grid, m, dt, [np.random.default_rng(4)] * reps)
     target = dt / grid.spacing
     var = fields.var(axis=0)
     assert np.all(np.abs(var - target) < 3.0 * target * np.sqrt(2.0 / reps) + 0.02 * target)
@@ -74,8 +74,8 @@ def test_variance_scales_linearly_in_dt():
     m = SpectralMeasure.riesz(1, 0.5)
     reps = 10_000
     rng = np.random.default_rng(5)
-    full = sample_slice_batch(grid, m, 0.2, rng, reps)
-    half = sample_slice_batch(grid, m, 0.1, rng, reps) + sample_slice_batch(grid, m, 0.1, rng, reps)
+    full = sample_slice_batch(grid, m, 0.2, [rng] * reps)
+    half = sample_slice_batch(grid, m, 0.1, [rng] * reps) + sample_slice_batch(grid, m, 0.1, [rng] * reps)
     v1, v2 = full.var(axis=0), half.var(axis=0)
     se = v1 * np.sqrt(2.0 / reps)
     assert np.all(np.abs(v1 - v2) < 4.0 * se + 3.0 * v2 * np.sqrt(2.0 / reps))
@@ -104,7 +104,7 @@ def test_homogeneity_and_covariance_against_spectrum():
     m = SpectralMeasure.riesz(1, alpha)
     weights = m.lattice_weights(grid)
     eta = grid.axis_freqs
-    fields = sample_slice_batch(grid, m, dt, np.random.default_rng(7), reps)
+    fields = sample_slice_batch(grid, m, dt, [np.random.default_rng(7)] * reps)
     for lag in (1.0, 2.0, 3.0, 4.0, 6.0):
         shift = int(round(lag / grid.spacing))
         per_rep = np.mean(fields * np.roll(fields, shift, axis=1), axis=1)
@@ -120,11 +120,9 @@ def test_slice_batch_with_per_replica_generators(grid):
     # for the scalar (white) filter and for the transform pair (riesz)
     for m in (SpectralMeasure.white(1), SpectralMeasure.riesz(1, 0.5)):
         gens = [np.random.default_rng(100 + r) for r in range(5)]
-        batch = sample_slice_batch(grid, m, 0.1, gens, 5)
+        batch = sample_slice_batch(grid, m, 0.1, gens)
         singles = [sample_slice(grid, m, 0.1, np.random.default_rng(100 + r)) for r in range(5)]
         assert np.allclose(batch, np.stack(singles), atol=0)
-        with pytest.raises(ValueError):
-            sample_slice_batch(grid, m, 0.1, gens, 4)
 
 
 def test_replica_blocks_split_counts_and_generators():
@@ -200,9 +198,9 @@ def test_white_slice_equals_the_transform_round_trip(d, n, per_replica):
         white = np.stack([np.random.default_rng(200 + r).standard_normal(grid.shape)
                           for r in range(count)])
     else:
-        rng = np.random.default_rng(200)
+        rng = [np.random.default_rng(200)] * count
         white = np.random.default_rng(200).standard_normal((count,) + grid.shape)
-    batch = sample_slice_batch(grid, m, dt, rng, count)
+    batch = sample_slice_batch(grid, m, dt, rng)
     reference = _round_trip(grid, m, dt, white)
     assert np.max(np.abs(batch - reference)) <= 1e-14 * np.max(np.abs(reference))
     scale = _spectral_scale(grid, m, dt)
@@ -224,7 +222,7 @@ def test_only_a_varying_filter_runs_the_transform_pair(monkeypatch, kind):
 
         monkeypatch.setattr(Grid, name, counted)
     gens = [np.random.default_rng(300 + r) for r in range(3)]
-    sample_slice_batch(grid, m, 0.1, gens, 3)
+    sample_slice_batch(grid, m, 0.1, gens)
     assert calls == ([] if kind == "white" else ["forward", "inverse"])
 
 
@@ -244,7 +242,7 @@ def test_the_half_grid_filter_is_restricted_once_per_grid(monkeypatch, kind):
         return original(self, multiplier)
 
     monkeypatch.setattr(Grid, "half", counted)
-    batches = [sample_slice_batch(grid, m, 0.1, np.random.default_rng(400), 2) for _ in range(3)]
+    batches = [sample_slice_batch(grid, m, 0.1, [np.random.default_rng(400)] * 2) for _ in range(3)]
     assert sum(restrictions) == 1
     assert all(np.array_equal(b, batches[0]) for b in batches)
     assert np.array_equal(_spectral_scale(grid, m, 0.1), np.sqrt(0.1 * grid.points_per_axis**2 * fresh))
@@ -260,15 +258,15 @@ def test_slices_drawn_into_caller_buffers_equal_the_allocating_draw(kind, per_re
 
     def rng():
         return ([np.random.default_rng(500 + r) for r in range(3)] if per_replica
-                else np.random.default_rng(500))
+                else [np.random.default_rng(500)] * 3)
 
-    ref = sample_slice_batch(grid, m, 0.1, rng(), 3)
+    ref = sample_slice_batch(grid, m, 0.1, rng())
     rows = np.full((5,) + grid.shape, np.nan)[:3]
     work = np.full((5,) + grid.half_shape, np.nan, dtype=complex)[:3]
-    assert sample_slice_batch(grid, m, 0.1, rng(), 3, out=rows, work=work) is rows
+    assert sample_slice_batch(grid, m, 0.1, rng(), out=rows, work=work) is rows
     assert np.array_equal(rows, ref)
     # the work space is optional
-    assert np.array_equal(sample_slice_batch(grid, m, 0.1, rng(), 3, out=np.empty_like(ref)), ref)
+    assert np.array_equal(sample_slice_batch(grid, m, 0.1, rng(), out=np.empty_like(ref)), ref)
 
 
 def test_slice_batch_refuses_rows_of_the_wrong_shape_or_dtype():
@@ -277,7 +275,7 @@ def test_slice_batch_refuses_rows_of_the_wrong_shape_or_dtype():
     for out in (np.empty((2,) + grid.shape), np.empty((3,) + grid.shape, dtype=np.float32),
                 np.empty((3,) + grid.half_shape)):
         with pytest.raises(ValueError, match="out must be"):
-            sample_slice_batch(grid, m, 0.1, np.random.default_rng(0), 3, out=out)
+            sample_slice_batch(grid, m, 0.1, [np.random.default_rng(0)] * 3, out=out)
     with pytest.raises(ValueError, match="out must be"):
-        sample_slice_batch(grid, m, 0.1, np.random.default_rng(0), 3, out=np.empty((3,) + grid.shape),
+        sample_slice_batch(grid, m, 0.1, [np.random.default_rng(0)] * 3, out=np.empty((3,) + grid.shape),
                            work=np.empty((3,) + grid.shape, dtype=complex))

@@ -6,7 +6,7 @@ import pytest
 import stochwave.noise as noise
 from stochwave.covariance import SpectralMeasure
 from stochwave.greens import GreenMultiplier, j_functional
-from stochwave.lattice import Grid, l2_norm
+from stochwave.lattice import Grid, LatticeField, l2_norm
 from stochwave.noise import NoisePath, sample_path
 from stochwave.stochint import (
     IntegrandProcess,
@@ -547,7 +547,7 @@ def test_isometry_bound_is_the_per_step_sum(t):
     g = GreenMultiplier(1, 1.0)
     z = _up_to(_varying_integrand(grid, 5, 0.2), t)
     jmax = [j_functional(g, measure, z.horizon - i * z.dt, grid) for i in range(len(z))]
-    loop = sum(z.dt * l2_norm(z.fields[i], grid) ** 2 * jmax[i] for i in range(len(z)))
+    loop = sum(z.dt * l2_norm(LatticeField(grid, z.fields[i])) ** 2 * jmax[i] for i in range(len(z)))
     assert isometry_bound(g, z, measure) == pytest.approx(loop, rel=1e-13)
 
 
