@@ -9,8 +9,9 @@ again at ``--replicas 200``, one run at a time, each tree with its own
 ``src`` first on ``PYTHONPATH``.  Every ``*.csv`` a run writes (the
 trajectory CSVs too) is compared byte for byte with the other side's.
 Each file that differs or that only one side wrote is named, and so is a
-run that wrote no results.  Exits 1 on any of these, 0 when every CSV is
-identical.
+run that wrote no results.  For a file both sides wrote, the first
+``ROWS_SHOWN`` rows that differ follow its name, the parent's line above
+the change's.  Exits 1 on any of these, 0 when every CSV is identical.
 
 A change that moves results on purpose fails this check, so it is run by
 hand on changes meant to keep every value, not in CI.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import itertools
 import os
 import subprocess
 import sys
@@ -60,6 +62,25 @@ def differing(parent: Path, change: Path) -> list[str]:
                     and filecmp.cmp(parent / name, change / name, shallow=False))]
 
 
+ROWS_SHOWN = 3  # differing rows printed per file
+
+
+def differing_rows(parent: Path, change: Path) -> list[str]:
+    """Lines showing the first ``ROWS_SHOWN`` differing rows of a CSV both sides wrote,
+    each as the parent's line above the change's; none for a file one side lacks."""
+    if not (parent.is_file() and change.is_file()):
+        return []
+    rows = itertools.zip_longest(parent.read_text().splitlines(),
+                                 change.read_text().splitlines(), fillvalue="(no row)")
+    pairs = [(n, a, b) for n, (a, b) in enumerate(rows, start=1) if a != b]
+    out = []
+    for n, a, b in pairs[:ROWS_SHOWN]:
+        out += [f"  line {n} parent: {a}", f"  line {n} change: {b}"]
+    if len(pairs) > ROWS_SHOWN:
+        out.append(f"  ... and {len(pairs) - ROWS_SHOWN} more differing rows")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -71,12 +92,13 @@ def main(argv=None) -> int:
         commit = export(args.parent, tmp)
         problems = run_all(tmp / "parent", tmp / "out-parent", args.seed)
         problems += run_all(ROOT, tmp / "out-change", args.seed)
-        diff = differing(tmp / "out-parent", tmp / "out-change")
+        diff = {name: differing_rows(tmp / "out-parent" / name, tmp / "out-change" / name)
+                for name in differing(tmp / "out-parent", tmp / "out-change")}
         compared = len(list((tmp / "out-change").rglob("*.csv")))
     for line in problems:
         print(f"run failed: {line}")
-    for name in diff:
-        print(f"differs: {name}")
+    for name, rows in diff.items():
+        print(f"differs: {name}", *rows, sep="\n")
     verdict = "differ" if problems or diff else "identical"
     print(f"{compared} CSVs of {len(runs())} runs at seed {args.seed} against {commit[:12]}: "
           f"{verdict}")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .covariance import SpectralMeasure, admissibility_integral
 from .greens import GreenMultiplier
-from .lattice import Grid, LatticeField, l2_norm, write_field
+from .lattice import Grid, LatticeField, l2_norm, norm_sq, write_field
 from .noise import mean_se, sample_path, whole_steps
 from .solver import (
     MIN_TRACK_REPLICAS,
@@ -424,6 +424,14 @@ def _envelope_rows(experiment: str, case: str, summary: MomentSummary, replicas:
 # ---------------------------------------------------------------------------
 
 
+def _keyed(key: str, build, *args, **kw):
+    """``build(*args, **kw)``, a ``ValueError`` from it prefixed with the config key ``key``."""
+    try:
+        return build(*args, **kw)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _build_grid(cfg: ExperimentConfig, n: int, length: float) -> Grid:
     return Grid(cfg.get("grid", "d", 1), cfg.get("grid", "n", n),
                 cfg.get("grid", "length", length))
@@ -437,14 +445,12 @@ def _build_measure(cfg: ExperimentConfig) -> SpectralMeasure:
     if kind == "white":
         return SpectralMeasure.white(d, scale=scale)
     if kind == "riesz":
-        alpha = cfg.get("measure", "alpha", 0.5)
-        if not alpha < d:
-            raise ValueError(f"[measure] alpha: must be < [grid] d = {d}, got {alpha!r}")
-        return SpectralMeasure.riesz(d, alpha, scale=scale)
-    path = cfg.get("measure", "table_path")  # radial-table
-    if path is None:
-        raise ValueError("[measure] table_path required for radial-table")
-    data = np.loadtxt(path, delimiter=",")
+        return _keyed("[measure] alpha", SpectralMeasure.riesz, d,
+                      cfg.get("measure", "alpha", 0.5), scale=scale)
+    for key in ("table_path", "tail_exponent"):  # radial-table
+        if cfg.get("measure", key) is None:
+            raise ValueError(f"[measure] {key}: required for radial-table")
+    data = np.loadtxt(cfg.get("measure", "table_path"), delimiter=",")
     return SpectralMeasure.radial_table(
         d, data[:, 0], data[:, 1], tail_exponent=cfg.get("measure", "tail_exponent"),
         scale=scale)
@@ -586,18 +592,10 @@ def _exp_mollifier_ladder(cfg: ExperimentConfig, files: dict) -> list[Row]:
     return rows
 
 
-def _whole_steps(key: str, span: float, dt: float) -> int:
-    """``noise.whole_steps(span, dt)``, its refusal naming the config key."""
-    try:
-        return whole_steps(span, dt)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-
-
 def _picard_config(cfg: ExperimentConfig) -> SolveConfig:
     horizon = cfg.get("green", "horizon", 1.0)
     dt = cfg.get("solver", "dt", 1.0 / 128.0)
-    _whole_steps("[solver] dt", horizon, dt)
+    _keyed("[solver] dt", whole_steps, horizon, dt)
     measure = _build_measure(cfg)
     grid = _build_grid(cfg, 128, 16.0)
     v0 = _build_initial(cfg, grid, "v0", "wavepacket", 1.0, 2.0, mode=2.0)
@@ -682,7 +680,7 @@ def _exp_support(cfg: ExperimentConfig, files: dict) -> list[Row]:
     horizon = cfg.get("green", "horizon", 1.0)
     needed = 8.0 + horizon  # four diameters of |x| <= 1 (the bump and the mask), plus T
     if grid.box_length < needed:
-        raise ValueError(f"box length {grid.box_length} < {needed} needed to keep "
+        raise ValueError(f"[grid] length: box length {grid.box_length} < {needed} needed to keep "
                          "finite-speed effects from wrapping within the horizon")
     solve_cfg = SolveConfig(
         grid=grid, measure=measure, k=1, horizon=horizon, dt=h,
@@ -713,11 +711,10 @@ def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
     n_fields = cfg.get("experiment", "equivalence_fields", 50)
     solver_replicas = cfg.get("experiment", "envelope_replicas", 100)
     dt = cfg.get("solver", "dt", 1.0 / 64.0)
-    _whole_steps("[solver] dt", 1.0, dt)
+    _keyed("[solver] dt", whole_steps, 1.0, dt)
     d = cfg.get("grid", "d", 1)
     w = Weight(cfg.get("weight", "exponent", float(d + 1)), cfg.get("weight", "radius", 1.0))
-    if w.exponent <= d:
-        raise ValueError(f"[weight] exponent: must be > [grid] d = {d}, got {w.exponent!r}")
+    _keyed("[weight] exponent", w.check_dimension, d)
     measure = _build_measure(cfg)
     rows = []
     grid = _build_grid(cfg, 256, 16.0)
@@ -740,7 +737,7 @@ def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
     violations = 0
     for _ in range(n_fields):
         f = LatticeField(grid, rng.standard_normal(grid.shape))
-        wn_sq = grid.cell_volume * float(np.sum(f.values**2 * theta))
+        wn_sq = float(norm_sq(grid, f.values, theta))
         shells = annuli_norms(f, w)
         shell_sum = float(np.sum(weights_n * shells))
         if not (c_disc * shell_sum <= wn_sq * (1.0 + 1e-12)
@@ -779,7 +776,7 @@ def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
 def _exp_refinement(cfg: ExperimentConfig, files: dict) -> list[Row]:
     t0 = cfg.get("experiment", "base_time", 0.5)
     dts = [1.0 / 16.0 / 2**level for level in range(4)]
-    if _whole_steps("[experiment] base_time", t0, dts[0]) < 1:
+    if _keyed("[experiment] base_time", whole_steps, t0, dts[0]) < 1:
         raise ValueError(f"[experiment] base_time: must be at least the coarsest step 1/16, "
                          f"got {t0!r}")
     measure = _build_measure(cfg)

@@ -77,6 +77,7 @@ call at d = 2, N = 64, 8 steps took about 760 minor faults, not 14,300
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,6 +88,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "LatticeField",
+    "norm_sq",
     "l2_norm",
     "h_neg_k_norm",
     "circular_convolve",
@@ -159,9 +161,6 @@ class Grid:
         # axis coordinates and FFT-ordered dual frequencies
         self.axis_coords = -self.box_length / 2.0 + self.spacing * np.arange(n)
         self.axis_freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
-        self._freq_sq = None
-        self._coord_sq = None
-        self._scales = None
         self._doubling = np.full(n // 2 + 1, 2.0)
         self._doubling[[0, -1]] = 1.0
 
@@ -184,38 +183,31 @@ class Grid:
         shape[axis] = self.points_per_axis
         return values.reshape(shape)
 
-    @property
+    def _axes_sum(self, per_axis: np.ndarray) -> np.ndarray:
+        """sum_ax per_axis[m_ax] at every grid point, shape ``self.shape``."""
+        acc = np.zeros(self.shape)
+        for ax in range(self.dimension):
+            acc = acc + self._axis_array(per_axis, ax)
+        return acc
+
+    @functools.cached_property
     def freq_norm_sq(self) -> np.ndarray:
         """|eta|**2 on the dual grid, FFT order, shape ``self.shape``."""
-        if self._freq_sq is None:
-            acc = np.zeros(self.shape)
-            for ax in range(self.dimension):
-                acc = acc + self._axis_array(self.axis_freqs, ax) ** 2
-            self._freq_sq = acc
-        return self._freq_sq
+        return self._axes_sum(self.axis_freqs**2)
 
-    @property
+    @functools.cached_property
     def coord_norm_sq(self) -> np.ndarray:
         """|x|**2 at the grid points, shape ``self.shape``."""
-        if self._coord_sq is None:
-            acc = np.zeros(self.shape)
-            for ax in range(self.dimension):
-                acc = acc + self._axis_array(self.axis_coords, ax) ** 2
-            self._coord_sq = acc
-        return self._coord_sq
+        return self._axes_sum(self.axis_coords**2)
 
     def _axes(self, arr: np.ndarray) -> tuple[int, ...]:
         return tuple(range(arr.ndim - self.dimension, arr.ndim))
 
+    @functools.cached_property
     def _signed_scales(self) -> tuple[np.ndarray, np.ndarray]:
         """The half-grid restrictions of h**d * sign and of sign / h**d."""
-        if self._scales is None:
-            parity = np.zeros(self.shape, dtype=int)
-            for ax in range(self.dimension):
-                parity = parity + self._axis_array(np.arange(self.points_per_axis), ax)
-            sign = 1.0 - 2.0 * (parity % 2)
-            self._scales = (self.half(self.cell_volume * sign), self.half(sign / self.cell_volume))
-        return self._scales
+        sign = 1.0 - 2.0 * (self._axes_sum(np.arange(self.points_per_axis)) % 2)
+        return self.half(self.cell_volume * sign), self.half(sign / self.cell_volume)
 
     def _check_shape(self, arr: np.ndarray, shape: tuple[int, ...], what: str) -> None:
         if arr.shape[arr.ndim - self.dimension:] != shape:
@@ -244,7 +236,7 @@ class Grid:
         # without out the scaled spectrum is a second fresh array: scaling
         # in place there moved the solver's allocations and raised the
         # picard-solve benchmark's peak RSS by about 0.2 MB
-        return np.multiply(self._signed_scales()[0], spec, out=out)
+        return np.multiply(self._signed_scales[0], spec, out=out)
 
     def inverse(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Real fields from half spectra; the inverse of :meth:`forward`.
@@ -264,7 +256,7 @@ class Grid:
                 raise ValueError("with out, the spectrum is the work space and must be a writable "
                                  f"complex array, got {arr.dtype}, writeable={arr.flags.writeable}")
             work = arr
-        buf = np.multiply(self._signed_scales()[1], arr, out=work, dtype=complex)
+        buf = np.multiply(self._signed_scales[1], arr, out=work, dtype=complex)
         return _irfftn(buf, self.points_per_axis, self._axes(arr), out)
 
     def full_forward(self, values: np.ndarray, axes: tuple[int, ...] | None = None,
@@ -359,9 +351,20 @@ class LatticeField:
         return LatticeField(self.grid, self.values - other.values)
 
 
+def norm_sq(grid: Grid, values: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
+    """h**d * sum values**2 (times ``theta`` when given) over the trailing d axes.
+
+    Leading axes are a batch and ride along; the one squared lattice norm.
+    """
+    sq = np.square(values)
+    if theta is not None:
+        sq *= theta
+    return grid.cell_volume * np.sum(sq, axis=grid._axes(sq))
+
+
 def l2_norm(f: LatticeField) -> float:
-    """L2 norm (h**d * sum f**2)**(1/2)."""
-    return float(np.sqrt(f.grid.cell_volume * np.sum(f.values**2)))
+    """L2 norm, the square root of :func:`norm_sq`."""
+    return float(np.sqrt(norm_sq(f.grid, f.values)))
 
 
 def h_neg_k_norm(f: LatticeField, k: int) -> float:

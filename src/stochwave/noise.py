@@ -70,6 +70,17 @@ class NoisePath:
     def __len__(self) -> int:
         return len(self.fields)
 
+    def first(self, steps: int, grid: Grid, dt: float) -> np.ndarray:
+        """The first ``steps`` slices, by the one path-fit rule every consumer of a path
+        reads: the path has ``grid``, ``dt`` to 1e-12 relative, and ``steps`` slices or more."""
+        if self.grid != grid:
+            raise ValueError(f"noise path grid {self.grid} is not {grid}")
+        if abs(self.dt - dt) > 1e-12 * dt:
+            raise ValueError(f"noise path dt {self.dt!r} is not {dt!r}")
+        if len(self) < steps:
+            raise ValueError(f"path provides {len(self)} slices, {steps} needed")
+        return self.fields[:steps]
+
 
 def _spectral_scale(grid: Grid, measure: SpectralMeasure, dt: float) -> np.ndarray:
     """The filter sqrt(dt N**d D_j) on the half grid."""

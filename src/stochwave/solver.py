@@ -66,7 +66,7 @@ import numpy as np
 from .covariance import SpectralMeasure, admissible
 from .greens import GreenMultiplier, cosine_multiplier, j_functional, sine_multiplier
 from .greens import spectral_energy_field
-from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
+from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm, norm_sq
 from .noise import NoisePath, mean_se, replica_blocks, sample_slice_batch, whole_steps
 
 __all__ = [
@@ -243,7 +243,7 @@ def deterministic_moments(cfg: SolveConfig, theta: np.ndarray | None = None) -> 
     closed form it agrees with.
     """
     u_spec = _free_spectra(cfg, _horizon_table(cfg))
-    return _norm_factory(cfg, theta)(cfg.grid.inverse(u_spec))
+    return norm_sq(cfg.grid, cfg.grid.inverse(u_spec), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -372,30 +372,16 @@ def _picard_update(cfg: SolveConfig, table, w_fields: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _norm_factory(cfg: SolveConfig, theta: np.ndarray | None):
-    """Squared (theta-weighted) L2 norm over the last d axes, per replica."""
-    cell, axes = cfg.grid.cell_volume, tuple(range(-cfg.grid.dimension, 0))
-    if theta is None:
-        return lambda values: cell * np.sum(values**2, axis=axes)
-    return lambda values: cell * np.sum(values**2 * theta, axis=axes)
-
-
 def _mask(cfg: SolveConfig):
     """The noise mask as a float array, or None for unmasked noise."""
     return None if cfg.noise_mask is None else np.asarray(cfg.noise_mask, dtype=float)
 
 
 def _noise_fields(cfg: SolveConfig, path: NoisePath) -> np.ndarray:
-    """The path's first n slices, masked, after checking the path fits cfg."""
-    if path.grid != cfg.grid:
-        raise ValueError("noise path grid does not match the configuration")
-    if abs(path.dt - cfg.dt) > 1e-12 * cfg.dt:
-        raise ValueError("noise path dt does not match the configuration")
-    n = cfg.steps
-    if len(path) < n:
-        raise ValueError(f"path provides {len(path)} slices, {n} needed")
+    """The path's first n slices (``NoisePath.first``), masked."""
     mask = _mask(cfg)
-    return path.fields[:n] if mask is None else path.fields[:n] * mask
+    fields = path.first(cfg.steps, cfg.grid, cfg.dt)
+    return fields if mask is None else fields * mask
 
 
 def _noise_batches(cfg: SolveConfig, gens):
@@ -422,7 +408,7 @@ def _report(cfg: SolveConfig, values: np.ndarray, m_table, iterations: int,
     stride = max(1, cfg.snapshot_stride)
     return SolveReport(
         times=cfg.dt * np.arange(n + 1),
-        moments=_norm_factory(cfg, theta)(values),
+        moments=norm_sq(cfg.grid, values, theta),
         m_table=m_table,
         iterations=iterations,
         converged=converged,
@@ -464,12 +450,11 @@ def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
     if len(slot) != len(keep) or any(not 0 <= j <= n for j in slot):
         raise ValueError(f"kept steps must be distinct and lie in 0..{n}")
     blocks = replica_blocks(len(rngs), math.prod(grid.half_shape), rngs)
-    norm_sq = _norm_factory(cfg, theta)
     moments = np.empty((len(rngs), n + 1))
     kept = np.empty((len(rngs), len(keep)) + grid.shape)
     for lo, hi, gens in blocks:
         for j, values in enumerate(_causal_sweep(cfg, _noise_batches(cfg, gens))):
-            moments[lo:hi, j] = norm_sq(values)
+            moments[lo:hi, j] = norm_sq(grid, values, theta)
             if j in slot:
                 kept[lo:hi, slot[j]] = values
     return moments, kept
@@ -482,11 +467,10 @@ def _picard_loop(cfg: SolveConfig, table, w_fields: np.ndarray, prev: np.ndarray
     ``m_table[i]`` holds update i + 1's squared L2 distances per step time (and
     replica); it stops once sqrt(max) < ``tol``, so a tolerance of 0 never stops it.
     """
-    norm_sq = _norm_factory(cfg, None)
     m_table: list[np.ndarray] = []
     while len(m_table) < max_iter:
         new = _picard_update(cfg, table, w_fields, prev)
-        m_table.append(norm_sq(new - prev))
+        m_table.append(norm_sq(cfg.grid, new - prev))
         prev = new
         if math.sqrt(np.max(m_table[-1])) < tol:
             return prev, m_table, True

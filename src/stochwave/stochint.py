@@ -63,7 +63,7 @@ import numpy as np
 
 from .covariance import SpectralMeasure
 from .greens import GreenMultiplier, j_field
-from .lattice import Grid, LatticeField, circular_convolve
+from .lattice import Grid, LatticeField, circular_convolve, norm_sq
 from .noise import NoisePath, mean_se, replica_blocks, sample_slice_batch, whole_steps
 
 __all__ = [
@@ -216,25 +216,20 @@ def stochastic_convolution(g: GreenMultiplier, Z: IntegrandProcess, path: NoiseP
     """Test oracle for the solver's stochastic convolution: the left-endpoint
     lattice integral of G(t-s) against Z(s) M(ds, dy).
 
-    A direct history sum on full spectra.  The solver
-    reaches the same sum in its rotated frame on half spectra instead:
-    by the addition formula
+    A direct history sum on full spectra, over the slices ``path.first``
+    checks as the solver's do.  The solver reaches the same sum in its
+    rotated frame on half spectra instead: by the addition formula
     sin((t - s) w)/w = [sin(t w) cos(s w) - cos(t w) sin(s w)]/w, the
     history at every step time is two prefix sums over rows of the Green
     pair at the step times (``solver._green_rows``).
     """
-    if Z.grid != path.grid:
-        raise ValueError("integrand and path live on different grids")
     grid, dt = Z.grid, Z.dt
-    if abs(dt - path.dt) > 1e-12 * dt:
-        raise ValueError("integrand and path use different time steps")
     m = whole_steps(t, dt)
-    available = min(len(Z), len(path))
-    if m > available:
-        raise ValueError(f"time {t} needs {m} noise slices, path has {available}")
+    if m > len(Z):
+        raise ValueError(f"time {t} needs {m} integrand steps, Z has {len(Z)}")
     acc = np.zeros(grid.shape, dtype=complex)
-    for i in range(m):
-        prod = Z.fields[i] * path.fields[i]
+    for i, w in enumerate(path.first(m, grid, dt)):
+        prod = Z.fields[i] * w
         acc += g.lattice_spectrum(grid, t - i * dt) * grid.full_forward(prod)
     # the half spectrum is the full one's first N/2 + 1 last-axis columns
     return LatticeField.from_spectrum(grid, acc[..., : grid.half_shape[-1]])
@@ -248,17 +243,16 @@ def isometry_functional(g, Z: IntegrandProcess, measure: SpectralMeasure) -> flo
     return float(dt * total / grid.box_length**grid.dimension)
 
 
-def isometry_bound(g, Z: IntegrandProcess, measure: SpectralMeasure) -> float:
-    """Upper bound: sum_i dt ||Z_i||**2 * sup_xi J_i(xi).
+def isometry_bound(g, Z: IntegrandProcess, measure: SpectralMeasure,
+                   theta: np.ndarray | None = None) -> float:
+    """Upper bound: sum_i dt ||Z_i||**2 * sup_xi J_i(xi), the norm theta-weighted if given.
 
     Coincides with :func:`isometry_functional` for white noise, where
     translation invariance makes J constant in the shift.
     """
     grid, dt = Z.grid, Z.dt
-    space = tuple(range(1, grid.dimension + 1))
-    jmax = np.max(j_field(g, measure, Z.lags(), grid), axis=space)
-    norms_sq = grid.cell_volume * np.sum(Z.fields**2, axis=space)
-    return float(dt * np.sum(norms_sq * jmax))
+    jmax = np.max(j_field(g, measure, Z.lags(), grid), axis=tuple(range(1, grid.dimension + 1)))
+    return float(dt * np.sum(norm_sq(grid, Z.fields, theta) * jmax))
 
 
 def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure) -> float:
@@ -385,7 +379,7 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
     every block and step through leading ``[:c]`` views.  So the batch
     ``norm_sq`` receives is a view of a reused buffer: it may read it
     but must not keep it, since the next block overwrites it (the
-    Plancherel norm here and ``weighted.theta_norm_sq`` only read it).
+    Plancherel norm here and the theta norm of ``weighted`` only read it).
     """
     grid, dt = Z.grid, Z.dt
     blocks = replica_blocks(replicas, math.prod(grid.half_shape), rng)

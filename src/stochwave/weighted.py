@@ -15,9 +15,10 @@ yields the weighted moment bound
 
     E ||v||_theta**2 <= S * sum_i dt ||Z(s_i)||_theta**2 J(sigma_i)
 
-with a locality constant S computed from the shell geometry.  That bound
-extends the solver to nonlinearities that need not vanish at the
-origin (linear growth |alpha(u)| <= K_lip (1 + |u|)).
+with a locality constant S computed from the shell geometry; the sum is
+``stochint.isometry_bound`` in the theta norm.  That bound extends the
+solver to nonlinearities that need not vanish at the origin (linear
+growth |alpha(u)| <= K_lip (1 + |u|)).
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SpectralMeasure, admissible
-from .greens import GreenMultiplier, j_field
-from .lattice import Grid, LatticeField
+from .greens import GreenMultiplier
+from .lattice import Grid, LatticeField, norm_sq
 from .noise import NoisePath, mean_se
 from .solver import MomentSummary, SolveConfig, SolveReport, _pool_moments, deterministic_moments
 from .solver import explicit_sweep, gronwall_constant
-from .stochint import IntegrandProcess, convolution_norms_mc
+from .stochint import IntegrandProcess, convolution_norms_mc, isometry_bound
 
 __all__ = [
     "Weight",
@@ -151,10 +152,11 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
                             w: Weight, replicas: int, rng) -> WeightedBoundResult:
     """The quadrature bound on E||v||_theta**2 and its Monte Carlo estimate, with no verdict.
 
+    Both in the theta norm (``lattice.norm_sq`` with theta): the bound is
+    ``stochint.isometry_bound`` and the estimate the kernel's replicas.
     Requires k = 1: the bound rests on the compact support of the wave
     kernel, which beam-type operators (k >= 2) do not have.  A standard
-    error needs ``replicas >= 2``.  The harness decides whether the
-    estimate stays within the bound.
+    error needs ``replicas >= 2``.  The harness decides the verdict.
     """
     if g.k != 1:
         raise ValueError("compact support required: weighted bound only holds for k = 1")
@@ -162,26 +164,14 @@ def weighted_isometry_bound(g: GreenMultiplier, Z: IntegrandProcess, measure: Sp
         raise ValueError(f"replicas: must be >= 2, got {replicas}")
     if not admissible(measure, 1):
         raise ValueError("measure fails the admissibility condition for k = 1")
-    grid, dt = Z.grid, Z.dt
+    grid = Z.grid
     w.check_dimension(grid.dimension)
     theta = w.theta_on(grid)
-
-    jmax = np.max(j_field(g, measure, Z.lags(), grid), axis=tuple(range(1, grid.dimension + 1)))
-    bound = 0.0
-    for z, j in zip(Z.fields, jmax):
-        znorm_sq = grid.cell_volume * float(np.sum(z**2 * theta))
-        bound += dt * znorm_sq * j
-
-    def theta_norm_sq(acc: np.ndarray) -> np.ndarray:
-        # acc is the kernel's reused accumulator: read only.  v is squared
-        # and weighted in place, since the kernel's block buffers stay live
-        v = grid.inverse(acc)
-        np.square(v, out=v)
-        v *= theta
-        return grid.cell_volume * np.sum(v, axis=tuple(range(1, v.ndim)))
-
-    mc, se = mean_se(convolution_norms_mc(g, Z, measure, replicas, rng, theta_norm_sq))
-    return WeightedBoundResult(bound, float(mc), float(se), locality_constant(grid, w, Z.horizon))
+    # acc is the kernel's reused accumulator: inverse reads it and returns fresh values
+    mc, se = mean_se(convolution_norms_mc(g, Z, measure, replicas, rng,
+                                          lambda acc: norm_sq(grid, grid.inverse(acc), theta)))
+    return WeightedBoundResult(isometry_bound(g, Z, measure, theta), float(mc), float(se),
+                               locality_constant(grid, w, Z.horizon))
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,13 @@ def test_weighted_bound_verdict_flips_at_the_se_multiplier(tmp_path, monkeypatch
     ("name = energy\n[grid]\nn = 100\n", "[grid] n"),
     ("name = picard\n[grid]\nd = 4\n", "[grid] d"),
     ("name = picard\n[measure]\nkind = riesz\nalpha = 1.5\n", "[measure] alpha"),
+    # a radial table missing a key, refused before the (absent) table file is read
+    ("name = picard\n[measure]\nkind = radial-table\ntable_path = no-such.csv\n",
+     "[measure] tail_exponent"),
+    ("name = weighted\n[measure]\nkind = radial-table\ntable_path = no-such.csv\n",
+     "[measure] tail_exponent"),
+    ("name = support\n[measure]\nkind = radial-table\ntail_exponent = -3\n",
+     "[measure] table_path"),
 ])
 def test_experiment_keys_are_checked_before_any_work(tmp_path, monkeypatch, text, key):
     def no_work(*args):
@@ -495,7 +502,7 @@ def test_one_minus_exp_fails_outside_its_lipschitz_box(tmp_path, capsys, amplitu
     ("[experiment]\nname = refinement\nbase_time = -0.5\n", "[experiment] base_time"),
     ("[experiment]\nname = refinement\nbase_time = 0.3\n", "[experiment] base_time"),
     ("[experiment]\nname = refinement\nbase_time = 0\n", "[experiment] base_time"),
-    ("[experiment]\nname = support\n[grid]\nlength = 8\n", "box length 8.0 < 9.0"),
+    ("[experiment]\nname = support\n[grid]\nlength = 8\n", "[grid] length: box length 8.0 < 9.0"),
     ("[experiment]\nname = energy\n[grid]\nn = abc\n", "[grid] n: expected an integer"),
     ("[experiment]\nname = energy\n[grid]\nlength = 1.0.0\n", "[grid] length: expected a number"),
     ("[experiment]\nname = energy\n[grid]\nlength = inf\n", "[grid] length: expected a finite number"),

@@ -14,6 +14,7 @@ from stochwave.lattice import (
     circular_convolve,
     h_neg_k_norm,
     l2_norm,
+    norm_sq,
     read_field,
     write_field,
 )
@@ -420,6 +421,27 @@ def test_l2_norm_trivials():
     vals = np.zeros(g.shape)
     vals[10] = 1.0
     assert l2_norm(LatticeField(g, vals)) == pytest.approx(np.sqrt(g.spacing), rel=1e-14)
+
+
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (3, 8)])
+def test_batched_norm_sq_equals_row_by_row(d, n):
+    # a (replicas, steps, *shape) batch, as the replica sweep hands it over
+    grid = Grid(d, n, 5.0)
+    rng = np.random.default_rng(d)
+    values = rng.standard_normal((3, 4) + grid.shape)
+    for theta in (None, rng.random(grid.shape)):
+        batch = norm_sq(grid, values, theta)
+        assert batch.shape == (3, 4)
+        rows = [[norm_sq(grid, step, theta) for step in replica] for replica in values]
+        assert np.array_equal(batch, np.array(rows))
+
+
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (3, 8)])
+def test_norm_sq_without_theta_equals_a_unit_theta(d, n):
+    grid = Grid(d, n, 5.0)
+    values = np.random.default_rng(d).standard_normal((2,) + grid.shape)
+    assert np.array_equal(norm_sq(grid, values), norm_sq(grid, values, np.ones(grid.shape)))
+    assert l2_norm(LatticeField(grid, values[0])) == np.sqrt(norm_sq(grid, values[0]))
 
 
 @pytest.mark.parametrize("seed", range(4))

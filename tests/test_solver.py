@@ -622,6 +622,28 @@ def test_validate_step_count():
         cfg.validate()
 
 
+@pytest.mark.parametrize("misfit, match", [
+    ("grid", "noise path grid"), ("dt", "noise path dt"), ("slices", "path provides 7 slices, 8"),
+])
+@pytest.mark.parametrize("consumer", ["explicit_sweep", "picard_iterate", "stochastic_convolution"])
+def test_every_path_consumer_refuses_a_path_that_does_not_fit(misfit, match, consumer):
+    # one path-fit rule (NoisePath.first): the grid, dt to 1e-12 relative, the slice count
+    cfg = _basic_config(n=16, dt=0.125)
+    grid, dt = cfg.grid, cfg.dt
+    fields = sample_path(grid, cfg.measure, cfg.horizon, dt, np.random.default_rng(0)).fields
+    z = IntegrandProcess.constant(grid, np.ones(grid.shape), cfg.steps, dt)
+    solve = {"explicit_sweep": lambda path: explicit_sweep(cfg, path),
+             "picard_iterate": lambda path: picard_iterate(cfg, path),
+             "stochastic_convolution": lambda path: stochastic_convolution(cfg.green, z, path,
+                                                                          cfg.horizon)}[consumer]
+    solve(NoisePath(grid, dt * (1.0 + 1e-13), fields))  # within the tolerance
+    bad = {"grid": NoisePath(Grid(1, 16, 2.0 * grid.box_length), dt, fields),
+           "dt": NoisePath(grid, dt * (1.0 + 1e-9), fields),
+           "slices": NoisePath(grid, dt, fields[:-1])}[misfit]
+    with pytest.raises(ValueError, match=match):
+        solve(bad)
+
+
 # -- moments ------------------------------------------------------------------
 
 

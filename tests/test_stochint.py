@@ -551,6 +551,14 @@ def test_isometry_bound_is_the_per_step_sum(t):
     assert isometry_bound(g, z, measure) == pytest.approx(loop, rel=1e-13)
 
 
+def test_isometry_bound_without_theta_equals_a_unit_theta():
+    grid = Grid(2, 16, 6.0)
+    measure = SpectralMeasure.riesz(2, 0.5)
+    g = GreenMultiplier(1, 1.0)
+    z = _varying_integrand(grid, 5, 0.2)
+    assert isometry_bound(g, z, measure) == isometry_bound(g, z, measure, np.ones(grid.shape))
+
+
 def test_zero_integrand_functionals(setup):
     grid, measure, g, _, dt = setup
     z0 = IntegrandProcess.constant(grid, np.zeros(grid.shape), 4, dt)

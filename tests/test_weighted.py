@@ -8,7 +8,7 @@ from stochwave.greens import GreenMultiplier
 from stochwave.lattice import Grid, LatticeField, l2_norm
 from stochwave.noise import sample_path
 from stochwave.solver import Nonlinearity, SolveConfig, deterministic_part, picard_iterate
-from stochwave.stochint import IntegrandProcess, stochastic_convolution
+from stochwave.stochint import IntegrandProcess, isometry_bound, stochastic_convolution
 from stochwave.weighted import (
     Weight,
     annuli_norms,
@@ -111,6 +111,14 @@ def test_shell_locality_of_convolution(grid):
     on_shell = idx == n_probe
     scale = np.max(np.abs(full.values))
     assert np.max(np.abs(full.values[on_shell] - local.values[on_shell])) <= 1e-12 * scale
+
+
+def test_weighted_bound_is_the_isometry_bound_in_the_theta_norm(grid, weight):
+    g = GreenMultiplier(1, 1.0)
+    measure = SpectralMeasure.riesz(1, 0.5)
+    z = IntegrandProcess.constant(grid, (np.sqrt(grid.coord_norm_sq) <= 1.0).astype(float), 4, 0.25)
+    res = weighted_isometry_bound(g, z, measure, weight, 2, _streams(7, 2))
+    assert res.bound == isometry_bound(g, z, measure, weight.theta_on(grid))
 
 
 def test_weighted_bound_zero_integrand(grid, weight):
