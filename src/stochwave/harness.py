@@ -14,9 +14,9 @@ offsets 0..a and a..b therefore draw exactly the replicas of one run
 over 0..b, which is what makes result aggregation exact rather than
 approximate.
 
-Config files are INI-style (see ``parse_config``), and every key they set
-is checked against ``_KEYS`` when they are parsed.  An experiment checks
-the values that depend on each other before it builds anything, and it
+Config files are INI-style (see ``parse_config``); ``_KEYS`` must declare
+every key they set, and checks its value when they are parsed.  An experiment
+checks the values that depend on each other before it builds anything, and it
 hands its side files (trajectory CSV, field snapshot) to :func:`run`,
 which writes them and the result CSV only once the experiment has
 returned its rows: a refused config leaves no output directory.  Results
@@ -30,7 +30,6 @@ import configparser
 import csv
 import io
 import math
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -85,7 +84,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260810
-OUTPUT_ENV_VAR = "STOCHWAVE_OUTPUT"
 
 # standard errors every Monte Carlo verdict allows (and the trajectory CSV's band)
 _SE_MULTIPLIER = 3.0
@@ -116,9 +114,6 @@ def _replica_generators(cfg: "ExperimentConfig", case_index: int, count: int) ->
 # any text).  A value out of bound fails with "[section] key: <reason>, got ...",
 # the entry's reason or one the bound gives.  Defaults stay with the experiment
 # that reads the key.
-_FIELD_KEYS = {"kind": (str, ("zero", "gaussian", "bump", "wavepacket")),  # v0_*, v0_dot_*
-               "amplitude": (float, None), "width": (float, 0.0), "center": (float, None),
-               "mode": (float, None)}
 _KEYS = {
     "experiment": {"seed": (int, 0), "replicas": (int, 2),  # a standard error needs two
                    "replica_offset": (int, 0), "output": (str, None), "snapshots": (bool, None),
@@ -134,11 +129,12 @@ _KEYS = {
     "green": {"k": (int, 1), "horizon": (float, 0.0)},
     "solver": {"dt": (float, 0.0), "steps": (int, 1),
                "nonlinearity": (str, ("identity", "sine", "one-minus-exp", "affine")),
-               "affine_a": (float, None), "affine_b": (float, None), "picard_tol": (float, 0.0),
-               **{f"{field}_{key}": spec
-                  for field in ("v0", "v0_dot") for key, spec in _FIELD_KEYS.items()}},
+               "picard_tol": (float, 0.0)},
     "weight": {"exponent": (float, 0.0), "radius": (float, 0.0)},
 }
+# Keys a config may set that _KEYS does not declare: the name, checked on its own, and
+# [experiment] threads, unread but written by perfbench/workloads.py until it stops.
+_UNDECLARED_KEYS = {("experiment", "name"), ("experiment", "threads")}
 
 
 def _value(section: str, key: str, text: str):
@@ -202,7 +198,7 @@ class ExperimentConfig:
 
     @property
     def output_dir(self) -> Path:
-        return Path(self.get("experiment", "output", os.environ.get(OUTPUT_ENV_VAR, "results")))
+        return Path(self.get("experiment", "output", "results"))
 
     def override(self, **updates) -> "ExperimentConfig":
         """Copy with [experiment] keys replaced, checked as :func:`parse_config` checks."""
@@ -215,8 +211,8 @@ class ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    """The checks every config passes before an experiment reads it: its
-    name, and the type and bound of every key in ``_KEYS`` that it sets."""
+    """The checks every config passes before an experiment reads it: its name, and that
+    ``_KEYS`` declares every other key it sets (``threads`` aside) and accepts its value."""
     if "name" not in cfg.raw.get("experiment", {}):
         raise ValueError("malformed config: missing [experiment] name")
     if cfg.name not in EXPERIMENTS:
@@ -225,6 +221,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         for key, text in values.items():
             if key in _KEYS.get(section, {}):
                 _value(section, key, text)
+            elif (section, key) not in _UNDECLARED_KEYS:
+                raise ValueError(f"[{section}] {key}: not a config key")
     return cfg
 
 
@@ -234,8 +232,8 @@ def parse_config(text: str) -> ExperimentConfig:
     INI sections; ``[experiment] name`` (one of the registered experiments)
     is required.  ``_KEYS`` declares every other key an experiment reads,
     with its section, type and bound or choices; each one the text sets is
-    converted and checked here, so a bad value raises before any work.
-    Unknown keys are preserved but unused.
+    converted and checked here, and any key it does not declare is refused
+    (``[experiment] threads`` aside), so a bad config raises before any work.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -425,10 +423,10 @@ def _envelope_rows(experiment: str, case: str, summary: MomentSummary, replicas:
 
 
 def _keyed(key: str, build, *args, **kw):
-    """``build(*args, **kw)``, a ``ValueError`` from it prefixed with the config key ``key``."""
+    """``build(*args, **kw)``, an ``OSError`` or ``ValueError`` from it re-raised naming ``key``."""
     try:
         return build(*args, **kw)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from None
 
 
@@ -450,10 +448,10 @@ def _build_measure(cfg: ExperimentConfig) -> SpectralMeasure:
     for key in ("table_path", "tail_exponent"):  # radial-table
         if cfg.get("measure", key) is None:
             raise ValueError(f"[measure] {key}: required for radial-table")
-    data = np.loadtxt(cfg.get("measure", "table_path"), delimiter=",")
-    return SpectralMeasure.radial_table(
-        d, data[:, 0], data[:, 1], tail_exponent=cfg.get("measure", "tail_exponent"),
-        scale=scale)
+    radii, density = _keyed("[measure] table_path", np.loadtxt, cfg.get("measure", "table_path"),
+                            delimiter=",", ndmin=2, usecols=(0, 1), unpack=True)
+    return _keyed("[measure] table_path", SpectralMeasure.radial_table, d, radii, density,
+                  tail_exponent=cfg.get("measure", "tail_exponent"), scale=scale)
 
 
 def _build_nonlinearity(cfg: ExperimentConfig, default: str = "sine") -> Nonlinearity:
@@ -464,20 +462,12 @@ def _build_nonlinearity(cfg: ExperimentConfig, default: str = "sine") -> Nonline
         return Nonlinearity.sine()
     if name == "one-minus-exp":
         return Nonlinearity.one_minus_exp()
-    return Nonlinearity.affine(cfg.get("solver", "affine_a", 0.0),  # affine
-                               cfg.get("solver", "affine_b", 1.0))
+    return Nonlinearity.affine(0.0, 1.0)  # affine
 
 
-def _build_initial(cfg: ExperimentConfig, grid: Grid, prefix: str, kind: str,
-                   amplitude: float, width: float, center: float = 0.0,
-                   mode: float = 0.0) -> LatticeField:
-    """The [solver] ``<prefix>_*`` field on ``grid``; the arguments are the keys' defaults."""
-    kind, amplitude, width, center, mode = (
-        cfg.get("solver", f"{prefix}_{key}", default) for key, default in (
-            ("kind", kind), ("amplitude", amplitude), ("width", width), ("center", center),
-            ("mode", mode)))
-    if kind == "zero":
-        return LatticeField.zeros(grid)
+def _initial_field(grid: Grid, kind: str, amplitude: float, width: float,
+                   center: float = 0.0, mode: float = 0.0) -> LatticeField:
+    """A gaussian, bump or wavepacket (carrier cos(mode x_0)) of radius width about x_0 = center."""
     shifted_sq = np.zeros(grid.shape)
     for ax in range(grid.dimension):
         coord = grid._axis_array(grid.axis_coords, ax)
@@ -598,13 +588,10 @@ def _picard_config(cfg: ExperimentConfig) -> SolveConfig:
     _keyed("[solver] dt", whole_steps, horizon, dt)
     measure = _build_measure(cfg)
     grid = _build_grid(cfg, 128, 16.0)
-    v0 = _build_initial(cfg, grid, "v0", "wavepacket", 1.0, 2.0, mode=2.0)
-    v0_dot_kind = cfg.get("solver", "v0_dot_kind", "zero")
-    v0_dot = (None if v0_dot_kind == "zero"
-              else _build_initial(cfg, grid, "v0_dot", v0_dot_kind, 1.0, 1.0))
     return SolveConfig(grid=grid, measure=measure, k=cfg.get("green", "k", 1), horizon=horizon,
-                       dt=dt, nonlinearity=_build_nonlinearity(cfg, "sine"), v0=v0,
-                       v0_dot=v0_dot, picard_tol=cfg.get("solver", "picard_tol", 1e-13),
+                       dt=dt, nonlinearity=_build_nonlinearity(cfg, "sine"),
+                       v0=_initial_field(grid, "wavepacket", 1.0, 2.0, mode=2.0),
+                       picard_tol=cfg.get("solver", "picard_tol", SolveConfig.picard_tol),
                        snapshot_stride=1)
 
 
@@ -654,8 +641,8 @@ def _exp_energy(cfg: ExperimentConfig, files: dict) -> list[Row]:
     grid = _build_grid(cfg, 128, 16.0)
     steps = cfg.get("solver", "steps", 256)
     horizon = cfg.get("green", "horizon", 1.0)
-    v0 = _build_initial(cfg, grid, "v0", "gaussian", 1.0, 1.0)
-    v0_dot = _build_initial(cfg, grid, "v0_dot", "gaussian", 0.3, 1.4, center=1.0)
+    v0 = _initial_field(grid, "gaussian", 1.0, 1.0)
+    v0_dot = _initial_field(grid, "gaussian", 0.3, 1.4, center=1.0)
     for k in (1, 2):
         solve_cfg = SolveConfig(
             grid=grid, measure=SpectralMeasure.white(grid.dimension), k=k,
@@ -675,7 +662,7 @@ def _exp_support(cfg: ExperimentConfig, files: dict) -> list[Row]:
     measure = _build_measure(cfg)
     grid = _build_grid(cfg, 512, 16.0)
     h = grid.spacing
-    v0 = _build_initial(cfg, grid, "v0", "bump", 1.0, 1.0)
+    v0 = _initial_field(grid, "bump", 1.0, 1.0)
     mask = (np.sqrt(grid.coord_norm_sq) <= 1.0).astype(float)
     horizon = cfg.get("green", "horizon", 1.0)
     needed = 8.0 + horizon  # four diameters of |x| <= 1 (the bump and the mask), plus T
@@ -762,7 +749,7 @@ def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
     rows.append(Row("weighted", "moment-bound", "locality_constant", res.locality, None, 0, True))
 
     # linear-growth solver (alpha does not vanish at zero) under its envelope
-    v0 = _build_initial(cfg, grid, "v0", "wavepacket", 1.0, 2.0, mode=1.0)
+    v0 = _initial_field(grid, "wavepacket", 1.0, 2.0, mode=1.0)
     solve_cfg = SolveConfig(
         grid=grid, measure=measure, k=1, horizon=1.0, dt=dt,
         nonlinearity=_build_nonlinearity(cfg, "affine"), v0=v0,
@@ -781,7 +768,7 @@ def _exp_refinement(cfg: ExperimentConfig, files: dict) -> list[Row]:
                          f"got {t0!r}")
     measure = _build_measure(cfg)
     grid = _build_grid(cfg, 64, 16.0)
-    v0 = _build_initial(cfg, grid, "v0", "gaussian", 1.0, 1.0)
+    v0 = _initial_field(grid, "gaussian", 1.0, 1.0)
     replicas = cfg.replicas or 100
     rows = []
     means = []

@@ -60,6 +60,7 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,7 +102,6 @@ class Nonlinearity:
     name: str
     func: object
     lipschitz: float
-    vanishes_at_zero: bool
 
     def __post_init__(self) -> None:
         if self.lipschitz < 0:
@@ -110,19 +110,26 @@ class Nonlinearity:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.func(u)
 
+    @cached_property
+    def _alpha0(self) -> float:  # |alpha(0)|
+        return float(np.abs(np.asarray(self.func(np.zeros(1))))[0])
+
+    @property
+    def vanishes_at_zero(self) -> bool:
+        return self._alpha0 == 0.0
+
     @property
     def growth(self) -> float:
         """Constant of the linear-growth bound |alpha(u)| <= K (1 + |u|)."""
-        alpha0 = float(np.abs(np.asarray(self.func(np.zeros(1))))[0])
-        return max(self.lipschitz, alpha0)
+        return max(self.lipschitz, self._alpha0)
 
     @classmethod
     def identity(cls) -> "Nonlinearity":
-        return cls("identity", lambda u: u, 1.0, True)
+        return cls("identity", lambda u: u, 1.0)
 
     @classmethod
     def sine(cls) -> "Nonlinearity":
-        return cls("sine", np.sin, 1.0, True)
+        return cls("sine", np.sin, 1.0)
 
     @classmethod
     def one_minus_exp(cls) -> "Nonlinearity":
@@ -136,11 +143,11 @@ class Nonlinearity:
                                  f"constant exp({box:g}) holds")
             return 1.0 - np.exp(-u)
 
-        return cls("one-minus-exp", alpha, math.exp(box), True)
+        return cls("one-minus-exp", alpha, math.exp(box))
 
     @classmethod
     def affine(cls, a: float, b: float) -> "Nonlinearity":
-        return cls("affine", lambda u: a * u + b, abs(a), b == 0.0)
+        return cls("affine", lambda u: a * u + b, abs(a))
 
 
 @dataclass
@@ -155,7 +162,7 @@ class SolveConfig:
     nonlinearity: Nonlinearity
     v0: LatticeField
     v0_dot: LatticeField | None = None
-    picard_tol: float = 1e-12
+    picard_tol: float = 1e-13
     noise_mask: np.ndarray | None = None
     snapshot_stride: int = 10
 
@@ -187,13 +194,11 @@ class SolveConfig:
 class SolveReport:
     """Outcome of one pathwise solve."""
 
-    times: np.ndarray
     moments: np.ndarray  # ||u(t_j)||**2 along the path
     m_table: list[np.ndarray]  # per-iteration squared Picard distances over t
     iterations: int
     converged: bool
     snapshots: dict[int, LatticeField]  # views of one (n + 1, *grid.shape) trajectory
-    space: str = "L2"
 
     def snapshot_at(self, step: int) -> LatticeField:
         return self.snapshots[step]
@@ -407,14 +412,12 @@ def _report(cfg: SolveConfig, values: np.ndarray, m_table, iterations: int,
     n = len(values) - 1
     stride = max(1, cfg.snapshot_stride)
     return SolveReport(
-        times=cfg.dt * np.arange(n + 1),
         moments=norm_sq(cfg.grid, values, theta),
         m_table=m_table,
         iterations=iterations,
         converged=converged,
         snapshots={j: LatticeField(cfg.grid, values[j])
                    for j in range(n + 1) if j % stride == 0 or j == n},
-        space="L2" if theta is None else "L2theta",
     )
 
 
@@ -422,8 +425,8 @@ def explicit_sweep(cfg: SolveConfig, path: NoisePath,
                    theta: np.ndarray | None = None) -> SolveReport:
     """Solve the discrete mild equation in a single causal pass.
 
-    With a norm weight ``theta`` the moments are weighted (space
-    ``L2theta``) and nonlinearities with alpha(0) != 0 are accepted.
+    With a norm weight ``theta`` the moments are theta-weighted
+    and nonlinearities with alpha(0) != 0 are accepted.
     """
     cfg.validate(weighted=theta is not None)
     values = np.stack(list(_causal_sweep(cfg, _noise_fields(cfg, path))))

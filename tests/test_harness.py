@@ -1,3 +1,4 @@
+import configparser
 import csv
 import itertools
 import json
@@ -43,21 +44,36 @@ seed = 77
 """
 
 
-_KEY = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
-_VALUE = st.text(alphabet="abcXYZ019 .,-_/+*=:[]%#;", max_size=12).map(str.strip)
+_TEXT = st.text(alphabet="abcXYZ019 .,-_/+*=:[]%#;", max_size=12).map(str.strip)
+
+
+def _valid_text(section: str, key: str):
+    """Strategy for the text of a value that [section] key accepts; free text where any is."""
+    kind, bound, *_ = harness._KEYS[section][key]
+    if kind is bool:
+        return st.sampled_from(sorted(configparser.ConfigParser.BOOLEAN_STATES))
+    if kind is str:
+        return _TEXT if bound is None else st.sampled_from(bound)
+    if isinstance(bound, set):
+        return st.sampled_from(sorted(bound)).map(str)
+    if kind is int:
+        return st.integers(min_value=bound).map(str)
+    return st.floats(min_value=bound, exclude_min=bound is not None, allow_nan=False,
+                     allow_infinity=False).map(repr)
+
+
+_DECLARED = {(section, key): _valid_text(section, key)
+             for section, keys in harness._KEYS.items() for key in keys}
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(EXPERIMENTS)), seed=st.integers(0, 2**63 - 1),
-       replicas=st.none() | st.integers(2, 10**6),
-       extra=st.dictionaries(_KEY.map("x_{}".format), _VALUE, max_size=4),
-       sections=st.dictionaries(_KEY.filter(lambda k: k != "experiment"),
-                                st.dictionaries(_KEY, _VALUE, max_size=4), max_size=3))
-def test_parse_and_serialize_round_trip(name, seed, replicas, extra, sections):
-    experiment = {"name": name, "seed": str(seed), **extra}
-    if replicas is not None:
-        experiment["replicas"] = str(replicas)
-    cfg = ExperimentConfig({"experiment": experiment, **sections})
+@given(name=st.sampled_from(sorted(EXPERIMENTS)),
+       values=st.fixed_dictionaries({}, optional=_DECLARED))
+def test_parse_and_serialize_round_trip(name, values):
+    raw = {"experiment": {"name": name}}
+    for (section, key), text in values.items():
+        raw.setdefault(section, {})[key] = text
+    cfg = ExperimentConfig(raw)
     again = parse_config(serialize_config(cfg))
     assert again.raw == cfg.raw
     assert serialize_config(again) == serialize_config(cfg)
@@ -206,7 +222,7 @@ def test_weighted_bound_verdict_flips_at_the_se_multiplier(tmp_path, monkeypatch
     ("name = picard\n[solver]\npicard_tol = -1\n", "[solver] picard_tol"),
     ("name = energy\n[solver]\nsteps = 0\n", "[solver] steps"),
     ("name = energy\n[green]\nhorizon = 0\n", "[green] horizon"),
-    ("name = energy\n[solver]\nv0_width = 0\n", "[solver] v0_width"),
+    ("name = weighted\n[weight]\nradius = 0\n", "[weight] radius"),
     ("name = weighted\n[solver]\ndt = 0\n", "[solver] dt"),
     ("name = support\n[green]\nhorizon = -1\n", "[green] horizon"),
     # values that pass their own bound but not another key's
@@ -225,11 +241,19 @@ def test_weighted_bound_verdict_flips_at_the_se_multiplier(tmp_path, monkeypatch
      "[measure] tail_exponent"),
     ("name = support\n[measure]\nkind = radial-table\ntail_exponent = -3\n",
      "[measure] table_path"),
+    # a radial table that the file cannot supply: missing, unordered, one row, one column
+    *(("name = picard\n[measure]\nkind = radial-table\ntail_exponent = -3\n"
+       f"table_path = {table}\n", "[measure] table_path")
+      for table in ("no-such.csv", "unordered.csv", "one-row.csv", "one-column.csv")),
 ])
 def test_experiment_keys_are_checked_before_any_work(tmp_path, monkeypatch, text, key):
     def no_work(*args):
         raise AssertionError("the experiment started before checking its keys")
 
+    for name, rows in (("unordered.csv", "1.0,0.5\n0.5,1.0\n2.0,0.25\n"),
+                       ("one-row.csv", "1.0,0.5\n"), ("one-column.csv", "0.5\n1.0\n2.0\n")):
+        (tmp_path / name).write_text(rows)
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(harness, "_build_grid", no_work)
     with pytest.raises(ValueError, match="^" + re.escape(key) + ": "):
         run(_config("[experiment]\n" + text), out_dir=tmp_path / "out")
@@ -244,9 +268,35 @@ def test_get_refuses_an_undeclared_key():
             cfg.get(section, key)
 
 
-def test_unknown_keys_still_parse():
-    cfg = _config(ENERGY_CFG + "threads = many\n[extra]\nn = abc\n")
-    assert cfg.raw["experiment"]["threads"] == "many" and cfg.raw["extra"] == {"n": "abc"}
+def test_the_readme_config_block_lists_every_declared_key():
+    # section by section, the keys commented out in the block counted too
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    listed = {}
+    for line in block.splitlines():
+        if header := re.match(r"\[(\w+)\]", line):
+            section = listed.setdefault(header[1], set())
+        elif key := re.match(r"(?:;\s*)?(\w+)\s*=", line):
+            section.add(key[1])
+    declared = {section: set(keys) for section, keys in harness._KEYS.items()}
+    declared["experiment"].add("name")
+    assert listed == declared
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("[grid]\nnn = 32\n", "[grid] nn"),  # misspelt
+    ("[solver]\nv0_kind = bump\n", "[solver] v0_kind"),  # removed
+    ("[solver]\naffine_b = 2\n", "[solver] affine_b"),  # removed
+    ("[extra]\nn = 1\n", "[extra] n"),  # unknown section
+])
+def test_undeclared_keys_are_refused(tmp_path, capsys, extra, key):
+    cfg_path = tmp_path / "energy.ini"
+    cfg_path.write_text(ENERGY_CFG + extra)
+    assert cli.main(["run", str(cfg_path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {key}: not a config key\n"
+    assert not (tmp_path / "out").exists()
+    # the benchmark's workloads write [experiment] threads, which nothing reads
+    assert _config(ENERGY_CFG + "threads = 1\n").raw["experiment"]["threads"] == "1"
 
 
 def test_isometry_run_is_byte_deterministic(tmp_path):
@@ -474,17 +524,17 @@ def test_cli_refuses_a_single_replica(tmp_path, capsys, experiment):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("amplitude, code", [(0.5, 0), (50.0, 2)])
-def test_one_minus_exp_fails_outside_its_lipschitz_box(tmp_path, capsys, amplitude, code):
-    # exp(3) bounds the slope of 1 - exp(-u) only on |u| <= 3; the bump's
-    # peak is amplitude / e, so 50 leaves the box at the first step
+@pytest.mark.parametrize("scale, code", [(1.0, 0), (10000.0, 2)])
+def test_one_minus_exp_fails_outside_its_lipschitz_box(tmp_path, capsys, scale, code):
+    # exp(3) bounds the slope of 1 - exp(-u) only on |u| <= 3; the bump peaks
+    # at 1 / e, and noise 10**4 times stronger drives the solution out of the box
     cfg_path = tmp_path / "support.ini"
-    cfg_path.write_text("[experiment]\nname = support\nseed = 5\n[solver]\n"
-                        f"nonlinearity = one-minus-exp\nv0_amplitude = {amplitude}\n")
+    cfg_path.write_text("[experiment]\nname = support\nseed = 5\n[measure]\n"
+                        f"scale = {scale}\n[solver]\nnonlinearity = one-minus-exp\n")
     assert cli.main(["run", str(cfg_path), "--output", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     if code:
-        assert err.startswith("error: ") and "max|u| = 18.394" in err and "|u| <= 3" in err
+        assert err.startswith("error: ") and "max|u| = 3.87815" in err and "|u| <= 3" in err
     else:
         assert (tmp_path / "out" / "support.csv").exists()
 
@@ -506,8 +556,8 @@ def test_one_minus_exp_fails_outside_its_lipschitz_box(tmp_path, capsys, amplitu
     ("[experiment]\nname = energy\n[grid]\nn = abc\n", "[grid] n: expected an integer"),
     ("[experiment]\nname = energy\n[grid]\nlength = 1.0.0\n", "[grid] length: expected a number"),
     ("[experiment]\nname = energy\n[grid]\nlength = inf\n", "[grid] length: expected a finite number"),
-    ("[experiment]\nname = energy\n[solver]\nv0_amplitude = nan\n",
-     "[solver] v0_amplitude: expected a finite number"),
+    ("[experiment]\nname = energy\n[green]\nhorizon = nan\n",
+     "[green] horizon: expected a finite number"),
 ])
 def test_cli_run_time_config_error_exit_code(tmp_path, capsys, text, message):
     # bad values, refused when the config is parsed or when the experiment starts

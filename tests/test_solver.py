@@ -76,7 +76,7 @@ def test_zero_lipschitz_constant_is_declared_as_zero():
 
 def test_negative_lipschitz_constant_is_rejected():
     with pytest.raises(ValueError, match="non-negative"):
-        Nonlinearity("bad", np.sin, -1.0, True)
+        Nonlinearity("bad", np.sin, -1.0)
 
 
 # -- deterministic part -------------------------------------------------------
@@ -196,7 +196,7 @@ def test_refinement_is_cauchy_in_dt():
     gaps = []
     for level in (3, 2, 1):
         coarse, finer = sols[level], sols[level - 1]
-        steps = len(coarse.times) - 1
+        steps = len(coarse.moments) - 1
         gap = max(
             l2_norm(coarse.snapshot_at(j) - finer.snapshot_at(2 * j))
             for j in range(steps + 1)
@@ -600,8 +600,11 @@ def test_picard_iteration_is_one_batched_transform_pair(monkeypatch, steps):
 # -- validation ---------------------------------------------------------------
 
 
-def test_validate_rejects_nonvanishing_alpha():
-    cfg = _basic_config(alpha=Nonlinearity.affine(0.0, 1.0))
+@pytest.mark.parametrize("alpha", [Nonlinearity.affine(0.0, 1.0),
+                                   Nonlinearity("cos", np.cos, 1.0)])
+def test_validate_rejects_nonvanishing_alpha(alpha):
+    # vanishing at zero is read off alpha(0), never declared
+    cfg = _basic_config(alpha=alpha)
     with pytest.raises(ValueError, match="weighted"):
         cfg.validate()
 
