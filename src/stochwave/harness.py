@@ -435,6 +435,15 @@ def _build_grid(cfg: ExperimentConfig, n: int, length: float) -> Grid:
                 cfg.get("grid", "length", length))
 
 
+def _radial_table(path: str) -> np.ndarray:
+    """The radius and density columns of a radial table file; any other column count is refused."""
+    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError(f"a radial table has two columns (radius, density), "
+                         f"{path} has {data.shape[1]}")
+    return data.T
+
+
 def _build_measure(cfg: ExperimentConfig) -> SpectralMeasure:
     """The [measure] of the [grid] dimension, built before the grid is: it checks keys only."""
     d = cfg.get("grid", "d", 1)
@@ -448,8 +457,7 @@ def _build_measure(cfg: ExperimentConfig) -> SpectralMeasure:
     for key in ("table_path", "tail_exponent"):  # radial-table
         if cfg.get("measure", key) is None:
             raise ValueError(f"[measure] {key}: required for radial-table")
-    radii, density = _keyed("[measure] table_path", np.loadtxt, cfg.get("measure", "table_path"),
-                            delimiter=",", ndmin=2, usecols=(0, 1), unpack=True)
+    radii, density = _keyed("[measure] table_path", _radial_table, cfg.get("measure", "table_path"))
     return _keyed("[measure] table_path", SpectralMeasure.radial_table, d, radii, density,
                   tail_exponent=cfg.get("measure", "tail_exponent"), scale=scale)
 

@@ -78,6 +78,7 @@ call at d = 2, N = 64, 8 steps took about 760 minor faults, not 14,300
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -165,7 +166,7 @@ class Grid:
         self._doubling[[0, -1]] = 1.0
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Grid)
             and self.dimension == other.dimension
             and self.points_per_axis == other.points_per_axis
@@ -364,7 +365,7 @@ def norm_sq(grid: Grid, values: np.ndarray, theta: np.ndarray | None = None) -> 
 
 def l2_norm(f: LatticeField) -> float:
     """L2 norm, the square root of :func:`norm_sq`."""
-    return float(np.sqrt(norm_sq(f.grid, f.values)))
+    return math.sqrt(norm_sq(f.grid, f.values))
 
 
 def h_neg_k_norm(f: LatticeField, k: int) -> float:

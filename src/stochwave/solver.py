@@ -35,13 +35,17 @@ leaves the frame through rows of the Green pair at the step times
 is re-summed.  The solution and its forcing are real and the Green pair
 is even in frequency, so every spectrum here is a half spectrum
 (``Grid.forward``/``Grid.inverse``) and the rows are computed on the
-half grid, from |eta| restricted by ``Grid.half``.  Three callers read
-the rows:
+half grid, from |eta| restricted by ``Grid.half``.  The rows depend on
+the grid, k, dt and the step range only, never on the noise, so they
+and the forcing scale are memoized by those values and handed out
+read-only: every solve of one configuration reads one table.  Three
+callers read the rows:
 
 - the causal sweep (:func:`_causal_sweep`), whose forcing alpha(u(t_j)) W_j
   depends on the current state: each step adds one term to a and to b
-  and costs one transform pair, and the rows are built a block of step
-  times at a time, so the sweep's memory does not grow with n;
+  and costs one transform pair, and the rows come a block of step
+  times at a time, so the sweep's memory does not grow with n; when the
+  n + 1 rows fit in one block, that block is the whole-horizon table;
 - the Picard update (:func:`_picard_update`), whose inputs are all known
   before it starts: one batched forward transform of every step's
   forcing, two cumulative sums along time (the sweep's additions, in the
@@ -60,7 +64,7 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -256,28 +260,45 @@ def deterministic_moments(cfg: SolveConfig, theta: np.ndarray | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _green_rows(grid: Grid, k: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows cos(t w) and sin(t w)/w (series branch near w = 0) on the half grid, t in ``times``.
+# Tables memoized at once.  Every solve of one configuration asks for the
+# same whole-horizon key, so one entry carries the reuse; more would hold
+# several of a long sweep's row blocks at a time.
+_TABLES_KEPT = 1
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=_TABLES_KEPT)
+def _green_rows(grid: Grid, k: int, dt: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows cos(t w), sin(t w)/w (series branch near w = 0) on the half grid, t = j dt, lo <= j < hi.
 
     Elementwise in t and |eta|, so one evenness check of |eta| covers them
     and a row is the same bit for bit whichever other times share its call.
+    Memoized by (grid, k, dt, lo, hi) and read-only: the sweep's single
+    block and the whole-horizon table (:func:`_horizon_table`) share one.
     """
     mag = grid.half(np.sqrt(grid.freq_norm_sq))
-    return cosine_multiplier(times, mag, k), sine_multiplier(times, mag, k)
+    times = dt * np.arange(lo, hi)
+    return _read_only(cosine_multiplier(times, mag, k)), _read_only(sine_multiplier(times, mag, k))
 
 
+@lru_cache(maxsize=_TABLES_KEPT)
 def _forcing_scale(grid: Grid, k: int, dt: float) -> np.ndarray:
     """Lattice dG/dt at t = 0 on the half grid, the factor forcing enters F[u_t] with.
 
     It is 1, except for the exact d = 1, k = 1 kernel: eta (h/2) cot(eta h/2), 0 at Nyquist.
+    Memoized by (grid, k, dt) and read-only, as :func:`_green_rows` is.
     """
-    return grid.half(GreenMultiplier(k, dt).lattice_dt_spectrum(grid, 0.0))
+    return _read_only(grid.half(GreenMultiplier(k, dt).lattice_dt_spectrum(grid, 0.0)))
 
 
 def _horizon_table(cfg: SolveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Green-pair rows at every step time t_j = j dt, j = 0..n, and the forcing scale."""
-    cos, sin = _green_rows(cfg.grid, cfg.k, cfg.dt * np.arange(cfg.steps + 1))
-    return cos, sin, _forcing_scale(cfg.grid, cfg.k, cfg.dt)
+    return (*_green_rows(cfg.grid, cfg.k, cfg.dt, 0, cfg.steps + 1),
+            _forcing_scale(cfg.grid, cfg.k, cfg.dt))
 
 
 def _initial_frame(cfg: SolveConfig, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,15 +329,16 @@ def _causal_sweep(cfg: SolveConfig, w_fields: Iterable[np.ndarray]):
     one forward transform.  The frame coordinates a = F[v0] - P and
     b = scale F[v0_dot] + Q take one term each per step, as in the
     running sums of :func:`_forced_spectra`, so the sweep and the Picard
-    update do the same arithmetic.  The Green-pair rows are built in
-    blocks of step times (``noise.replica_blocks``, one half grid a
-    row), so the sweep's memory does not grow with n.
+    update do the same arithmetic.  The Green-pair rows come from
+    :func:`_green_rows` in blocks of step times (``noise.replica_blocks``,
+    one half grid a row), so the sweep's memory does not grow with n; a
+    single block is the whole-horizon table the Picard solves read.
     """
     grid, alpha = cfg.grid, cfg.nonlinearity
     scale = _forcing_scale(grid, cfg.k, cfg.dt)
     a, b = _initial_frame(cfg, scale)
     rows = itertools.chain.from_iterable(
-        zip(*_green_rows(grid, cfg.k, cfg.dt * np.arange(lo, hi)))
+        zip(*_green_rows(grid, cfg.k, cfg.dt, lo, hi))
         for lo, hi, _ in replica_blocks(cfg.steps + 1, math.prod(grid.half_shape)))
     # w first: zip stops at the last increment without taking the final row
     for w, (cos, sin) in zip(w_fields, rows):

@@ -95,6 +95,16 @@ def test_criterion_06_fixed_point(tables):
     assert ok
 
 
+def test_picard_fixed_point_is_pinned(tables):
+    # at this seed the Picard solve from u0 stops after 11 updates at the shipped
+    # tolerance (10 at 1e-12), lands within rounding of the sweep, and the zero
+    # guess reaches the same bits; a Green-pair table that moved one bit moves these
+    rows = {r.quantity: r.value for r in _rows(tables, "picard", case="fixed-point")}
+    assert rows["picard_iterations"] == 11
+    assert rows["sweep_vs_picard_sup"] <= 1e-14
+    assert rows["two_guess_gap"] == 0
+
+
 def test_criterion_07_moment_envelope(tables):
     rows = {r.quantity: r for r in _rows(tables, "picard", case="moment")}
     ok = rows["moment_at_T"].verdict and rows["moment_at_T"].replicas == 100 \

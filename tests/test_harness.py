@@ -241,17 +241,20 @@ def test_weighted_bound_verdict_flips_at_the_se_multiplier(tmp_path, monkeypatch
      "[measure] tail_exponent"),
     ("name = support\n[measure]\nkind = radial-table\ntail_exponent = -3\n",
      "[measure] table_path"),
-    # a radial table that the file cannot supply: missing, unordered, one row, one column
+    # a radial table that the file cannot supply: missing, unordered, one row, one
+    # column, a third column
     *(("name = picard\n[measure]\nkind = radial-table\ntail_exponent = -3\n"
        f"table_path = {table}\n", "[measure] table_path")
-      for table in ("no-such.csv", "unordered.csv", "one-row.csv", "one-column.csv")),
+      for table in ("no-such.csv", "unordered.csv", "one-row.csv", "one-column.csv",
+                    "three-column.csv")),
 ])
 def test_experiment_keys_are_checked_before_any_work(tmp_path, monkeypatch, text, key):
     def no_work(*args):
         raise AssertionError("the experiment started before checking its keys")
 
     for name, rows in (("unordered.csv", "1.0,0.5\n0.5,1.0\n2.0,0.25\n"),
-                       ("one-row.csv", "1.0,0.5\n"), ("one-column.csv", "0.5\n1.0\n2.0\n")):
+                       ("one-row.csv", "1.0,0.5\n"), ("one-column.csv", "0.5\n1.0\n2.0\n"),
+                       ("three-column.csv", "0.5,1.0,9\n1.0,0.5,9\n2.0,0.25,9\n")):
         (tmp_path / name).write_text(rows)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(harness, "_build_grid", no_work)

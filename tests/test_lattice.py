@@ -423,6 +423,31 @@ def test_l2_norm_trivials():
     assert l2_norm(LatticeField(g, vals)) == pytest.approx(np.sqrt(g.spacing), rel=1e-14)
 
 
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+def test_l2_norm_is_the_numpy_root_of_norm_sq_bit_for_bit(d, n):
+    # math.sqrt and np.sqrt both round the square root correctly
+    grid = Grid(d, n, 7.0)
+    rng = np.random.default_rng(n)
+    for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+        f = LatticeField(grid, scale * rng.standard_normal(grid.shape))
+        assert l2_norm(f) == float(np.sqrt(norm_sq(grid, f.values)))
+
+
+def test_grids_compare_by_dimension_points_and_exact_length():
+    a = Grid(1, 64, 0.3)
+    assert a == a
+    # a float length is held as the nearest fraction with denominator <= 1e9,
+    # so 0.1 + 0.2 gives the same exact L (3/10) and the same spacing
+    for same in (Grid(1, 64, 0.3), Grid(1, 64, 0.1 + 0.2)):
+        assert same is not a and same == a and hash(same) == hash(a)
+        assert same.spacing == a.spacing
+        assert not (LatticeField(same, np.ones(64)) - LatticeField(a, np.ones(64))).values.any()
+    for other in (Grid(1, 64, 0.3 + 1e-6), Grid(1, 64, 9.0), Grid(1, 32, 0.3), Grid(2, 64, 0.3)):
+        assert other != a
+        with pytest.raises(ValueError, match="grids differ"):
+            LatticeField(other, np.ones(other.shape)) - LatticeField(a, np.ones(64))
+
+
 @pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (3, 8)])
 def test_batched_norm_sq_equals_row_by_row(d, n):
     # a (replicas, steps, *shape) batch, as the replica sweep hands it over

@@ -431,6 +431,74 @@ def test_sweep_memory_does_not_grow_with_the_step_count(monkeypatch):
     assert _sweep_peak(grid, 1024) <= 120 * field_bytes
 
 
+# -- the memoized Green-pair table --------------------------------------------
+
+
+def _clear_tables():
+    solver._green_rows.cache_clear()
+    solver._forcing_scale.cache_clear()
+
+
+def _every_entry_point(cfg, seed):
+    """What the picard experiment's six solves return on ``cfg``, as arrays."""
+    path = sample_path(cfg.grid, cfg.measure, cfg.horizon, cfg.dt, np.random.default_rng(seed))
+    sweep = explicit_sweep(cfg, path)
+    pic, pic0 = picard_iterate(cfg, path), picard_iterate(cfg, path, initial="zero")
+    rngs = [np.random.default_rng(seed + 1 + r) for r in range(3)]
+    moments, kept = sweep_replicas(cfg, rngs, keep=(0, cfg.steps))
+    rngs = [np.random.default_rng(seed + 1 + r) for r in range(3)]
+    return [sweep.moments, sweep.snapshot_at(cfg.steps).values, pic.moments,
+            pic.snapshot_at(cfg.steps).values, *pic.m_table, pic0.moments,
+            picard_replicas(cfg, rngs, 4), moments, kept, deterministic_moments(cfg)]
+
+
+def test_one_configuration_builds_its_green_pair_table_once():
+    cfg = _basic_config(n=32, dt=1.0 / 32.0)
+    _clear_tables()
+    _every_entry_point(cfg, 900)
+    # six solves, one sweep block each for the two sweeps; one build, five reads
+    assert solver._green_rows.cache_info()[:2] == (5, 1)
+    assert solver._forcing_scale.cache_info().misses == 1
+
+
+def test_the_cached_table_is_read_only():
+    cfg = _basic_config(n=32, dt=1.0 / 32.0)
+    table = _horizon_table(cfg)
+    assert table[0] is _horizon_table(cfg)[0]
+    for arr in table:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_cold_and_warm_tables_give_the_same_bits():
+    cfg = _basic_config(n=32, dt=1.0 / 32.0)
+    _clear_tables()
+    cold = _every_entry_point(cfg, 910)
+    warm = _every_entry_point(cfg, 910)
+    assert solver._green_rows.cache_info().misses == 1
+    assert len(cold) == len(warm)
+    assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
+
+
+@pytest.mark.parametrize("field", ["dt", "grid", "k"])
+def test_a_config_changed_in_place_reads_its_own_table(field):
+    cfg = _basic_config(n=32, dt=1.0 / 32.0)
+    old = _horizon_table(cfg)
+    if field == "dt":
+        cfg.dt = 1.0 / 16.0
+    elif field == "grid":
+        cfg.grid = Grid(1, 32, 12.0)
+        cfg.v0 = LatticeField(cfg.grid, np.exp(-cfg.grid.axis_coords**2))
+    else:
+        cfg.k = 2
+    warm = [*_horizon_table(cfg), *_every_entry_point(cfg, 920)]
+    _clear_tables()
+    cold = [*_horizon_table(cfg), *_every_entry_point(cfg, 920)]
+    assert not np.array_equal(warm[1], old[1])
+    assert len(cold) == len(warm)
+    assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
+
+
 # -- replica-batched sweep ----------------------------------------------------
 
 
