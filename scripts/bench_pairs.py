@@ -3,12 +3,15 @@
     python3 scripts/bench_pairs.py --parent REV --pr N
         [--workload W ...] [--pairs 10] [--seed 20260810] [--seconds 40]
 
-Exports ``REV`` with ``git archive`` into a temporary directory and runs
-``python3 perfbench/run.py --workload W --seed S --seconds T`` there and
-in this checkout's working tree, one run at a time, for ``--pairs``
-pairs per workload.  The side that goes first alternates from pair to
-pair, so a drift in host speed does not favour one side.  Each run's
-metrics come from the JSON object on its last stdout line.
+Exports ``REV`` with ``git archive`` into a temporary directory, and
+copies beside it this checkout's working tree as git sees it: the
+tracked files plus the untracked ones ``.gitignore`` does not ignore, so
+neither side carries caches or outputs of earlier runs.  It runs
+``python3 perfbench/run.py --workload W --seed S --seconds T`` in both
+copies, one run at a time, for ``--pairs`` pairs per workload.  The side
+that goes first alternates from pair to pair, so a drift in host speed
+does not favour one side.  Each run's metrics come from the JSON object
+on its last stdout line.
 
 Writes ``BENCH_<N>.json`` at the repository root: per workload and
 metric, both sides' values, medians and quartiles, the change/parent
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +52,18 @@ def export(rev: str, dest: Path) -> str:
         tar.extractall(tree, filter="data")
     archive.unlink()
     return commit
+
+
+def export_worktree(dest: Path) -> Path:
+    """Copy the working tree's tracked and unignored untracked files into ``dest``/change."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=ROOT, check=True, capture_output=True).stdout.split(b"\0")
+    tree = dest / "change"
+    for name in map(os.fsdecode, filter(None, names)):
+        if (ROOT / name).is_file():  # a tracked file deleted in the working tree stays out
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, tree / name)
+    return tree
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -102,12 +119,12 @@ def main(argv=None) -> int:
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": args.seed,
         "seconds_per_run": args.seconds,
-        "change": "working tree",
+        "change": "working tree, tracked and unignored files",
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         record["parent"] = export(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp) / "parent", "change": ROOT}
+        trees = {"parent": Path(tmp) / "parent", "change": export_worktree(Path(tmp))}
         for workload in workloads:
             runs: dict = {"parent": [], "change": []}
             for i in range(args.pairs):

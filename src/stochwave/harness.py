@@ -9,10 +9,15 @@ streams are counter-based (Philox), keyed by
 
 with the experiment index from the one registry ``EXPERIMENTS`` (name ->
 spawn-key index, criterion, function); within one stream, noise slices
-are drawn in time order.  Two runs of the same experiment at replica
-offsets 0..a and a..b therefore draw exactly the replicas of one run
-over 0..b, which is what makes result aggregation exact rather than
-approximate.
+are drawn in time order (the draw rule of ``stochwave.noise``).  Two runs
+of the same experiment at replica offsets 0..a and a..b therefore draw
+exactly the replicas of one run over 0..b, which is what makes result
+aggregation exact rather than approximate.  :func:`replica_generator`
+builds one stream through ``SeedSequence`` and is the reference; a case's
+replica streams (:func:`_replica_generators`) take their Philox keys from
+one vectorized pass of the same hash over all the case's replica indices
+(:func:`_philox_keys`), so they are the same streams without a
+``SeedSequence`` a replica.
 
 Config files are INI-style (see ``parse_config``); ``_KEYS`` must declare
 every key they set, and checks its value when they are parsed.  An experiment
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, replace
@@ -98,9 +104,90 @@ def replica_generator(master_seed: int, experiment: str, case_index: int,
     return np.random.Generator(np.random.Philox(ss))
 
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _philox_keys(seed: int, spawn_head: tuple, first: int, count: int) -> np.ndarray:
+    """The (count, 2) uint64 Philox keys of ``SeedSequence(seed, spawn_key=spawn_head + (r,))``
+    for r = first .. first + count - 1, by one pass of its hash over all of them.
+
+    The entropy is the seed's little-endian 32-bit words, zero-padded to 4, then the
+    words of each spawn-key entry (0 is one word).  The first 4 words fill the pool
+    and are mixed across it, each later word is mixed into every pool entry, and the
+    pool is hashed out to 4 words, 0|1 and 2|3 forming the key.  Only the replica
+    index varies, so every word before it is hashed once for the whole case; an index
+    word that a smaller index lacks leaves that index's pool as it was.
+    """
+    hash_const, hash_mult = 0x43B0D7E5, 0x931E8875  # the pool's hash; the output's below
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * hash_mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return out ^ (out >> np.uint32(16))
+
+    def words(n: int) -> list[int]:
+        return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+    entropy = words(seed)
+    entropy += [0] * (4 - len(entropy))
+    for entry in spawn_head:
+        entropy += words(entry)
+    pool = [hashmix(np.array([w], dtype=np.uint32)) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    def add(word, live=True):
+        for dst in range(4):
+            pool[dst] = np.where(live, mix(pool[dst], hashmix(word)), pool[dst])
+
+    for w in entropy[4:]:
+        add(np.array([w], dtype=np.uint32))
+    index = np.array(range(first, first + count), dtype=object)
+    add((index & _MASK32).astype(np.uint32))
+    for shift in range(32, max(first + count - 1, 1).bit_length(), 32):
+        high = index >> shift
+        add((high & _MASK32).astype(np.uint32), high != 0)
+    hash_const, hash_mult = 0x8B51F9DD, 0x58F38DED
+    out = [hashmix(entry).astype(np.uint64) for entry in pool]
+    return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
+
+
+@functools.cache
+def _key_sequence():
+    """A seed sequence that hands ``Philox`` one precomputed key; built at first use, so
+    importing the harness does not load ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a key sequence holds one Philox key: 2 words of uint64, "
+                                 f"not {n_words} of {np.dtype(dtype)}")
+            return self.key
+
+    return KeySequence
+
+
 def _replica_generators(cfg: "ExperimentConfig", case_index: int, count: int) -> list:
-    off = cfg.replica_offset
-    return [replica_generator(cfg.seed, cfg.name, case_index, off + r) for r in range(count)]
+    """The streams of replicas replica_offset .. replica_offset + count - 1 of one case:
+    :func:`replica_generator`'s, keyed by :func:`_philox_keys` in one pass."""
+    keys = _philox_keys(cfg.seed, (EXPERIMENTS[cfg.name][0], case_index),
+                        cfg.replica_offset, count)
+    sequence = _key_sequence()
+    return [np.random.Generator(np.random.Philox(sequence(key))) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +701,8 @@ def _exp_picard(cfg: ExperimentConfig, files: dict) -> list[Row]:
     grid, measure = solve_cfg.grid, solve_cfg.measure
     rows = []
 
-    # fixed-point agreement and uniqueness surrogate on one fixed path
+    # fixed-point agreement on one fixed path; the zero-guess solve is the u0 solve one
+    # update later (picard_iterate), so two_guess_gap is 0 by construction
     path = sample_path(grid, measure, solve_cfg.horizon, solve_cfg.dt,
                        replica_generator(cfg.seed, "picard", 0, cfg.replica_offset))
     sweep = explicit_sweep(solve_cfg, path)
@@ -730,8 +818,8 @@ def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
     shell_count = int(w.annulus_index(grid).max()) + 1
     weights_n = np.array([float(max(n, 1)) ** (-w.exponent) for n in range(shell_count)])
     violations = 0
-    for _ in range(n_fields):
-        f = LatticeField(grid, rng.standard_normal(grid.shape))
+    for values in rng.standard_normal((n_fields,) + grid.shape):
+        f = LatticeField(grid, values)
         wn_sq = float(norm_sq(grid, f.values, theta))
         shells = annuli_norms(f, w)
         shell_sum = float(np.sum(weights_n * shells))

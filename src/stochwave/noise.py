@@ -25,15 +25,20 @@ are even in eta, so it filters half spectra, one real transform pair
 The choice is made from the filter's values, not from the measure's
 kind.  Every consumer multiplies an increment pointwise in space, so the
 sampler hands out real fields; only this module sees the spectrum.
-Slices are independent across time steps and reproducible from the
-generator handed in: slice s of a path is the s-th draw of its stream.
-A batch draws each row from its own entry of a list of generators (a
-path lists its one stream once a step); a replica batch takes one
-generator a replica and runs in blocks sized
-by :func:`replica_blocks`; a caller that draws block after block may
-hand in the rows and the spectrum buffer to reuse (``out``, ``work``),
-which changes no value.  Every replica sample set is reduced to its mean
-and standard error by :func:`mean_se`.
+The draw rule, which every sampler of the package follows: slices are
+independent across time steps and reproducible from the generator handed
+in, and slice s of a stream is its s-th draw of a field of standard
+normals.  A stream's consecutive slices are one fill of consecutive rows,
+which draws the same numbers as one fill a slice, so
+:func:`sample_slice_batch` lets each generator of its list fill ``steps``
+consecutive rows in one call (row i * steps + j is slice j of stream i):
+a path is one stream filling all its slices (:func:`sample_path`), a
+replica batch one stream a replica, in blocks sized by
+:func:`replica_blocks`, each filling a chunk of steps.  How the slices
+are split into calls, blocks or chunks therefore changes no value, and
+neither does a caller that draws block after block handing in the rows
+and the spectrum buffer to reuse (``out``, ``work``).  Every replica
+sample set is reduced to its mean and standard error by :func:`mean_se`.
 """
 
 from __future__ import annotations
@@ -106,32 +111,33 @@ def whole_steps(span: float, dt: float) -> int:
 
 def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float, rngs,
                        out: np.ndarray | None = None,
-                       work: np.ndarray | None = None) -> np.ndarray:
-    """Real increments of independent slices, one row a generator of ``rngs``.
+                       work: np.ndarray | None = None, steps: int = 1) -> np.ndarray:
+    """Real increments of independent slices, ``steps`` consecutive ones a generator of ``rngs``.
 
-    Row i is drawn straight from ``rngs[i]``: one replica's stream per
-    row in a replica batch, or one path's stream repeated (the rows are
-    then its successive slices in time order, as :func:`sample_path`
-    draws them).  A filter whose entries are all equal (white noise) is
-    one scalar, applied to the draws in place; any other filter runs the
+    Row i * steps + j is slice j of ``rngs[i]``, drawn by the module's
+    draw rule with one fill a generator, so ``len(result)`` counts
+    slices.  A filter whose entries are all equal (white noise) is one
+    scalar, applied to the draws in place; any other filter runs the
     half-spectrum transform pair: forward into ``work``, the filter
     applied there, and the inverse back into the draws' rows.
 
-    ``out`` (float, shape (len(rngs), *grid.shape)) receives the slices
-    and is returned; ``work`` (complex, shape (len(rngs),
+    ``out`` (float, shape (len(rngs) * steps, *grid.shape)) receives the
+    slices and is returned; ``work`` (complex, shape (len(rngs) * steps,
     *grid.half_shape)) is the spectrum buffer of a varying filter,
     overwritten.  Either is allocated when not given, so a caller that
     passes both reuses its own buffers on every call.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    shape = (len(rngs),) + grid.shape
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    shape = (len(rngs) * steps,) + grid.shape
     if out is None:
         out = np.empty(shape)
     else:
         grid._check_out(out, shape, float)
-    for gen, row in zip(rngs, out):
-        gen.standard_normal(out=row)
+    for i, gen in enumerate(rngs):
+        gen.standard_normal(out=out[i * steps:(i + 1) * steps])
     scale = _spectral_scale(grid, measure, dt)
     first = scale.flat[0]
     if np.all(scale == first):
@@ -180,11 +186,6 @@ def sample_slice(grid: Grid, measure: SpectralMeasure, dt: float,
 
 def sample_path(grid: Grid, measure: SpectralMeasure, horizon: float, dt: float,
                 rng: np.random.Generator) -> NoisePath:
-    """Sample the :func:`whole_steps` slices of dt in the horizon from one stream.
-
-    ``rng`` draws every row of one batch, so the slices are the same, in
-    the same order, as successive :func:`sample_slice` calls, with the
-    spectral scale evaluated once.
-    """
+    """Sample the :func:`whole_steps` slices of dt in the horizon from one stream, in one call."""
     steps = whole_steps(horizon, dt)
-    return NoisePath(grid, dt, sample_slice_batch(grid, measure, dt, [rng] * steps))
+    return NoisePath(grid, dt, sample_slice_batch(grid, measure, dt, [rng], steps=steps))

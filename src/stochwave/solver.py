@@ -55,7 +55,8 @@ callers read the rows:
 
 Trajectories put time on the leading axis and may carry a replica axis
 after it: :func:`sweep_replicas` and :func:`picard_replicas` solve
-Monte Carlo ensembles in blocks of replicas from ``noise.replica_blocks``.
+Monte Carlo ensembles in blocks of replicas from ``noise.replica_blocks``,
+each replica's noise drawn in chunks of steps (:func:`_noise_chunks`).
 """
 
 from __future__ import annotations
@@ -411,12 +412,26 @@ def _noise_fields(cfg: SolveConfig, path: NoisePath) -> np.ndarray:
     return fields if mask is None else fields * mask
 
 
-def _noise_batches(cfg: SolveConfig, gens):
-    """The n masked increments of the replicas of ``gens``, one batch a step."""
-    mask = _mask(cfg)
-    for _ in range(cfg.steps):
-        w = sample_slice_batch(cfg.grid, cfg.measure, cfg.dt, gens)
-        yield w if mask is None else w * mask
+def _noise_chunks(cfg: SolveConfig, gens):
+    """The n masked increments of the replicas of ``gens``, as ``(lo, hi, chunk)`` for
+    chunks of the consecutive steps lo..hi - 1.
+
+    A chunk has shape (hi - lo, replicas, *grid.shape); each stream fills
+    its slices of a chunk in one call (the draw rule of
+    ``stochwave.noise``), so the chunking changes no value.  The chunks
+    are ``noise.replica_blocks`` of the n steps, one field a replica and
+    step, and each is a view of one buffer that the next one overwrites.
+    """
+    mask, grid, n, reps = _mask(cfg), cfg.grid, cfg.steps, len(gens)
+    buf = None
+    for lo, hi, _ in replica_blocks(n, reps * math.prod(grid.shape)) if n else ():
+        if buf is None:  # the first chunk is the largest
+            buf = np.empty((reps * (hi - lo),) + grid.shape)
+        w = sample_slice_batch(grid, cfg.measure, cfg.dt, gens, out=buf[:reps * (hi - lo)],
+                               steps=hi - lo)
+        if mask is not None:
+            w *= mask
+        yield lo, hi, w.reshape((reps, hi - lo) + grid.shape).swapaxes(0, 1)
 
 
 def _initial_guess(cfg: SolveConfig, table, initial: str) -> np.ndarray:
@@ -459,15 +474,17 @@ def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
                    keep=()) -> tuple[np.ndarray, np.ndarray]:
     """Causal sweep of independent replicas, batched along a leading axis.
 
-    Replica r draws its noise from its own generator ``rngs[r]``, slice
-    by slice in time order, exactly as ``sample_path`` does.  Blocks of
-    replicas (``noise.replica_blocks``, one half grid a replica) stream
-    one noise batch per step through the causal sweep, so each
-    replica's results are bit-identical to :func:`explicit_sweep` on its
-    own path and do not depend on the block size.  Returns the squared
-    norms, shape (replicas, n + 1), theta-weighted when ``theta`` is
-    given (as in :func:`explicit_sweep`), and the values at the steps
-    ``keep``, shape (replicas, len(keep), *grid.shape).
+    Replica r draws its noise from its own generator ``rngs[r]`` in
+    chunks of steps (:func:`_noise_chunks`), so by the draw rule of
+    ``stochwave.noise`` its slices are those of ``sample_path(...,
+    rngs[r])``.  Blocks of replicas (``noise.replica_blocks``, one half
+    grid a replica) stream one noise batch per step through the causal
+    sweep, so each replica's results are bit-identical to
+    :func:`explicit_sweep` on its own path and do not depend on the block
+    or chunk size.  Returns the squared norms, shape (replicas, n + 1),
+    theta-weighted when ``theta`` is given (as in :func:`explicit_sweep`),
+    and the values at the steps ``keep``, shape (replicas, len(keep),
+    *grid.shape).
     """
     cfg.validate(weighted=theta is not None)
     grid, n = cfg.grid, cfg.steps
@@ -478,7 +495,8 @@ def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
     moments = np.empty((len(rngs), n + 1))
     kept = np.empty((len(rngs), len(keep)) + grid.shape)
     for lo, hi, gens in blocks:
-        for j, values in enumerate(_causal_sweep(cfg, _noise_batches(cfg, gens))):
+        w_fields = (w for _, _, chunk in _noise_chunks(cfg, gens) for w in chunk)
+        for j, values in enumerate(_causal_sweep(cfg, w_fields)):
             moments[lo:hi, j] = norm_sq(grid, values, theta)
             if j in slot:
                 kept[lo:hi, slot[j]] = values
@@ -510,6 +528,12 @@ def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0") -> So
     n + 2 iterations is reported, not fatal; the squared-distance table carries
     the tail.  Each iteration is one whole-trajectory update, so it
     costs one batched transform pair whatever n is.
+
+    Since alpha(0) = 0, the first update from ``initial="zero"`` forces
+    nothing and returns the u0 guess bit for bit: that solve is the u0
+    solve one update later (its ``m_table[1:]`` is the u0 solve's table,
+    its values are the same and it counts one iteration more), so the
+    two guesses agree by construction and their gap tests no uniqueness.
     """
     cfg.validate()
     table = _horizon_table(cfg)
@@ -522,13 +546,13 @@ def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0") -> So
 def picard_replicas(cfg: SolveConfig, rngs, iterations: int) -> np.ndarray:
     """A fixed number of Picard iterations on independent replicas, batched.
 
-    Replica r iterates on ``sample_path(..., rngs[r])``, drawn slice by
-    slice as :func:`sweep_replicas` draws it.  Blocks of replicas
+    Replica r iterates on ``sample_path(..., rngs[r])``, drawn in chunks
+    of steps as :func:`sweep_replicas` draws it.  Blocks of replicas
     (``noise.replica_blocks``, one (n + 1)-row half-grid trajectory a
     replica) run as one batch, the replica axis after the time axis, so
     each replica's rows are bit-identical to the first ``iterations`` of
     :func:`picard_iterate` on its own path (initial guess u0) with a zero
-    tolerance, and do not depend on the block size.
+    tolerance, and do not depend on the block or chunk size.
     Returns the squared update distances, shape (replicas, iterations,
     n + 1): row [r, i] is replica r's ``m_table[i]``.
     """
@@ -540,8 +564,8 @@ def picard_replicas(cfg: SolveConfig, rngs, iterations: int) -> np.ndarray:
     m = np.empty((len(rngs), iterations, n + 1))
     for lo, hi, gens in blocks:
         w_fields = np.empty((n, hi - lo) + grid.shape)
-        for j, w in enumerate(_noise_batches(cfg, gens)):
-            w_fields[j] = w
+        for a, b, chunk in _noise_chunks(cfg, gens):
+            w_fields[a:b] = chunk
         prev = np.broadcast_to(guess, (n + 1,) + w_fields.shape[1:])
         _, m_table, _ = _picard_loop(cfg, table, w_fields, prev, iterations, 0.0)
         for i, dist_sq in enumerate(m_table):

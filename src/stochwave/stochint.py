@@ -366,8 +366,9 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
     """Squared norms of v(t), t the horizon of Z, over independent replicas.
 
     ``rng`` is exactly ``replicas`` generators: replica r consumes only
-    its own stream, slice by slice in time order, as ``sample_path`` does,
-    so neither the block size nor the replica offset moves its norm.
+    its own stream, slice by slice in time order (the draw rule of
+    ``stochwave.noise``), so neither the block size nor the replica
+    offset moves its norm.
     Blocks come from ``noise.replica_blocks``, one half grid a replica,
     so their memory does not grow with the grid.  Each block samples
     fresh slices for every time step and accumulates the half spectra

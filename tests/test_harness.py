@@ -112,6 +112,63 @@ def test_the_seeding_contract_is_pinned():
     assert replica_generator(20260810, "picard", 0, 0).standard_normal() == 0.43744210888409474
 
 
+def _case_config(seed: int, experiment: str, offset: int) -> ExperimentConfig:
+    return parse_config(f"[experiment]\nname = {experiment}\nseed = {seed}\n"
+                        f"replica_offset = {offset}\n")
+
+
+def _streams_agree(gen, ref) -> bool:
+    """The same Philox key and counter, and the same first draws."""
+    a, b = gen.bit_generator.state["state"], ref.bit_generator.state["state"]
+    return (np.array_equal(a["key"], b["key"]) and np.array_equal(a["counter"], b["counter"])
+            and np.array_equal(gen.standard_normal(5), ref.standard_normal(5)))
+
+
+# offsets whose replicas cross a word boundary of the index (2**32, 2**64, 2**128) inside
+# the case, next to seeds, experiments and cases drawn at random, multi-word ones included
+_BOUNDARY_CASES = [(20260810, "picard", 1, 0, 40), (0, "admissibility", 0, 0, 3),
+                   (2**32 - 1, "weighted", 2**32, 2**32 - 3, 6), (2**32, "support", 5, 2**64 - 2, 4),
+                   (2**130 + 7, "refinement", 2**128 + 1, 2**128 - 2, 4),
+                   (5, "isometry", 3, 2**96 - 1, 2)]
+
+
+@pytest.mark.parametrize("draw", range(6))
+def test_case_streams_are_replica_generators(draw):
+    # one vectorized hash pass gives every replica of a case the key SeedSequence gives it
+    rnd = np.random.default_rng(4100 + draw)
+    cases = [_BOUNDARY_CASES[draw]]
+    for _ in range(4):
+        bits = [int(b) for b in rnd.choice([8, 32, 33, 64, 65, 140], size=3)]
+        seed, case, offset = (int.from_bytes(rnd.bytes(18), "little") % 2**b for b in bits)
+        cases.append((seed, str(rnd.choice(list(EXPERIMENTS))), case, offset,
+                      int(rnd.integers(1, 6))))
+    for seed, experiment, case, offset, count in cases:
+        gens = harness._replica_generators(_case_config(seed, experiment, offset), case, count)
+        assert len(gens) == count
+        for r, gen in enumerate(gens):
+            assert _streams_agree(gen, replica_generator(seed, experiment, case, offset + r)), \
+                (seed, experiment, case, offset + r)
+
+
+def test_a_key_sequence_hands_out_its_one_key_only():
+    key = np.array([3, 2**64 - 1], dtype=np.uint64)
+    sequence = harness._key_sequence()(key)
+    assert np.array_equal(sequence.generate_state(2, np.uint64), key)
+    for n_words, dtype in ((4, np.uint32), (2, np.uint32), (1, np.uint64), (4, np.uint64)):
+        with pytest.raises(ValueError, match="one Philox key"):
+            sequence.generate_state(n_words, dtype)
+
+
+def test_importing_the_harness_does_not_load_numpy_random():
+    # the key sequence class is built at first use, so set-up does not pay for numpy.random
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, stochwave.harness; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=env)
+    assert proc.stdout.strip() == "False"
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg = _config(ENERGY_CFG)
     t1 = run(cfg, out_dir=tmp_path / "a")

@@ -125,6 +125,58 @@ def test_slice_batch_with_per_replica_generators(grid):
         assert np.allclose(batch, np.stack(singles), atol=0)
 
 
+class _CountingStream:
+    """A generator that counts its fills."""
+
+    def __init__(self, seed):
+        self.gen, self.fills = np.random.default_rng(seed), 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.fills += 1
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+def _measure(kind, d):
+    return SpectralMeasure.white(d) if kind == "white" else SpectralMeasure.riesz(d, 0.5 * d)
+
+
+@pytest.mark.parametrize("kind", ["white", "riesz"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_each_stream_fills_its_consecutive_slices_in_one_call(kind, d):
+    # row i * steps + j is slice j of stream i, equal bit for bit to stream i's j-th
+    # one-slice draw, with one fill a stream, into fresh or caller buffers
+    grid = Grid(d, 32 if d == 1 else 16, 6.0)
+    m, steps, dt = _measure(kind, d), 3, 0.1
+    ref = np.stack([sample_slice(grid, m, dt, gen)
+                    for gen in [np.random.default_rng(800 + i) for i in range(4)]
+                    for _ in range(steps)])
+    streams = [_CountingStream(800 + i) for i in range(4)]
+    batch = sample_slice_batch(grid, m, dt, streams, steps=steps)
+    assert len(batch) == 4 * steps and np.array_equal(batch, ref)
+    assert [s.fills for s in streams] == [1] * 4
+    rows = np.full((13,) + grid.shape, np.nan)[:12]
+    work = np.full((13,) + grid.half_shape, np.nan, dtype=complex)[:12]
+    gens = [np.random.default_rng(800 + i) for i in range(4)]
+    assert sample_slice_batch(grid, m, dt, gens, out=rows, work=work, steps=steps) is rows
+    assert np.array_equal(rows, ref)
+    assert sample_slice_batch(grid, m, dt, gens, steps=0).shape == (0,) + grid.shape
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        sample_slice_batch(grid, m, dt, gens, steps=-1)
+    with pytest.raises(ValueError, match="out must be"):
+        sample_slice_batch(grid, m, dt, gens, out=np.empty((4,) + grid.shape), steps=steps)
+
+
+@pytest.mark.parametrize("kind", ["white", "riesz"])
+def test_a_path_is_its_per_step_draws_in_one_call(grid, kind):
+    m = _measure(kind, 1)
+    stream = _CountingStream(900)
+    path = sample_path(grid, m, 2.0, 0.125, stream)
+    per_step = np.random.default_rng(900)
+    assert stream.fills == 1 and len(path) == 16
+    assert np.array_equal(path.fields, np.stack([sample_slice(grid, m, 0.125, per_step)
+                                                 for _ in range(16)]))
+
+
 def test_replica_blocks_split_counts_and_generators():
     # max(1, min(256, 2**16 // entries)) items a block, the last block partial
     for entries, size in ((1, 256), (256, 256), (257, 255), (2**16, 1), (2**17, 1)):

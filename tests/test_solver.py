@@ -10,7 +10,7 @@ from stochwave import noise, solver
 from stochwave.covariance import SpectralMeasure
 from stochwave.greens import spectral_energy_field
 from stochwave.lattice import Grid, LatticeField, h_neg_k_norm, l2_norm
-from stochwave.noise import NoisePath, sample_path
+from stochwave.noise import NoisePath, sample_path, sample_slice_batch
 from stochwave.solver import (
     Nonlinearity,
     SolveConfig,
@@ -161,6 +161,28 @@ def test_uniqueness_two_initial_guesses():
     b = picard_iterate(cfg, path, initial="zero")
     gap = max(l2_norm(a.snapshot_at(j) - b.snapshot_at(j)) for j in a.snapshots)
     assert gap <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", ["sine", "identity", "one_minus_exp"])
+@pytest.mark.parametrize("kind", ["white", "riesz"])
+def test_picard_from_zero_is_the_u0_solve_one_update_later(alpha, kind):
+    # alpha(0) = 0, so the first update from the zero trajectory forces nothing and returns
+    # the free evolution u0 bit for bit: the zero-guess solve is the u0 solve shifted by one
+    # update, and the two-guess gap of the picard experiment is 0 by construction
+    measure = SpectralMeasure.white(1) if kind == "white" else SpectralMeasure.riesz(1, 0.5)
+    cfg = _basic_config(snapshot_stride=1, picard_tol=1e-13,
+                        alpha=getattr(Nonlinearity, alpha)())
+    cfg.measure = measure
+    for seed in (11, 12):
+        path = sample_path(cfg.grid, measure, 1.0, cfg.dt, np.random.default_rng(seed))
+        u0 = picard_iterate(cfg, path, initial="u0")
+        zero = picard_iterate(cfg, path, initial="zero")
+        assert u0.converged and zero.converged
+        assert zero.iterations == u0.iterations + 1
+        assert np.array_equal(np.array(zero.m_table[1:]), np.array(u0.m_table))
+        assert np.array_equal(zero.m_table[0], deterministic_moments(cfg))
+        assert all(np.array_equal(zero.snapshot_at(j).values, u0.snapshot_at(j).values)
+                   for j in u0.snapshots)
 
 
 def test_picard_non_convergence_reported():
@@ -502,11 +524,11 @@ def test_a_config_changed_in_place_reads_its_own_table(field):
 # -- replica-batched sweep ----------------------------------------------------
 
 
-def _replica_config(d=1, k=1, mask=False, v0_dot=False, weighted=False):
+def _replica_config(d=1, k=1, mask=False, v0_dot=False, weighted=False, measure=None):
     grid = Grid(d, 32 if d == 1 else 16, 8.0)
     r_sq = grid.coord_norm_sq
     return SolveConfig(
-        grid=grid, measure=SpectralMeasure.white(d), k=k, horizon=0.5, dt=1.0 / 32.0,
+        grid=grid, measure=measure or SpectralMeasure.white(d), k=k, horizon=0.5, dt=1.0 / 32.0,
         nonlinearity=Nonlinearity.affine(0.5, 1.0) if weighted else Nonlinearity.sine(),
         v0=LatticeField(grid, np.exp(-r_sq)),
         v0_dot=LatticeField(grid, 0.3 * np.exp(-2.0 * r_sq)) if v0_dot else None,
@@ -597,6 +619,48 @@ def test_picard_replicas_is_independent_of_chunk_size(monkeypatch):
         cfg, [np.random.default_rng(700 + r) for r in range(20)], 3))
     for m in results[1:]:
         assert np.array_equal(m, results[0])
+
+
+def _noise_chunk_steps(monkeypatch):
+    """Record the step count of every noise fill the solver makes."""
+    steps = []
+
+    def recorded(*args, **kwargs):
+        steps.append(kwargs["steps"])
+        return sample_slice_batch(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "sample_slice_batch", recorded)
+    return steps
+
+
+@pytest.mark.parametrize("kind", ["white", "riesz"])
+def test_replica_noise_is_independent_of_the_step_chunk_size(monkeypatch, kind):
+    # sweep and Picard replicas draw their noise in chunks of consecutive steps sized by
+    # _BLOCK_ENTRIES; chunks of 1, 2 and 3 of the 16 steps (the last of 3 ragged) move no bit
+    measure = SpectralMeasure.white(1) if kind == "white" else SpectralMeasure.riesz(1, 0.5)
+    cfg = _replica_config(mask=True, v0_dot=True, measure=measure)
+    n, replicas, field = cfg.steps, 5, math.prod(cfg.grid.shape)
+    assert n == 16
+
+    def gens():
+        return [np.random.default_rng(1100 + r) for r in range(replicas)]
+
+    steps = _noise_chunk_steps(monkeypatch)
+    sweep = sweep_replicas(cfg, gens(), keep=(0, 7, n))
+    picard = picard_replicas(cfg, gens(), 3)
+    assert steps == [n, n]  # one chunk of the whole horizon each at the default size
+    # a sweep block holds all 5 replicas, so chunks are _BLOCK_ENTRIES // (5 * field) steps;
+    # a Picard block holds one replica here, so its chunks are _BLOCK_ENTRIES // field steps
+    for size in (1, 2, 3):
+        steps.clear()
+        _blocks_of(monkeypatch, size * replicas, field)
+        moments, kept = sweep_replicas(cfg, gens(), keep=(0, 7, n))
+        assert steps == [size] * (n // size) + [n % size] * (n % size > 0)
+        assert np.array_equal(moments, sweep[0]) and np.array_equal(kept, sweep[1])
+        steps.clear()
+        _blocks_of(monkeypatch, size, field)
+        assert np.array_equal(picard_replicas(cfg, gens(), 3), picard)
+        assert steps == ([size] * (n // size) + [n % size] * (n % size > 0)) * replicas
 
 
 def _picard_replicas_peak(cfg, replicas):
