@@ -48,6 +48,22 @@ transform over some spatial axes only, each scaled by h * (-1)**j_ax;
 the multi-dimensional transform is separable, so transforms over a
 partition of the axes compose to the full one.
 
+The scale rule: the transforms' scales h**d * sign and sign / h**d are
+constants, and none of them takes an elementwise pass of its own where
+a diagonal multiplier sits beside it.
+
+- A round trip's scales cancel: :meth:`Grid.filter`, the inverse of a
+  multiplier times the forward transform, runs neither.
+- A scale next to a diagonal multiplier is folded into it: ``forward``
+  with ``multiplier`` applies (h**d * sign) * multiplier in one pass,
+  and a caller that reads only |spectrum|**2 takes ``full_forward``
+  with ``scaled=False`` and folds h**2 per transformed axis into the
+  weights it multiplies by.
+
+Multiplying by +-2**k is exact, so when h (and with it h**d) is a power
+of two each folded product equals the unfused one bit for bit; at other
+spacings the two differ by rounding only.
+
 This module is the package's one FFT site: the transforms run on
 ``numpy.fft``, over the trailing ``d`` axes, so a leading batch axis
 rides along and a batched transform equals the row-by-row one exactly.
@@ -64,12 +80,13 @@ there: ``forward`` a complex array of the half spectrum's shape,
 ``full_forward`` a complex array of the input's shape (the input itself
 for a transform in place), ``inverse`` a float array of the fields'
 shape, and then the spectrum handed to ``inverse`` is its work space
-and is overwritten.  Without ``out`` the same passes run on a fresh
-buffer, so both forms agree bit for bit.  The ``out`` forms let the
-Monte Carlo kernel and the modulation oracle reuse buffers they own:
-a fresh 0.5-1 MB temporary per step or block is memory the allocator
-hands back to the operating system when it is freed, so every use
-page-faults it in again.  With owned buffers a 200-replica Monte Carlo
+and is overwritten; ``filter`` takes ``out`` as ``inverse`` does and a
+``work`` array for its spectrum as ``forward`` takes ``out``.  Without
+them the same passes run on fresh buffers, so both forms agree bit for
+bit.  The ``out`` forms let the Monte Carlo kernel and the modulation
+oracle reuse buffers they own: a fresh 0.5-1 MB temporary per step or
+block is memory the allocator hands back to the operating system when
+it is freed, so every use page-faults it in again.  With owned buffers a 200-replica Monte Carlo
 call at d = 2, N = 64, 8 steps took about 760 minor faults, not 14,300
 (white noise) or 2,950 (riesz), and a modulation-oracle call 64, not
 256 (2-vCPU Intel Xeon, numpy 2.4.6).
@@ -96,6 +113,11 @@ __all__ = [
     "write_field",
     "read_field",
 ]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _rfftn(arr: np.ndarray, axes, out: np.ndarray | None = None) -> np.ndarray:
@@ -206,38 +228,51 @@ class Grid:
 
     @functools.cached_property
     def _signed_scales(self) -> tuple[np.ndarray, np.ndarray]:
-        """The half-grid restrictions of h**d * sign and of sign / h**d."""
+        """The half-grid restrictions of h**d * sign and of sign / h**d, read-only."""
         sign = 1.0 - 2.0 * (self._axes_sum(np.arange(self.points_per_axis)) % 2)
-        return self.half(self.cell_volume * sign), self.half(sign / self.cell_volume)
+        return (_read_only(self.half(self.cell_volume * sign)),
+                _read_only(self.half(sign / self.cell_volume)))
+
+    @functools.cached_property
+    def _signed_spacing(self) -> np.ndarray:
+        """h * (-1)**j along one axis, the per-axis scale of :meth:`full_forward`, read-only."""
+        return _read_only(self.spacing * (1.0 - 2.0 * (np.arange(self.points_per_axis) % 2)))
 
     def _check_shape(self, arr: np.ndarray, shape: tuple[int, ...], what: str) -> None:
         if arr.shape[arr.ndim - self.dimension:] != shape:
             raise ValueError(f"{what} shape {arr.shape} does not match {shape} of {self}")
 
     @staticmethod
-    def _check_out(out, shape: tuple[int, ...], dtype) -> None:
+    def _check_out(out, shape: tuple[int, ...], dtype, name: str = "out") -> None:
         if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == dtype):
             got = (out.shape, out.dtype) if isinstance(out, np.ndarray) else type(out).__name__
-            raise ValueError(f"out must be a {np.dtype(dtype)} array of shape {shape}, got {got}")
+            raise ValueError(f"{name} must be a {np.dtype(dtype)} array of shape {shape}, got {got}")
 
-    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None,
+                multiplier: np.ndarray | None = None) -> np.ndarray:
         """Half spectrum of real fields, with the h**d Riemann-sum scaling.
 
         Returns the last axis cut to N/2 + 1 frequencies; converges to
         the continuum transform as N grows for smooth fields that decay
         inside the box.  ``out``, a complex array of the spectrum's
         shape, receives the result and is returned; by default a fresh
-        one is allocated.
+        one is allocated.  A half-grid ``multiplier`` multiplies the
+        spectrum in the same pass as the scale (the module's scale rule):
+        the result is ``multiplier * forward(values)``.
         """
         arr = np.asarray(values)
         self._check_shape(arr, self.shape, "field")
         if out is not None:
             self._check_out(out, arr.shape[:-1] + self.half_shape[-1:], complex)
+        scale = self._signed_scales[0]
+        if multiplier is not None:
+            self._check_shape(np.asarray(multiplier), self.half_shape, "half-grid multiplier")
+            scale = scale * multiplier
         spec = _rfftn(arr, self._axes(arr), out)
         # without out the scaled spectrum is a second fresh array: scaling
         # in place there moved the solver's allocations and raised the
         # picard-solve benchmark's peak RSS by about 0.2 MB
-        return np.multiply(self._signed_scales[0], spec, out=out)
+        return np.multiply(scale, spec, out=out)
 
     def inverse(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Real fields from half spectra; the inverse of :meth:`forward`.
@@ -260,8 +295,34 @@ class Grid:
         buf = np.multiply(self._signed_scales[1], arr, out=work, dtype=complex)
         return _irfftn(buf, self.points_per_axis, self._axes(arr), out)
 
+    def filter(self, values: np.ndarray, multiplier: np.ndarray, out: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
+        """Real fields filtered by a half-grid multiplier: ``inverse(multiplier * forward(values))``.
+
+        The round trip's two scales cancel, so neither runs (the module's
+        scale rule): the real transform goes into ``work``, the
+        multiplier is applied there, and the inverse transform goes
+        into ``out``.  ``work`` is checked as :meth:`forward` checks its
+        ``out`` and is overwritten; ``out`` is checked as
+        :meth:`inverse` checks its own and may be ``values`` itself.
+        Either is allocated when not given, and both forms agree bit
+        for bit.
+        """
+        arr = np.asarray(values)
+        self._check_shape(arr, self.shape, "field")
+        self._check_shape(np.asarray(multiplier), self.half_shape, "half-grid multiplier")
+        if out is not None:
+            self._check_out(out, arr.shape, float)
+        if work is not None:
+            self._check_out(work, arr.shape[:-1] + self.half_shape[-1:], complex,
+                            "work, the forward transform's out")
+        axes = self._axes(arr)
+        spec = _rfftn(arr, axes, work)
+        spec *= multiplier
+        return _irfftn(spec, self.points_per_axis, axes, out)
+
     def full_forward(self, values: np.ndarray, axes: tuple[int, ...] | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None, scaled: bool = True) -> np.ndarray:
         """Spectrum on the full dual grid, for real or complex fields.
 
         The complex transform the oracles use: modulated integrands are
@@ -271,7 +332,10 @@ class Grid:
         h * (-1)**j; partial transforms over a partition of the axes
         compose to the full one.  ``out``, a complex array of the
         input's shape, receives the result and is returned; it may be
-        ``values`` itself, for a transform in place.
+        ``values`` itself, for a transform in place.  ``scaled=False``
+        leaves that product out, for a caller that reads only
+        |spectrum|**2 and folds h**2 per axis into its weights (the
+        module's scale rule).
         """
         arr = np.asarray(values)
         self._check_shape(arr, self.shape, "field")
@@ -282,11 +346,9 @@ class Grid:
             raise ValueError(f"axes {axes} are not distinct spatial axes of {self}")
         lead = arr.ndim - self.dimension
         out = _fftn(arr, [lead + ax for ax in axes], out)
-        signed = self.spacing * (1.0 - 2.0 * (np.arange(self.points_per_axis) % 2))
-        scale = 1.0
-        for ax in axes:
-            scale = scale * self._axis_array(signed, ax)
-        out *= scale
+        if scaled:
+            out *= functools.reduce(np.multiply,
+                                    [self._axis_array(self._signed_spacing, ax) for ax in axes])
         return out
 
     def half(self, multiplier: np.ndarray) -> np.ndarray:

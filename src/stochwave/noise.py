@@ -19,9 +19,11 @@ A filter whose entries are all equal, as white noise's are, is the
 identity times one scalar, so those slices are the draws times that
 scalar, with no transform.  Only a varying filter runs the transform
 pair: the white noise and the filtered slice are real and the weights
-are even in eta, so it filters half spectra, one real transform pair
-(``Grid.forward``/``Grid.inverse``) with the weights restricted by
-``Grid.half`` once per grid (``SpectralMeasure.half_lattice_weights``).
+are even in eta, so it filters half spectra, one real round trip
+(``Grid.filter``, which runs neither of the pair's scales, since they
+cancel: the scale rule of ``stochwave.lattice``) with the weights
+restricted by ``Grid.half`` once per grid
+(``SpectralMeasure.half_lattice_weights``).
 The choice is made from the filter's values, not from the measure's
 kind.  Every consumer multiplies an increment pointwise in space, so the
 sampler hands out real fields; only this module sees the spectrum.
@@ -118,8 +120,9 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float, rngs,
     draw rule with one fill a generator, so ``len(result)`` counts
     slices.  A filter whose entries are all equal (white noise) is one
     scalar, applied to the draws in place; any other filter runs the
-    half-spectrum transform pair: forward into ``work``, the filter
-    applied there, and the inverse back into the draws' rows.
+    half-spectrum round trip ``Grid.filter``: the real transform into
+    ``work``, the filter applied there, and the inverse back into the
+    draws' rows, with no scale pass.
 
     ``out`` (float, shape (len(rngs) * steps, *grid.shape)) receives the
     slices and is returned; ``work`` (complex, shape (len(rngs) * steps,
@@ -143,9 +146,7 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float, rngs,
     if np.all(scale == first):
         out *= first
         return out
-    spec = grid.forward(out, out=work)
-    spec *= scale
-    return grid.inverse(spec, out=out)
+    return grid.filter(out, scale, out=out, work=work)
 
 
 def replica_blocks(replicas: int, entries: int, rng=None) -> list[tuple[int, int, object]]:

@@ -35,11 +35,13 @@ leaves the frame through rows of the Green pair at the step times
 is re-summed.  The solution and its forcing are real and the Green pair
 is even in frequency, so every spectrum here is a half spectrum
 (``Grid.forward``/``Grid.inverse``) and the rows are computed on the
-half grid, from |eta| restricted by ``Grid.half``.  The rows depend on
-the grid, k, dt and the step range only, never on the noise, so they
-and the forcing scale are memoized by those values and handed out
-read-only: every solve of one configuration reads one table.  Three
-callers read the rows:
+half grid, from |eta| restricted by ``Grid.half``.  The forcing scale
+enters in the forward transform's one scaled product (``Grid.forward``
+with ``multiplier``: the scale rule of ``stochwave.lattice``), not in a
+pass of its own.  The rows depend on the grid, k, dt and the step range
+only, never on the noise, so they and the forcing scale are memoized by
+those values and handed out read-only: every solve of one configuration
+reads one table.  Three callers read the rows:
 
 - the causal sweep (:func:`_causal_sweep`), whose forcing alpha(u(t_j)) W_j
   depends on the current state: each step adds one term to a and to b
@@ -72,7 +74,7 @@ import numpy as np
 from .covariance import SpectralMeasure, admissible
 from .greens import GreenMultiplier, cosine_multiplier, j_functional, sine_multiplier
 from .greens import spectral_energy_field
-from .lattice import Grid, LatticeField, h_neg_k_norm, l2_norm, norm_sq
+from .lattice import Grid, LatticeField, _read_only, h_neg_k_norm, l2_norm, norm_sq
 from .noise import NoisePath, mean_se, replica_blocks, sample_slice_batch, whole_steps
 
 __all__ = [
@@ -267,11 +269,6 @@ def deterministic_moments(cfg: SolveConfig, theta: np.ndarray | None = None) -> 
 _TABLES_KEPT = 1
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @lru_cache(maxsize=_TABLES_KEPT)
 def _green_rows(grid: Grid, k: int, dt: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows cos(t w), sin(t w)/w (series branch near w = 0) on the half grid, t = j dt, lo <= j < hi.
@@ -345,7 +342,7 @@ def _causal_sweep(cfg: SolveConfig, w_fields: Iterable[np.ndarray]):
     for w, (cos, sin) in zip(w_fields, rows):
         values = grid.inverse(cos * a + sin * b)
         yield values
-        g = scale * grid.forward(alpha(values) * w)
+        g = grid.forward(alpha(values) * w, multiplier=scale)
         a = a - sin * g
         b = b + cos * g
     cos, sin = next(rows)
@@ -390,8 +387,7 @@ def _picard_update(cfg: SolveConfig, table, w_fields: np.ndarray,
     spectra, :func:`_forced_spectra` needs no loop over steps, and one
     batched inverse returns u_{n+1}.
     """
-    g = cfg.grid.forward(cfg.nonlinearity(prev[:cfg.steps]) * w_fields)
-    g *= table[2]  # the forcing scale
+    g = cfg.grid.forward(cfg.nonlinearity(prev[:cfg.steps]) * w_fields, multiplier=table[2])
     return cfg.grid.inverse(_forced_spectra(cfg, table, g))
 
 

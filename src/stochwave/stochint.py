@@ -38,20 +38,28 @@ weights and |F[G]|**2 give eta and -eta the same term.  Each modulated
 integrand is still transformed on the full grid, row-column: the
 modulation is a product of per-axis phases, so one leading-axes
 transform serves every eta that shares its leading coordinates, and a
-last-axis transform per eta completes it.
+last-axis transform per eta completes it.  The oracle reads only
+|F|**2, so that last-axis transform runs unscaled and its
+|h (-1)**j|**2 = h**2 is folded into the weights |F[G]|**2 (the scale
+rule of ``stochwave.lattice``).
 
 The Monte Carlo kernel draws each replica from its own generator in
 time order, in blocks of one half grid a replica (``noise.replica_blocks``),
 so its memory is bounded on every grid and the blocks move no value.  It
 allocates one real and two complex block buffers per call, and every
-block and step works on leading views of them: the slices are drawn
-into the real one (``noise.sample_slice_batch`` with ``out``), a
-varying noise filter and the forward transform run in one complex one,
-and the other accumulates F[v(t)].  The modulation oracle likewise
-transforms its modulated fields in place.  Both go through the ``out``
-forms of the transform pair, because fresh block-sized temporaries
-cost page faults whenever the allocator hands their pages back (the
-numbers are in the ``lattice`` module docstring).
+block and step works on leading views of them.  A step makes these
+passes over a block: the slices are drawn into the real buffer
+(``noise.sample_slice_batch`` with ``out``), a varying noise filter
+runs its unscaled round trip through the first complex buffer, the
+slices are multiplied by Z in place, the forward transform goes into
+that complex buffer with the Green multiplier applied in the same pass
+as its scale (``Grid.forward`` with ``multiplier``: the scale rule of
+``stochwave.lattice``), and the second complex buffer accumulates
+F[v(t)].  The modulation oracle likewise transforms its modulated
+fields in place, in buffers it allocates once per call.  Both go
+through the ``out`` forms of the transforms, because fresh block-sized
+temporaries cost page faults whenever the allocator hands their pages
+back (the numbers are in the ``lattice`` module docstring).
 """
 
 from __future__ import annotations
@@ -83,9 +91,10 @@ __all__ = [
 # N = 64, d = 2 a block of 8 modulated complex fields is 512 KB, so it
 # stays in cache; on the isometry experiment's three d = 2 cases (2-vCPU
 # Intel Xeon, one BLAS thread, block sizes interleaved in one process,
-# median of 9, in two orders), with the fields transformed in place, the
-# oracle took 0.31-0.32 s at a block of 4, 0.29 s at 8, 0.31 s at 16 and
-# 0.35-0.36 s at 64.
+# median of 9, in two orders), with the fields transformed in place and
+# unscaled, the oracle took 0.198 s at a block of 4, 0.189 s at 8 and
+# 0.194 s at 16.  An earlier timing, on the code of its time, read
+# 0.31-0.32 s at 4, 0.29 s at 8, 0.31 s at 16 and 0.35-0.36 s at 64.
 _MODULATION_BLOCK = 8
 
 
@@ -280,8 +289,9 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure) -> fl
     in one call).  Each active eta_{d-1} of that prefix then modulates
     the result along the last axis, in blocks of at most
     ``_MODULATION_BLOCK``, and one last-axis transform per block and
-    step, in place, completes the full-grid spectrum of chi_eta Z.  Agrees with
-    :func:`isometry_functional` to rounding error.
+    step, in place, completes the full-grid spectrum of chi_eta Z; it
+    runs unscaled, with h**2 folded into the weights |F[G]|**2.  Agrees
+    with :func:`isometry_functional` to rounding error.
     """
     grid, dt = Z.grid, Z.dt
     if not len(Z):
@@ -294,6 +304,9 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure) -> fl
     if Z.is_constant:
         # the spectrum of chi_eta Z is the same at every step
         fields, mult_sq = fields[:1], mult_sq.sum(axis=0, keepdims=True)
+    # the last-axis transforms run unscaled: their |h (-1)**j|**2 = h**2
+    # is folded into the weights (the lattice module's scale rule)
+    mult_sq = mult_sq * grid.spacing**2
     # phase[j, p] = exp(i eta_j x_p); every axis uses the same table
     phase = np.exp(1j * np.multiply.outer(grid.axis_freqs, grid.axis_coords))
     last = grid.dimension - 1
@@ -323,7 +336,7 @@ def isometry_alternative(g, Z: IntegrandProcess, measure: SpectralMeasure) -> fl
             re_sq, im_sq = spec_sq[:, :block.size]
             for f, msq in zip(lead, mult_sq):
                 spec = np.multiply(chi, f, out=mod[:block.size])
-                grid.full_forward(spec, axes=(last,), out=spec)
+                grid.full_forward(spec, axes=(last,), out=spec, scaled=False)
                 spec = spec.reshape(block.size, -1)
                 np.square(spec.real, out=re_sq)
                 re_sq += np.square(spec.imag, out=im_sq)
@@ -397,9 +410,7 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
         for z, mult in zip(Z.fields, mults):
             sample_slice_batch(grid, measure, dt, gens, out=fields, work=spec)
             fields *= z
-            grid.forward(fields, out=spec)
-            spec *= mult
-            acc += spec
+            acc += grid.forward(fields, out=spec, multiplier=mult)
         sq_norms[lo:hi] = norm_sq(acc)
     return sq_norms
 

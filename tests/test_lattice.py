@@ -336,6 +336,71 @@ def test_out_of_the_wrong_shape_or_dtype_raises():
         for axes in (None, (1,)):
             with pytest.raises(ValueError, match="out must be"):
                 g.full_forward(vals, axes=axes, out=out)
+    # the folded entry points check their buffers as forward and inverse do
+    mult = np.ones(g.half_shape)
+    for out in bad_forward:
+        with pytest.raises(ValueError, match="out must be"):
+            g.forward(vals, out=out, multiplier=mult)
+        with pytest.raises(ValueError, match="work, the forward transform's out must be"):
+            g.filter(vals, mult, work=out)
+    for out in bad_inverse:
+        with pytest.raises(ValueError, match="^out must be"):
+            g.filter(vals, mult, out=out)
+    for bad in (np.ones(g.shape), np.ones(g.half_shape[::-1])):
+        with pytest.raises(ValueError, match="half-grid multiplier shape"):
+            g.forward(vals, multiplier=bad)
+        with pytest.raises(ValueError, match="half-grid multiplier shape"):
+            g.filter(vals, bad)
+
+
+@pytest.mark.parametrize("d, n, length", _TRANSFORM_GRIDS + [(1, 64, 16.0), (2, 16, 16.0), (3, 8, 16.0)])
+def test_folded_transforms_follow_the_scale_rule(d, n, length):
+    # filter is the round trip without its two scales, forward with a
+    # multiplier the product in one pass, and an unscaled full_forward
+    # differs in modulus by h per axis: bit for bit where h is a power of
+    # two, to 1e-14 relative elsewhere
+    g = Grid(d, n, length)
+    exact = g.spacing == 2.0 ** np.round(np.log2(g.spacing))
+    assert exact == (length == 16.0)
+
+    def agree(a, b):
+        if exact:
+            assert np.array_equal(a, b)
+        else:
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    rng = np.random.default_rng(95)
+    vals = rng.standard_normal((3,) + g.shape)
+    mult = g.half(np.exp(-0.1 * g.freq_norm_sq) + 0.5)
+    spec = g.forward(vals)
+    agree(g.filter(vals, mult), g.inverse(mult * spec))
+    agree(g.forward(vals, multiplier=mult), mult * spec)
+    for axes in [None] + [(ax,) for ax in range(d)]:
+        count = d if axes is None else 1
+        raw = np.abs(g.full_forward(vals, axes=axes, scaled=False)) ** 2
+        agree(raw * g.spacing ** (2 * count), np.abs(g.full_forward(vals, axes=axes)) ** 2)
+    # the out forms, on junk-filled leading views and in place, equal the allocating call
+    filtered = g.filter(vals, mult)
+    out, work = _leading_view(np.empty_like(vals)), _leading_view(np.empty_like(spec))
+    assert g.filter(vals, mult, out=out, work=work) is out
+    assert np.array_equal(out, filtered)
+    inplace = vals.copy()
+    assert g.filter(inplace, mult, out=inplace) is inplace
+    assert np.array_equal(inplace, filtered)
+    assert np.array_equal(g.forward(vals, out=work, multiplier=mult),
+                          g.forward(vals, multiplier=mult))
+
+
+def test_transform_scales_are_built_once_per_grid_and_read_only():
+    g = Grid(2, 16, 3.0)
+    vals = np.random.default_rng(96).standard_normal(g.shape)
+    first = g.full_forward(vals)
+    signed = g._signed_spacing
+    for arr in (signed, *g._signed_scales):
+        assert not arr.flags.writeable
+    assert np.array_equal(g.full_forward(vals), first)
+    assert g._signed_spacing is signed
+    assert np.array_equal(signed, g.spacing * (-1.0) ** np.arange(16))
 
 
 def test_inverse_of_real_and_zero_stride_spectra_equals_the_complex_copy():

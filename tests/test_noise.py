@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stochwave import lattice
 from stochwave.covariance import SpectralMeasure
 from stochwave.lattice import Grid
 from stochwave.noise import (
@@ -262,20 +263,27 @@ def test_white_slice_equals_the_transform_round_trip(d, n, per_replica):
 
 @pytest.mark.parametrize("kind", ["white", "riesz"])
 def test_only_a_varying_filter_runs_the_transform_pair(monkeypatch, kind):
+    # the pair runs as one unscaled round trip, Grid.filter, and not
+    # through the scaled Grid.forward and Grid.inverse
     grid = Grid(2, 16, 6.0)
     m = SpectralMeasure.white(2) if kind == "white" else SpectralMeasure.riesz(2, 1.0)
     calls = []
-    for name in ("forward", "inverse"):
-        original = getattr(Grid, name)
 
-        def counted(self, arr, out=None, _name=name, _original=original):
-            calls.append(_name)
-            return _original(self, arr, out=out)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
-        monkeypatch.setattr(Grid, name, counted)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("forward", "inverse", "filter"):
+        counted(Grid, name)
+    for name in ("_rfftn", "_irfftn"):
+        counted(lattice, name)
     gens = [np.random.default_rng(300 + r) for r in range(3)]
     sample_slice_batch(grid, m, 0.1, gens)
-    assert calls == ([] if kind == "white" else ["forward", "inverse"])
+    assert calls == ([] if kind == "white" else ["filter", "_rfftn", "_irfftn"])
 
 
 @pytest.mark.parametrize("kind", ["white", "riesz"])

@@ -701,9 +701,9 @@ def test_picard_iteration_is_one_batched_transform_pair(monkeypatch, steps):
     def counted(name):
         original = getattr(Grid, name)
 
-        def wrapper(self, arr):
+        def wrapper(self, arr, **kwargs):  # forward takes the forcing scale as multiplier=
             calls[name] += 1
-            return original(self, arr)
+            return original(self, arr, **kwargs)
         return wrapper
 
     monkeypatch.setattr(Grid, "forward", counted("forward"))

@@ -398,9 +398,11 @@ def test_isometry_alternative_agrees_in_higher_dimensions(d, n, k, measure, cons
     assert b == pytest.approx(a, rel=1e-8)
 
 
-def _alternative_reference(g, Z, measure):
+def _alternative_reference(g, Z, measure, fold=True):
     # the modulation oracle's arithmetic, in its order, with every
-    # transform and product allocating its result
+    # transform and product allocating its result; fold=False keeps the
+    # last-axis transform's h * (-1)**j as a pass of its own, where the
+    # oracle folds its square into the weights |F[G]|**2
     from stochwave.stochint import _MODULATION_BLOCK
 
     grid, dt = Z.grid, Z.dt
@@ -409,6 +411,8 @@ def _alternative_reference(g, Z, measure):
     fields = Z.fields
     if Z.is_constant:
         fields, mult_sq = fields[:1], mult_sq.sum(axis=0, keepdims=True)
+    if fold:
+        mult_sq = mult_sq * grid.spacing**2
     phase = np.exp(1j * np.multiply.outer(grid.axis_freqs, grid.axis_coords))
     last = grid.dimension - 1
     active = weights != 0
@@ -425,7 +429,8 @@ def _alternative_reference(g, Z, measure):
             block = cols[lo:lo + _MODULATION_BLOCK]
             chi = phase[block].reshape((block.size,) + (1,) * last + (-1,))
             for f, msq in zip(lead, mult_sq):
-                spec = grid.full_forward(chi * f, axes=(last,)).reshape(block.size, -1)
+                spec = grid.full_forward(chi * f, axes=(last,), scaled=not fold)
+                spec = spec.reshape(block.size, -1)
                 inner[prefix][block] += (spec.real**2 + spec.imag**2) @ msq
     return float(dt * grid.half_sum(weights * inner) / grid.box_length**grid.dimension)
 
@@ -448,6 +453,27 @@ def test_isometry_alternative_equals_its_allocating_reference(d, n, measure, con
     value = isometry_alternative(g, z, measure)
     assert value > 0.0
     assert value == _alternative_reference(g, z, measure)
+
+
+@pytest.mark.parametrize("length", [16, 6, 12])
+@pytest.mark.parametrize("d, kind", [(1, "white"), (1, "riesz"), (2, "white"), (2, "riesz")])
+@pytest.mark.parametrize("constant", [True, False])
+def test_isometry_alternative_folds_h_squared_into_its_weights(length, d, kind, constant):
+    # the lattice scale rule: against the unfused reference, whose last-axis
+    # transforms carry h * (-1)**j, the oracle is the same bit for bit where
+    # h is a power of two (L = 16) and within 1e-14 relative elsewhere
+    grid = Grid(d, 32, length)  # h = 1/2 at L = 16, so h and h**2 differ there too
+    measure = SpectralMeasure.white(d) if kind == "white" else SpectralMeasure.riesz(d, 0.5 * d)
+    g = GreenMultiplier(1, 1.0)
+    r_sq = grid.coord_norm_sq / (length / 8.0) ** 2
+    z = (IntegrandProcess.constant(grid, np.exp(-r_sq), 4, 0.25) if constant
+         else IntegrandProcess(grid, 0.25, np.stack([np.exp(-r_sq / (1.0 + i)) for i in range(4)])))
+    value, unfused = isometry_alternative(g, z, measure), _alternative_reference(g, z, measure, fold=False)
+    assert value > 0.0
+    if length == 16:
+        assert value == unfused
+    else:
+        assert abs(value - unfused) <= 1e-14 * unfused
 
 
 @pytest.mark.parametrize("measure", [SpectralMeasure.riesz(2, 1.0), _zero_core_table(2)])
@@ -476,9 +502,11 @@ def test_isometry_alternative_transforms_each_half_grid_eta_once(monkeypatch, me
         assert err.flat[best] <= 1e-12 * np.max(np.abs(values))
         return best
 
-    def counted(self, values, axes=None, out=None):
+    def counted(self, values, axes=None, out=None, scaled=True):
         values = np.array(values)  # the transform may run in place, over its input
-        out = forward(self, values, axes, out)
+        out = forward(self, values, axes, out, scaled)
+        # only the last-axis transforms run unscaled, their h**2 folded into the weights
+        assert scaled == (axes == (0,))
         if axes == (0,):
             assert values.shape == fields.shape
             prefixes.append(nearest(values, phase[:, None, :, None] * fields))
