@@ -86,10 +86,13 @@ them the same passes run on fresh buffers, so both forms agree bit for
 bit.  The ``out`` forms let the Monte Carlo kernel and the modulation
 oracle reuse buffers they own: a fresh 0.5-1 MB temporary per step or
 block is memory the allocator hands back to the operating system when
-it is freed, so every use page-faults it in again.  With owned buffers a 200-replica Monte Carlo
-call at d = 2, N = 64, 8 steps took about 760 minor faults, not 14,300
-(white noise) or 2,950 (riesz), and a modulation-oracle call 64, not
-256 (2-vCPU Intel Xeon, numpy 2.4.6).
+it is freed, so every use page-faults it in again.  When a d = 2,
+N = 64 Monte Carlo block held 31 replicas (``BENCH_17.json``), owned
+buffers took a 200-replica, 8-step call from about 14,300 minor faults
+(white noise) or 2,950 (riesz) to 760, and a modulation-oracle call
+from 256 to 64.  With blocks sized by the words they hold (5 replicas
+there, ``BENCH_30.json``) that call takes about 220 (2-vCPU Intel Xeon,
+numpy 2.4.6, ``getrusage``).
 """
 
 from __future__ import annotations

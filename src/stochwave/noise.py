@@ -56,9 +56,10 @@ from .lattice import Grid
 __all__ = ["NoisePath", "whole_steps", "sample_slice", "sample_slice_batch", "sample_path",
            "replica_blocks", "mean_se"]
 
-# Array entries per block.  A d = 2, N = 64 Monte Carlo block of 31 replicas
-# holds a 1 MB accumulator, not 8.7 MB; a sweep at d = 2, N = 128, n = 1,024
-# with its rows in blocks ran in 87 MB max RSS, not 420 MB (Intel Xeon).
+# The float64 words a block may keep live, 512 KiB: a d = 2, N = 64 Monte Carlo
+# block of 5 replicas holds 0.5 MB of buffers, not 3.1 MB at 31, and a sweep at
+# d = 2, N = 128, n = 1,024 with its rows in blocks ran in 87 MB max RSS, not
+# 420 MB (Intel Xeon).  ``scripts/scaling.py`` times the kernel against it.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -152,13 +153,18 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float, rngs,
 def replica_blocks(replicas: int, entries: int, rng=None) -> list[tuple[int, int, object]]:
     """``(lo, hi, generators)`` blocks of max(1, min(256, _BLOCK_ENTRIES // entries)) items.
 
-    ``rng`` is exactly ``replicas`` generators, sliced per block; without
-    it ``generators`` is None (the sweep's step blocks).  One generator
-    shared by the blocks would tie the draws to the block size, so it is
-    refused.  The counts are checked before the first block is made.
+    ``entries`` is the float64 words one item keeps live, so a block
+    stays within ``_BLOCK_ENTRIES`` words wherever one item fits; each
+    caller says what it counts.  ``rng`` is exactly ``replicas``
+    generators, sliced per block; without it ``generators`` is None (the
+    sweep's step blocks).  One generator shared by the blocks would tie
+    the draws to the block size, so it is refused.  The counts are
+    checked before the first block is made.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
+    if entries < 1:
+        raise ValueError(f"entries must be at least 1, got {entries}")
     if isinstance(rng, np.random.Generator):
         raise ValueError("rng must hold one generator per replica, not one shared Generator")
     if rng is not None and len(rng) != replicas:

@@ -207,6 +207,13 @@ def test_replica_blocks_refuse_bad_counts(replicas, generators, match):
         replica_blocks(replicas, 1, rng)
 
 
+@pytest.mark.parametrize("entries", [0, -1, -2**16])
+def test_replica_blocks_refuse_items_of_no_memory(entries):
+    # 0 used to divide by zero and a negative count to give blocks of one item
+    with pytest.raises(ValueError, match=f"entries must be at least 1, got {entries}"):
+        replica_blocks(4, entries, [np.random.default_rng(r) for r in range(4)])
+
+
 @pytest.mark.parametrize("replicas", [2, 30, 1000])
 def test_mean_se_equals_the_replica_reductions_it_replaces(replicas):
     # skewed squared-norm-like samples; 1,000 crosses numpy's pairwise-sum blocks

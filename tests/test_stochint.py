@@ -188,9 +188,15 @@ def _plancherel(grid):
     return lambda acc: grid.half_sum(np.abs(acc) ** 2) / vol
 
 
+def _held_words(grid):
+    # the float64 words one replica keeps live in the kernel's three block
+    # buffers: one real field and two complex half spectra
+    return math.prod(grid.shape) + 4 * math.prod(grid.half_shape)
+
+
 def _block_rows(monkeypatch, grid, rows):
     # Monte Carlo blocks of ``rows`` replicas on this grid
-    monkeypatch.setattr(noise, "_BLOCK_ENTRIES", rows * math.prod(grid.half_shape))
+    monkeypatch.setattr(noise, "_BLOCK_ENTRIES", rows * _held_words(grid))
 
 
 def _norms_by_block_size(monkeypatch, g, z, measure, seed):
@@ -232,12 +238,14 @@ def test_white_convolution_norms_mc_is_independent_of_chunk_size(monkeypatch):
     assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
 
 
-def test_mc_blocks_are_sized_by_half_grid_entries():
+def test_mc_blocks_are_sized_by_held_words():
     # blocks bound memory only: each replica draws from its own stream, so
-    # the block size moves no value (the *_independent_of_chunk_size tests)
-    for d, n, rows in ((1, 32, 256), (1, 256, 256), (1, 512, 255), (2, 16, 256),
-                       (2, 64, 31), (3, 32, 3), (3, 64, 1)):
+    # the block size moves no value (the *_independent_of_chunk_size tests);
+    # the 256-row cap binds at d = 1, N = 32 and the one-replica floor at d = 3
+    for d, n, rows in ((1, 32, 256), (1, 64, 256), (1, 256, 84), (1, 512, 42), (2, 16, 78),
+                       (2, 64, 5), (3, 16, 4), (3, 32, 1), (3, 64, 1)):
         grid = Grid(d, n, 6.0)
+        assert rows == max(1, min(256, noise._BLOCK_ENTRIES // _held_words(grid)))
         sizes = []
 
         def norm_sq(acc):
@@ -257,8 +265,8 @@ def test_mc_peak_memory_does_not_grow_with_replicas():
     grid = Grid(2, 32, 6.0)
     z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), 4, 0.25)
     g, measure = GreenMultiplier(1, 1.0), SpectralMeasure.riesz(2, 0.5)
-    block = noise._BLOCK_ENTRIES // math.prod(grid.half_shape)
-    assert block == 120
+    block = noise._BLOCK_ENTRIES // _held_words(grid)
+    assert block == 20
 
     def peak(replicas):
         rng = _streams(1, replicas)
@@ -286,7 +294,7 @@ def test_mc_peak_memory_is_its_buffers_plus_one_block(kind):
     z = _varying_integrand(grid, steps, 0.25)
     measure = SpectralMeasure.white(2) if kind == "white" else SpectralMeasure.riesz(2, 0.5)
     g = GreenMultiplier(1, 1.0)
-    rows = noise._BLOCK_ENTRIES // math.prod(grid.half_shape)
+    rows = noise._BLOCK_ENTRIES // _held_words(grid)
     replicas = 3 * rows - 1
     real_block = rows * math.prod(grid.shape) * 8
     complex_block = rows * math.prod(grid.half_shape) * 16
@@ -302,6 +310,49 @@ def test_mc_peak_memory_is_its_buffers_plus_one_block(kind):
     finally:
         tracemalloc.stop()
     assert real_block + 2 * complex_block < peak <= bound
+
+
+@pytest.mark.parametrize("kind", ["white", "riesz"])
+@pytest.mark.parametrize("d, n", [(1, 32), (1, 64), (1, 128), (1, 256),
+                                  (2, 32), (2, 64), (2, 128), (2, 256), (3, 32)])
+def test_mc_block_buffers_fit_the_block_budget(d, n, kind):
+    # while the first block's norm is taken, the kernel's live allocations are
+    # its three block buffers, the replicas' output norms and under 4 KiB of
+    # views and iterators; the buffers hold the words the blocks are sized by,
+    # and fit in _BLOCK_ENTRIES words wherever one replica fits, else a block
+    # is one replica
+    import tracemalloc
+
+    import stochwave.stochint as stochint
+
+    grid = Grid(d, n, 6.0)
+    z = _varying_integrand(grid, 2, 0.25)
+    measure = SpectralMeasure.white(d) if kind == "white" else SpectralMeasure.riesz(d, 0.5)
+    budget = noise._BLOCK_ENTRIES * 8
+    rows = max(1, min(256, noise._BLOCK_ENTRIES // _held_words(grid)))
+    replicas = 2 * rows + 1
+    sizes, held = [], []
+
+    def norm_sq(acc):
+        if not held:
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, stochint.__file__)])
+            held.append(sum(t.size for t in snapshot.traces) - replicas * 8)
+        sizes.append(len(acc))
+        return np.zeros(len(acc))
+
+    tracemalloc.start()
+    try:
+        convolution_norms_mc(GreenMultiplier(1, 1.0), z, measure, replicas,
+                             _streams(3, replicas), norm_sq)
+    finally:
+        tracemalloc.stop()
+    assert sizes == [rows, rows, 1]
+    assert rows * _held_words(grid) * 8 <= held[0] < rows * _held_words(grid) * 8 + 4096
+    if _held_words(grid) * 8 <= budget:
+        assert held[0] <= budget
+    else:
+        assert rows == 1 and held[0] > budget
 
 
 @pytest.mark.parametrize("replicas, generators, match", [
