@@ -18,8 +18,7 @@ metric, both sides' values, medians and quartiles, the change/parent
 ratio of the medians, and the number of pairs the change won (every
 end-to-end metric is lower-is-better).  ``gain_holds`` records whether
 the change won at least 9 pairs in 10 and its median beats the parent's
-by more than the parent's interquartile range.  Other top-level keys
-already in the file stay (``scripts/scaling.py`` writes ``scaling``).
+by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -141,8 +140,6 @@ def main(argv=None) -> int:
                 "metrics": compare(runs["parent"], runs["change"]),
             }
     out = ROOT / f"BENCH_{args.pr}.json"
-    if out.exists():
-        record = {**json.loads(out.read_text()), **record}
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

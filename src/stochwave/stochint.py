@@ -45,7 +45,7 @@ rule of ``stochwave.lattice``).
 
 The Monte Carlo kernel draws each replica from its own generator in
 time order, in blocks sized by the words its buffers hold for a replica
-(``noise.replica_blocks``; the count is in :func:`convolution_norms_mc`),
+(``noise.replica_blocks``; the count is ``_replica_words``),
 so its memory is bounded on every grid and the blocks move no value.  It
 allocates one real and two complex block buffers per call, and every
 block and step works on leading views of them.  A step makes these
@@ -375,6 +375,12 @@ def truncation_distance(g: GreenMultiplier, Z: IntegrandProcess,
 # ---------------------------------------------------------------------------
 
 
+def _replica_words(grid: Grid) -> int:
+    """Float64 words one replica keeps live in the Monte Carlo kernel's
+    block buffers: one real field and two complex half spectra."""
+    return math.prod(grid.shape) + 4 * math.prod(grid.half_shape)
+
+
 def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, replicas: int,
                          rng, norm_sq) -> np.ndarray:
     """Squared norms of v(t), t the horizon of Z, over independent replicas.
@@ -384,10 +390,10 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
     ``stochwave.noise``), so neither the block size nor the replica
     offset moves its norm.
     Blocks come from ``noise.replica_blocks``, told the float64 words
-    one replica keeps live in the three buffers below: one real field
-    and two complex half spectra, N**d + 4 * N**(d-1) * (N/2 + 1).  So a
-    block's buffers stay within ``noise._BLOCK_ENTRIES`` words on every
-    grid where one replica fits.  Each block samples fresh slices for
+    one replica keeps live in the three buffers below
+    (:func:`_replica_words`), so a block's buffers stay within
+    ``noise._BLOCK_ENTRIES`` words on every grid where one replica
+    fits.  Each block samples fresh slices for
     every time step and accumulates the half spectra F[v(t)];
     ``norm_sq`` maps that (c, *grid.half_shape) batch to its c squared
     norms before the next block starts.
@@ -400,7 +406,7 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
     Plancherel norm here and the theta norm of ``weighted`` only read it).
     """
     grid, dt = Z.grid, Z.dt
-    blocks = replica_blocks(replicas, math.prod(grid.shape) + 4 * math.prod(grid.half_shape), rng)
+    blocks = replica_blocks(replicas, _replica_words(grid), rng)
     mults = grid.half(g.lattice_spectrum(grid, Z.lags()))
     sq_norms = np.empty(replicas)
     rows = blocks[0][1] - blocks[0][0]

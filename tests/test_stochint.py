@@ -11,6 +11,7 @@ from stochwave.noise import NoisePath, sample_path
 from stochwave.stochint import (
     IntegrandProcess,
     Mollifier,
+    _replica_words,
     convolution_moment_mc,
     convolution_norms_mc,
     isometry_alternative,
@@ -188,15 +189,9 @@ def _plancherel(grid):
     return lambda acc: grid.half_sum(np.abs(acc) ** 2) / vol
 
 
-def _held_words(grid):
-    # the float64 words one replica keeps live in the kernel's three block
-    # buffers: one real field and two complex half spectra
-    return math.prod(grid.shape) + 4 * math.prod(grid.half_shape)
-
-
 def _block_rows(monkeypatch, grid, rows):
     # Monte Carlo blocks of ``rows`` replicas on this grid
-    monkeypatch.setattr(noise, "_BLOCK_ENTRIES", rows * _held_words(grid))
+    monkeypatch.setattr(noise, "_BLOCK_ENTRIES", rows * _replica_words(grid))
 
 
 def _norms_by_block_size(monkeypatch, g, z, measure, seed):
@@ -245,7 +240,7 @@ def test_mc_blocks_are_sized_by_held_words():
     for d, n, rows in ((1, 32, 256), (1, 64, 256), (1, 256, 84), (1, 512, 42), (2, 16, 78),
                        (2, 64, 5), (3, 16, 4), (3, 32, 1), (3, 64, 1)):
         grid = Grid(d, n, 6.0)
-        assert rows == max(1, min(256, noise._BLOCK_ENTRIES // _held_words(grid)))
+        assert rows == max(1, min(256, noise._BLOCK_ENTRIES // _replica_words(grid)))
         sizes = []
 
         def norm_sq(acc):
@@ -265,7 +260,7 @@ def test_mc_peak_memory_does_not_grow_with_replicas():
     grid = Grid(2, 32, 6.0)
     z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq), 4, 0.25)
     g, measure = GreenMultiplier(1, 1.0), SpectralMeasure.riesz(2, 0.5)
-    block = noise._BLOCK_ENTRIES // _held_words(grid)
+    block = noise._BLOCK_ENTRIES // _replica_words(grid)
     assert block == 20
 
     def peak(replicas):
@@ -294,7 +289,7 @@ def test_mc_peak_memory_is_its_buffers_plus_one_block(kind):
     z = _varying_integrand(grid, steps, 0.25)
     measure = SpectralMeasure.white(2) if kind == "white" else SpectralMeasure.riesz(2, 0.5)
     g = GreenMultiplier(1, 1.0)
-    rows = noise._BLOCK_ENTRIES // _held_words(grid)
+    rows = noise._BLOCK_ENTRIES // _replica_words(grid)
     replicas = 3 * rows - 1
     real_block = rows * math.prod(grid.shape) * 8
     complex_block = rows * math.prod(grid.half_shape) * 16
@@ -329,7 +324,7 @@ def test_mc_block_buffers_fit_the_block_budget(d, n, kind):
     z = _varying_integrand(grid, 2, 0.25)
     measure = SpectralMeasure.white(d) if kind == "white" else SpectralMeasure.riesz(d, 0.5)
     budget = noise._BLOCK_ENTRIES * 8
-    rows = max(1, min(256, noise._BLOCK_ENTRIES // _held_words(grid)))
+    rows = max(1, min(256, noise._BLOCK_ENTRIES // _replica_words(grid)))
     replicas = 2 * rows + 1
     sizes, held = [], []
 
@@ -348,8 +343,8 @@ def test_mc_block_buffers_fit_the_block_budget(d, n, kind):
     finally:
         tracemalloc.stop()
     assert sizes == [rows, rows, 1]
-    assert rows * _held_words(grid) * 8 <= held[0] < rows * _held_words(grid) * 8 + 4096
-    if _held_words(grid) * 8 <= budget:
+    assert rows * _replica_words(grid) * 8 <= held[0] < rows * _replica_words(grid) * 8 + 4096
+    if _replica_words(grid) * 8 <= budget:
         assert held[0] <= budget
     else:
         assert rows == 1 and held[0] > budget
