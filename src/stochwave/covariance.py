@@ -32,6 +32,8 @@ import math
 import numbers
 import numpy as np
 
+from .lattice import _table
+
 __all__ = [
     "SpectralMeasure",
     "admissible",
@@ -115,9 +117,7 @@ class SpectralMeasure:
         self.tail_exponent = tail_exponent
         self._radii = None
         self._log_radii = None
-        self._table = None
-        self._weights = {}  # Grid -> read-only lattice_weights array
-        self._half_weights = {}  # Grid -> read-only half_lattice_weights array
+        self._densities = None
         if kind == "riesz":
             if alpha is None or not 0.0 < alpha < dimension:
                 raise ValueError(f"riesz exponent must satisfy 0 < alpha < d, got alpha={alpha}, d={dimension}")
@@ -135,7 +135,7 @@ class SpectralMeasure:
                 raise ValueError("spectral density must be nonnegative")
             self._radii = radii
             self._log_radii = np.log(radii)
-            self._table = table
+            self._densities = table
 
     # -- constructors -------------------------------------------------------
 
@@ -182,13 +182,13 @@ class SpectralMeasure:
         below = r <= rmin
         above = r >= rmax
         mid = ~(below | above)
-        out[below] = self._table[0]
+        out[below] = self._densities[0]
         if np.any(mid):
-            out[mid] = np.interp(np.log(r[mid]), self._log_radii, self._table)
+            out[mid] = np.interp(np.log(r[mid]), self._log_radii, self._densities)
         if np.any(above):
             if self.tail_exponent is None:
                 raise ValueError("tail exponent required")
-            out[above] = self._table[-1] * (r[above] / rmax) ** self.tail_exponent
+            out[above] = self._densities[-1] * (r[above] / rmax) ** self.tail_exponent
         return self.scale * out
 
     def _tail_exponent(self) -> float:
@@ -203,6 +203,7 @@ class SpectralMeasure:
 
     # -- lattice quadrature weights ------------------------------------------
 
+    @_table
     def lattice_weights(self, grid) -> np.ndarray:
         """Dual-cell quadrature weights D_j = q_j * density(eta_j).
 
@@ -210,13 +211,8 @@ class SpectralMeasure:
         sum_j D_j f(eta_j) are Riemann sums of integral f d mu.  For the
         riesz kind the singular eta = 0 cell is replaced by the cell
         average over the ball of equal volume, preserving the mass of
-        the integrable singularity.
-
-        Memoized per grid: every caller shares one read-only array.
+        the integrable singularity.  A table (``lattice._table``).
         """
-        cached = self._weights.get(grid)
-        if cached is not None:
-            return cached
         if grid.dimension != self.dimension:
             raise ValueError("grid dimension does not match measure dimension")
         q = grid.dual_cell_volume
@@ -230,23 +226,13 @@ class SpectralMeasure:
                 * rho ** (self.alpha - self.dimension)
         else:
             dens = self.radial_density(r)
-        out = q * dens
-        out.flags.writeable = False
-        self._weights[grid] = out
-        return out
+        return q * dens
 
+    @_table
     def half_lattice_weights(self, grid) -> np.ndarray:
-        """``grid.half(self.lattice_weights(grid))``, memoized per grid.
-
-        The evenness check of :meth:`Grid.half` runs once per grid, and
-        every caller shares one read-only array.
-        """
-        cached = self._half_weights.get(grid)
-        if cached is None:
-            cached = grid.half(self.lattice_weights(grid))
-            cached.flags.writeable = False
-            self._half_weights[grid] = cached
-        return cached
+        """``grid.half(self.lattice_weights(grid))``, a table (``lattice._table``), so the
+        evenness check of :meth:`Grid.half` runs once a table."""
+        return grid.half(self.lattice_weights(grid))
 
 
 def admissible(measure: SpectralMeasure, k: int) -> bool:

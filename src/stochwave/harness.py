@@ -495,10 +495,11 @@ def _decreasing_row(experiment: str, case: str, quantity: str, values,
 
 def _envelope_rows(experiment: str, case: str, summary: MomentSummary, replicas: int,
                    files: dict, m_table=()) -> list[Row]:
-    """The pooled moment at T and the envelope excess; the trajectory CSV goes to ``files``."""
+    """The pooled moment at T and the envelope excess, both failing where the envelope is not
+    finite, since it then bounds nothing; the trajectory CSV goes to ``files``."""
     files[f"{experiment}_trajectory.csv"] = solve_report_csv(summary, m_table).encode()
     excess = float(np.max(summary.mean - summary.envelope - _SE_MULTIPLIER * summary.std_error))
-    ok = excess <= 1e-12
+    ok = excess <= 1e-12 and bool(np.all(np.isfinite(summary.envelope)))
     return [Row(experiment, case, "moment_at_T", summary.mean[-1], summary.std_error[-1],
                 replicas, ok),
             Row(experiment, case, "envelope_excess", excess, None, 0, ok)]

@@ -123,6 +123,28 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _table(build):
+    """The package's one memo rule for tables keyed by more than the grid.
+
+    ``build``'s result is memoized by its positional arguments, one entry
+    (``functools.lru_cache(maxsize=1)``), and every array it returns, alone
+    or in a tuple, is made read-only.  The callers of one configuration ask
+    for the same key in turn, so they share one table none of them can
+    change; a new key evicts the old, so a long sweep's row blocks are not
+    held at once.  Grids are keys by value, measures by identity.  Tables
+    of the grid alone are read-only cached properties of :class:`Grid`.
+    """
+    @functools.lru_cache(maxsize=1)
+    @functools.wraps(build)
+    def table(*key):
+        out = build(*key)
+        for arr in out if isinstance(out, tuple) else (out,):
+            if isinstance(arr, np.ndarray):
+                _read_only(arr)
+        return out
+    return table
+
+
 def _rfftn(arr: np.ndarray, axes, out: np.ndarray | None = None) -> np.ndarray:
     """Real transform: ``rfft`` over the last of ``axes`` (into ``out`` if
     given), then in-place ``fft`` passes over the others in ascending order."""
@@ -218,13 +240,13 @@ class Grid:
 
     @functools.cached_property
     def freq_norm_sq(self) -> np.ndarray:
-        """|eta|**2 on the dual grid, FFT order, shape ``self.shape``."""
-        return self._axes_sum(self.axis_freqs**2)
+        """|eta|**2 on the dual grid, FFT order, shape ``self.shape``, read-only."""
+        return _read_only(self._axes_sum(self.axis_freqs**2))
 
     @functools.cached_property
     def coord_norm_sq(self) -> np.ndarray:
-        """|x|**2 at the grid points, shape ``self.shape``."""
-        return self._axes_sum(self.axis_coords**2)
+        """|x|**2 at the grid points, shape ``self.shape``, read-only."""
+        return _read_only(self._axes_sum(self.axis_coords**2))
 
     def _axes(self, arr: np.ndarray) -> tuple[int, ...]:
         return tuple(range(arr.ndim - self.dimension, arr.ndim))

@@ -22,11 +22,12 @@ pair: the white noise and the filtered slice are real and the weights
 are even in eta, so it filters half spectra, one real round trip
 (``Grid.filter``, which runs neither of the pair's scales, since they
 cancel: the scale rule of ``stochwave.lattice``) with the weights
-restricted by ``Grid.half`` once per grid
-(``SpectralMeasure.half_lattice_weights``).
-The choice is made from the filter's values, not from the measure's
-kind.  Every consumer multiplies an increment pointwise in space, so the
-sampler hands out real fields; only this module sees the spectrum.
+restricted by ``Grid.half`` (``SpectralMeasure.half_lattice_weights``).
+The choice is made once a filter, from its values, not from the
+measure's kind: the filter is a table of (grid, measure, dt)
+(``lattice._table``).  Every consumer multiplies an increment pointwise
+in space, so the sampler hands out real fields; only this module sees
+the spectrum.
 The draw rule, which every sampler of the package follows: slices are
 independent across time steps and reproducible from the generator handed
 in, and slice s of a stream is its s-th draw of a field of standard
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SpectralMeasure
-from .lattice import Grid
+from .lattice import Grid, _table
 
 __all__ = ["NoisePath", "whole_steps", "sample_slice", "sample_slice_batch", "sample_path",
            "replica_blocks", "mean_se"]
@@ -90,10 +91,13 @@ class NoisePath:
         return self.fields[:steps]
 
 
-def _spectral_scale(grid: Grid, measure: SpectralMeasure, dt: float) -> np.ndarray:
-    """The filter sqrt(dt N**d D_j) on the half grid."""
-    weights = measure.half_lattice_weights(grid)
-    return np.sqrt(dt * grid.points_per_axis**grid.dimension * weights)
+@_table
+def _spectral_scale(grid: Grid, measure: SpectralMeasure, dt: float):
+    """The filter sqrt(dt N**d D_j) on the half grid, a table (``lattice._table``):
+    one scalar when its entries are all equal, else the half-grid array."""
+    scale = np.sqrt(dt * grid.points_per_axis**grid.dimension * measure.half_lattice_weights(grid))
+    first = scale.flat[0]
+    return first if np.all(scale == first) else scale
 
 
 def whole_steps(span: float, dt: float) -> int:
@@ -143,11 +147,10 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float, rngs,
     for i, gen in enumerate(rngs):
         gen.standard_normal(out=out[i * steps:(i + 1) * steps])
     scale = _spectral_scale(grid, measure, dt)
-    first = scale.flat[0]
-    if np.all(scale == first):
-        out *= first
-        return out
-    return grid.filter(out, scale, out=out, work=work)
+    if np.ndim(scale):
+        return grid.filter(out, scale, out=out, work=work)
+    out *= scale
+    return out
 
 
 def replica_blocks(replicas: int, entries: int, rng=None) -> list[tuple[int, int, object]]:

@@ -39,9 +39,9 @@ half grid, from |eta| restricted by ``Grid.half``.  The forcing scale
 enters in the forward transform's one scaled product (``Grid.forward``
 with ``multiplier``: the scale rule of ``stochwave.lattice``), not in a
 pass of its own.  The rows depend on the grid, k, dt and the step range
-only, never on the noise, so they and the forcing scale are memoized by
-those values and handed out read-only: every solve of one configuration
-reads one table.  Three callers read the rows:
+only, never on the noise, so they and the forcing scale are tables of
+those values (``lattice._table``): every solve of one configuration
+reads one.  Three callers read the rows:
 
 - the causal sweep (:func:`_causal_sweep`), whose forcing alpha(u(t_j)) W_j
   depends on the current state: each step adds one term to a and to b
@@ -67,14 +67,14 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .covariance import SpectralMeasure, admissible
 from .greens import GreenMultiplier, cosine_multiplier, j_functional, sine_multiplier
 from .greens import spectral_energy_field
-from .lattice import Grid, LatticeField, _read_only, h_neg_k_norm, l2_norm, norm_sq
+from .lattice import Grid, LatticeField, _table, h_neg_k_norm, l2_norm, norm_sq
 from .noise import NoisePath, mean_se, replica_blocks, sample_slice_batch, whole_steps
 
 __all__ = [
@@ -263,34 +263,28 @@ def deterministic_moments(cfg: SolveConfig, theta: np.ndarray | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-# Tables memoized at once.  Every solve of one configuration asks for the
-# same whole-horizon key, so one entry carries the reuse; more would hold
-# several of a long sweep's row blocks at a time.
-_TABLES_KEPT = 1
-
-
-@lru_cache(maxsize=_TABLES_KEPT)
+@_table
 def _green_rows(grid: Grid, k: int, dt: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows cos(t w), sin(t w)/w (series branch near w = 0) on the half grid, t = j dt, lo <= j < hi.
 
     Elementwise in t and |eta|, so one evenness check of |eta| covers them
     and a row is the same bit for bit whichever other times share its call.
-    Memoized by (grid, k, dt, lo, hi) and read-only: the sweep's single
-    block and the whole-horizon table (:func:`_horizon_table`) share one.
+    A table (``lattice._table``): the sweep's single block and the
+    whole-horizon table (:func:`_horizon_table`) share one.
     """
     mag = grid.half(np.sqrt(grid.freq_norm_sq))
     times = dt * np.arange(lo, hi)
-    return _read_only(cosine_multiplier(times, mag, k)), _read_only(sine_multiplier(times, mag, k))
+    return cosine_multiplier(times, mag, k), sine_multiplier(times, mag, k)
 
 
-@lru_cache(maxsize=_TABLES_KEPT)
+@_table
 def _forcing_scale(grid: Grid, k: int, dt: float) -> np.ndarray:
     """Lattice dG/dt at t = 0 on the half grid, the factor forcing enters F[u_t] with.
 
     It is 1, except for the exact d = 1, k = 1 kernel: eta (h/2) cot(eta h/2), 0 at Nyquist.
-    Memoized by (grid, k, dt) and read-only, as :func:`_green_rows` is.
+    A table (``lattice._table``).
     """
-    return _read_only(grid.half(GreenMultiplier(k, dt).lattice_dt_spectrum(grid, 0.0)))
+    return grid.half(GreenMultiplier(k, dt).lattice_dt_spectrum(grid, 0.0))
 
 
 def _horizon_table(cfg: SolveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

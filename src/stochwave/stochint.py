@@ -407,7 +407,8 @@ def convolution_norms_mc(g, Z: IntegrandProcess, measure: SpectralMeasure, repli
     """
     grid, dt = Z.grid, Z.dt
     blocks = replica_blocks(replicas, _replica_words(grid), rng)
-    mults = grid.half(g.lattice_spectrum(grid, Z.lags()))
+    # lag by lag, so one full-grid spectrum is live at a time
+    mults = [grid.half(g.lattice_spectrum(grid, lag)) for lag in Z.lags()]
     sq_norms = np.empty(replicas)
     rows = blocks[0][1] - blocks[0][0]
     fields_buf = np.empty((rows,) + grid.shape)

@@ -228,6 +228,16 @@ def test_envelope_verdict_flips_at_an_excess_of_1e_12(tmp_path, excess, ok):
     assert moment.verdict is ok and excess_row.verdict is ok
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_envelope_fails_both_rows(bad):
+    # an overflowed envelope at a late step leaves the excess to its finite steps,
+    # where it passes; it bounds nothing, so both rows fail
+    summary = MomentSummary(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 3.0]),
+                            np.array([0.1, 0.1, 0.1]), np.array([2.0, 4.0, bad]))
+    moment, excess_row = _envelope_rows("weighted", "linear-growth", summary, 30, {})
+    assert moment.verdict is False and excess_row.verdict is False
+
+
 def _isometry_verdicts(tmp_path, monkeypatch, estimates):
     """The isometry Monte Carlo verdicts when case i's estimate is estimates[i], I = 1, s.e. 1/16."""
     for name in ("isometry_functional", "isometry_alternative", "isometry_bound"):

@@ -396,10 +396,15 @@ def test_transform_scales_are_built_once_per_grid_and_read_only():
     vals = np.random.default_rng(96).standard_normal(g.shape)
     first = g.full_forward(vals)
     signed = g._signed_spacing
-    for arr in (signed, *g._signed_scales):
+    # |eta|**2 and |x|**2 are shared by every multiplier, weight table and initial field
+    freq, coord = g.freq_norm_sq, g.coord_norm_sq
+    for arr in (signed, *g._signed_scales, freq, coord):
         assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
     assert np.array_equal(g.full_forward(vals), first)
     assert g._signed_spacing is signed
+    assert g.freq_norm_sq is freq and g.coord_norm_sq is coord
     assert np.array_equal(signed, g.spacing * (-1.0) ** np.arange(16))
 
 

@@ -276,18 +276,17 @@ def test_mc_peak_memory_does_not_grow_with_replicas():
     assert many <= 1.05 * one_block
 
 
-@pytest.mark.parametrize("kind", ["white", "riesz"])
-def test_mc_peak_memory_is_its_buffers_plus_one_block(kind):
-    # the kernel owns one real and two complex block buffers and its
-    # multiplier table; the Plancherel norm adds two real half-grid
-    # squares, one complex block, and a real-to-complex product casts
-    # through one numpy ufunc buffer of getbufsize() complex entries
+def _mc_peak(grid, steps, kind):
+    """The tracemalloc peak of one warm Monte Carlo call of three blocks less a replica,
+    with the least it can be and the bound it must keep: the kernel owns one real and
+    two complex block buffers and its multiplier table; the Plancherel norm adds two
+    real half-grid squares, one complex block, and a real-to-complex product casts
+    through one numpy ufunc buffer of getbufsize() complex entries."""
     import tracemalloc
 
-    grid = Grid(2, 32, 6.0)
-    steps = 4
     z = _varying_integrand(grid, steps, 0.25)
-    measure = SpectralMeasure.white(2) if kind == "white" else SpectralMeasure.riesz(2, 0.5)
+    measure = SpectralMeasure.white(grid.dimension) if kind == "white" \
+        else SpectralMeasure.riesz(grid.dimension, 0.5)
     g = GreenMultiplier(1, 1.0)
     rows = noise._BLOCK_ENTRIES // _replica_words(grid)
     replicas = 3 * rows - 1
@@ -304,7 +303,21 @@ def test_mc_peak_memory_is_its_buffers_plus_one_block(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert real_block + 2 * complex_block < peak <= bound
+    return real_block + 2 * complex_block, peak, bound
+
+
+@pytest.mark.parametrize("kind", ["white", "riesz"])
+def test_mc_peak_memory_is_its_buffers_plus_one_block(kind):
+    least, peak, bound = _mc_peak(Grid(2, 32, 6.0), 4, kind)
+    assert least < peak <= bound
+
+
+@pytest.mark.parametrize("kind", ["white", "riesz"])
+def test_mc_multiplier_table_is_built_lag_by_lag(kind):
+    # the same bound where a full-grid spectrum of every lag at once, with its
+    # temporaries, would exceed it: eight lags at d = 2, N = 64
+    least, peak, bound = _mc_peak(Grid(2, 64, 6.0), 8, kind)
+    assert least < peak <= bound
 
 
 @pytest.mark.parametrize("kind", ["white", "riesz"])
