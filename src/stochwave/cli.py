@@ -67,7 +67,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     print("failing rows:", file=sys.stderr)
     for row in table.failing():
-        print(f"  {row.experiment},{row.case},{row.quantity} = {row.value!r}", file=sys.stderr)
+        print(f"  {row.experiment},{row.case},{row.quantity} = {float(row.value)!r}",
+              file=sys.stderr)
     return 1
 
 

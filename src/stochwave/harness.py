@@ -903,13 +903,13 @@ EXPERIMENTS = {
 }
 
 
-def run(cfg: ExperimentConfig, out_dir: Path | None = None) -> ResultTable:
-    """Execute one experiment, then write its CSV and side files into the output directory,
+def run(cfg: ExperimentConfig) -> ResultTable:
+    """Execute one experiment, then write its CSV and side files into ``cfg.output_dir``,
     made only once the experiment has returned its rows."""
     files: dict[str, bytes] = {}
     table = ResultTable(EXPERIMENTS[cfg.name][2](cfg, files))
     files[f"{cfg.name}.csv"] = table.to_csv().encode()
-    out = Path(out_dir) if out_dir is not None else cfg.output_dir
+    out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     for name, data in files.items():
         (out / name).write_bytes(data)

@@ -75,24 +75,22 @@ order; the inverse runs in-place ``ifft`` passes over the leading axes
 in ascending order, then one ``irfft`` over the last axis; the complex
 transform takes its axes in the order they are given.
 
-Each transform takes an optional ``out`` array and writes its result
-there: ``forward`` a complex array of the half spectrum's shape,
-``full_forward`` a complex array of the input's shape (the input itself
-for a transform in place), ``inverse`` a float array of the fields'
-shape, and then the spectrum handed to ``inverse`` is its work space
-and is overwritten; ``filter`` takes ``out`` as ``inverse`` does and a
-``work`` array for its spectrum as ``forward`` takes ``out``.  Without
-them the same passes run on fresh buffers, so both forms agree bit for
-bit.  The ``out`` forms let the Monte Carlo kernel and the modulation
-oracle reuse buffers they own: a fresh 0.5-1 MB temporary per step or
-block is memory the allocator hands back to the operating system when
-it is freed, so every use page-faults it in again.  When a d = 2,
-N = 64 Monte Carlo block held 31 replicas (``BENCH_17.json``), owned
-buffers took a 200-replica, 8-step call from about 14,300 minor faults
-(white noise) or 2,950 (riesz) to 760, and a modulation-oracle call
-from 256 to 64.  With blocks sized by the words they hold (5 replicas
-there, ``BENCH_30.json``) that call takes about 220 (2-vCPU Intel Xeon,
-numpy 2.4.6, ``getrusage``).
+``forward`` and ``full_forward`` take an optional ``out`` array and
+write their result there: a complex array of the half spectrum's shape,
+or of the input's shape (the input itself for a transform in place).
+:meth:`Grid.filter` filters its fields in place, with an optional
+complex ``work`` array for the spectrum, checked as ``forward`` checks
+its ``out``.  Without them the same passes run on fresh buffers, so
+both forms agree bit for bit.  The buffer forms let the Monte Carlo
+kernel and the modulation oracle reuse buffers they own: a fresh
+0.5-1 MB temporary per step or block is memory the allocator hands back
+to the operating system when it is freed, so every use page-faults it
+in again.  When a d = 2, N = 64 Monte Carlo block held 31 replicas
+(``BENCH_17.json``), owned buffers took a 200-replica, 8-step call from
+about 14,300 minor faults (white noise) or 2,950 (riesz) to 760, and a
+modulation-oracle call from 256 to 64.  With blocks sized by the words
+they hold (5 replicas there, ``BENCH_30.json``) that call takes about
+220 (2-vCPU Intel Xeon, numpy 2.4.6, ``getrusage``).
 """
 
 from __future__ import annotations
@@ -299,52 +297,40 @@ class Grid:
         # picard-solve benchmark's peak RSS by about 0.2 MB
         return np.multiply(scale, spec, out=out)
 
-    def inverse(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """Real fields from half spectra; the inverse of :meth:`forward`.
 
-        By default the transform runs on a complex copy of ``spectrum``
-        and returns fresh fields.  With ``out``, a float array of the
-        fields' shape, the result goes there and ``spectrum`` itself is
-        the work space: it must be a writable complex array, and it is
-        overwritten.
+        The transform runs on a complex copy of ``spectrum`` and returns
+        fresh fields.
         """
         arr = np.asarray(spectrum)
         self._check_shape(arr, self.half_shape, "half spectrum")
-        work = None
-        if out is not None:
-            self._check_out(out, arr.shape[:-1] + self.shape[-1:], float)
-            if arr.dtype != complex or not arr.flags.writeable:
-                raise ValueError("with out, the spectrum is the work space and must be a writable "
-                                 f"complex array, got {arr.dtype}, writeable={arr.flags.writeable}")
-            work = arr
-        buf = np.multiply(self._signed_scales[1], arr, out=work, dtype=complex)
-        return _irfftn(buf, self.points_per_axis, self._axes(arr), out)
+        buf = np.multiply(self._signed_scales[1], arr, dtype=complex)
+        return _irfftn(buf, self.points_per_axis, self._axes(arr))
 
-    def filter(self, values: np.ndarray, multiplier: np.ndarray, out: np.ndarray | None = None,
+    def filter(self, values: np.ndarray, multiplier: np.ndarray,
                work: np.ndarray | None = None) -> np.ndarray:
-        """Real fields filtered by a half-grid multiplier: ``inverse(multiplier * forward(values))``.
+        """Filter real fields in place by a half-grid multiplier.
 
-        The round trip's two scales cancel, so neither runs (the module's
+        ``values``, a writable float array, becomes
+        ``inverse(multiplier * forward(values))`` and is returned.  The
+        round trip's two scales cancel, so neither runs (the module's
         scale rule): the real transform goes into ``work``, the
-        multiplier is applied there, and the inverse transform goes
-        into ``out``.  ``work`` is checked as :meth:`forward` checks its
-        ``out`` and is overwritten; ``out`` is checked as
-        :meth:`inverse` checks its own and may be ``values`` itself.
-        Either is allocated when not given, and both forms agree bit
-        for bit.
+        multiplier is applied there, and the inverse transform goes back
+        into ``values``.  ``work`` is checked as :meth:`forward` checks
+        its ``out`` and is overwritten; it is allocated when not given,
+        with the same result bit for bit.
         """
-        arr = np.asarray(values)
-        self._check_shape(arr, self.shape, "field")
+        self._check_out(values, np.shape(values), float, "values")
+        self._check_shape(values, self.shape, "field")
         self._check_shape(np.asarray(multiplier), self.half_shape, "half-grid multiplier")
-        if out is not None:
-            self._check_out(out, arr.shape, float)
         if work is not None:
-            self._check_out(work, arr.shape[:-1] + self.half_shape[-1:], complex,
+            self._check_out(work, values.shape[:-1] + self.half_shape[-1:], complex,
                             "work, the forward transform's out")
-        axes = self._axes(arr)
-        spec = _rfftn(arr, axes, work)
+        axes = self._axes(values)
+        spec = _rfftn(values, axes, work)
         spec *= multiplier
-        return _irfftn(spec, self.points_per_axis, axes, out)
+        return _irfftn(spec, self.points_per_axis, axes, values)
 
     def full_forward(self, values: np.ndarray, axes: tuple[int, ...] | None = None,
                      out: np.ndarray | None = None, scaled: bool = True) -> np.ndarray:
@@ -422,10 +408,6 @@ class LatticeField:
         out = cls(grid, values)
         out._spectrum = np.asarray(spectrum, dtype=complex)
         return out
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "LatticeField":
-        return cls(grid, np.zeros(grid.shape))
 
     @property
     def spectrum(self) -> np.ndarray:

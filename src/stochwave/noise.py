@@ -148,7 +148,7 @@ def sample_slice_batch(grid: Grid, measure: SpectralMeasure, dt: float, rngs,
         gen.standard_normal(out=out[i * steps:(i + 1) * steps])
     scale = _spectral_scale(grid, measure, dt)
     if np.ndim(scale):
-        return grid.filter(out, scale, out=out, work=work)
+        return grid.filter(out, scale, work)
     out *= scale
     return out
 

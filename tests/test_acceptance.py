@@ -7,11 +7,22 @@ hold with equality up to Monte Carlo sampling error), so failures here
 indicate implementation bugs rather than discretization error.
 """
 
+import csv
+from pathlib import Path
+
 import pytest
 
 from stochwave.harness import parse_config, run
 
 SEED = 20260810
+# every CSV the eight configs write at SEED, from
+# ``stochwave run configs/<name>.ini --output tests/expected``
+EXPECTED = Path(__file__).parent / "expected"
+# a pinned number may move by |a - b| <= REL * max(|a|, |b|) + ABS, fixed before
+# the first comparison: ABS covers rows that are rounding noise, such as
+# two_guess_gap and alternative_rel_err; every other cell must match exactly
+REL, ABS = 1e-12, 1e-14
+NUMERIC = {"value", "std_error", "t", "m_n", "moment", "band"}
 
 
 def _report(number: int, ok: bool, text: str) -> None:
@@ -19,15 +30,41 @@ def _report(number: int, ok: bool, text: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def tables(tmp_path_factory):
-    """Run each named experiment once at its acceptance settings."""
-    out = tmp_path_factory.mktemp("acceptance")
+def acceptance_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("acceptance")
+
+
+@pytest.fixture(scope="session")
+def tables(acceptance_dir):
+    """Run each named experiment once at its acceptance settings, writing every CSV
+    into ``acceptance_dir``."""
     results = {}
     for name in ("admissibility", "isometry", "mollifier-ladder", "picard",
                  "energy", "support", "weighted", "refinement"):
         cfg = parse_config(f"[experiment]\nname = {name}\nseed = {SEED}\n")
-        results[name] = run(cfg, out_dir=out / name)
+        results[name] = run(cfg.override(output=acceptance_dir))
     return results
+
+
+def _moved_cells(name: str, expected: Path, got: Path) -> list[str]:
+    """Each cell of ``got`` that differs from ``expected`` beyond the bound, named."""
+    want, have = (list(csv.reader(path.read_text().splitlines())) for path in (expected, got))
+    if want[0] != have[0] or len(want) != len(have):
+        return [f"{name}: header {have[0]} and {len(have) - 1} rows, "
+                f"expected {want[0]} and {len(want) - 1} rows"]
+    moved = []
+    for line, (a_row, b_row) in enumerate(zip(want[1:], have[1:]), start=2):
+        if len(a_row) != len(b_row):
+            moved.append(f"{name} line {line}: {b_row}, expected {a_row}")
+        for column, a, b in zip(want[0], a_row, b_row):
+            if a == b:
+                continue
+            if column in NUMERIC and a and b:
+                x, y = float(a), float(b)
+                if abs(x - y) <= REL * max(abs(x), abs(y)) + ABS:
+                    continue
+            moved.append(f"{name} line {line} ({','.join(a_row[:3])}) {column}: {a} -> {b}")
+    return moved
 
 
 def _rows(tables, experiment, quantity=None, case=None):
@@ -146,3 +183,15 @@ def test_criterion_11_time_increment_refinement(tables):
     ok = len(rows) == 4 and summary.verdict
     _report(11, ok, "E||u(t+dt) - u(t)||^2 decreases under dt halving, 3 levels")
     assert ok
+
+
+def test_every_shipped_value_is_pinned(tables, acceptance_dir):
+    # every CSV of the eight experiments, the two trajectories included, matches
+    # tests/expected row by row: text, counts and verdicts exactly, numbers to
+    # REL and ABS; README says how to rewrite the files when a value moves on purpose
+    names = sorted(path.name for path in EXPECTED.glob("*.csv"))
+    assert names == sorted(path.name for path in acceptance_dir.glob("*.csv"))
+    assert len(names) == 10
+    moved = [cell for name in names
+             for cell in _moved_cells(name, EXPECTED / name, acceptance_dir / name)]
+    assert not moved, "moved cells:\n" + "\n".join(moved)

@@ -160,7 +160,8 @@ def test_admissibility_closed_forms_match_quadrature_on_every_experiment_case(mo
         return value
 
     monkeypatch.setattr(harness, "admissibility_integral", recording)
-    harness.run(harness.parse_config("[experiment]\nname = admissibility\n"), out_dir=tmp_path)
+    harness.run(harness.parse_config("[experiment]\nname = admissibility\n")
+                .override(output=tmp_path))
     finite = [(m, k, value) for m, k, value in cases if math.isfinite(value)]
     assert len(finite) == 30
     for measure, k, value in finite:
@@ -245,7 +246,8 @@ def test_admissible_matches_the_integral_on_every_experiment_case(monkeypatch, t
         return value
 
     monkeypatch.setattr(harness, "admissibility_integral", recording)
-    harness.run(harness.parse_config("[experiment]\nname = admissibility\n"), out_dir=tmp_path)
+    harness.run(harness.parse_config("[experiment]\nname = admissibility\n")
+                .override(output=tmp_path))
     assert len(cases) == 40  # white at d = 1..4, riesz at alpha = 0.5..3.5 < d; k = 1, 2
     assert {finite for _, _, finite in cases} == {True, False}
     for measure, k, finite in cases:

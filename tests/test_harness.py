@@ -171,8 +171,8 @@ def test_importing_the_harness_does_not_load_numpy_random():
 
 def test_run_is_byte_deterministic(tmp_path):
     cfg = _config(ENERGY_CFG)
-    t1 = run(cfg, out_dir=tmp_path / "a")
-    t2 = run(cfg, out_dir=tmp_path / "b")
+    t1 = run(cfg.override(output=tmp_path / "a"))
+    t2 = run(cfg.override(output=tmp_path / "b"))
     assert t1.to_csv() == t2.to_csv()
     assert (tmp_path / "a" / "energy.csv").read_bytes() == (tmp_path / "b" / "energy.csv").read_bytes()
 
@@ -181,8 +181,8 @@ def test_picard_run_is_byte_deterministic(tmp_path):
     # covers the replica-batched contraction phase and the trajectory CSV
     cfg = _config("[experiment]\nname = picard\nseed = 5\nreplicas = 30\n"
                   "ratio_replicas = 6\n[grid]\nn = 64\n")
-    run(cfg, out_dir=tmp_path / "a")
-    run(cfg, out_dir=tmp_path / "b")
+    run(cfg.override(output=tmp_path / "a"))
+    run(cfg.override(output=tmp_path / "b"))
     for name in ("picard.csv", "picard_trajectory.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -195,7 +195,7 @@ def test_picard_run_is_byte_deterministic(tmp_path):
 ])
 def test_moment_at_t_row_is_the_last_pooled_trajectory_row(tmp_path, text, case):
     cfg = _config(text)
-    table = run(cfg, out_dir=tmp_path)
+    table = run(cfg.override(output=tmp_path))
     (row,) = [r for r in table.rows if (r.case, r.quantity) == (case, "moment_at_T")]
     lines = (tmp_path / f"{cfg.name}_trajectory.csv").read_text().splitlines()
     pooled = [rec for rec in csv.reader(lines[1:]) if rec[1] == "0"]
@@ -244,8 +244,8 @@ def _isometry_verdicts(tmp_path, monkeypatch, estimates):
         monkeypatch.setattr(harness, name, lambda *args: 1.0)
     estimates = iter(estimates)
     monkeypatch.setattr(harness, "convolution_moment_mc", lambda *args: (next(estimates), 0.0625))
-    table = run(_config("[experiment]\nname = isometry\nreplicas = 2\n[grid]\nn = 8\n"),
-                out_dir=tmp_path)
+    table = run(_config("[experiment]\nname = isometry\nreplicas = 2\n[grid]\nn = 8\n"
+                        ).override(output=tmp_path))
     rows = {(r.case, r.quantity): r for r in table.rows}
     verdicts = []
     for case in [r.case for r in table.rows if r.quantity == "mc_moment"]:
@@ -274,8 +274,8 @@ def test_weighted_bound_verdict_flips_at_the_se_multiplier(tmp_path, monkeypatch
     monkeypatch.setattr(harness, "weighted_isometry_bound", lambda *args: WeightedBoundResult(
         1.0, 1.0 + 0.25 * multiplier + offset, 0.25, 1.0))
     table = run(_config("[experiment]\nname = weighted\nreplicas = 2\nequivalence_fields = 1\n"
-                        "envelope_replicas = 30\n[grid]\nn = 64\n[solver]\ndt = 0.0625\n"),
-                out_dir=tmp_path)
+                        "envelope_replicas = 30\n[grid]\nn = 64\n[solver]\ndt = 0.0625\n"
+                        ).override(output=tmp_path))
     (row,) = [r for r in table.rows if (r.case, r.quantity) == ("moment-bound", "mc_moment")]
     assert row.verdict is ok
 
@@ -326,7 +326,7 @@ def test_experiment_keys_are_checked_before_any_work(tmp_path, monkeypatch, text
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(harness, "_build_grid", no_work)
     with pytest.raises(ValueError, match="^" + re.escape(key) + ": "):
-        run(_config("[experiment]\n" + text), out_dir=tmp_path / "out")
+        run(_config("[experiment]\n" + text).override(output=tmp_path / "out"))
     assert not (tmp_path / "out").exists()  # run makes the directory only after the rows
 
 
@@ -373,8 +373,8 @@ def test_isometry_run_is_byte_deterministic(tmp_path):
     # covers the Monte Carlo kernel over two replica chunks (256 + 44)
     cfg = _config("[experiment]\nname = isometry\nseed = 5\nreplicas = 300\n"
                   "[grid]\nn = 16\n")
-    run(cfg, out_dir=tmp_path / "a")
-    run(cfg, out_dir=tmp_path / "b")
+    run(cfg.override(output=tmp_path / "a"))
+    run(cfg.override(output=tmp_path / "b"))
     first = (tmp_path / "a" / "isometry.csv").read_bytes()
     assert first == (tmp_path / "b" / "isometry.csv").read_bytes()
     assert b"mc_moment" in first
@@ -382,13 +382,13 @@ def test_isometry_run_is_byte_deterministic(tmp_path):
 
 def test_run_writes_only_inside_output_dir(tmp_path):
     before = set((tmp_path).rglob("*"))
-    run(_config(ENERGY_CFG), out_dir=tmp_path / "only")
+    run(_config(ENERGY_CFG).override(output=tmp_path / "only"))
     created = set(tmp_path.rglob("*")) - before
     assert all(str(p).startswith(str(tmp_path / "only")) for p in created)
 
 
 def test_csv_round_trip(tmp_path):
-    table = run(_config(ENERGY_CFG), out_dir=tmp_path)
+    table = run(_config(ENERGY_CFG).override(output=tmp_path))
     back = ResultTable.from_csv(table.to_csv())
     assert back.to_csv() == table.to_csv()
 
@@ -472,10 +472,10 @@ name = refinement
 seed = 11
 replicas = 15
 """
-    t_a = run(parse_config(base), out_dir=tmp_path / "a")
-    t_b = run(parse_config(base + "replica_offset = 15\n"), out_dir=tmp_path / "b")
-    t_full = run(parse_config(base.replace("replicas = 15", "replicas = 30")),
-                 out_dir=tmp_path / "full")
+    t_a = run(parse_config(base).override(output=tmp_path / "a"))
+    t_b = run(parse_config(base + "replica_offset = 15\n").override(output=tmp_path / "b"))
+    t_full = run(parse_config(base.replace("replicas = 15", "replicas = 30"))
+                 .override(output=tmp_path / "full"))
     merged = aggregate([t_a, t_b])
     full_rows = {(r.case, r.quantity): r for r in t_full.rows if r.std_error is not None}
     for row in merged.rows:
@@ -502,7 +502,7 @@ n = 64
 """
 
     def moment_row(text, out):
-        table = run(parse_config(text), out_dir=tmp_path / out)
+        table = run(parse_config(text).override(output=tmp_path / out))
         return ResultTable([r for r in table.rows
                             if (r.case, r.quantity) == ("linear-growth", "moment_at_T")])
 
@@ -517,7 +517,7 @@ n = 64
 
 
 def test_admissibility_experiment_matches_thresholds(tmp_path):
-    table = run(_config("[experiment]\nname = admissibility\n"), out_dir=tmp_path)
+    table = run(_config("[experiment]\nname = admissibility\n").override(output=tmp_path))
     assert table.all_pass
     by_case = {r.case: r for r in table.rows}
     assert np.isinf(by_case["white-d2-k1"].value)
@@ -530,7 +530,7 @@ def test_support_experiment_snapshot(tmp_path):
     from stochwave.lattice import read_field
 
     cfg = _config("[experiment]\nname = support\nsnapshots = true\n[grid]\nn = 256\nlength = 16\n")
-    table = run(cfg, out_dir=tmp_path)
+    table = run(cfg.override(output=tmp_path))
     assert table.all_pass
     with open(tmp_path / "support_final.field", "rb") as fh:
         field = read_field(fh)
@@ -546,6 +546,19 @@ def test_cli_list_and_run(tmp_path, capsys):
     cfg_path.write_text(ENERGY_CFG)
     assert cli.main(["run", str(cfg_path), "--output", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "energy.csv").exists()
+
+
+def test_cli_prints_a_failing_numpy_value_as_the_csv_does(tmp_path, capsys, monkeypatch):
+    table = ResultTable([Row("weighted", "linear-growth", "moment_at_T",
+                             np.float64(729.4534798904585), 1.5, 30, False),
+                         Row("weighted", "linear-growth", "envelope_excess", 0.5, None, 30, True)])
+    monkeypatch.setattr(cli, "run", lambda cfg: table)
+    cfg_path = tmp_path / "energy.ini"
+    cfg_path.write_text(ENERGY_CFG)
+    assert cli.main(["run", str(cfg_path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "failing rows:\n  weighted,linear-growth,moment_at_T = 729.4534798904585\n"
+    assert "weighted,linear-growth,moment_at_T,729.4534798904585,1.5,30,fail" in table.to_csv()
 
 
 def test_cli_aggregate(tmp_path):

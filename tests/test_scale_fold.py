@@ -50,11 +50,10 @@ def _unfused_forward(self, values, out=None, multiplier=None):
     return _into(out, spec)
 
 
-def _unfused_filter(self, values, multiplier, out=None, work=None):
-    values = np.asarray(values)
+def _unfused_filter(self, values, multiplier, work=None):
     spec = _unfused_forward(self, values) * multiplier
     fields = lattice._irfftn(_half_scales(self)[1] * spec, self.points_per_axis, _axes(self, values))
-    return _into(out, fields)
+    return _into(values, fields)
 
 
 def _fused_and_unfused(monkeypatch, run):

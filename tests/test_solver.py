@@ -84,7 +84,7 @@ def test_negative_lipschitz_constant_is_rejected():
 
 def test_deterministic_part_zero_data():
     cfg = _basic_config()
-    cfg.v0 = LatticeField.zeros(cfg.grid)
+    cfg.v0 = LatticeField(cfg.grid, np.zeros(cfg.grid.shape))
     for t in (0.0, 0.5, 1.0):
         assert np.all(deterministic_part(cfg, t).values == 0.0)
 
@@ -110,7 +110,8 @@ def test_velocity_data_propagation_bounded_by_sobolev_norm(k):
     for _ in range(20):
         v0dot = LatticeField(grid, rng.standard_normal(grid.shape))
         cfg = SolveConfig(grid, SpectralMeasure.white(1), k, horizon, 1 / 64,
-                          Nonlinearity.sine(), LatticeField.zeros(grid), v0dot)
+                          Nonlinearity.sine(), LatticeField(grid, np.zeros(grid.shape)),
+                          v0dot)
         t = rng.uniform(0.0, horizon)
         value = l2_norm(deterministic_part(cfg, t))
         assert value <= c_t * h_neg_k_norm(v0dot, k) * (1.0 + 1e-12)
@@ -139,7 +140,7 @@ def test_zero_nonlinearity_converges_immediately():
 
 def test_linear_alpha_zero_data_stays_zero():
     cfg = _basic_config(alpha=Nonlinearity.identity(), snapshot_stride=1)
-    cfg.v0 = LatticeField.zeros(cfg.grid)
+    cfg.v0 = LatticeField(cfg.grid, np.zeros(cfg.grid.shape))
     path = sample_path(cfg.grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(6))
     report = explicit_sweep(cfg, path)
     assert np.all(report.moments == 0.0)
@@ -744,7 +745,7 @@ def test_validate_rejects_nonvanishing_alpha(alpha):
 def test_validate_rejects_inadmissible_measure():
     grid = Grid(2, 16, 8.0)
     cfg = SolveConfig(grid, SpectralMeasure.white(2), 1, 1.0, 1 / 16,
-                      Nonlinearity.sine(), LatticeField.zeros(grid))
+                      Nonlinearity.sine(), LatticeField(grid, np.zeros(grid.shape)))
     with pytest.raises(ValueError, match="admissibility"):
         cfg.validate()
 
@@ -752,7 +753,7 @@ def test_validate_rejects_inadmissible_measure():
 def test_validate_step_count():
     grid = Grid(1, 64, 16.0)
     cfg = SolveConfig(grid, SpectralMeasure.white(1), 1, 1.0, 0.3,
-                      Nonlinearity.sine(), LatticeField.zeros(grid))
+                      Nonlinearity.sine(), LatticeField(grid, np.zeros(grid.shape)))
     with pytest.raises(ValueError, match="integer"):
         cfg.validate()
 

@@ -324,43 +324,57 @@ def test_mc_multiplier_table_is_built_lag_by_lag(kind):
 @pytest.mark.parametrize("d, n", [(1, 32), (1, 64), (1, 128), (1, 256),
                                   (2, 32), (2, 64), (2, 128), (2, 256), (3, 32)])
 def test_mc_block_buffers_fit_the_block_budget(d, n, kind):
-    # while the first block's norm is taken, the kernel's live allocations are
-    # its three block buffers, the replicas' output norms and under 4 KiB of
-    # views and iterators; the buffers hold the words the blocks are sized by,
-    # and fit in _BLOCK_ENTRIES words wherever one replica fits, else a block
-    # is one replica
+    # while the first block's norm is taken, what the call holds of the package's
+    # allocations (a snapshot diff from just before the call) is its three block
+    # buffers, the replicas' output norms, the blocks' lists of generators (a word
+    # a replica), its multiplier rows (steps x half grid), the tables it builds and
+    # memoizes, and under 8 KiB of views and iterators; the buffers hold the words
+    # the blocks are sized by, and fit in _BLOCK_ENTRIES words wherever one replica
+    # fits, else a block is one replica
     import tracemalloc
+    from pathlib import Path
 
-    import stochwave.stochint as stochint
+    import stochwave
 
-    grid = Grid(d, n, 6.0)
-    z = _varying_integrand(grid, 2, 0.25)
-    measure = SpectralMeasure.white(d) if kind == "white" else SpectralMeasure.riesz(d, 0.5)
-    budget = noise._BLOCK_ENTRIES * 8
-    rows = max(1, min(256, noise._BLOCK_ENTRIES // _replica_words(grid)))
-    replicas = 2 * rows + 1
-    sizes, held = [], []
-
-    def norm_sq(acc):
-        if not held:
-            snapshot = tracemalloc.take_snapshot().filter_traces(
-                [tracemalloc.Filter(True, stochint.__file__)])
-            held.append(sum(t.size for t in snapshot.traces) - replicas * 8)
-        sizes.append(len(acc))
-        return np.zeros(len(acc))
-
+    package = [tracemalloc.Filter(True, str(Path(stochwave.__file__).parent / "*"))]
     tracemalloc.start()
     try:
-        convolution_norms_mc(GreenMultiplier(1, 1.0), z, measure, replicas,
-                             _streams(3, replicas), norm_sq)
+        grid = Grid(d, n, 6.0)
+        steps = 2
+        z = _varying_integrand(grid, steps, 0.25)
+        measure = SpectralMeasure.white(d) if kind == "white" else SpectralMeasure.riesz(d, 0.5)
+        rows = max(1, min(256, noise._BLOCK_ENTRIES // _replica_words(grid)))
+        replicas = 2 * rows + 1
+        streams, g = _streams(3, replicas), GreenMultiplier(1, 1.0)
+        sizes, held = [], []
+
+        def norm_sq(acc):
+            if not held:
+                during = tracemalloc.take_snapshot().filter_traces(package)
+                held.append(sum(stat.size_diff for stat in during.compare_to(before, "filename")))
+            sizes.append(len(acc))
+            return np.zeros(len(acc))
+
+        before = tracemalloc.take_snapshot().filter_traces(package)
+        convolution_norms_mc(g, z, measure, replicas, streams, norm_sq)
     finally:
         tracemalloc.stop()
+    half, full = math.prod(grid.half_shape) * 8, math.prod(grid.shape) * 8
+    buffers = rows * _replica_words(grid) * 8
+    # at d = 1 the half-grid slice is contiguous, so Grid.half returns a view that
+    # keeps its full-grid array alive: each multiplier row and transform scale holds
+    # a full grid, and the restricted weights share the full weights' memory
+    row = full if d == 1 else half
+    # |eta|**2 and the measure's weights on the full grid; the two transform scales,
+    # the restricted weights and a varying (riesz) noise filter on the half grid
+    tables = 2 * full + 2 * row + (0 if d == 1 else half) + (half if kind == "riesz" else 0)
+    counted = buffers + 2 * replicas * 8 + steps * row + tables
     assert sizes == [rows, rows, 1]
-    assert rows * _replica_words(grid) * 8 <= held[0] < rows * _replica_words(grid) * 8 + 4096
-    if _replica_words(grid) * 8 <= budget:
-        assert held[0] <= budget
+    assert counted <= held[0] < counted + 8192
+    if _replica_words(grid) * 8 <= noise._BLOCK_ENTRIES * 8:
+        assert buffers <= noise._BLOCK_ENTRIES * 8
     else:
-        assert rows == 1 and held[0] > budget
+        assert rows == 1 and buffers > noise._BLOCK_ENTRIES * 8
 
 
 @pytest.mark.parametrize("replicas, generators, match", [

@@ -97,16 +97,16 @@ def test_one_isometry_case_builds_its_filter_and_weights_once():
 
 def test_an_isometry_run_builds_one_filter_a_case(tmp_path):
     _clear_tables()
-    run(parse_config("[experiment]\nname = isometry\nreplicas = 20\n[grid]\nn = 16\n"),
-        out_dir=tmp_path)
+    run(parse_config("[experiment]\nname = isometry\nreplicas = 20\n[grid]\nn = 16\n")
+        .override(output=tmp_path))
     # six cases, one filter, one weight table and one half-grid restriction each
     assert _misses()[:3] == [6, 6, 6]
 
 
 def test_refinement_builds_a_filter_a_step_and_one_weight_table(tmp_path):
     _clear_tables()
-    run(parse_config("[experiment]\nname = refinement\nreplicas = 4\n[grid]\nn = 16\n"),
-        out_dir=tmp_path)
+    run(parse_config("[experiment]\nname = refinement\nreplicas = 4\n[grid]\nn = 16\n")
+        .override(output=tmp_path))
     weights, half, filters, _, _ = _misses()
     assert (weights, half, filters) == (1, 1, 4)
 
@@ -117,8 +117,8 @@ def test_refinement_builds_a_filter_a_step_and_one_weight_table(tmp_path):
 ])
 def test_cold_and_warm_tables_give_the_same_bits(tmp_path, text):
     _clear_tables()
-    cold = run(parse_config(text), out_dir=tmp_path / "cold").to_csv()
-    warm = run(parse_config(text), out_dir=tmp_path / "warm").to_csv()
+    cold = run(parse_config(text).override(output=tmp_path / "cold")).to_csv()
+    warm = run(parse_config(text).override(output=tmp_path / "warm")).to_csv()
     assert cold == warm
     _clear_tables()
     assert _isometry_case() == _isometry_case()

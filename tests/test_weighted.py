@@ -69,7 +69,8 @@ def test_annuli_norms_indicator(grid, weight):
     shells = annuli_norms(LatticeField(grid, vals), weight)
     assert shells[2] > 0
     assert np.all(shells[np.arange(shells.size) != 2] == 0.0)
-    assert np.all(annuli_norms(LatticeField.zeros(grid), weight) == 0.0)
+    zero = LatticeField(grid, np.zeros(grid.shape))
+    assert np.all(annuli_norms(zero, weight) == 0.0)
 
 
 def test_shell_equivalence_random_fields(grid, weight):
@@ -182,7 +183,8 @@ def test_weighted_bound_far_integrand_needs_locality_constant(grid, weight):
 
 def test_weighted_solver_requires_k1(grid, weight):
     cfg = SolveConfig(grid, SpectralMeasure.white(1), 2, 1.0, 1 / 64,
-                      Nonlinearity.affine(0.0, 1.0), LatticeField.zeros(grid))
+                      Nonlinearity.affine(0.0, 1.0),
+                      LatticeField(grid, np.zeros(grid.shape)))
     path = sample_path(grid, cfg.measure, 1.0, cfg.dt, np.random.default_rng(7))
     with pytest.raises(ValueError, match="k = 1"):
         weighted_wave_solve(cfg, path, weight)
