@@ -320,21 +320,35 @@ def test_mc_multiplier_table_is_built_lag_by_lag(kind):
     assert least < peak <= bound
 
 
+def _owned_bytes(arrays):
+    # the bytes of the distinct arrays that own the memory of ``arrays``: a view
+    # counts its base, however many views share it
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a.nbytes
+    return sum(owners.values())
+
+
 @pytest.mark.parametrize("kind", ["white", "riesz"])
 @pytest.mark.parametrize("d, n", [(1, 32), (1, 64), (1, 128), (1, 256),
                                   (2, 32), (2, 64), (2, 128), (2, 256), (3, 32)])
 def test_mc_block_buffers_fit_the_block_budget(d, n, kind):
     # while the first block's norm is taken, what the call holds of the package's
-    # allocations (a snapshot diff from just before the call) is its three block
-    # buffers, the replicas' output norms, the blocks' lists of generators (a word
-    # a replica), its multiplier rows (steps x half grid), the tables it builds and
-    # memoizes, and under 8 KiB of views and iterators; the buffers hold the words
-    # the blocks are sized by, and fit in _BLOCK_ENTRIES words wherever one replica
-    # fits, else a block is one replica
+    # allocations (a snapshot diff from just before the call) is, on the lines of
+    # stochint.py, its three block buffers, the replicas' output norms and under
+    # 4 KiB of views and iterators, and elsewhere in the package the blocks' lists
+    # of generators (a word a replica), its multiplier rows (one half-grid
+    # restriction a step), the tables it builds and memoizes, and under 4 KiB of
+    # views and memo entries; the buffers hold the words the blocks are sized by,
+    # and fit in _BLOCK_ENTRIES words wherever one replica fits, else a block is
+    # one replica
     import tracemalloc
     from pathlib import Path
 
     import stochwave
+    import stochwave.stochint as stochint
 
     package = [tracemalloc.Filter(True, str(Path(stochwave.__file__).parent / "*"))]
     tracemalloc.start()
@@ -351,7 +365,10 @@ def test_mc_block_buffers_fit_the_block_budget(d, n, kind):
         def norm_sq(acc):
             if not held:
                 during = tracemalloc.take_snapshot().filter_traces(package)
-                held.append(sum(stat.size_diff for stat in during.compare_to(before, "filename")))
+                by_file = {stat.traceback[0].filename: stat.size_diff
+                           for stat in during.compare_to(before, "filename")}
+                held.append(by_file.pop(stochint.__file__) - replicas * 8)
+                held.append(sum(by_file.values()))
             sizes.append(len(acc))
             return np.zeros(len(acc))
 
@@ -359,22 +376,26 @@ def test_mc_block_buffers_fit_the_block_budget(d, n, kind):
         convolution_norms_mc(g, z, measure, replicas, streams, norm_sq)
     finally:
         tracemalloc.stop()
-    half, full = math.prod(grid.half_shape) * 8, math.prod(grid.shape) * 8
+    kernel, elsewhere = held
+    budget = noise._BLOCK_ENTRIES * 8
     buffers = rows * _replica_words(grid) * 8
-    # at d = 1 the half-grid slice is contiguous, so Grid.half returns a view that
-    # keeps its full-grid array alive: each multiplier row and transform scale holds
-    # a full grid, and the restricted weights share the full weights' memory
-    row = full if d == 1 else half
+    # what a half-grid restriction keeps alive, counted by owner, so a restriction
+    # that is a view of its full-grid array counts that array
+    row = _owned_bytes([grid.half(np.zeros(grid.shape))])
     # |eta|**2 and the measure's weights on the full grid; the two transform scales,
     # the restricted weights and a varying (riesz) noise filter on the half grid
-    tables = 2 * full + 2 * row + (0 if d == 1 else half) + (half if kind == "riesz" else 0)
-    counted = buffers + 2 * replicas * 8 + steps * row + tables
+    scale = noise._spectral_scale(grid, measure, z.dt)
+    tables = _owned_bytes([grid.freq_norm_sq, measure.lattice_weights(grid), *grid._signed_scales,
+                           measure.half_lattice_weights(grid)]
+                          + ([scale] if isinstance(scale, np.ndarray) else []))
+    counted = replicas * 8 + steps * row + tables
     assert sizes == [rows, rows, 1]
-    assert counted <= held[0] < counted + 8192
-    if _replica_words(grid) * 8 <= noise._BLOCK_ENTRIES * 8:
-        assert buffers <= noise._BLOCK_ENTRIES * 8
+    assert buffers <= kernel < buffers + 4096
+    assert counted <= elsewhere < counted + 4096
+    if _replica_words(grid) * 8 <= budget:
+        assert kernel <= budget
     else:
-        assert rows == 1 and buffers > noise._BLOCK_ENTRIES * 8
+        assert rows == 1 and kernel > budget
 
 
 @pytest.mark.parametrize("replicas, generators, match", [
