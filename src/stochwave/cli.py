@@ -35,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list-experiments":
-        for name, (_, criterion, _) in EXPERIMENTS.items():
+        for name, (_, criterion, *_) in EXPERIMENTS.items():
             print(f"{name:18s} {criterion}")
         return 0
 

@@ -8,7 +8,7 @@ streams are counter-based (Philox), keyed by
                                          replica_index)),
 
 with the experiment index from the one registry ``EXPERIMENTS`` (name ->
-spawn-key index, criterion, function); within one stream, noise slices
+spawn-key index, criterion, function, keys); within one stream, noise slices
 are drawn in time order (the draw rule of ``stochwave.noise``).  Two runs
 of the same experiment at replica offsets 0..a and a..b therefore draw
 exactly the replicas of one run over 0..b, which is what makes result
@@ -19,11 +19,11 @@ one vectorized pass of the same hash over all the case's replica indices
 (:func:`_philox_keys`), so they are the same streams without a
 ``SeedSequence`` a replica.
 
-Config files are INI-style (see ``parse_config``); ``_KEYS`` must declare
-every key they set, and checks its value when they are parsed.  An experiment
-checks the values that depend on each other before it builds anything, and it
-hands its side files (trajectory CSV, field snapshot) to :func:`run`,
-which writes them and the result CSV only once the experiment has
+Config files are INI-style (see ``parse_config``); a config sets only the keys
+its experiment's ``EXPERIMENTS`` entry lists, checked by ``_KEYS`` when it is
+parsed.  An experiment checks the values that depend on each other before it
+builds anything, and it hands its side files (trajectory CSV, field snapshot) to
+:func:`run`, which writes them and the result CSV only once the experiment has
 returned its rows: a refused config leaves no output directory.  Results
 are CSV rows (experiment, case, quantity, value, std_error, replicas,
 verdict) with '.' decimals and no locale dependence.
@@ -88,8 +88,6 @@ __all__ = [
     "aggregate",
     "solve_report_csv",
 ]
-
-DEFAULT_SEED = 20260810
 
 # standard errors every Monte Carlo verdict allows (and the trajectory CSV's band)
 _SE_MULTIPLIER = 3.0
@@ -184,8 +182,8 @@ def _key_sequence():
 def _replica_generators(cfg: "ExperimentConfig", case_index: int, count: int) -> list:
     """The streams of replicas replica_offset .. replica_offset + count - 1 of one case:
     :func:`replica_generator`'s, keyed by :func:`_philox_keys` in one pass."""
-    keys = _philox_keys(cfg.seed, (EXPERIMENTS[cfg.name][0], case_index),
-                        cfg.replica_offset, count)
+    keys = _philox_keys(cfg.get("experiment", "seed"), (EXPERIMENTS[cfg.name][0], case_index),
+                        cfg.get("experiment", "replica_offset"), count)
     sequence = _key_sequence()
     return [np.random.Generator(np.random.Philox(sequence(key))) for key in keys]
 
@@ -199,8 +197,8 @@ def _replica_generators(cfg: "ExperimentConfig", case_index: int, count: int) ->
 # int must be >= its bound and a float > it (None: any finite number), unless the
 # bound is the set of allowed values; a str's bound is its tuple of choices (None:
 # any text).  A value out of bound fails with "[section] key: <reason>, got ...",
-# the entry's reason or one the bound gives.  Defaults stay with the experiment
-# that reads the key.
+# the entry's reason or one the bound gives.  Which experiments read a key, with
+# its default there, is in ``EXPERIMENTS``.
 _KEYS = {
     "experiment": {"seed": (int, 0), "replicas": (int, 2),  # a standard error needs two
                    "replica_offset": (int, 0), "output": (str, None), "snapshots": (bool, None),
@@ -222,6 +220,19 @@ _KEYS = {
 # Keys a config may set that _KEYS does not declare: the name, checked on its own, and
 # [experiment] threads, unread but written by perfbench/workloads.py until it stops.
 _UNDECLARED_KEYS = {("experiment", "name"), ("experiment", "threads")}
+# The keys every experiment reads, and those of the five that build a measure, with defaults.
+_EVERY_RUN = {"experiment": dict(seed=20260810, output="results")}
+_MEASURE = {"grid": dict(d=1), "measure": dict(kind="white", alpha=0.5, scale=1.0,
+                                               table_path=None, tail_exponent=None)}
+
+
+def _reads(*groups: dict, **sections: dict) -> dict:
+    """One experiment's keys, section -> key -> default: the every-run keys and these merged."""
+    table = {}
+    for group in (_EVERY_RUN, *groups, sections):
+        for section, keys in group.items():
+            table.setdefault(section, {}).update(keys)
+    return table
 
 
 def _value(section: str, key: str, text: str):
@@ -260,32 +271,21 @@ class ExperimentConfig:
 
     raw: dict
 
-    def get(self, section: str, key: str, default=None):
-        """[section] key as its declared type, or ``default`` when the config does not set it."""
-        if key not in _KEYS.get(section, {}):
-            raise KeyError(f"[{section}] {key} is not declared in _KEYS")
+    def get(self, section: str, key: str):
+        """[section] key as its declared type; the experiment's default if the config lacks it."""
+        reads = EXPERIMENTS[self.name][3].get(section, {})
+        if key not in reads:
+            raise KeyError(f"[{section}] {key} is not read by the {self.name} experiment")
         text = self.raw.get(section, {}).get(key)
-        return default if text is None else _value(section, key, text)
+        return reads[key] if text is None else _value(section, key, text)
 
     @property
     def name(self) -> str:
         return self.raw["experiment"]["name"]
 
     @property
-    def seed(self) -> int:
-        return self.get("experiment", "seed", DEFAULT_SEED)
-
-    @property
-    def replicas(self) -> int | None:
-        return self.get("experiment", "replicas")
-
-    @property
-    def replica_offset(self) -> int:
-        return self.get("experiment", "replica_offset", 0)
-
-    @property
     def output_dir(self) -> Path:
-        return Path(self.get("experiment", "output", "results"))
+        return Path(self.get("experiment", "output"))
 
     def override(self, **updates) -> "ExperimentConfig":
         """Copy with [experiment] keys replaced, checked as :func:`parse_config` checks."""
@@ -298,16 +298,18 @@ class ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    """The checks every config passes before an experiment reads it: its name, and that
-    ``_KEYS`` declares every other key it sets (``threads`` aside) and accepts its value."""
+    """The checks every config passes before an experiment reads it: its name, and that the
+    experiment reads every other key it sets (``threads`` aside), with a value ``_KEYS`` accepts."""
     if "name" not in cfg.raw.get("experiment", {}):
         raise ValueError("malformed config: missing [experiment] name")
     if cfg.name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {cfg.name!r}; see list-experiments")
     for section, values in cfg.raw.items():
         for key, text in values.items():
-            if key in _KEYS.get(section, {}):
+            if key in EXPERIMENTS[cfg.name][3].get(section, {}):
                 _value(section, key, text)
+            elif key in _KEYS.get(section, {}):
+                raise ValueError(f"[{section}] {key}: not read by the {cfg.name} experiment")
             elif (section, key) not in _UNDECLARED_KEYS:
                 raise ValueError(f"[{section}] {key}: not a config key")
     return cfg
@@ -317,9 +319,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate an experiment config.
 
     INI sections; ``[experiment] name`` (one of the registered experiments)
-    is required.  ``_KEYS`` declares every other key an experiment reads,
-    with its section, type and bound or choices; each one the text sets is
-    converted and checked here, and any key it does not declare is refused
+    is required.  The experiment's ``EXPERIMENTS`` entry lists every other key
+    it reads, and ``_KEYS`` its type and bound or choices; each one the text
+    sets is converted and checked here, and any other key is refused
     (``[experiment] threads`` aside), so a bad config raises before any work.
     """
     parser = configparser.ConfigParser(interpolation=None)
@@ -518,9 +520,8 @@ def _keyed(key: str, build, *args, **kw):
         raise ValueError(f"{key}: {exc}") from None
 
 
-def _build_grid(cfg: ExperimentConfig, n: int, length: float) -> Grid:
-    return Grid(cfg.get("grid", "d", 1), cfg.get("grid", "n", n),
-                cfg.get("grid", "length", length))
+def _build_grid(cfg: ExperimentConfig) -> Grid:
+    return Grid(cfg.get("grid", "d"), cfg.get("grid", "n"), cfg.get("grid", "length"))
 
 
 def _radial_table(path: str) -> np.ndarray:
@@ -534,24 +535,28 @@ def _radial_table(path: str) -> np.ndarray:
 
 def _build_measure(cfg: ExperimentConfig) -> SpectralMeasure:
     """The [measure] of the [grid] dimension, built before the grid is: it checks keys only."""
-    d = cfg.get("grid", "d", 1)
-    kind = cfg.get("measure", "kind", "white")
-    scale = cfg.get("measure", "scale", 1.0)
+    d = cfg.get("grid", "d")
+    kind = cfg.get("measure", "kind")
+    scale = cfg.get("measure", "scale")
+    given = cfg.raw.get("measure", {})
+    for key, owner in (("alpha", "riesz"), ("table_path", "radial-table"),
+                       ("tail_exponent", "radial-table")):
+        if key in given and kind != owner:
+            raise ValueError(f"[measure] {key}: read for {owner} only, not {kind}")
+        if key not in given and kind == owner == "radial-table":
+            raise ValueError(f"[measure] {key}: required for radial-table")
     if kind == "white":
         return SpectralMeasure.white(d, scale=scale)
     if kind == "riesz":
         return _keyed("[measure] alpha", SpectralMeasure.riesz, d,
-                      cfg.get("measure", "alpha", 0.5), scale=scale)
-    for key in ("table_path", "tail_exponent"):  # radial-table
-        if cfg.get("measure", key) is None:
-            raise ValueError(f"[measure] {key}: required for radial-table")
+                      cfg.get("measure", "alpha"), scale=scale)
     radii, density = _keyed("[measure] table_path", _radial_table, cfg.get("measure", "table_path"))
     return _keyed("[measure] table_path", SpectralMeasure.radial_table, d, radii, density,
                   tail_exponent=cfg.get("measure", "tail_exponent"), scale=scale)
 
 
-def _build_nonlinearity(cfg: ExperimentConfig, default: str = "sine") -> Nonlinearity:
-    name = cfg.get("solver", "nonlinearity", default)
+def _build_nonlinearity(cfg: ExperimentConfig) -> Nonlinearity:
+    name = cfg.get("solver", "nonlinearity")
     if name == "identity":
         return Nonlinearity.identity()
     if name == "sine":
@@ -620,14 +625,12 @@ _ISOMETRY_CASES = [
 
 
 def _exp_isometry(cfg: ExperimentConfig, files: dict) -> list[Row]:
-    replicas = cfg.replicas or 1000
-    n = cfg.get("grid", "n", 64)
-    length = cfg.get("grid", "length", 16.0)
+    replicas = cfg.get("experiment", "replicas")
     horizon, steps = 0.5, 8
     dt = horizon / steps
     rows = []
     for case_index, (case, kind, alpha, d, k) in enumerate(_ISOMETRY_CASES):
-        grid = Grid(d, n, length)
+        grid = Grid(d, cfg.get("grid", "n"), cfg.get("grid", "length"))
         measure = SpectralMeasure.white(d) if kind == "white" else SpectralMeasure.riesz(d, alpha)
         g = GreenMultiplier(k, horizon)
         z_vals = np.exp(-grid.coord_norm_sq)
@@ -659,8 +662,8 @@ def _exp_isometry(cfg: ExperimentConfig, files: dict) -> list[Row]:
 
 def _exp_mollifier_ladder(cfg: ExperimentConfig, files: dict) -> list[Row]:
     measure = _build_measure(cfg)
-    grid = _build_grid(cfg, 512, 48.0)
-    g = GreenMultiplier(cfg.get("green", "k", 1), 1.0)
+    grid = _build_grid(cfg)
+    g = GreenMultiplier(cfg.get("green", "k"), 1.0)
     steps, dt = 4, 0.25
     Z = IntegrandProcess.constant(grid, np.exp(-grid.coord_norm_sq / 2.0), steps, dt)
     scales = (1, 2, 4, 8, 16)
@@ -679,24 +682,24 @@ def _exp_mollifier_ladder(cfg: ExperimentConfig, files: dict) -> list[Row]:
 
 
 def _picard_config(cfg: ExperimentConfig) -> SolveConfig:
-    horizon = cfg.get("green", "horizon", 1.0)
-    dt = cfg.get("solver", "dt", 1.0 / 128.0)
+    horizon = cfg.get("green", "horizon")
+    dt = cfg.get("solver", "dt")
     _keyed("[solver] dt", whole_steps, horizon, dt)
     measure = _build_measure(cfg)
-    grid = _build_grid(cfg, 128, 16.0)
-    return SolveConfig(grid=grid, measure=measure, k=cfg.get("green", "k", 1), horizon=horizon,
-                       dt=dt, nonlinearity=_build_nonlinearity(cfg, "sine"),
+    grid = _build_grid(cfg)
+    return SolveConfig(grid=grid, measure=measure, k=cfg.get("green", "k"), horizon=horizon,
+                       dt=dt, nonlinearity=_build_nonlinearity(cfg),
                        v0=_initial_field(grid, "wavepacket", 1.0, 2.0, mode=2.0),
-                       picard_tol=cfg.get("solver", "picard_tol", SolveConfig.picard_tol),
+                       picard_tol=cfg.get("solver", "picard_tol"),
                        snapshot_stride=1)
 
 
 def _exp_picard(cfg: ExperimentConfig, files: dict) -> list[Row]:
-    replicas = cfg.replicas or 100
+    replicas = cfg.get("experiment", "replicas")
     if replicas < MIN_TRACK_REPLICAS:
         raise ValueError("[experiment] replicas: moment tracking needs at least "
                          f"{MIN_TRACK_REPLICAS}")
-    ratio_replicas = cfg.get("experiment", "ratio_replicas", 20)
+    ratio_replicas = cfg.get("experiment", "ratio_replicas")
     solve_cfg = _picard_config(cfg)
     check_envelope(solve_cfg.nonlinearity)
     grid, measure = solve_cfg.grid, solve_cfg.measure
@@ -704,8 +707,8 @@ def _exp_picard(cfg: ExperimentConfig, files: dict) -> list[Row]:
 
     # fixed-point agreement on one fixed path; the zero-guess solve is the u0 solve one
     # update later (picard_iterate), so two_guess_gap is 0 by construction
-    path = sample_path(grid, measure, solve_cfg.horizon, solve_cfg.dt,
-                       replica_generator(cfg.seed, "picard", 0, cfg.replica_offset))
+    path = sample_path(grid, measure, solve_cfg.horizon, solve_cfg.dt, replica_generator(
+        cfg.get("experiment", "seed"), "picard", 0, cfg.get("experiment", "replica_offset")))
     sweep = explicit_sweep(solve_cfg, path)
     pic = picard_iterate(solve_cfg, path)
     pic0 = picard_iterate(solve_cfg, path, initial="zero")
@@ -735,9 +738,9 @@ def _exp_picard(cfg: ExperimentConfig, files: dict) -> list[Row]:
 
 def _exp_energy(cfg: ExperimentConfig, files: dict) -> list[Row]:
     rows = []
-    grid = _build_grid(cfg, 128, 16.0)
-    steps = cfg.get("solver", "steps", 256)
-    horizon = cfg.get("green", "horizon", 1.0)
+    grid = _build_grid(cfg)
+    steps = cfg.get("solver", "steps")
+    horizon = cfg.get("green", "horizon")
     v0 = _initial_field(grid, "gaussian", 1.0, 1.0)
     v0_dot = _initial_field(grid, "gaussian", 0.3, 1.4, center=1.0)
     for k in (1, 2):
@@ -753,26 +756,26 @@ def _exp_energy(cfg: ExperimentConfig, files: dict) -> list[Row]:
 
 
 def _exp_support(cfg: ExperimentConfig, files: dict) -> list[Row]:
-    d = cfg.get("grid", "d", 1)
+    d = cfg.get("grid", "d")
     if d != 1:
         raise ValueError(f"[grid] d: the support experiment runs in d = 1 only, got {d}")
     measure = _build_measure(cfg)
-    grid = _build_grid(cfg, 512, 16.0)
+    grid = _build_grid(cfg)
     h = grid.spacing
     v0 = _initial_field(grid, "bump", 1.0, 1.0)
     mask = (np.sqrt(grid.coord_norm_sq) <= 1.0).astype(float)
-    horizon = cfg.get("green", "horizon", 1.0)
+    horizon = cfg.get("green", "horizon")
     needed = 8.0 + horizon  # four diameters of |x| <= 1 (the bump and the mask), plus T
     if grid.box_length < needed:
         raise ValueError(f"[grid] length: box length {grid.box_length} < {needed} needed to keep "
                          "finite-speed effects from wrapping within the horizon")
     solve_cfg = SolveConfig(
         grid=grid, measure=measure, k=1, horizon=horizon, dt=h,
-        nonlinearity=_build_nonlinearity(cfg, "sine"), v0=v0,
+        nonlinearity=_build_nonlinearity(cfg), v0=v0,
         noise_mask=mask, snapshot_stride=1,
     )
-    path = sample_path(grid, measure, solve_cfg.horizon, h,
-                       replica_generator(cfg.seed, "support", 0, cfg.replica_offset))
+    path = sample_path(grid, measure, solve_cfg.horizon, h, replica_generator(
+        cfg.get("experiment", "seed"), "support", 0, cfg.get("experiment", "replica_offset")))
     report = explicit_sweep(solve_cfg, path)
     radius = np.sqrt(grid.coord_norm_sq)
     worst = 0.0
@@ -780,7 +783,7 @@ def _exp_support(cfg: ExperimentConfig, files: dict) -> list[Row]:
         outside = radius > 1.0 + j * solve_cfg.dt + 2.0 * h
         if np.any(outside):
             worst = max(worst, float(np.abs(fld.values[outside]).max()))
-    if cfg.get("experiment", "snapshots", False):
+    if cfg.get("experiment", "snapshots"):
         snapshot = io.BytesIO()
         write_field(report.snapshot_at(solve_cfg.steps), snapshot)
         files["support_final.field"] = snapshot.getvalue()
@@ -792,16 +795,16 @@ def _exp_support(cfg: ExperimentConfig, files: dict) -> list[Row]:
 
 
 def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
-    n_fields = cfg.get("experiment", "equivalence_fields", 50)
-    solver_replicas = cfg.get("experiment", "envelope_replicas", 100)
-    dt = cfg.get("solver", "dt", 1.0 / 64.0)
+    n_fields = cfg.get("experiment", "equivalence_fields")
+    solver_replicas = cfg.get("experiment", "envelope_replicas")
+    dt = cfg.get("solver", "dt")
     _keyed("[solver] dt", whole_steps, 1.0, dt)
-    d = cfg.get("grid", "d", 1)
-    w = Weight(cfg.get("weight", "exponent", float(d + 1)), cfg.get("weight", "radius", 1.0))
+    d = cfg.get("grid", "d")
+    w = Weight(cfg.get("weight", "exponent") or d + 1.0, cfg.get("weight", "radius"))
     _keyed("[weight] exponent", w.check_dimension, d)
     measure = _build_measure(cfg)
     rows = []
-    grid = _build_grid(cfg, 256, 16.0)
+    grid = _build_grid(cfg)
     theta = w.theta_on(grid)
 
     # pointwise sandwich with the exact constants: base = 1 and |x|**(-K)
@@ -815,7 +818,8 @@ def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
 
     # shell equivalence on random fields with the computed discrete constants
     c_disc, big_c = equivalence_constants(grid, w)
-    rng = replica_generator(cfg.seed, "weighted", 0, cfg.replica_offset)
+    rng = replica_generator(cfg.get("experiment", "seed"), "weighted", 0,
+                            cfg.get("experiment", "replica_offset"))
     shell_count = int(w.annulus_index(grid).max()) + 1
     weights_n = np.array([float(max(n, 1)) ** (-w.exponent) for n in range(shell_count)])
     violations = 0
@@ -833,7 +837,7 @@ def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
     rows.append(Row("weighted", "equivalence", "upper_constant", big_c, None, 0, True))
 
     # weighted second-moment bound, ball-supported integrand
-    replicas = cfg.replicas or 1000
+    replicas = cfg.get("experiment", "replicas")
     steps, horizon = 8, 1.0
     g = GreenMultiplier(1, horizon)
     ball = (np.sqrt(grid.coord_norm_sq) <= 1.0).astype(float)
@@ -849,7 +853,7 @@ def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
     v0 = _initial_field(grid, "wavepacket", 1.0, 2.0, mode=1.0)
     solve_cfg = SolveConfig(
         grid=grid, measure=measure, k=1, horizon=1.0, dt=dt,
-        nonlinearity=_build_nonlinearity(cfg, "affine"), v0=v0,
+        nonlinearity=_build_nonlinearity(cfg), v0=v0,
     )
     moments, _ = sweep_replicas(solve_cfg, _replica_generators(cfg, 2, solver_replicas),
                                 theta=theta)
@@ -858,22 +862,22 @@ def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
 
 
 def _exp_refinement(cfg: ExperimentConfig, files: dict) -> list[Row]:
-    t0 = cfg.get("experiment", "base_time", 0.5)
+    t0 = cfg.get("experiment", "base_time")
     dts = [1.0 / 16.0 / 2**level for level in range(4)]
     if _keyed("[experiment] base_time", whole_steps, t0, dts[0]) < 1:
         raise ValueError(f"[experiment] base_time: must be at least the coarsest step 1/16, "
                          f"got {t0!r}")
     measure = _build_measure(cfg)
-    grid = _build_grid(cfg, 64, 16.0)
+    grid = _build_grid(cfg)
     v0 = _initial_field(grid, "gaussian", 1.0, 1.0)
-    replicas = cfg.replicas or 100
+    replicas = cfg.get("experiment", "replicas")
     rows = []
     means = []
     for level, dt in enumerate(dts):
         horizon = t0 + dt
         solve_cfg = SolveConfig(
             grid=grid, measure=measure, k=1, horizon=horizon, dt=dt,
-            nonlinearity=_build_nonlinearity(cfg, "sine"), v0=v0,
+            nonlinearity=_build_nonlinearity(cfg), v0=v0,
         )
         j0 = whole_steps(t0, dt)
         _, kept = sweep_replicas(solve_cfg, _replica_generators(cfg, level, replicas),
@@ -887,19 +891,38 @@ def _exp_refinement(cfg: ExperimentConfig, files: dict) -> list[Row]:
     return rows
 
 
-# name -> (spawn-key index, criterion, function).  The index is the first entry of
-# every spawn key the experiment draws from, so it is fixed for good.
+# name -> (spawn-key index, criterion, function, keys read: section -> key -> default).  The
+# index is the first entry of every spawn key the experiment draws from, so it is fixed for good.
 EXPERIMENTS = {
-    "admissibility": (0, "admissibility verdicts match analytic thresholds", _exp_admissibility),
-    "isometry": (1, "second-moment identity, modulation equivalence, bound chain", _exp_isometry),
+    "admissibility": (0, "admissibility verdicts match analytic thresholds", _exp_admissibility,
+                      _reads()),
+    "isometry": (1, "second-moment identity, modulation equivalence, bound chain", _exp_isometry,
+                 _reads(experiment=dict(replicas=1000, replica_offset=0),
+                        grid=dict(n=64, length=16.0))),
     "mollifier-ladder": (2, "smoothing and truncation ladders decrease to < 5%",
-                         _exp_mollifier_ladder),
-    "picard": (3, "fixed-point agreement, contraction ratios, moment envelope", _exp_picard),
-    "energy": (4, "noise-free spectral energy conservation", _exp_energy),
-    "support": (5, "finite propagation speed with masked noise (k = 1, d = 1)", _exp_support),
+                         _exp_mollifier_ladder,
+                         _reads(_MEASURE, grid=dict(n=512, length=48.0), green=dict(k=1))),
+    "picard": (3, "fixed-point agreement, contraction ratios, moment envelope", _exp_picard,
+               _reads(_MEASURE, experiment=dict(replicas=100, replica_offset=0, ratio_replicas=20),
+                      grid=dict(n=128, length=16.0), green=dict(k=1, horizon=1.0),
+                      solver=dict(dt=1 / 128, nonlinearity="sine",
+                                  picard_tol=SolveConfig.picard_tol))),
+    "energy": (4, "noise-free spectral energy conservation", _exp_energy,
+               _reads(grid=dict(d=1, n=128, length=16.0), green=dict(horizon=1.0),
+                      solver=dict(steps=256))),
+    "support": (5, "finite propagation speed with masked noise (k = 1, d = 1)", _exp_support,
+                _reads(_MEASURE, experiment=dict(replica_offset=0, snapshots=False),
+                       grid=dict(n=512, length=16.0), green=dict(horizon=1.0),
+                       solver=dict(nonlinearity="sine"))),
     "weighted": (6, "weight sandwich, shell equivalence, weighted bound, affine envelope",
-                 _exp_weighted),
-    "refinement": (7, "moment of time increments decreases under step halving", _exp_refinement),
+                 _exp_weighted,
+                 _reads(_MEASURE, experiment=dict(replicas=1000, replica_offset=0,
+                                                  equivalence_fields=50, envelope_replicas=100),
+                        grid=dict(n=256, length=16.0), weight=dict(exponent=None, radius=1.0),
+                        solver=dict(dt=1 / 64, nonlinearity="affine"))),
+    "refinement": (7, "moment of time increments decreases under step halving", _exp_refinement,
+                   _reads(_MEASURE, experiment=dict(replicas=100, replica_offset=0, base_time=0.5),
+                          grid=dict(n=64, length=16.0), solver=dict(nonlinearity="sine"))),
 }
 
 

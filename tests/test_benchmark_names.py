@@ -5,7 +5,8 @@
 call the public API, the solve reports' snapshot API among it
 (``SolveConfig.snapshot_stride``, ``SolveReport.snapshots``,
 ``SolveReport.snapshot_at``).  A deleted or renamed name fails here, in the
-tier-1 tests, and not first in a benchmark run.  ``perfbench/`` is only
+tier-1 tests, and not first in a benchmark run; so does a sweep unit's config
+that the harness no longer accepts.  ``perfbench/`` is only
 imported, as its scripts import each other (by bare module name).
 """
 
@@ -66,3 +67,12 @@ def test_every_reduced_workload_unit_runs_traced(perfbench, workload, tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.calls
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_every_sweep_unit_config_parses(perfbench, reduced, tmp_path):
+    # building the sweep units parses each shipped config with the seed, output and
+    # unread threads the workload writes, and the reduced pass's SWEEP_REDUCED overrides
+    bench = perfbench["workloads"]
+    units = bench.WORKLOADS["sweep-ensemble"].build(bench.DEFAULT_SEED, tmp_path, reduced)
+    assert [unit.label for unit in units] == list(bench.SWEEP_ROWS)

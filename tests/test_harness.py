@@ -62,14 +62,17 @@ def _valid_text(section: str, key: str):
                      allow_infinity=False).map(repr)
 
 
-_DECLARED = {(section, key): _valid_text(section, key)
-             for section, keys in harness._KEYS.items() for key in keys}
+def _read_keys(name: str) -> dict:
+    """Strategy for the text of some of the keys the experiment reads, each a valid value."""
+    return st.fixed_dictionaries({}, optional={
+        (section, key): _valid_text(section, key)
+        for section, keys in EXPERIMENTS[name][3].items() for key in keys})
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(EXPERIMENTS)),
-       values=st.fixed_dictionaries({}, optional=_DECLARED))
-def test_parse_and_serialize_round_trip(name, values):
+@given(data=st.data(), name=st.sampled_from(sorted(EXPERIMENTS)))
+def test_parse_and_serialize_round_trip(data, name):
+    values = data.draw(_read_keys(name))
     raw = {"experiment": {"name": name}}
     for (section, key), text in values.items():
         raw.setdefault(section, {})[key] = text
@@ -88,8 +91,8 @@ def test_parse_rejects_bad_configs():
         parse_config("[experiment]\nname = nosuch\n")
     for key, value in (("replicas", "0"), ("seed", "-1"), ("replica_offset", "-3"),
                        ("seed", "1.5")):
-        with pytest.raises(ValueError, match=rf"\[experiment\] {key}"):
-            parse_config(f"[experiment]\nname = energy\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=rf"\[experiment\] {key}: (must|expected)"):
+            parse_config(f"[experiment]\nname = refinement\n{key} = {value}\n")
 
 
 def test_replica_streams_are_deterministic_and_distinct():
@@ -106,7 +109,7 @@ def test_the_seeding_contract_is_pinned():
     # the registry index is the first entry of every spawn key, so moving one
     # redraws every stream of that experiment; the literal pins the Philox
     # stream of the picard experiment's fixed path at the default seed
-    assert {name: index for name, (index, _, _) in EXPERIMENTS.items()} == {
+    assert {name: index for name, (index, *_) in EXPERIMENTS.items()} == {
         "admissibility": 0, "isometry": 1, "mollifier-ladder": 2, "picard": 3, "energy": 4,
         "support": 5, "weighted": 6, "refinement": 7}
     assert replica_generator(20260810, "picard", 0, 0).standard_normal() == 0.43744210888409474
@@ -124,9 +127,12 @@ def _streams_agree(gen, ref) -> bool:
             and np.array_equal(gen.standard_normal(5), ref.standard_normal(5)))
 
 
+# the experiments that draw replica streams, and so read [experiment] replica_offset
+_DRAWING = sorted(name for name, entry in EXPERIMENTS.items()
+                  if "replica_offset" in entry[3]["experiment"])
 # offsets whose replicas cross a word boundary of the index (2**32, 2**64, 2**128) inside
 # the case, next to seeds, experiments and cases drawn at random, multi-word ones included
-_BOUNDARY_CASES = [(20260810, "picard", 1, 0, 40), (0, "admissibility", 0, 0, 3),
+_BOUNDARY_CASES = [(20260810, "picard", 1, 0, 40), (0, "isometry", 0, 0, 3),
                    (2**32 - 1, "weighted", 2**32, 2**32 - 3, 6), (2**32, "support", 5, 2**64 - 2, 4),
                    (2**130 + 7, "refinement", 2**128 + 1, 2**128 - 2, 4),
                    (5, "isometry", 3, 2**96 - 1, 2)]
@@ -140,7 +146,7 @@ def test_case_streams_are_replica_generators(draw):
     for _ in range(4):
         bits = [int(b) for b in rnd.choice([8, 32, 33, 64, 65, 140], size=3)]
         seed, case, offset = (int.from_bytes(rnd.bytes(18), "little") % 2**b for b in bits)
-        cases.append((seed, str(rnd.choice(list(EXPERIMENTS))), case, offset,
+        cases.append((seed, str(rnd.choice(_DRAWING)), case, offset,
                       int(rnd.integers(1, 6))))
     for seed, experiment, case, offset, count in cases:
         gens = harness._replica_generators(_case_config(seed, experiment, offset), case, count)
@@ -285,7 +291,7 @@ def test_weighted_bound_verdict_flips_at_the_se_multiplier(tmp_path, monkeypatch
     ("name = weighted\nenvelope_replicas = 29\n", "[experiment] envelope_replicas"),
     ("name = refinement\nbase_time = 0.3\n", "[experiment] base_time"),
     ("name = picard\nreplicas = 10\n", "[experiment] replicas"),
-    ("name = energy\nsnapshots = maybe\n", "[experiment] snapshots"),
+    ("name = support\nsnapshots = maybe\n", "[experiment] snapshots"),
     ("name = picard\n[solver]\npicard_tol = -1\n", "[solver] picard_tol"),
     ("name = energy\n[solver]\nsteps = 0\n", "[solver] steps"),
     ("name = energy\n[green]\nhorizon = 0\n", "[green] horizon"),
@@ -330,27 +336,144 @@ def test_experiment_keys_are_checked_before_any_work(tmp_path, monkeypatch, text
     assert not (tmp_path / "out").exists()  # run makes the directory only after the rows
 
 
-def test_get_refuses_an_undeclared_key():
+def test_get_refuses_a_key_the_experiment_does_not_read():
     cfg = _config(ENERGY_CFG)
-    assert cfg.get("experiment", "seed") == 77 and cfg.get("grid", "n", 128) == 128
-    for section, key in (("experiment", "threads"), ("grid", "dt"), ("nosuch", "n")):
-        with pytest.raises(KeyError, match=re.escape(f"[{section}] {key}")):
+    assert cfg.get("experiment", "seed") == 77 and cfg.get("grid", "n") == 128
+    for section, key in (("experiment", "threads"), ("grid", "dt"), ("nosuch", "n"),
+                         ("experiment", "replicas"), ("measure", "kind")):
+        with pytest.raises(KeyError, match=re.escape(f"[{section}] {key} is not read by the "
+                                                     "energy experiment")):
             cfg.get(section, key)
 
 
-def test_the_readme_config_block_lists_every_declared_key():
-    # section by section, the keys commented out in the block counted too
+def _readme_config_block() -> str:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    return block
+
+
+def test_the_readme_config_block_lists_every_declared_key():
+    # section by section, the keys and sections commented out in the block counted too
     listed = {}
-    for line in block.splitlines():
-        if header := re.match(r"\[(\w+)\]", line):
+    for line in _readme_config_block().splitlines():
+        if header := re.match(r"(?:;\s*)?\[(\w+)\]", line):
             section = listed.setdefault(header[1], set())
         elif key := re.match(r"(?:;\s*)?(\w+)\s*=", line):
             section.add(key[1])
     declared = {section: set(keys) for section, keys in harness._KEYS.items()}
     declared["experiment"].add("name")
     assert listed == declared
+
+
+def test_the_readme_config_block_is_a_picard_config_at_its_defaults():
+    # pasted as it stands, it parses, and sets every key picard reads but the
+    # measure keys of the other kinds, each to picard's default
+    cfg = parse_config(_readme_config_block())
+    reads = EXPERIMENTS["picard"][3]
+    assert cfg.name == "picard"
+    given = {(section, key) for section, keys in cfg.raw.items() for key in keys} - {
+        ("experiment", "name")}
+    assert {(section, key) for section, keys in reads.items() for key in keys} - given == {
+        ("measure", "alpha"), ("measure", "table_path"), ("measure", "tail_exponent")}
+    assert all(cfg.get(section, key) == reads[section][key] for section, key in given)
+
+
+# every experiment at tiny sizes; each one that builds a measure runs once per kind
+_TINY = {
+    "admissibility": "",
+    "isometry": "replicas = 2\n[grid]\nn = 8\n",
+    "mollifier-ladder": "[grid]\nn = 64\n",
+    "picard": "replicas = 30\nratio_replicas = 2\n[grid]\nn = 16\n[solver]\ndt = 0.125\n",
+    "energy": "[grid]\nn = 16\n[solver]\nsteps = 4\n",
+    "support": "[grid]\nn = 64\n",
+    "weighted": "replicas = 2\nequivalence_fields = 1\nenvelope_replicas = 30\n[grid]\nn = 16\n"
+                "[solver]\ndt = 0.25\n",
+    "refinement": "replicas = 2\n[grid]\nn = 16\n",
+}
+_KINDS = {"white": "", "riesz": "kind = riesz\nalpha = 0.5\n",
+          "radial-table": "kind = radial-table\ntable_path = table.csv\ntail_exponent = -3\n"}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_each_table_lists_exactly_the_keys_its_experiment_reads(tmp_path, monkeypatch, name):
+    (tmp_path / "table.csv").write_text("0.5,1.0\n1.0,0.5\n2.0,0.25\n")
+    monkeypatch.chdir(tmp_path)
+    read = set()
+    get = ExperimentConfig.get
+
+    def recording_get(cfg, section, key):
+        read.add((section, key))
+        return get(cfg, section, key)
+
+    monkeypatch.setattr(ExperimentConfig, "get", recording_get)
+    table = EXPERIMENTS[name][3]
+    for kind, measure in _KINDS.items() if "measure" in table else [("white", "")]:
+        text = f"[experiment]\nname = {name}\n{_TINY[name]}" + (measure and f"[measure]\n{measure}")
+        run(parse_config(text).override(output=tmp_path / kind))
+        assert (tmp_path / kind / f"{name}.csv").exists()
+    every_run = {(section, key) for section, keys in harness._EVERY_RUN.items() for key in keys}
+    declared = {(section, key) for section, keys in table.items() for key in keys}
+    assert read - every_run == declared - every_run
+
+
+def test_the_tables_accept_90_of_the_200_experiment_key_pairs():
+    # every declared key is read by some experiment, and every key read is declared
+    declared = {(section, key) for section, keys in harness._KEYS.items() for key in keys}
+    pairs = {(name, section, key) for name, entry in EXPERIMENTS.items()
+             for section, keys in entry[3].items() for key in keys}
+    assert {(section, key) for _, section, key in pairs} == declared
+    assert (len(declared) * len(EXPERIMENTS), len(pairs)) == (200, 90)
+
+
+def _a_valid_text(section: str, key: str) -> str:
+    """A value that [section] key accepts."""
+    kind, bound, *_ = harness._KEYS[section][key]
+    if kind is bool:
+        return "true"
+    if kind is str:
+        return "x" if bound is None else bound[0]
+    if isinstance(bound, set):
+        return str(min(bound))
+    return str(bound) if kind is int else repr((bound or 0.0) + 1.0)
+
+
+_UNREAD = [(name, section, key) for name in sorted(EXPERIMENTS)
+           for section, keys in harness._KEYS.items() for key in keys
+           if key not in EXPERIMENTS[name][3].get(section, {})]
+
+
+@pytest.mark.parametrize("name, section, key", _UNREAD)
+def test_a_key_the_experiment_does_not_read_exits_2(tmp_path, capsys, name, section, key):
+    raw = {"experiment": {"name": name}}
+    raw.setdefault(section, {})[key] = _a_valid_text(section, key)
+    cfg_path = tmp_path / "config.ini"
+    cfg_path.write_text(serialize_config(ExperimentConfig(raw)))
+    runs = [[str(cfg_path)]]
+    if (section, key) == ("experiment", "replicas"):  # also as the --replicas override
+        cfg_path.with_name("plain.ini").write_text(f"[experiment]\nname = {name}\n")
+        runs.append([str(cfg_path.with_name("plain.ini")), "--replicas", "5"])
+    for args in runs:
+        assert cli.main(["run", *args, "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: [{section}] {key}: not read by the {name} experiment\n"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in EXPERIMENTS.items() if "measure" in e[3]))
+@pytest.mark.parametrize("key, value, owner, kind", [
+    ("alpha", "0.5", "riesz", "white"),
+    ("alpha", "0.5", "riesz", "radial-table"),
+    ("table_path", "t.csv", "radial-table", "white"),
+    ("table_path", "t.csv", "radial-table", "riesz"),
+    ("tail_exponent", "-3", "radial-table", "white"),
+    ("tail_exponent", "-3", "radial-table", "riesz"),
+])
+def test_a_measure_key_of_another_kind_exits_2(tmp_path, capsys, name, key, value, owner, kind):
+    cfg_path = tmp_path / "config.ini"
+    cfg_path.write_text(f"[experiment]\nname = {name}\n[measure]\nkind = {kind}\n{key} = {value}\n")
+    assert cli.main(["run", str(cfg_path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: [measure] {key}: read for {owner} only, not {kind}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra, key", [
@@ -540,7 +663,7 @@ def test_support_experiment_snapshot(tmp_path):
 def test_cli_list_and_run(tmp_path, capsys):
     assert cli.main(["list-experiments"]) == 0
     out = capsys.readouterr().out
-    assert all(f"{name:18s} {criterion}" in out for name, (_, criterion, _) in EXPERIMENTS.items())
+    assert all(f"{name:18s} {criterion}" in out for name, (_, criterion, *_) in EXPERIMENTS.items())
 
     cfg_path = tmp_path / "energy.ini"
     cfg_path.write_text(ENERGY_CFG)
@@ -582,14 +705,14 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("options, extra, message", [
-    (["--replicas", "0"], "", "[experiment] replicas"),
-    (["--seed", "-1"], "", "[experiment] seed"),
-    ([], "replica_offset = -3\n", "[experiment] replica_offset"),
-    ([], "seed = -1\n", "[experiment] seed"),
+    (["--replicas", "0"], "", "[experiment] replicas: must be >= 2"),
+    (["--seed", "-1"], "", "[experiment] seed: must be >= 0"),
+    ([], "replica_offset = -3\n", "[experiment] replica_offset: must be >= 0"),
+    ([], "seed = -1\n", "[experiment] seed: must be >= 0"),
 ])
 def test_cli_checks_overrides_like_the_config_file(tmp_path, capsys, options, extra, message):
-    cfg_path = tmp_path / "energy.ini"
-    cfg_path.write_text(ENERGY_CFG.replace("seed = 77\n", extra))
+    cfg_path = tmp_path / "refinement.ini"
+    cfg_path.write_text(f"[experiment]\nname = refinement\n{extra}")
     assert cli.main(["run", str(cfg_path), "--output", str(tmp_path / "out"), *options]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
