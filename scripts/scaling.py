@@ -60,7 +60,7 @@ def points() -> list[tuple[int, int, int, int, bool]]:
     out = []
     for d, n in GRIDS:
         words = _replica_words(Grid(d, n, LENGTH))
-        shipped = replica_blocks(256, words)[0][1]
+        shipped = replica_blocks(2**20, words)[0][1]
         rows = sorted({r for r in ROWS if r * words * 8 <= MAX_BLOCK_BYTES} | {shipped})
         out += [(d, n, r, rows[-1], r == shipped) for r in rows]
     return out

@@ -12,12 +12,14 @@ spawn-key index, criterion, function, keys); within one stream, noise slices
 are drawn in time order (the draw rule of ``stochwave.noise``).  Two runs
 of the same experiment at replica offsets 0..a and a..b therefore draw
 exactly the replicas of one run over 0..b, which is what makes result
-aggregation exact rather than approximate.  :func:`replica_generator`
-builds one stream through ``SeedSequence`` and is the reference; a case's
-replica streams (:func:`_replica_generators`) take their Philox keys from
-one vectorized pass of the same hash over all the case's replica indices
-(:func:`_philox_keys`), so they are the same streams without a
-``SeedSequence`` a replica.
+aggregation exact rather than approximate.  Every stream an experiment
+draws comes from :func:`_replica_generators`, which takes a case's Philox
+keys from one vectorized pass of ``SeedSequence``'s hash over all its
+replica indices (:func:`_philox_keys`), a single stream included.
+:func:`replica_generator` builds one stream through ``SeedSequence``
+itself: no experiment calls it; it is the public reference the tests and
+the benchmark's workloads build streams with, and the experiments'
+streams are the same streams.
 
 Config files are INI-style (see ``parse_config``); a config sets only the keys
 its experiment's ``EXPERIMENTS`` entry lists, checked by ``_KEYS`` when it is
@@ -118,44 +120,44 @@ def _philox_keys(seed: int, spawn_head: tuple, first: int, count: int) -> np.nda
     """
     hash_const, hash_mult = 0x43B0D7E5, 0x931E8875  # the pool's hash; the output's below
 
+    # on Python ints and on uint64 arrays alike, each result masked to 32 bits
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
+        value = value ^ hash_const
         hash_const = hash_const * hash_mult & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
 
     def mix(x, y):
-        out = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
-        return out ^ (out >> np.uint32(16))
+        out = x * 0xCA01F9DD - y * 0x4973F715 & _MASK32
+        return out ^ out >> 16
 
     def words(n: int) -> list[int]:
         return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+    def add(word) -> list:
+        return [mix(entry, hashmix(word)) for entry in pool]
 
     entropy = words(seed)
     entropy += [0] * (4 - len(entropy))
     for entry in spawn_head:
         entropy += words(entry)
-    pool = [hashmix(np.array([w], dtype=np.uint32)) for w in entropy[:4]]
+    pool = [hashmix(w) for w in entropy[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-
-    def add(word, live=True):
-        for dst in range(4):
-            pool[dst] = np.where(live, mix(pool[dst], hashmix(word)), pool[dst])
-
     for w in entropy[4:]:
-        add(np.array([w], dtype=np.uint32))
+        pool = add(w)
     index = np.array(range(first, first + count), dtype=object)
-    add((index & _MASK32).astype(np.uint32))
+    pool = add((index & _MASK32).astype(np.uint64))
     for shift in range(32, max(first + count - 1, 1).bit_length(), 32):
         high = index >> shift
-        add((high & _MASK32).astype(np.uint32), high != 0)
+        pool = [np.where(high != 0, new, old)
+                for new, old in zip(add((high & _MASK32).astype(np.uint64)), pool)]
     hash_const, hash_mult = 0x8B51F9DD, 0x58F38DED
-    out = [hashmix(entry).astype(np.uint64) for entry in pool]
-    return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
+    out = [hashmix(entry) for entry in pool]
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
 
 
 @functools.cache
@@ -707,8 +709,8 @@ def _exp_picard(cfg: ExperimentConfig, files: dict) -> list[Row]:
 
     # fixed-point agreement on one fixed path; the zero-guess solve is the u0 solve one
     # update later (picard_iterate), so two_guess_gap is 0 by construction
-    path = sample_path(grid, measure, solve_cfg.horizon, solve_cfg.dt, replica_generator(
-        cfg.get("experiment", "seed"), "picard", 0, cfg.get("experiment", "replica_offset")))
+    path = sample_path(grid, measure, solve_cfg.horizon, solve_cfg.dt,
+                       _replica_generators(cfg, 0, 1)[0])
     sweep = explicit_sweep(solve_cfg, path)
     pic = picard_iterate(solve_cfg, path)
     pic0 = picard_iterate(solve_cfg, path, initial="zero")
@@ -774,8 +776,7 @@ def _exp_support(cfg: ExperimentConfig, files: dict) -> list[Row]:
         nonlinearity=_build_nonlinearity(cfg), v0=v0,
         noise_mask=mask, snapshot_stride=1,
     )
-    path = sample_path(grid, measure, solve_cfg.horizon, h, replica_generator(
-        cfg.get("experiment", "seed"), "support", 0, cfg.get("experiment", "replica_offset")))
+    path = sample_path(grid, measure, solve_cfg.horizon, h, _replica_generators(cfg, 0, 1)[0])
     report = explicit_sweep(solve_cfg, path)
     radius = np.sqrt(grid.coord_norm_sq)
     worst = 0.0
@@ -818,8 +819,7 @@ def _exp_weighted(cfg: ExperimentConfig, files: dict) -> list[Row]:
 
     # shell equivalence on random fields with the computed discrete constants
     c_disc, big_c = equivalence_constants(grid, w)
-    rng = replica_generator(cfg.get("experiment", "seed"), "weighted", 0,
-                            cfg.get("experiment", "replica_offset"))
+    rng = _replica_generators(cfg, 0, 1)[0]
     shell_count = int(w.annulus_index(grid).max()) + 1
     weights_n = np.array([float(max(n, 1)) ** (-w.exponent) for n in range(shell_count)])
     violations = 0

@@ -158,7 +158,10 @@ def replica_blocks(replicas: int, entries: int, rng=None) -> list[tuple[int, int
 
     ``entries`` is the float64 words one item keeps live, so a block
     stays within ``_BLOCK_ENTRIES`` words wherever one item fits; each
-    caller says what it counts.  ``rng`` is exactly ``replicas``
+    caller says what it counts.  The 256-item cap binds only on small
+    items: at d = 1, N <= 64 the words alone would fill the Monte Carlo
+    kernel's buffers to within 576 bytes of the budget, less than its
+    array headers and views take.  ``rng`` is exactly ``replicas``
     generators, sliced per block; without it ``generators`` is None (the
     sweep's step blocks).  One generator shared by the blocks would tie
     the draws to the block size, so it is refused.  The counts are

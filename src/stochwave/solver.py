@@ -55,10 +55,11 @@ reads one.  Three callers read the rows:
 - the free evolution (:func:`energy_trajectory`, the u0 initial guess,
   :func:`deterministic_moments`): the frame with P = Q = 0.
 
-Trajectories put time on the leading axis and may carry a replica axis
-after it: :func:`sweep_replicas` and :func:`picard_replicas` solve
-Monte Carlo ensembles in blocks of replicas from ``noise.replica_blocks``,
-each replica's noise drawn in chunks of steps (:func:`_noise_chunks`).
+Trajectories put time on the leading axis.  Only :func:`sweep_replicas`
+carries a replica axis after it: it solves a Monte Carlo ensemble in
+blocks of replicas from ``noise.replica_blocks``, each replica's noise
+drawn in chunks of steps (:func:`_noise_chunks`).  :func:`picard_replicas`
+iterates one replica's path at a time.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ from .covariance import SpectralMeasure, admissible
 from .greens import GreenMultiplier, cosine_multiplier, j_functional, sine_multiplier
 from .greens import spectral_energy_field
 from .lattice import Grid, LatticeField, _table, h_neg_k_norm, l2_norm, norm_sq
-from .noise import NoisePath, mean_se, replica_blocks, sample_slice_batch, whole_steps
+from .noise import NoisePath, mean_se, replica_blocks, sample_path, sample_slice_batch
+from .noise import whole_steps
 
 __all__ = [
     "Nonlinearity",
@@ -358,9 +360,6 @@ def _forced_spectra(cfg: SolveConfig, table, g: np.ndarray) -> np.ndarray:
     which make the causal sweep's additions in the sweep's order.
     """
     cos, sin, scale = table
-    # the rows along time, broadcast over the replica axis if there is one
-    shape = (len(g) + 1,) + (1,) * (g.ndim - cos.ndim) + cos.shape[1:]
-    cos, sin = cos.reshape(shape), sin.reshape(shape)
     a0, b0 = _initial_frame(cfg, scale)
     u_spec = _running_sums(b0, cos, g)
     u_spec *= sin
@@ -375,11 +374,10 @@ def _picard_update(cfg: SolveConfig, table, w_fields: np.ndarray,
     """One Picard update: the discrete mild map applied to a whole trajectory.
 
     ``prev`` holds u_n(t_j), j = 0..n, and ``w_fields`` the n increments,
-    time on the leading axis of both and an optional replica axis after
-    it; ``table`` is :func:`_horizon_table`'s.  Every input is known in
-    advance, so one batched forward transform gives all n forcing
-    spectra, :func:`_forced_spectra` needs no loop over steps, and one
-    batched inverse returns u_{n+1}.
+    time on the leading axis of both; ``table`` is :func:`_horizon_table`'s.
+    Every input is known in advance, so one batched forward transform gives
+    all n forcing spectra, :func:`_forced_spectra` needs no loop over steps,
+    and one batched inverse returns u_{n+1}.
     """
     g = cfg.grid.forward(cfg.nonlinearity(prev[:cfg.steps]) * w_fields, multiplier=table[2])
     return cfg.grid.inverse(_forced_spectra(cfg, table, g))
@@ -403,14 +401,14 @@ def _noise_fields(cfg: SolveConfig, path: NoisePath) -> np.ndarray:
 
 
 def _noise_chunks(cfg: SolveConfig, gens):
-    """The n masked increments of the replicas of ``gens``, as ``(lo, hi, chunk)`` for
-    chunks of the consecutive steps lo..hi - 1.
+    """The n masked increments of the replicas of ``gens``, step by step, each of shape
+    (replicas, *grid.shape), drawn in chunks of consecutive steps.
 
-    A chunk has shape (hi - lo, replicas, *grid.shape); each stream fills
-    its slices of a chunk in one call (the draw rule of
+    Each stream fills its slices of a chunk in one call (the draw rule of
     ``stochwave.noise``), so the chunking changes no value.  The chunks
     are ``noise.replica_blocks`` of the n steps, one field a replica and
-    step, and each is a view of one buffer that the next one overwrites.
+    step, and each field yielded is a view of one buffer that the next
+    chunk overwrites.
     """
     mask, grid, n, reps = _mask(cfg), cfg.grid, cfg.steps, len(gens)
     buf = None
@@ -421,7 +419,12 @@ def _noise_chunks(cfg: SolveConfig, gens):
                                steps=hi - lo)
         if mask is not None:
             w *= mask
-        yield lo, hi, w.reshape((reps, hi - lo) + grid.shape).swapaxes(0, 1)
+        yield from w.reshape((reps, hi - lo) + grid.shape).swapaxes(0, 1)
+
+
+def _replica_blocks(rngs, entries: int):
+    """``noise.replica_blocks`` of ``rngs``, which refuses one shared Generator (it has no len)."""
+    return replica_blocks(1 if isinstance(rngs, np.random.Generator) else len(rngs), entries, rngs)
 
 
 def _initial_guess(cfg: SolveConfig, table, initial: str) -> np.ndarray:
@@ -481,12 +484,11 @@ def sweep_replicas(cfg: SolveConfig, rngs, theta: np.ndarray | None = None,
     slot = {j: i for i, j in enumerate(keep)}
     if len(slot) != len(keep) or any(not 0 <= j <= n for j in slot):
         raise ValueError(f"kept steps must be distinct and lie in 0..{n}")
-    blocks = replica_blocks(len(rngs), math.prod(grid.half_shape), rngs)
+    blocks = _replica_blocks(rngs, math.prod(grid.half_shape))
     moments = np.empty((len(rngs), n + 1))
     kept = np.empty((len(rngs), len(keep)) + grid.shape)
     for lo, hi, gens in blocks:
-        w_fields = (w for _, _, chunk in _noise_chunks(cfg, gens) for w in chunk)
-        for j, values in enumerate(_causal_sweep(cfg, w_fields)):
+        for j, values in enumerate(_causal_sweep(cfg, _noise_chunks(cfg, gens))):
             moments[lo:hi, j] = norm_sq(grid, values, theta)
             if j in slot:
                 kept[lo:hi, slot[j]] = values
@@ -497,8 +499,8 @@ def _picard_loop(cfg: SolveConfig, table, w_fields: np.ndarray, prev: np.ndarray
                  max_iter: int, tol: float):
     """Up to ``max_iter`` updates from ``prev``: (last iterate, m_table, converged).
 
-    ``m_table[i]`` holds update i + 1's squared L2 distances per step time (and
-    replica); it stops once sqrt(max) < ``tol``, so a tolerance of 0 never stops it.
+    ``m_table[i]`` holds update i + 1's squared L2 distances per step time;
+    it stops once sqrt(max) < ``tol``, so a tolerance of 0 never stops it.
     """
     m_table: list[np.ndarray] = []
     while len(m_table) < max_iter:
@@ -534,32 +536,24 @@ def picard_iterate(cfg: SolveConfig, path: NoisePath, initial: str = "u0") -> So
 
 
 def picard_replicas(cfg: SolveConfig, rngs, iterations: int) -> np.ndarray:
-    """A fixed number of Picard iterations on independent replicas, batched.
+    """A fixed number of Picard iterations on independent replicas, one path at a time.
 
-    Replica r iterates on ``sample_path(..., rngs[r])``, drawn in chunks
-    of steps as :func:`sweep_replicas` draws it.  Blocks of replicas
-    (``noise.replica_blocks``, one (n + 1)-row half-grid trajectory a
-    replica) run as one batch, the replica axis after the time axis, so
-    each replica's rows are bit-identical to the first ``iterations`` of
-    :func:`picard_iterate` on its own path (initial guess u0) with a zero
-    tolerance, and do not depend on the block or chunk size.
+    Replica r iterates on ``sample_path(..., rngs[r])`` from the u0 guess
+    with a zero tolerance, so its rows are the first ``iterations`` of
+    :func:`picard_iterate`'s ``m_table`` on that path.  The streams are
+    checked as ``noise.replica_blocks`` checks them, before any solve.
     Returns the squared update distances, shape (replicas, iterations,
     n + 1): row [r, i] is replica r's ``m_table[i]``.
     """
     cfg.validate()
-    grid, n = cfg.grid, cfg.steps
-    blocks = replica_blocks(len(rngs), (n + 1) * math.prod(grid.half_shape), rngs)
+    _replica_blocks(rngs, 1)  # the stream checks only
     table = _horizon_table(cfg)
-    guess = _initial_guess(cfg, table, "u0")[:, None]
-    m = np.empty((len(rngs), iterations, n + 1))
-    for lo, hi, gens in blocks:
-        w_fields = np.empty((n, hi - lo) + grid.shape)
-        for a, b, chunk in _noise_chunks(cfg, gens):
-            w_fields[a:b] = chunk
-        prev = np.broadcast_to(guess, (n + 1,) + w_fields.shape[1:])
-        _, m_table, _ = _picard_loop(cfg, table, w_fields, prev, iterations, 0.0)
-        for i, dist_sq in enumerate(m_table):
-            m[lo:hi, i] = dist_sq.T
+    guess = _initial_guess(cfg, table, "u0")
+    m = np.empty((len(rngs), iterations, cfg.steps + 1))
+    for r, rng in enumerate(rngs):
+        w_fields = _noise_fields(cfg, sample_path(cfg.grid, cfg.measure, cfg.horizon, cfg.dt, rng))
+        for i, dist_sq in enumerate(_picard_loop(cfg, table, w_fields, guess, iterations, 0.0)[1]):
+            m[r, i] = dist_sq
     return m
 
 

@@ -416,6 +416,31 @@ def test_each_table_lists_exactly_the_keys_its_experiment_reads(tmp_path, monkey
     assert read - every_run == declared - every_run
 
 
+def test_every_stream_an_experiment_draws_is_a_case_stream(tmp_path, monkeypatch):
+    # the (case, count) each experiment keys its streams by: moving a case index redraws
+    # its streams, which a row such as weighted's violation count cannot show
+    drawn = {}
+    case_streams = harness._replica_generators
+
+    def recording(cfg, case_index, count):
+        drawn.setdefault(cfg.name, []).append((case_index, count))
+        return case_streams(cfg, case_index, count)
+
+    def refused(*args):
+        raise AssertionError("an experiment built a stream through replica_generator")
+
+    monkeypatch.setattr(harness, "_replica_generators", recording)
+    monkeypatch.setattr(harness, "replica_generator", refused)
+    for name in sorted(EXPERIMENTS):
+        cfg = parse_config(f"[experiment]\nname = {name}\n{_TINY[name]}")
+        run(cfg.override(output=tmp_path / name))
+    assert drawn == {"isometry": [(case, 2) for case in range(6)],
+                     "picard": [(0, 1), (1, 2), (2, 30)],
+                     "refinement": [(case, 2) for case in range(4)],
+                     "support": [(0, 1)], "weighted": [(0, 1), (1, 2), (2, 30)]}
+    assert sorted(drawn) == _DRAWING
+
+
 def test_the_tables_accept_90_of_the_200_experiment_key_pairs():
     # every declared key is read by some experiment, and every key read is declared
     declared = {(section, key) for section, keys in harness._KEYS.items() for key in keys}

@@ -343,8 +343,8 @@ def test_rotated_frame_matches_closed_form_and_direct_sum(d, k, n_pts, steps, dt
     assert _mild_map_gap(cfg, path, u, u[-1], steps) <= 1e-11
 
 
-def _sweep_then_update(d, k, steps, replicas, mask, seed):
-    """explicit_sweep's trajectory and one Picard update of it, replica axis after time."""
+def _sweep_then_update(d, k, steps, mask, seed):
+    """explicit_sweep's trajectory and one Picard update of it."""
     grid = Grid(d, 16, 8.0)
     r_sq = grid.coord_norm_sq
     # white noise is admissible for k = 1 in d = 1 only
@@ -354,15 +354,10 @@ def _sweep_then_update(d, k, steps, replicas, mask, seed):
                       LatticeField(grid, 0.5 * np.exp(-2.0 * r_sq)),
                       noise_mask=(r_sq <= 4.0).astype(float) if mask else None,
                       snapshot_stride=1)
-    rng = np.random.default_rng(seed)
-    paths = [sample_path(grid, cfg.measure, cfg.horizon, cfg.dt, rng)
-             for _ in range(replicas or 1)]
-    reports = [explicit_sweep(cfg, path) for path in paths]
-    trajectory = np.stack([np.stack([r.snapshot_at(j).values for j in range(steps + 1)])
-                           for r in reports], axis=1)
-    w_fields = np.stack([p.fields for p in paths], axis=1) * (cfg.noise_mask if mask else 1.0)
-    if replicas is None:
-        trajectory, w_fields = trajectory[:, 0], w_fields[:, 0]
+    path = sample_path(grid, cfg.measure, cfg.horizon, cfg.dt, np.random.default_rng(seed))
+    report = explicit_sweep(cfg, path)
+    trajectory = np.stack([report.snapshot_at(j).values for j in range(steps + 1)])
+    w_fields = path.fields * (cfg.noise_mask if mask else 1.0)
     new = _picard_update(cfg, _horizon_table(cfg), w_fields, trajectory)
     assert new.shape == trajectory.shape
     return trajectory, new
@@ -370,20 +365,19 @@ def _sweep_then_update(d, k, steps, replicas, mask, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(d=st.sampled_from([1, 2]), k=st.sampled_from([1, 2]), steps=st.integers(1, 24),
-       replicas=st.sampled_from([None, 1, 3]), mask=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_picard_update_fixes_the_sweep_trajectory(d, k, steps, replicas, mask, seed):
+       mask=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_picard_update_fixes_the_sweep_trajectory(d, k, steps, mask, seed):
     # the sweep solves the discrete mild equation, so one update returns its trajectory
-    trajectory, new = _sweep_then_update(d, k, steps, replicas, mask, seed)
+    trajectory, new = _sweep_then_update(d, k, steps, mask, seed)
     assert np.max(np.abs(new - trajectory)) <= 1e-13 * np.max(np.abs(trajectory))
 
 
-@pytest.mark.parametrize("d, k, replicas", [(1, 1, None), (1, 2, 3), (2, 2, 3)])
-def test_sweep_and_picard_update_share_their_arithmetic(d, k, replicas):
+@pytest.mark.parametrize("d, k", [(1, 1), (1, 2), (2, 2)])
+def test_sweep_and_picard_update_share_their_arithmetic(d, k):
     # the update's cumulative sums make the sweep's additions in the sweep's order, so the
     # fixed point is reproduced bit for bit; a forcing term added at its own step time
     # changes the displacement only by rounding, and only this equality can see it
-    trajectory, new = _sweep_then_update(d, k, 12, replicas, True, 900 + d + k)
+    trajectory, new = _sweep_then_update(d, k, 12, True, 900 + d + k)
     assert np.array_equal(new, trajectory)
 
 
@@ -424,7 +418,7 @@ def test_sweep_rows_equal_the_propagator_tables(monkeypatch, rows, steps):
 
 def test_sweep_across_row_blocks_shares_the_picard_update_arithmetic(monkeypatch):
     _rows_per_block(monkeypatch, Grid(1, 16, 8.0), 16)
-    trajectory, new = _sweep_then_update(1, 2, 37, 3, True, 950)
+    trajectory, new = _sweep_then_update(1, 2, 37, True, 950)
     assert np.array_equal(new, trajectory)
 
 
@@ -595,12 +589,10 @@ def test_sweep_replicas_is_independent_of_chunk_size(monkeypatch):
     (d, k, mask, v0_dot)
     for d, k in ((1, 1), (2, 2)) for mask in (False, True) for v0_dot in (False, True)
 ])
-def test_picard_replicas_match_per_path_solves(monkeypatch, d, k, mask, v0_dot):
-    # row [r, i] is bit-identical to m_table[i] of picard_iterate on replica r's own path,
-    # in blocks of 3
+def test_picard_replicas_match_per_path_solves(d, k, mask, v0_dot):
+    # row [r, i] is bit-identical to m_table[i] of picard_iterate on replica r's own path
     cfg = _replica_config(d, k, mask, v0_dot)
     iterations = 4
-    _blocks_of(monkeypatch, 3, (cfg.steps + 1) * math.prod(cfg.grid.half_shape))
     m = picard_replicas(cfg, [np.random.default_rng(600 + r) for r in range(5)], iterations)
     assert m.shape == (5, iterations, cfg.steps + 1)
     cfg.picard_tol = 0.0
@@ -610,16 +602,6 @@ def test_picard_replicas_match_per_path_solves(monkeypatch, d, k, mask, v0_dot):
         ref = picard_iterate(cfg, path)
         assert ref.iterations == cfg.steps + 2 > iterations and not ref.converged
         assert np.array_equal(m[r], np.array(ref.m_table[:iterations]))
-
-
-def test_picard_replicas_is_independent_of_chunk_size(monkeypatch):
-    cfg = _replica_config(mask=True, v0_dot=True)
-    entries = (cfg.steps + 1) * math.prod(cfg.grid.half_shape)
-    assert noise.replica_blocks(20, entries) == [(0, 20, None)]
-    results = _by_block_size(monkeypatch, entries, lambda: picard_replicas(
-        cfg, [np.random.default_rng(700 + r) for r in range(20)], 3))
-    for m in results[1:]:
-        assert np.array_equal(m, results[0])
 
 
 def _noise_chunk_steps(monkeypatch):
@@ -636,8 +618,8 @@ def _noise_chunk_steps(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["white", "riesz"])
 def test_replica_noise_is_independent_of_the_step_chunk_size(monkeypatch, kind):
-    # sweep and Picard replicas draw their noise in chunks of consecutive steps sized by
-    # _BLOCK_ENTRIES; chunks of 1, 2 and 3 of the 16 steps (the last of 3 ragged) move no bit
+    # sweep replicas draw their noise in chunks of consecutive steps sized by _BLOCK_ENTRIES;
+    # chunks of 1, 2 and 3 of the 16 steps (the last of 3 ragged) move no bit
     measure = SpectralMeasure.white(1) if kind == "white" else SpectralMeasure.riesz(1, 0.5)
     cfg = _replica_config(mask=True, v0_dot=True, measure=measure)
     n, replicas, field = cfg.steps, 5, math.prod(cfg.grid.shape)
@@ -648,38 +630,32 @@ def test_replica_noise_is_independent_of_the_step_chunk_size(monkeypatch, kind):
 
     steps = _noise_chunk_steps(monkeypatch)
     sweep = sweep_replicas(cfg, gens(), keep=(0, 7, n))
-    picard = picard_replicas(cfg, gens(), 3)
-    assert steps == [n, n]  # one chunk of the whole horizon each at the default size
-    # a sweep block holds all 5 replicas, so chunks are _BLOCK_ENTRIES // (5 * field) steps;
-    # a Picard block holds one replica here, so its chunks are _BLOCK_ENTRIES // field steps
+    assert steps == [n]  # one chunk of the whole horizon at the default size
+    # a sweep block holds all 5 replicas, so chunks are _BLOCK_ENTRIES // (5 * field) steps
     for size in (1, 2, 3):
         steps.clear()
         _blocks_of(monkeypatch, size * replicas, field)
         moments, kept = sweep_replicas(cfg, gens(), keep=(0, 7, n))
         assert steps == [size] * (n // size) + [n % size] * (n % size > 0)
         assert np.array_equal(moments, sweep[0]) and np.array_equal(kept, sweep[1])
-        steps.clear()
-        _blocks_of(monkeypatch, size, field)
-        assert np.array_equal(picard_replicas(cfg, gens(), 3), picard)
-        assert steps == ([size] * (n // size) + [n % size] * (n % size > 0)) * replicas
 
 
 def _picard_replicas_peak(cfg, replicas):
-    """Peak traced allocation of picard_replicas over ``replicas`` replicas."""
+    """Peak traced allocation of picard_replicas over ``replicas`` replicas, less the
+    bytes of the array it returns; the streams are built before tracing starts."""
     picard_replicas(cfg, [np.random.default_rng(0)], 2)  # fills the grid's caches
+    rngs = [np.random.default_rng(900 + r) for r in range(replicas)]
     tracemalloc.start()
     try:
-        picard_replicas(cfg, [np.random.default_rng(900 + r) for r in range(replicas)], 2)
-        return tracemalloc.get_traced_memory()[1]
+        m = picard_replicas(cfg, rngs, 2)
+        return tracemalloc.get_traced_memory()[1] - m.nbytes
     finally:
         tracemalloc.stop()
 
 
 def test_picard_replicas_memory_does_not_grow_with_the_replica_count():
-    # a replica holds its (n + 1)-row trajectory, so blocks here hold 26 replicas
+    # each replica is solved on its own path, so the solve holds one trajectory at a time
     cfg = _replica_config(d=2, k=2)
-    assert noise.replica_blocks(104, (cfg.steps + 1) * math.prod(cfg.grid.half_shape)) == \
-        [(lo, lo + 26, None) for lo in range(0, 104, 26)]
     assert _picard_replicas_peak(cfg, 104) <= 1.05 * _picard_replicas_peak(cfg, 26)
 
 
@@ -690,6 +666,10 @@ def test_replica_batches_refuse_zero_replicas():
         sweep_replicas(cfg, [])
     with pytest.raises(ValueError, match="replicas must be at least 1, got 0"):
         picard_replicas(cfg, [], 3)
+    # one stream shared by the replicas is refused there too, not by len()
+    for solve in (sweep_replicas, lambda cfg, rng: picard_replicas(cfg, rng, 3)):
+        with pytest.raises(ValueError, match="not one shared Generator"):
+            solve(cfg, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("steps", [4, 32])
@@ -721,9 +701,9 @@ def test_picard_iteration_is_one_batched_transform_pair(monkeypatch, steps):
     counted_solve(1)  # fills the cached spectra of v0 and v0_dot
     one, three = counted_solve(1), counted_solve(3)
     assert {k: three[k] - one[k] for k in calls} == {"forward": 2, "inverse": 2}
-    # the update itself, with a replica axis after time
-    prev = np.random.default_rng(801).standard_normal((steps + 1, 3) + cfg.grid.shape)
-    w_fields = np.random.default_rng(802).standard_normal((steps, 3) + cfg.grid.shape)
+    # the update itself
+    prev = np.random.default_rng(801).standard_normal((steps + 1,) + cfg.grid.shape)
+    w_fields = np.random.default_rng(802).standard_normal((steps,) + cfg.grid.shape)
     before = dict(calls)
     new = _picard_update(cfg, _horizon_table(cfg), w_fields, prev)
     assert {k: calls[k] - before[k] for k in calls} == {"forward": 1, "inverse": 1}
